@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -35,6 +36,7 @@ __all__ = [
     "example2_F",
     "make_class_function",
     "corpus",
+    "ErrorEvaluator",
     "l2_error",
     "c_error",
     "RateStudyResult",
@@ -215,6 +217,87 @@ def _effective_degrees(data: np.ndarray) -> tuple[int, int]:
     return int(rows.max()), int(cols.max())
 
 
+class ErrorEvaluator:
+    """L2 and C distances of many coefficient grids to one exact reference.
+
+    Built once per study from the reference and the largest degrees (K, J)
+    of the grids it will score; quad_nodes and the breakpoints mean what
+    they mean in l2_error, grid_points what it means in c_error. The
+    composite Gauss rules, the basis tables at their nodes and on the
+    uniform C grid, and the reference's values on both grids are computed
+    on first use and shared by every later trial. A trial synthesizes only
+    its active block [0..kmax] x [0..jmax], since truncation to the cross
+    leaves every coefficient outside it zero.
+    """
+
+    def __init__(
+        self,
+        exact,
+        K: int,
+        J: int,
+        quad_nodes: int,
+        breakpoints_t=(),
+        breakpoints_tau=(),
+        grid_points: int = 513,
+    ):
+        if grid_points < 257:
+            raise ValueError(f"grid_points={grid_points} must be >= 257")
+        self.exact = exact
+        self.K, self.J = K, J
+        self.quad_nodes = quad_nodes
+        self.breakpoints_t = tuple(breakpoints_t)
+        self.breakpoints_tau = tuple(breakpoints_tau)
+        self.grid_points = grid_points
+
+    @cached_property
+    def _quad_tables(self):
+        t, wt = _composite_rule(self.quad_nodes, self.breakpoints_t)
+        if self.breakpoints_tau == self.breakpoints_t:
+            tau, wtau = t, wt
+        else:
+            tau, wtau = _composite_rule(self.quad_nodes, self.breakpoints_tau)
+        ref = np.asarray(self.exact(t[:, None], tau[None, :]), dtype=float)
+        return wt, wtau, phi_matrix(self.K, t), phi_matrix(self.J, tau), ref
+
+    @cached_property
+    def _grid_tables(self):
+        g = np.linspace(-1.0, 1.0, self.grid_points)
+        ref = np.asarray(self.exact(g[:, None], g[None, :]), dtype=float)
+        return phi_matrix(max(self.K, self.J), g), ref
+
+    def _active(self, approx: CoeffGrid):
+        kmax, jmax = _effective_degrees(approx.data)
+        if kmax > self.K or jmax > self.J:
+            raise ValueError(
+                f"active degrees ({kmax},{jmax}) exceed the evaluator's "
+                f"degrees ({self.K},{self.J})"
+            )
+        return approx.data[: kmax + 1, : jmax + 1], kmax, jmax
+
+    def l2(self, approx: CoeffGrid) -> float:
+        """L2([-1,1]^2) distance of approx to the reference, by quadrature."""
+        block, kmax, jmax = self._active(approx)
+        if self.quad_nodes < max(kmax, jmax) + 32:
+            raise ValueError(
+                f"quad_nodes={self.quad_nodes} too small for active degrees "
+                f"({kmax},{jmax})"
+            )
+        wt, wtau, pt, ptau, ref = self._quad_tables
+        diff = pt[: kmax + 1].T @ block @ ptau[: jmax + 1]
+        diff -= ref
+        diff *= diff
+        return math.sqrt(max(wt @ diff @ wtau, 0.0))
+
+    def c(self, approx: CoeffGrid) -> float:
+        """Max-norm distance of approx to the reference on the uniform grid."""
+        block, kmax, jmax = self._active(approx)
+        phi, ref = self._grid_tables
+        diff = phi[: kmax + 1].T @ block @ phi[: jmax + 1]
+        diff -= ref
+        np.abs(diff, out=diff)
+        return float(diff.max())
+
+
 def l2_error(
     approx: CoeffGrid,
     exact,
@@ -227,30 +310,18 @@ def l2_error(
     quad_nodes (per smooth piece per axis) must exceed the highest active
     degree of approx by >= 32 so the quadrature resolves the integrand;
     breakpoints split the rule where the reference is only piecewise smooth.
+    Scoring many grids against one reference is cheaper with ErrorEvaluator.
     """
-    kmax, jmax = _effective_degrees(approx.data)
-    if quad_nodes < max(kmax, jmax) + 32:
-        raise ValueError(
-            f"quad_nodes={quad_nodes} too small for active degrees ({kmax},{jmax})"
-        )
-    t, wt = _composite_rule(quad_nodes, breakpoints_t)
-    tau, wtau = _composite_rule(quad_nodes, breakpoints_tau)
-    diff = synthesize(approx, t, tau) - np.asarray(
-        exact(t[:, None], tau[None, :]), dtype=float
-    )
-    val = wt @ (diff * diff) @ wtau
-    return math.sqrt(max(val, 0.0))
+    return ErrorEvaluator(
+        exact, approx.K, approx.J, quad_nodes, breakpoints_t, breakpoints_tau
+    ).l2(approx)
 
 
 def c_error(approx: CoeffGrid, exact, grid_points: int = 513) -> float:
     """Max-norm distance sampled on a uniform inclusive grid (>= 257 per axis)."""
-    if grid_points < 257:
-        raise ValueError(f"grid_points={grid_points} must be >= 257")
-    t = np.linspace(-1.0, 1.0, grid_points)
-    diff = synthesize(approx, t, t) - np.asarray(
-        exact(t[:, None], t[None, :]), dtype=float
-    )
-    return float(np.abs(diff).max())
+    return ErrorEvaluator(
+        exact, approx.K, approx.J, quad_nodes=0, grid_points=grid_points
+    ).c(approx)
 
 
 def theoretical_slope(sp: SmoothnessParams, r: int, metric: str = "L2", axis: str = "t") -> float:
@@ -329,14 +400,22 @@ def rate_study(
 
     if fn.coeff_data is not None:
         grid = CoeffGrid(data=np.array(fn.coeff_data), provenance="exact")
+        if grid_degree is not None and (grid_degree, grid_degree) != (grid.K, grid.J):
+            deg = grid.K if grid.K == grid.J else f"({grid.K},{grid.J})"
+            raise ValueError(
+                f"grid_degree={grid_degree} differs from the degree {deg} of "
+                f"{fn.id}'s coefficient data; omit grid_degree"
+            )
     else:
         deg = 64 if grid_degree is None else grid_degree
         grid = exact_coeffs(fn, deg, deg, deg + 40)
     deg_k, deg_j = grid.K, grid.J
     op_deg = deg_k if axis == "t" else deg_j
     op = iterate_derivative(mueller_first_derivative(op_deg), r)
-    exact_d = fn.exact_deriv(r, axis)
-    quad = max(deg_k, deg_j) + 40
+    scorer = ErrorEvaluator(
+        fn.exact_deriv(r, axis), deg_k, deg_j, max(deg_k, deg_j) + 40,
+        fn.breakpoints_t, fn.breakpoints_tau,
+    )
 
     rows = []
     medians = []
@@ -356,8 +435,8 @@ def rate_study(
             seed = base_seed + 997 * i + sd
             noisy = add_noise(grid, NoiseSpec(delta, sp.p, noise_mode, seed))
             approx = truncate(noisy, params, op)
-            el2 = l2_error(approx, exact_d, quad, fn.breakpoints_t, fn.breakpoints_tau)
-            ec = c_error(approx, exact_d)
+            el2 = scorer.l2(approx)
+            ec = scorer.c(approx)
             rows.append((delta, n, g, el2, ec, seed))
             vals.append(el2 if metric == "L2" else ec)
         medians.append(float(np.median(vals)))

@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import (
+from .analysis import (  # noqa: F401  (l2_error, c_error stay importable from cli)
+    ErrorEvaluator,
     RateStudyResult,
     c_error,
     example1_F,
@@ -286,9 +287,8 @@ def _run_table(cfg: ExperimentConfig):
     deg = cfg.grid_degree
     exact_grid = exact_coeffs(fn, deg, deg, deg + 64)
     op = iterate_derivative(mueller_first_derivative(deg), cfg.r)
-    exact_d = fn.exact_deriv(cfg.r, cfg.axis)
-    quad = deg + 40
-    bt, btau = fn.breakpoints_t, fn.breakpoints_tau
+    scorer = ErrorEvaluator(fn.exact_deriv(cfg.r, cfg.axis), deg, deg, deg + 40,
+                            fn.breakpoints_t, fn.breakpoints_tau)
 
     kind = "delta" if cfg.delta_list else "h"
     values = cfg.delta_list or cfg.h_list
@@ -307,12 +307,10 @@ def _run_table(cfg: ExperimentConfig):
             trap = trapezoid_coeffs(fn, deg, deg, val)
             gap = float(np.abs(trap.data - exact_grid.data).max())
             approx = truncate(trap, params, op)
-            el2 = l2_error(approx, exact_d, quad, bt, btau)
-            ec = c_error(approx, exact_d)
+            el2, ec = scorer.l2(approx), scorer.c(approx)
         elif val == 0.0:
             approx = truncate(exact_grid, params, op)
-            el2 = l2_error(approx, exact_d, quad, bt, btau)
-            ec = c_error(approx, exact_d)
+            el2, ec = scorer.l2(approx), scorer.c(approx)
         else:
             l2s, cs = [], []
             approx = None
@@ -322,8 +320,8 @@ def _run_table(cfg: ExperimentConfig):
                 trial = truncate(add_noise(exact_grid, spec), params, op)
                 if approx is None:
                     approx = trial
-                l2s.append(l2_error(trial, exact_d, quad, bt, btau))
-                cs.append(c_error(trial, exact_d))
+                l2s.append(scorer.l2(trial))
+                cs.append(scorer.c(trial))
             el2 = float(np.median(l2s))
             ec = float(np.median(cs))
         rows.append(

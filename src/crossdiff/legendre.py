@@ -13,6 +13,7 @@ stable at the interval endpoints, where Legendre derivatives peak.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,9 +88,16 @@ def gauss_rule(m: int) -> QuadRule:
 
     Initial guesses are the Chebyshev-style estimates
     cos(pi (4i + 3) / (4m + 2)); iteration is run to |dx| < 1e-14.
+    Rules are memoised: repeated calls with the same m return the same
+    QuadRule, whose arrays are read-only.
     """
     if m < 1:
         raise ValueError("need at least one quadrature node")
+    return _gauss_rule(m)
+
+
+@functools.lru_cache(maxsize=64)
+def _gauss_rule(m: int) -> QuadRule:
     i = np.arange(m)
     x = np.cos(np.pi * (4 * i + 3) / (4 * m + 2))
     if m == 1:
@@ -105,7 +113,10 @@ def gauss_rule(m: int) -> QuadRule:
     _, dp = _legendre_and_derivative(m, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     order = np.argsort(x)
-    return QuadRule(nodes=x[order], weights=w[order])
+    nodes, weights = x[order], w[order]
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return QuadRule(nodes=nodes, weights=weights)
 
 
 @dataclass(frozen=True)

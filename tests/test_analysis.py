@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from crossdiff.analysis import (
+    ErrorEvaluator,
     _kink_factor,
     c_error,
     corpus,
@@ -16,7 +17,7 @@ from crossdiff.analysis import (
     rate_study,
     theoretical_slope,
 )
-from crossdiff.coeffs import CoeffGrid, _composite_rule
+from crossdiff.coeffs import CoeffGrid, NoiseSpec, _composite_rule, add_noise, exact_coeffs
 from crossdiff.legendre import iterate_derivative, mueller_first_derivative, synthesize
 from crossdiff.truncation import MethodParams, SmoothnessParams, class_norm, truncate
 
@@ -83,14 +84,93 @@ def test_c_error_trivial_cases():
     assert c_error(CoeffGrid(data=np.zeros((3, 3))), half) == 0.5
 
 
+def oracle_l2(approx, exact, quad, breakpoints_t=(), breakpoints_tau=()):
+    # the per-call quadrature form: fresh rules, full synthesis, fresh reference
+    t, wt = _composite_rule(quad, breakpoints_t)
+    tau, wtau = _composite_rule(quad, breakpoints_tau)
+    diff = synthesize(approx, t, tau) - np.asarray(exact(t[:, None], tau[None, :]))
+    return math.sqrt(max(wt @ (diff * diff) @ wtau, 0.0))
+
+
+def oracle_c(approx, exact, grid_points=513):
+    t = np.linspace(-1.0, 1.0, grid_points)
+    diff = synthesize(approx, t, t) - np.asarray(exact(t[:, None], t[None, :]))
+    return float(np.abs(diff).max())
+
+
+def noisy_trials(grid, params, deltas, seeds=2):
+    op = iterate_derivative(mueller_first_derivative(max(grid.K, grid.J)), params.r)
+    for i, delta in enumerate(deltas):
+        for sd in range(seeds):
+            noisy = add_noise(grid, NoiseSpec(delta, 2.0, "rescaled", 10 * i + sd))
+            yield truncate(noisy, params, op)
+
+
+@pytest.mark.parametrize("axis", ["t", "tau"])
+def test_evaluator_matches_per_call_quadrature_on_class_function(axis):
+    fn = make_class_function()
+    grid = CoeffGrid(data=np.array(fn.coeff_data))
+    exact = fn.exact_deriv(2, axis)
+    quad = grid.K + 40
+    scorer = ErrorEvaluator(exact, grid.K, grid.J, quad)
+    params = MethodParams(n=24, gamma=2.25, r=2, axis=axis)
+    for approx in noisy_trials(grid, params, (1e-5, 1e-8)):
+        assert scorer.l2(approx) == pytest.approx(oracle_l2(approx, exact, quad), rel=1e-12)
+        assert scorer.c(approx) == pytest.approx(oracle_c(approx, exact), rel=1e-12)
+
+
+@pytest.mark.parametrize("make", [example1_F, example2_F])
+def test_evaluator_matches_per_call_quadrature_across_kinks(make):
+    # example1 has its kink on both axes, example2 on t only
+    F = make()
+    grid = exact_coeffs(F, 48, 48, 112)
+    exact = F.exact_deriv(2, "t")
+    bt, btau = F.breakpoints_t, F.breakpoints_tau
+    assert bt == (0.0,)
+    scorer = ErrorEvaluator(exact, 48, 48, 88, bt, btau)
+    params = MethodParams(n=20, gamma=1.0, r=2)
+    for approx in noisy_trials(grid, params, (1e-7, 1e-9)):
+        expect = oracle_l2(approx, exact, 88, bt, btau)
+        assert scorer.l2(approx) == pytest.approx(expect, rel=1e-12)
+        assert l2_error(approx, exact, 88, bt, btau) == pytest.approx(expect, rel=1e-12)
+        assert scorer.c(approx) == pytest.approx(oracle_c(approx, exact), rel=1e-12)
+
+
+def test_evaluator_scores_all_zero_grid_as_reference_norm():
+    F = example1_F()
+    exact = F.exact_deriv(2, "t")
+    zero = CoeffGrid(data=np.zeros((33, 33)))
+    scorer = ErrorEvaluator(exact, 32, 32, 72, F.breakpoints_t, F.breakpoints_tau)
+    expect = oracle_l2(zero, exact, 72, F.breakpoints_t, F.breakpoints_tau)
+    assert expect > 0
+    assert scorer.l2(zero) == pytest.approx(expect, rel=1e-12)
+    assert scorer.c(zero) == pytest.approx(oracle_c(zero, exact), rel=1e-12)
+
+
 def test_error_metric_preconditions():
+    # the same checks and messages through the one-shot functions and the
+    # evaluator
     data = np.zeros((11, 11))
     data[10, 10] = 1.0
+    grid = CoeffGrid(data=data)
     exact = lambda t, tau: np.zeros(np.broadcast(t, tau).shape)
-    with pytest.raises(ValueError):
-        l2_error(CoeffGrid(data=data), exact, 41)
-    with pytest.raises(ValueError):
-        c_error(CoeffGrid(data=data), exact, grid_points=256)
+    margin = r"quad_nodes=41 too small for active degrees \(10,10\)"
+    with pytest.raises(ValueError, match=margin):
+        l2_error(grid, exact, 41)
+    with pytest.raises(ValueError, match=margin):
+        ErrorEvaluator(exact, 10, 10, 41).l2(grid)
+    points = r"grid_points=256 must be >= 257"
+    with pytest.raises(ValueError, match=points):
+        c_error(grid, exact, grid_points=256)
+    with pytest.raises(ValueError, match=points):
+        ErrorEvaluator(exact, 10, 10, 48, grid_points=256)
+    # the margin is checked per trial, against that trial's active degrees
+    scorer = ErrorEvaluator(exact, 10, 10, 41)
+    assert scorer.l2(CoeffGrid(data=np.zeros((11, 11)))) == 0.0
+    with pytest.raises(ValueError, match=margin):
+        scorer.l2(grid)
+    with pytest.raises(ValueError, match="exceed the evaluator's degrees"):
+        ErrorEvaluator(exact, 8, 8, 48).c(grid)
 
 
 def test_l2_bounded_by_twice_sup_norm():
@@ -193,6 +273,11 @@ def test_rate_study_validation():
         rate_study(fn, sp, 2, "L2", (1e-5, 1e-7, 1e-9), 0)
     with pytest.raises(ValueError):
         rate_study(fn, sp, 2, "H1", (1e-5, 1e-7, 1e-9), 3)
+    # a coefficient-defined function fixes the grid degree
+    with pytest.raises(ValueError, match="grid_degree=64 differs from the degree 128"):
+        rate_study(fn, sp, 2, "L2", (1e-5, 1e-7, 1e-9), 1, grid_degree=64)
+    same = rate_study(fn, sp, 2, "L2", (1e-5, 1e-7, 1e-9), 1, grid_degree=128)
+    assert same.rows == rate_study(fn, sp, 2, "L2", (1e-5, 1e-7, 1e-9), 1).rows
 
 
 def test_rate_study_result_save(tmp_path):

@@ -92,6 +92,19 @@ def test_rate_study_rejects_bad_class(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_rate_study_rejects_grid_degree_of_coefficient_function(tmp_path, capsys):
+    # the class function is defined by its degree-128 coefficients, so a
+    # different grid_degree cannot be honoured and must not be ignored
+    cfg = tmp_path / "deg.ini"
+    cfg.write_text("[experiment]\nfunction = class\n\n[method]\ngrid_degree = 64\n")
+    rc = run_cli("rate-study", "--config", cfg, "--out", tmp_path, "--run-id", "deg")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "grid_degree=64" in err and "128" in err
+    assert not (tmp_path / "deg").exists()
+
+
 def test_rate_study_small_run(tmp_path, capsys):
     cfg = tmp_path / "rate.ini"
     cfg.write_text(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from crossdiff.coeffs import _composite_rule
 from crossdiff.legendre import (
     eval_phi,
     gauss_rule,
@@ -54,6 +55,26 @@ def test_gauss_rule_smallest_sizes():
     assert np.allclose(r2.weights, [1.0, 1.0], atol=1e-14)
     with pytest.raises(ValueError):
         gauss_rule(0)
+
+
+def test_memoised_gauss_rule_cannot_be_corrupted():
+    rule = gauss_rule(37)
+    assert gauss_rule(37) is rule
+    nodes = rule.nodes.copy()
+    with pytest.raises(ValueError):
+        rule.nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        rule.weights[0] = 0.0
+    # composite rules are fresh, writable arrays on every call
+    for breakpoints in ((), (0.0,)):
+        t, w = _composite_rule(37, breakpoints)
+        t2, _ = _composite_rule(37, breakpoints)
+        assert t.flags.writeable and w.flags.writeable
+        assert t is not t2
+        t[:] = 5.0
+        w[:] = 5.0
+        assert np.array_equal(_composite_rule(37, breakpoints)[0], t2)
+    assert np.array_equal(gauss_rule(37).nodes, nodes)
 
 
 def test_gauss_rule_five_nodes_closed_form():
