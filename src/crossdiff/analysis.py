@@ -62,7 +62,7 @@ class PiecewisePoly:
         out = np.zeros_like(t)
         for lo, hi, cs in zip(edges[:-1], edges[1:], self.pieces):
             sel = (t >= lo) & (t < hi)
-            out = np.where(sel, npoly.polyval(t, np.asarray(cs, dtype=float)), out)
+            out[sel] = npoly.polyval(t[sel], np.asarray(cs, dtype=float))
         return out
 
     def deriv(self, r: int) -> "PiecewisePoly":

@@ -29,6 +29,11 @@ __all__ = [
 
 _MODES = ("rescaled", "raw_gaussian")
 
+# trapezoid_coeffs refuses work beyond these sizes: a basis table of
+# (max(K,J)+1) x (2/h+1) doubles, and (2/h+1)^2 evaluations on the generic path
+_TRAPEZOID_TABLE_BYTES = 4 * 2 ** 30
+_TRAPEZOID_GENERIC_EVALS = 10 ** 8
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -112,17 +117,15 @@ def exact_coeffs(f, K: int, J: int, quad_nodes: int) -> CoeffGrid:
     return CoeffGrid(data=data, provenance="exact")
 
 
-def _trapezoid_nodes(h: float) -> tuple[np.ndarray, np.ndarray]:
-    if h <= 0 or h > 1:
+def _trapezoid_steps(h: float) -> int:
+    """Number of trapezoid steps of width h across [-1, 1]."""
+    if not 0 < h <= 1:
         raise ValueError(f"trapezoid step h={h} must lie in (0, 1]")
     steps = 2.0 / h
     n = int(round(steps))
     if abs(steps - n) > 1e-8 * n:
         raise ValueError(f"step h={h} does not divide [-1,1] into whole steps")
-    t = -1.0 + h * np.arange(n + 1)
-    w = np.full(n + 1, h)
-    w[0] = w[-1] = 0.5 * h
-    return t, w
+    return n
 
 
 def trapezoid_coeffs(f, K: int, J: int, h: float) -> CoeffGrid:
@@ -131,19 +134,38 @@ def trapezoid_coeffs(f, K: int, J: int, h: float) -> CoeffGrid:
     For separable f(t,tau) = g(t) q(tau) / C (corpus functions expose
     t_factor / tau_factor) the tensor-product weights factor the double sum
     into two 1D sums, which is what makes the fine steps of the error
-    tables affordable. The generic path evaluates f on the full grid in
-    row blocks.
+    tables affordable; when both axes share one factor object and one
+    degree, its sum is computed once. The generic path evaluates f on the
+    full grid in row blocks. Steps whose basis table would exceed 4 GiB,
+    or whose generic path would exceed 1e8 function evaluations, are
+    refused before anything is allocated.
     """
     if K < 0 or J < 0:
         raise ValueError("grid degrees K, J must be >= 0")
-    t, w = _trapezoid_nodes(h)
-    phi = phi_matrix(max(K, J), t)
+    n = _trapezoid_steps(h)
+    table_bytes = (max(K, J) + 1) * (n + 1) * 8
+    if table_bytes > _TRAPEZOID_TABLE_BYTES:
+        raise ValueError(
+            f"trapezoid basis table for degree {max(K, J)} at h={h} needs "
+            f"{table_bytes / 2 ** 30:.1f} GiB, over the "
+            f"{_TRAPEZOID_TABLE_BYTES / 2 ** 30:g} GiB limit"
+        )
     gfac = getattr(f, "t_factor", None)
     qfac = getattr(f, "tau_factor", None)
-    if gfac is not None and qfac is not None:
+    separable = gfac is not None and qfac is not None
+    if not separable and (n + 1) ** 2 > _TRAPEZOID_GENERIC_EVALS:
+        raise ValueError(
+            f"non-separable trapezoid sum at h={h} needs {(n + 1) ** 2:.3g} "
+            f"function evaluations, over the {_TRAPEZOID_GENERIC_EVALS:.0e} limit"
+        )
+    t = -1.0 + h * np.arange(n + 1)
+    w = np.full(n + 1, h)
+    w[0] = w[-1] = 0.5 * h
+    phi = phi_matrix(max(K, J), t)
+    if separable:
         scale = getattr(f, "C", 1.0)
         a = phi[: K + 1] @ (w * gfac.eval(t))
-        b = phi[: J + 1] @ (w * qfac.eval(t))
+        b = a if qfac is gfac and K == J else phi[: J + 1] @ (w * qfac.eval(t))
         data = np.outer(a, b) / scale
     else:
         fn = _bivariate(f)

@@ -30,6 +30,11 @@ __all__ = [
 ]
 
 
+# nodes per block of the tabulation: three float64 work rows of this length
+# (128 KB each) stay in cache while the recurrence runs up the degrees
+_PHI_BLOCK = 16384
+
+
 def phi_matrix(max_degree: int, t: np.ndarray) -> np.ndarray:
     """Table of orthonormal Legendre values phi_k(t_i).
 
@@ -46,13 +51,32 @@ def phi_matrix(max_degree: int, t: np.ndarray) -> np.ndarray:
         raise ValueError("max_degree must be >= 0")
     t = np.asarray(t, dtype=float).ravel()
     out = np.empty((max_degree + 1, t.size))
-    out[0] = 1.0
-    if max_degree >= 1:
-        out[1] = t
-    # unnormalized three-term recurrence, one scaling at the end
-    for k in range(1, max_degree):
-        out[k + 1] = ((2 * k + 1) * t * out[k] - k * out[k - 1]) / (k + 1)
-    out *= np.sqrt(np.arange(max_degree + 1) + 0.5)[:, None]
+    scale = np.sqrt(np.arange(max_degree + 1) + 0.5)
+    out[0] = scale[0]
+    if max_degree == 0:
+        return out
+    # Unnormalized three-term recurrence over cache-sized node blocks, each
+    # row scaled on its way into the table. Every element sees the same
+    # operations in the same order as the whole-array form
+    # ((2k+1) t p_k - k p_{k-1}) / (k+1) followed by * sqrt(k+1/2), so the
+    # table is bit-identical to it.
+    width = min(_PHI_BLOCK, t.size)
+    p_prev, p, nxt = (np.empty(width) for _ in range(3))
+    for lo in range(0, t.size, _PHI_BLOCK):
+        tb = t[lo:lo + _PHI_BLOCK]
+        m = tb.size
+        p_prev_b, p_b, nxt_b = p_prev[:m], p[:m], nxt[:m]
+        p_prev_b.fill(1.0)
+        p_b[:] = tb
+        np.multiply(tb, scale[1], out=out[1, lo:lo + m])
+        for k in range(1, max_degree):
+            np.multiply(tb, 2 * k + 1, out=nxt_b)
+            nxt_b *= p_b
+            p_prev_b *= k
+            nxt_b -= p_prev_b
+            nxt_b /= k + 1
+            np.multiply(nxt_b, scale[k + 1], out=out[k + 1, lo:lo + m])
+            p_prev_b, p_b, nxt_b = p_b, nxt_b, p_prev_b
     return out
 
 

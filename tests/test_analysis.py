@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from crossdiff.analysis import (
     ErrorEvaluator,
@@ -57,6 +58,30 @@ def test_kink_factor_smoothness_order():
         dr = math.factorial(r) * right[r]
         assert dl == dr, f"order {r} should match across the kink"
     assert math.factorial(7) * left[7] != math.factorial(7) * right[7]
+
+
+def where_piecewise_eval(factor, t):
+    """Reference evaluation: every piece on every point, merged by np.where."""
+    t = np.asarray(t, dtype=float)
+    edges = (-np.inf, *factor.breakpoints, np.inf)
+    out = np.zeros_like(t)
+    for lo, hi, cs in zip(edges[:-1], edges[1:], factor.pieces):
+        sel = (t >= lo) & (t < hi)
+        out = np.where(sel, npoly.polyval(t, np.asarray(cs, dtype=float)), out)
+    return out
+
+
+def test_piecewise_eval_is_bit_identical_to_where_form():
+    kink = _kink_factor()
+    grid = np.linspace(-1.0, 1.0, 1001)  # contains -1, the breakpoint 0 and 1
+    inputs = [0.0, -1.0, 1.0, 0.37, np.nan, np.array(-0.0), np.array(0.5),
+              grid, np.array([np.nan, 0.0, 1.0]),
+              grid[::40, None] * grid[None, ::25]]
+    for factor in (kink, kink.deriv(2), kink.deriv(8)):
+        for t in inputs:
+            got, want = factor.eval(t), where_piecewise_eval(factor, t)
+            assert type(got) is type(want) and got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_l2_error_of_identical_grids_is_zero():

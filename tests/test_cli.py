@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from crossdiff import coeffs
 from crossdiff.analysis import example1_F
 from crossdiff.cli import ExperimentConfig, ResultRow, ResultsTable, main
 from crossdiff.coeffs import load_grid
@@ -81,6 +82,31 @@ def test_invalid_trapezoid_step_is_reported(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+def test_non_finite_trapezoid_step_is_reported(tmp_path, capsys):
+    for h in ("nan", "inf"):
+        rc = run_cli("example1", "--noise", "trapezoid", "--h", h,
+                     "--n", "28", "--out", tmp_path, "--run-id", "bad-" + h)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: trapezoid step h={h} must lie in (0, 1]\n"
+
+
+def test_oversized_trapezoid_step_is_reported(tmp_path, capsys, monkeypatch):
+    tabulate = coeffs.phi_matrix
+
+    def small_tables_only(max_degree, t):
+        assert np.size(t) < 10 ** 6, "the refused table was tabulated"
+        return tabulate(max_degree, t)
+
+    monkeypatch.setattr(coeffs, "phi_matrix", small_tables_only)
+    rc = run_cli("example1", "--noise", "trapezoid", "--h", "1e-7",
+                 "--n", "28", "--out", tmp_path, "--run-id", "huge")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: trapezoid basis table for degree 64 at h=1e-07 needs")
     assert err.count("\n") == 1
 
 

@@ -1,11 +1,13 @@
 """Coefficient grids: Gauss and trapezoid computation, noise, serialization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from crossdiff.analysis import example1_F, example2_F
+from crossdiff import coeffs as coeffs_module
+from crossdiff.analysis import _kink_factor, example1_F, example2_F
 from crossdiff.coeffs import (
     CoeffGrid,
     NoiseSpec,
@@ -65,11 +67,58 @@ def test_trapezoid_constant_exact():
 
 def test_trapezoid_step_validation():
     f = lambda t, tau: t + tau
-    for bad in (0.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
+    for bad in (0.0, -0.1, 1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="must lie in"):
             trapezoid_coeffs(f, 2, 2, bad)
     with pytest.raises(ValueError):
         trapezoid_coeffs(f, 2, 2, 0.0003)  # 2/h is not an integer
+
+
+def test_trapezoid_refuses_oversized_work_by_message(monkeypatch):
+    class Tabulated(Exception):
+        pass
+
+    def tabulate(*args):
+        raise Tabulated  # stands in for the basis table: nothing is allocated
+
+    monkeypatch.setattr(coeffs_module, "phi_matrix", tabulate)
+    F = example1_F()
+    for K, J, h, size in ((64, 64, 1e-7, "9.7"), (1024, 1024, 1e-6, "15.3"),
+                          (8, 700, 1e-6, "10.4")):
+        with pytest.raises(ValueError, match=rf"needs {size} GiB, over the 4 GiB limit"):
+            trapezoid_coeffs(F, K, J, h)
+    generic = lambda t, tau: t * tau
+    with pytest.raises(ValueError, match=r"needs 4e\+08 function evaluations, over the 1e\+08 limit"):
+        trapezoid_coeffs(generic, 8, 8, 1e-4)
+    # sizes inside the limits reach the tabulation: 1.04 GB, 6.4e7 evaluations
+    with pytest.raises(Tabulated):
+        trapezoid_coeffs(F, 64, 64, 1e-6)
+    with pytest.raises(Tabulated):
+        trapezoid_coeffs(generic, 8, 8, 2.5e-4)
+
+
+class CountingFactor:
+    """A factor that counts its evaluations."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def eval(self, t):
+        self.calls += 1
+        return self.inner.eval(t)
+
+
+@pytest.mark.parametrize("K, J", [(28, 28), (28, 20), (12, 31)])
+def test_trapezoid_shared_factor_sum_is_bit_identical(K, J):
+    F = example1_F()
+    assert F.t_factor is F.tau_factor
+    shared = CountingFactor(F.t_factor)
+    one = trapezoid_coeffs(replace(F, t_factor=shared, tau_factor=shared), K, J, 1e-3)
+    two = trapezoid_coeffs(replace(F, tau_factor=_kink_factor()), K, J, 1e-3)
+    assert np.array_equal(one.data, two.data)
+    assert np.array_equal(one.data, trapezoid_coeffs(F, K, J, 1e-3).data)
+    # the one-dimensional sum is reused only when both axes share it
+    assert shared.calls == (1 if K == J else 2)
 
 
 def test_trapezoid_second_order_on_linear_function():

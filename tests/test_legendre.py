@@ -7,6 +7,7 @@ import pytest
 
 from crossdiff.coeffs import _composite_rule
 from crossdiff.legendre import (
+    _PHI_BLOCK,
     eval_phi,
     gauss_rule,
     iterate_derivative,
@@ -37,6 +38,47 @@ def test_phi_matrix_shape_and_negative_degree():
     assert phi_matrix(7, t).shape == (8, 5)
     with pytest.raises(ValueError):
         phi_matrix(-1, t)
+
+
+def whole_array_phi_matrix(max_degree, t):
+    """Reference tabulation: the recurrence over the whole node array at
+    once, scaled in a second pass."""
+    t = np.asarray(t, dtype=float).ravel()
+    out = np.empty((max_degree + 1, t.size))
+    out[0] = 1.0
+    if max_degree >= 1:
+        out[1] = t
+    for k in range(1, max_degree):
+        out[k + 1] = ((2 * k + 1) * t * out[k] - k * out[k - 1]) / (k + 1)
+    out *= np.sqrt(np.arange(max_degree + 1) + 0.5)[:, None]
+    return out
+
+
+@pytest.mark.parametrize(
+    "size", [0, 1, _PHI_BLOCK - 1, _PHI_BLOCK, _PHI_BLOCK + 1, 2 * _PHI_BLOCK + 3]
+)
+def test_blocked_phi_matrix_is_bit_identical_to_whole_array_recurrence(size):
+    t = np.random.default_rng(size).uniform(-1.0, 1.0, size)
+    t[:3] = (-1.0, 1.0, 0.0)[:size]
+    for deg in (0, 1, 2, 64):
+        table = phi_matrix(deg, t)
+        assert table.shape == (deg + 1, size)
+        assert np.array_equal(table, whole_array_phi_matrix(deg, t))
+        # independent oracle: numpy's Legendre series times sqrt(k + 1/2);
+        # both recurrences round once per degree, so the gap grows with k
+        for k in sorted({0, deg // 2, deg}):
+            unit = np.zeros(k + 1)
+            unit[k] = 1.0
+            expect = math.sqrt(k + 0.5) * np.polynomial.legendre.legval(t, unit)
+            assert np.all(np.abs(table[k] - expect) <= 1e-13 * (k + 1))
+
+
+def test_blocked_phi_matrix_flattens_2d_input():
+    t = np.linspace(-1.0, 1.0, 3 * (_PHI_BLOCK + 5)).reshape(3, -1)
+    table = phi_matrix(64, t)
+    assert table.shape == (65, t.size)
+    assert np.array_equal(table, whole_array_phi_matrix(64, t))
+    assert np.array_equal(table, phi_matrix(64, t.ravel()))
 
 
 def test_orthonormality_to_degree_40():
