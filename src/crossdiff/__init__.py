@@ -5,6 +5,10 @@ The method expands f on the tensor orthonormal Legendre basis, keeps only
 coefficients inside a hyperbolic-cross index set matched to the noise
 level, and differentiates the truncated series exactly in coefficient
 space. Truncation is the only regularization; no penalty terms are used.
+
+The command line (``crossdiff``, or ``python -m crossdiff.cli``) and its
+config schema live in ``crossdiff.cli``, which importing the package does
+not load.
 """
 
 from .legendre import (
@@ -52,17 +56,6 @@ from .analysis import (
     rate_study,
     theoretical_slope,
 )
-from .cli import (
-    ExperimentConfig,
-    ResultRow,
-    ResultsTable,
-    cmd_cross_card,
-    cmd_emit_surface,
-    cmd_example1,
-    cmd_example2,
-    cmd_rate_study,
-    main,
-)
 
 __version__ = "0.1.0"
 
@@ -104,14 +97,5 @@ __all__ = [
     "make_class_function",
     "rate_study",
     "theoretical_slope",
-    "ExperimentConfig",
-    "ResultRow",
-    "ResultsTable",
-    "cmd_cross_card",
-    "cmd_emit_surface",
-    "cmd_example1",
-    "cmd_example2",
-    "cmd_rate_study",
-    "main",
     "__version__",
 ]

@@ -19,7 +19,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .analysis import (  # noqa: F401  (l2_error, c_error stay importable from c
     rate_study,
 )
 from .coeffs import NoiseSpec, add_noise, exact_coeffs, save_grid, load_grid, trapezoid_coeffs
+from .coeffs import _trapezoid_steps
 from .legendre import iterate_derivative, mueller_first_derivative, synthesize
 from .truncation import (
     MethodParams,
@@ -45,11 +47,12 @@ from .truncation import (
 )
 
 __all__ = [
+    "FIELDS",
+    "PRESETS",
     "ExperimentConfig",
     "ResultRow",
     "ResultsTable",
-    "cmd_example1",
-    "cmd_example2",
+    "cmd_table",
     "cmd_rate_study",
     "cmd_cross_card",
     "cmd_emit_surface",
@@ -57,6 +60,10 @@ __all__ = [
 ]
 
 _ENV_ROOT = "CROSSDIFF_RESULTS"
+MAX_GRID_DEGREE = 1024  # the high-degree regime; gauss_rule's cost grows as m^2
+MAX_GRID_POINTS = 1025  # emit-surface writes points^2 rows, ~100 MB at the limit
+TABLES = ("example1", "example2")
+_RUNS = TABLES + ("rate-study", "cross-card")  # the commands that write a run directory
 
 
 def _fmt(x) -> str:
@@ -67,44 +74,105 @@ def _fmt_list(xs) -> str:
     return ",".join(_fmt(x) for x in xs)
 
 
-def _parse_floats(text: str) -> tuple:
+def float_list(text: str) -> tuple:
     return tuple(float(x) for x in text.replace(",", " ").split())
 
 
-def _parse_ints(text: str) -> tuple:
+def int_list(text: str) -> tuple:
     return tuple(int(x) for x in text.replace(",", " ").split())
+
+
+def _parse_n(text: str) -> tuple:
+    return () if text.strip() == "auto" else int_list(text)
+
+
+def _fmt_n(ns) -> str:
+    return ",".join(str(n) for n in ns) or "auto"
+
+
+def _within(x, interval: str) -> bool:
+    """Whether x lies in an interval written like "[1, inf)"; NaN never does."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return ((lo < x) if interval[0] == "(" else (lo <= x)) and (
+        (x < hi) if interval[-1] == ")" else (x <= hi))
+
+
+STR, INT, FLOAT, FLOATS = (str, str), (int, str), (float, _fmt), (float_list, _fmt_list)
+
+
+def _key(default, section, kind, flag=None, *, key=None, on=TABLES, also=None,
+         within=None, **arg):
+    """A config attribute: its default and how it appears outside the
+    program. That is its INI section and key (default: the attribute name),
+    the parse/format pair ``kind`` between value and text, and the flag that
+    sets it on the commands in ``on``, with extra argparse options ``arg``.
+    ``also`` returns the further changes that setting it implies; ``within``
+    is the interval validate() holds each of its numbers to."""
+    parse, fmt = kind
+    return field(default=default, metadata=dict(
+        section=section, key=key, parse=parse, fmt=fmt, flag=flag, on=on, arg=arg,
+        also=also, within=within))
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything one table run depends on.
+    """Everything one table run or rate study depends on. Each attribute
+    also declares its INI key and flag; FIELDS lists them in this order,
+    which is the order config files are read and written in.
 
     Exactly one of delta_list (with a random noise_mode) and h_list (with
-    noise_mode "trapezoid") must be set. Empty n_list means choose_n with
-    constant c; delta entries of 0 request the noise-free path.
+    noise_mode "trapezoid") must be set; setting either clears the other
+    and switches to a matching mode. Empty n_list means choose_n with
+    constant c; delta entries of 0 request the noise-free path. None leaves
+    a rate study's gamma to the metric and its grid_degree to the function;
+    only rate studies read metric.
     """
 
-    function: str = "example1"
-    r: int = 2
-    axis: str = "t"
-    s: float = 2.0
-    mu1: float = 5.6
-    mu2: float = 5.6
-    p: float = 2.0
-    noise_mode: str = "rescaled"
-    noise_p: float = math.inf
-    delta_list: tuple = ()
-    h_list: tuple = ()
-    seeds: int = 5
-    base_seed: int = 2025
-    n_list: tuple = ()
-    c: float = 0.9
-    gamma: float = 1.0
-    grid_degree: int = 64
-    out_dir: str | None = None
-    run_id: str | None = None
+    function: str = _key("example1", "experiment", STR)
+    r: int = _key(2, "experiment", INT)
+    axis: str = _key("t", "experiment", STR)
+    s: float = _key(2.0, "experiment", FLOAT, within="[1, inf)")
+    mu1: float = _key(5.6, "experiment", FLOAT, within="(0, inf)")
+    mu2: float = _key(5.6, "experiment", FLOAT, within="(0, inf)")
+    p: float = _key(2.0, "experiment", FLOAT, within="[1, inf]")
+    noise_mode: str = _key("rescaled", "noise", STR, key="mode")
+    noise_p: float = _key(math.inf, "noise", FLOAT, "--noise-p", key="p", within="[1, inf]",
+                          help="norm index for noise rescaling (default inf)")
+    delta_list: tuple = _key(
+        (), "noise", FLOATS, "--delta", key="deltas", within="[0, 1)",
+        help="comma-separated noise levels (0 = noise-free)",
+        also=lambda cfg: {"h_list": (), "noise_mode": "rescaled"
+                          if cfg.noise_mode == "trapezoid" else cfg.noise_mode})
+    h_list: tuple = _key((), "noise", FLOATS, "--h", key="hs",
+                         help="comma-separated trapezoid steps",
+                         also=lambda cfg: {"delta_list": (), "noise_mode": "trapezoid"})
+    seeds: int = _key(5, "noise", INT, "--seeds", within="[1, inf)",
+                      help="noise realizations per row")
+    base_seed: int = _key(2025, "noise", INT, "--base-seed")
+    n_list: tuple = _key((), "method", (_parse_n, _fmt_n), "--n", key="n", type=int_list,
+                         within=f"[1, {MAX_GRID_DEGREE}]",
+                         help="comma-separated truncation levels")
+    c: float = _key(0.9, "method", FLOAT, "--c", within="(0, inf)",
+                    help="choose_n calibration constant")
+    gamma: float | None = _key(1.0, "method", FLOAT, "--gamma", within="[1, inf)",
+                               help="cross shape parameter")
+    grid_degree: int | None = _key(64, "method", INT, "--grid-degree",
+                                   within=f"[1, {MAX_GRID_DEGREE}]")
+    out_dir: str | None = _key(None, "output", STR, "--out", key="dir",
+                               on=_RUNS + ("emit-surface",), help="results root directory")
+    run_id: str | None = _key(None, "output", STR, "--run-id", on=_RUNS,
+                              help="run directory name")
+    metric: str | None = _key(None, "experiment", STR, "--metric", on=("rate-study",),
+                              choices=("L2", "C"))
 
     def validate(self) -> None:
+        for h in self.h_list:
+            _trapezoid_steps(h)
+        for f in FIELDS:
+            values = getattr(self, f.attr)
+            for x in values if isinstance(values, tuple) else (values,):
+                if f.within and x is not None and not _within(x, f.within):
+                    raise ValueError(f"[{f.section}] {f.key}={x} must lie in {f.within}")
         has_delta = len(self.delta_list) > 0
         has_h = len(self.h_list) > 0
         if has_delta == has_h:
@@ -118,48 +186,20 @@ class ExperimentConfig:
             raise ValueError("n list length must match the delta/h list")
         if not self.n_list and has_h:
             raise ValueError("trapezoid runs need an explicit n list")
-        if self.seeds < 1:
-            raise ValueError("seeds must be >= 1")
-        if not (self.noise_p >= 1.0 or math.isinf(self.noise_p)):
-            raise ValueError(f"noise norm index p={self.noise_p} must lie in [1, inf]")
-        if self.gamma < 1.0:
-            raise ValueError(f"cross shape gamma={self.gamma} must be >= 1")
-        # reuse the class validation for s, mu, p
-        SmoothnessParams(self.s, self.mu1, self.mu2, self.p, 0.5)
+        if self.metric not in (None, "L2", "C"):
+            raise ValueError(f"metric must be 'L2' or 'C', got {self.metric!r}")
         _get_function(self)
 
     def to_ini(self, path) -> None:
+        """Write every attribute that is set; None attributes are left out."""
+        sections = {}
+        for f in FIELDS:
+            value = getattr(self, f.attr)
+            text = "" if value is None else f.fmt(value)
+            if text:
+                sections.setdefault(f.section, {})[f.key] = text
         cp = configparser.ConfigParser()
-        cp["experiment"] = {
-            "function": self.function,
-            "r": str(self.r),
-            "axis": self.axis,
-            "s": _fmt(self.s),
-            "mu1": _fmt(self.mu1),
-            "mu2": _fmt(self.mu2),
-            "p": _fmt(self.p),
-        }
-        noise = {"mode": self.noise_mode}
-        if self.delta_list:
-            noise["deltas"] = _fmt_list(self.delta_list)
-            noise["p"] = _fmt(self.noise_p)
-            noise["seeds"] = str(self.seeds)
-            noise["base_seed"] = str(self.base_seed)
-        else:
-            noise["hs"] = _fmt_list(self.h_list)
-        cp["noise"] = noise
-        cp["method"] = {
-            "n": ",".join(str(n) for n in self.n_list) if self.n_list else "auto",
-            "c": _fmt(self.c),
-            "gamma": _fmt(self.gamma),
-            "grid_degree": str(self.grid_degree),
-        }
-        out = {}
-        if self.out_dir is not None:
-            out["dir"] = self.out_dir
-        if self.run_id is not None:
-            out["run_id"] = self.run_id
-        cp["output"] = out
+        cp.read_dict(sections)
         with open(str(path), "w") as fh:
             cp.write(fh)
 
@@ -167,45 +207,38 @@ class ExperimentConfig:
         cp = configparser.ConfigParser()
         if not cp.read(str(path)):
             raise ValueError(f"config file {path} not found or unreadable")
+        return self._with((f, f.parse(cp.get(f.section, f.key)))
+                          for f in FIELDS if cp.has_option(f.section, f.key))
+
+    def _with(self, settings) -> "ExperimentConfig":
+        """This config with each (field, value) of settings set in turn."""
         cfg = self
-        exp = cp["experiment"] if cp.has_section("experiment") else {}
-        for key in ("function", "axis"):
-            if key in exp:
-                cfg = replace(cfg, **{key: exp[key]})
-        if "r" in exp:
-            cfg = replace(cfg, r=int(exp["r"]))
-        for key in ("s", "mu1", "mu2", "p"):
-            if key in exp:
-                cfg = replace(cfg, **{key: float(exp[key])})
-        noi = cp["noise"] if cp.has_section("noise") else {}
-        if "mode" in noi:
-            cfg = replace(cfg, noise_mode=noi["mode"])
-        if "deltas" in noi:
-            cfg = replace(cfg, delta_list=_parse_floats(noi["deltas"]), h_list=())
-        if "hs" in noi:
-            cfg = replace(cfg, h_list=_parse_floats(noi["hs"]), delta_list=())
-        if "p" in noi:
-            cfg = replace(cfg, noise_p=float(noi["p"]))
-        if "seeds" in noi:
-            cfg = replace(cfg, seeds=int(noi["seeds"]))
-        if "base_seed" in noi:
-            cfg = replace(cfg, base_seed=int(noi["base_seed"]))
-        met = cp["method"] if cp.has_section("method") else {}
-        if "n" in met:
-            val = met["n"].strip()
-            cfg = replace(cfg, n_list=() if val == "auto" else _parse_ints(val))
-        if "c" in met:
-            cfg = replace(cfg, c=float(met["c"]))
-        if "gamma" in met:
-            cfg = replace(cfg, gamma=float(met["gamma"]))
-        if "grid_degree" in met:
-            cfg = replace(cfg, grid_degree=int(met["grid_degree"]))
-        outp = cp["output"] if cp.has_section("output") else {}
-        if "dir" in outp:
-            cfg = replace(cfg, out_dir=outp["dir"])
-        if "run_id" in outp:
-            cfg = replace(cfg, run_id=outp["run_id"])
+        for f, value in settings:
+            cfg = replace(cfg, **{f.attr: value, **(f.also(cfg) if f.also else {})})
         return cfg
+
+
+FIELDS = tuple(SimpleNamespace(**{**f.metadata, "attr": f.name,
+                                  "key": f.metadata["key"] or f.name})
+               for f in fields(ExperimentConfig))
+
+# Each command's defaults; --config overrides them and flags override both.
+# rate-study leaves gamma to the metric, grid_degree to the function and
+# run_id to "rate-<metric>".
+PRESETS = {
+    "example1-random": dict(
+        function="example1", delta_list=(1e-7, 1e-8, 1e-9), n_list=(16, 25, 28),
+        run_id="example1-random"),
+    "example1-trapezoid": dict(
+        function="example1", noise_mode="trapezoid", h_list=(1e-4, 8e-5, 4e-5),
+        n_list=(16, 22, 28), run_id="example1-trapezoid"),
+    "example2": dict(
+        function="example2", mu1=5.4, mu2=5.4, noise_mode="trapezoid",
+        h_list=(8e-5, 2e-5, 8e-6), n_list=(19, 31, 43), run_id="example2"),
+    "rate-study": dict(
+        function="class", metric="L2", delta_list=(1e-5, 1e-6, 1e-7, 1e-8, 1e-9),
+        base_seed=1000, gamma=None, grid_degree=None),
+}
 
 
 @dataclass(frozen=True)
@@ -280,8 +313,9 @@ def _resolve_root(explicit: str | None) -> str:
     return explicit or os.environ.get(_ENV_ROOT) or "results"
 
 
-def _run_table(cfg: ExperimentConfig):
-    """Shared table runner; returns (ResultsTable, [derivative grids])."""
+def cmd_table(cfg: ExperimentConfig) -> ResultsTable:
+    """Run one error table (PRESETS holds the paper's three) and write its
+    run directory."""
     cfg.validate()
     fn = _get_function(cfg)
     deg = cfg.grid_degree
@@ -291,39 +325,33 @@ def _run_table(cfg: ExperimentConfig):
                             fn.breakpoints_t, fn.breakpoints_tau)
 
     kind = "delta" if cfg.delta_list else "h"
-    values = cfg.delta_list or cfg.h_list
     rows, grids = [], []
-    for i, val in enumerate(values):
+    for i, val in enumerate(cfg.delta_list or cfg.h_list):
         start = time.perf_counter()
         if cfg.n_list:
             n = cfg.n_list[i]
         else:
             sp = SmoothnessParams(cfg.s, cfg.mu1, cfg.mu2, cfg.p, val)
             n = choose_n(sp, cfg.r, cfg.c)
+        if n > deg:  # checked before build_cross, whose size grows with n
+            raise ValueError(f"truncation level n={n} exceeds grid degree {deg}")
         params = MethodParams(n=n, gamma=cfg.gamma, r=cfg.r, axis=cfg.axis)
         card = build_cross(n, cfg.gamma, cfg.r, cfg.axis).cardinality
         gap = None
         if kind == "h":
-            trap = trapezoid_coeffs(fn, deg, deg, val)
-            gap = float(np.abs(trap.data - exact_grid.data).max())
-            approx = truncate(trap, params, op)
-            el2, ec = scorer.l2(approx), scorer.c(approx)
+            inputs = [trapezoid_coeffs(fn, deg, deg, val)]
+            gap = float(np.abs(inputs[0].data - exact_grid.data).max())
         elif val == 0.0:
-            approx = truncate(exact_grid, params, op)
-            el2, ec = scorer.l2(approx), scorer.c(approx)
-        else:
-            l2s, cs = [], []
-            approx = None
-            for sd in range(cfg.seeds):
-                spec = NoiseSpec(val, cfg.noise_p, cfg.noise_mode,
-                                 cfg.base_seed + 997 * i + sd)
-                trial = truncate(add_noise(exact_grid, spec), params, op)
-                if approx is None:
-                    approx = trial
-                l2s.append(scorer.l2(trial))
-                cs.append(scorer.c(trial))
-            el2 = float(np.median(l2s))
-            ec = float(np.median(cs))
+            inputs = [exact_grid]
+        else:  # one noisy grid at a time; the row keeps the first seed's result
+            inputs = (add_noise(exact_grid, NoiseSpec(val, cfg.noise_p, cfg.noise_mode,
+                                                      cfg.base_seed + 997 * i + sd))
+                      for sd in range(cfg.seeds))
+        approx, l2s, cs = None, [], []
+        for trial in (truncate(grid, params, op) for grid in inputs):
+            approx = trial if approx is None else approx
+            l2s.append(scorer.l2(trial))
+            cs.append(scorer.c(trial))
         rows.append(
             ResultRow(
                 kind=kind,
@@ -331,163 +359,66 @@ def _run_table(cfg: ExperimentConfig):
                 n=n,
                 gamma=cfg.gamma,
                 card=card,
-                error_l2=el2,
-                error_c=ec,
+                error_l2=float(np.median(l2s)),
+                error_c=float(np.median(cs)),
                 coeff_linf=gap,
                 wall_time=time.perf_counter() - start,
             )
         )
         grids.append(approx)
-    return ResultsTable(rows=tuple(rows)), grids
-
-
-def _write_run(cfg: ExperimentConfig, table: ResultsTable, grids) -> str:
-    root = _resolve_root(cfg.out_dir)
-    run_dir = os.path.join(root, cfg.run_id)
-    os.makedirs(run_dir, exist_ok=True)
-    cfg.to_ini(os.path.join(run_dir, "config.ini"))
+    table = ResultsTable(rows=tuple(rows))
+    run_dir = _open_run(cfg)
     table.save(os.path.join(run_dir, "table.csv"))
     for i, grid in enumerate(grids):
         row_dir = os.path.join(run_dir, f"row_{i}")
         os.makedirs(row_dir, exist_ok=True)
         save_grid(grid, os.path.join(row_dir, "deriv.csv"))
-    return run_dir
-
-
-def _print_table(table: ResultsTable) -> None:
     for r in table.rows:
         gap = "" if r.coeff_linf is None else f" coeff_linf={_fmt(r.coeff_linf)}"
         print(
             f"{r.kind}={_fmt(r.value)} n={r.n} gamma={_fmt(r.gamma)} card={r.card} "
             f"error_l2={_fmt(r.error_l2)} error_c={_fmt(r.error_c)}{gap}"
         )
-
-
-def _example_config(which: str, noise: str) -> ExperimentConfig:
-    if which == "example1" and noise == "random":
-        return ExperimentConfig(
-            function="example1",
-            delta_list=(1e-7, 1e-8, 1e-9),
-            n_list=(16, 25, 28),
-            run_id="example1-random",
-        )
-    if which == "example1":
-        return ExperimentConfig(
-            function="example1",
-            noise_mode="trapezoid",
-            h_list=(1e-4, 8e-5, 4e-5),
-            n_list=(16, 22, 28),
-            run_id="example1-trapezoid",
-        )
-    return ExperimentConfig(
-        function="example2",
-        mu1=5.4,
-        mu2=5.4,
-        noise_mode="trapezoid",
-        h_list=(8e-5, 2e-5, 8e-6),
-        n_list=(19, 31, 43),
-        run_id="example2",
-    )
-
-
-def _apply_flag_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        cfg = cfg.apply_ini(args.config)
-    if getattr(args, "delta", None):
-        cfg = replace(cfg, delta_list=_parse_floats(args.delta), h_list=(),
-                      noise_mode=cfg.noise_mode if cfg.noise_mode != "trapezoid" else "rescaled")
-    if getattr(args, "h", None):
-        cfg = replace(cfg, h_list=_parse_floats(args.h), delta_list=(), noise_mode="trapezoid")
-    if getattr(args, "n", None):
-        cfg = replace(cfg, n_list=_parse_ints(args.n))
-    if getattr(args, "choose_n", False):
-        cfg = replace(cfg, n_list=())
-    if getattr(args, "noise_p", None) is not None:
-        cfg = replace(cfg, noise_p=args.noise_p)
-    if getattr(args, "gamma", None) is not None:
-        cfg = replace(cfg, gamma=args.gamma)
-    if getattr(args, "c", None) is not None:
-        cfg = replace(cfg, c=args.c)
-    if getattr(args, "seeds", None) is not None:
-        cfg = replace(cfg, seeds=args.seeds)
-    if getattr(args, "base_seed", None) is not None:
-        cfg = replace(cfg, base_seed=args.base_seed)
-    if getattr(args, "grid_degree", None) is not None:
-        cfg = replace(cfg, grid_degree=args.grid_degree)
-    if getattr(args, "out", None):
-        cfg = replace(cfg, out_dir=args.out)
-    if getattr(args, "run_id", None):
-        cfg = replace(cfg, run_id=args.run_id)
-    return cfg
-
-
-def cmd_example1(noise: str = "random", overrides=None) -> ResultsTable:
-    """Run the first corpus function's table; overrides is an argparse
-    namespace or None."""
-    cfg = _example_config("example1", noise)
-    if overrides is not None:
-        cfg = _apply_flag_overrides(cfg, overrides)
-    table, grids = _run_table(cfg)
-    run_dir = _write_run(cfg, table, grids)
-    _print_table(table)
     print(f"run written to {run_dir}")
     return table
 
 
-def cmd_example2(overrides=None) -> ResultsTable:
-    cfg = _example_config("example2", "trapezoid")
-    if overrides is not None:
-        cfg = _apply_flag_overrides(cfg, overrides)
-    table, grids = _run_table(cfg)
-    run_dir = _write_run(cfg, table, grids)
-    _print_table(table)
-    print(f"run written to {run_dir}")
-    return table
-
-
-def cmd_rate_study(config_path: str, metric: str | None = None,
-                   out: str | None = None, run_id: str | None = None) -> RateStudyResult:
-    """Run a noise-convergence study from an INI config."""
-    cp = configparser.ConfigParser()
-    if not cp.read(str(config_path)):
-        raise ValueError(f"config file {config_path} not found or unreadable")
-    exp = cp["experiment"] if cp.has_section("experiment") else {}
-    function = exp.get("function", "class")
-    met = metric or exp.get("metric", "L2")
-    r = int(exp.get("r", "2"))
-    axis = exp.get("axis", "t")
-    s = float(exp.get("s", "2"))
-    mu1 = float(exp.get("mu1", "5.6"))
-    mu2 = float(exp.get("mu2", "5.6"))
-    p = float(exp.get("p", "2"))
-    noi = cp["noise"] if cp.has_section("noise") else {}
-    deltas = _parse_floats(noi.get("deltas", "1e-5,1e-6,1e-7,1e-8,1e-9"))
-    mode = noi.get("mode", "rescaled")
-    seeds = int(noi.get("seeds", "5"))
-    base_seed = int(noi.get("base_seed", "1000"))
-    meth = cp["method"] if cp.has_section("method") else {}
-    c = float(meth.get("c", "0.9"))
-    gamma = float(meth["gamma"]) if "gamma" in meth else None
-    grid_degree = int(meth["grid_degree"]) if "grid_degree" in meth else None
-    outp = cp["output"] if cp.has_section("output") else {}
-    out = out or outp.get("dir")
-    run_id = run_id or outp.get("run_id") or f"rate-{met}"
-
-    sp = SmoothnessParams(s=s, mu1=mu1, mu2=mu2, p=p, delta=min(deltas))
-    cfg_fn = ExperimentConfig(function=function, s=s, mu1=mu1, mu2=mu2, p=p)
-    fn = _get_function(cfg_fn)
-    result = rate_study(
-        fn, sp, r, met, deltas, seeds,
-        c=c, gamma=gamma, axis=axis, noise_mode=mode,
-        base_seed=base_seed, grid_degree=grid_degree,
-    )
-    run_dir = os.path.join(_resolve_root(out), run_id)
+def _open_run(cfg: ExperimentConfig) -> str:
+    """Create the run directory and write the resolved config into it."""
+    run_dir = os.path.join(_resolve_root(cfg.out_dir), cfg.run_id)
     os.makedirs(run_dir, exist_ok=True)
+    cfg.to_ini(os.path.join(run_dir, "config.ini"))
+    return run_dir
+
+
+def _resolve_config(preset: str, args) -> ExperimentConfig:
+    """PRESETS[preset], overridden by args.config, overridden by the flags."""
+    cfg = ExperimentConfig(**PRESETS[preset])
+    if args.config:
+        cfg = cfg.apply_ini(args.config)
+    return cfg._with((f, getattr(args, f.attr)) for f in FIELDS
+                     if getattr(args, f.attr, None) is not None)
+
+
+def cmd_rate_study(cfg: ExperimentConfig) -> RateStudyResult:
+    """Run a noise-convergence study: n from choose_n for each delta, the
+    cross shape from the metric unless gamma is set, and the function's
+    own grid degree unless grid_degree is set."""
+    cfg.validate()
+    if cfg.h_list:
+        raise ValueError("rate-study needs [noise] deltas, not hs")
+    cfg = replace(cfg, run_id=cfg.run_id or f"rate-{cfg.metric}")
+    sp = SmoothnessParams(s=cfg.s, mu1=cfg.mu1, mu2=cfg.mu2, p=cfg.p,
+                          delta=min(cfg.delta_list))
+    result = rate_study(
+        _get_function(cfg), sp, cfg.r, cfg.metric, cfg.delta_list, cfg.seeds,
+        c=cfg.c, gamma=cfg.gamma, axis=cfg.axis, noise_mode=cfg.noise_mode,
+        base_seed=cfg.base_seed, grid_degree=cfg.grid_degree,
+    )
+    run_dir = _open_run(cfg)
     result.save(os.path.join(run_dir, "rate.csv"))
-    with open(os.path.join(run_dir, "config.ini"), "w") as fh:
-        cp.write(fh)
     for delta, err in zip(result.delta_list, result.errors):
-        print(f"delta={_fmt(delta)} median_{met}={_fmt(err)}")
+        print(f"delta={_fmt(delta)} median_{cfg.metric}={_fmt(err)}")
     print(
         f"fitted_slope={_fmt(result.fitted_slope)} "
         f"theoretical_slope={_fmt(result.theoretical_slope)}"
@@ -531,8 +462,8 @@ def cmd_cross_card(gammas, r: int, ns, out: str | None = None,
 def cmd_emit_surface(run: str, function: str | None = None, grid_points: int = 101,
                      row: int = 0, out: str | None = None) -> str:
     """Emit t,tau,exact,approx samples for one row of a previous run."""
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
+    if not 2 <= grid_points <= MAX_GRID_POINTS:
+        raise ValueError(f"grid_points={grid_points} must lie in [2, {MAX_GRID_POINTS}]")
     run_dir = run if os.path.isdir(run) else os.path.join(_resolve_root(out), run)
     cfg_path = os.path.join(run_dir, "config.ini")
     if not os.path.isfile(cfg_path):
@@ -571,69 +502,49 @@ def _build_parser() -> argparse.ArgumentParser:
         "Fourier-Legendre coefficients.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    cmds = {name: sub.add_parser(name, help=text) for name, text in (
+        ("example1", "first corpus function's error table"),
+        ("example2", "second corpus function's error table"),
+        ("rate-study", "fit error decay versus noise level"),
+        ("cross-card", "hyperbolic cross cardinality growth"),
+        ("emit-surface", "sample exact vs approx surfaces"))}
+    for name in TABLES + ("rate-study",):
+        cmds[name].add_argument("--config", required=name == "rate-study",
+                                help="INI file overriding the defaults")
+    for f in FIELDS:
+        for name in f.on if f.flag else ():
+            cmds[name].add_argument(f.flag, dest=f.attr, **{"type": f.parse, **f.arg})
+    for name in TABLES:
+        cmds[name].add_argument("--choose-n", dest="n_list", action="store_const", const=(),
+                                help="pick n from the noise level instead of the defaults")
+    cmds["example1"].add_argument("--noise", choices=("random", "trapezoid"), default="random")
 
-    def add_table_flags(sp):
-        sp.add_argument("--config", help="INI file overriding the defaults")
-        sp.add_argument("--n", help="comma-separated truncation levels")
-        sp.add_argument("--gamma", type=float, help="cross shape parameter")
-        sp.add_argument("--h", help="comma-separated trapezoid steps")
-        sp.add_argument("--seeds", type=int, help="noise realizations per row")
-        sp.add_argument("--base-seed", dest="base_seed", type=int)
-        sp.add_argument("--grid-degree", dest="grid_degree", type=int)
-        sp.add_argument("--choose-n", dest="choose_n", action="store_true",
-                        help="pick n from the noise level instead of the defaults")
-        sp.add_argument("--c", type=float, help="choose_n calibration constant")
-        sp.add_argument("--out", help="results root directory")
-        sp.add_argument("--run-id", dest="run_id", help="run directory name")
+    cmds["cross-card"].add_argument("--gamma", required=True, help="comma-separated shapes")
+    cmds["cross-card"].add_argument("--n", required=True, help="comma-separated levels")
+    cmds["cross-card"].add_argument("--r", type=int, default=1)
 
-    p1 = sub.add_parser("example1", help="first corpus function's error table")
-    p1.add_argument("--noise", choices=("random", "trapezoid"), default="random")
-    p1.add_argument("--delta", help="comma-separated noise levels (0 = noise-free)")
-    p1.add_argument("--noise-p", dest="noise_p", type=float,
-                    help="norm index for noise rescaling (default inf)")
-    add_table_flags(p1)
-
-    p2 = sub.add_parser("example2", help="second corpus function's error table")
-    add_table_flags(p2)
-
-    pr = sub.add_parser("rate-study", help="fit error decay versus noise level")
-    pr.add_argument("--config", required=True)
-    pr.add_argument("--metric", choices=("L2", "C"))
-    pr.add_argument("--out")
-    pr.add_argument("--run-id", dest="run_id")
-
-    pc = sub.add_parser("cross-card", help="hyperbolic cross cardinality growth")
-    pc.add_argument("--gamma", required=True, help="comma-separated shapes")
-    pc.add_argument("--n", required=True, help="comma-separated levels")
-    pc.add_argument("--r", type=int, default=1)
-    pc.add_argument("--out")
-    pc.add_argument("--run-id", dest="run_id")
-
-    ps = sub.add_parser("emit-surface", help="sample exact vs approx surfaces")
+    ps = cmds["emit-surface"]
     ps.add_argument("--run", required=True, help="run id or run directory")
     ps.add_argument("--function", help="check the run used this function id")
     ps.add_argument("--grid-points", dest="grid_points", type=int, default=101)
     ps.add_argument("--row", type=int, default=0)
-    ps.add_argument("--out", help="results root the run id is resolved against")
-
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "example1":
-            cmd_example1(args.noise, args)
-        elif args.command == "example2":
-            cmd_example2(args)
-        elif args.command == "rate-study":
-            cmd_rate_study(args.config, args.metric, args.out, args.run_id)
+        if args.command == "rate-study":
+            cmd_rate_study(_resolve_config("rate-study", args))
+        elif args.command in TABLES:
+            preset = "example1-" + args.noise if args.command == "example1" else "example2"
+            cmd_table(_resolve_config(preset, args))
         elif args.command == "cross-card":
-            cmd_cross_card(_parse_floats(args.gamma), args.r, _parse_ints(args.n),
-                           args.out, args.run_id)
+            cmd_cross_card(float_list(args.gamma), args.r, int_list(args.n),
+                           args.out_dir, args.run_id)
         elif args.command == "emit-surface":
             cmd_emit_surface(args.run, args.function, args.grid_points,
-                             args.row, args.out)
+                             args.row, args.out_dir)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,13 +2,19 @@
 
 import math
 import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from crossdiff import coeffs
+import crossdiff
+from crossdiff import cli, coeffs
 from crossdiff.analysis import example1_F
-from crossdiff.cli import ExperimentConfig, ResultRow, ResultsTable, main
+from crossdiff.cli import FIELDS, PRESETS, ExperimentConfig, ResultRow, ResultsTable, main
 from crossdiff.coeffs import load_grid
 from crossdiff.legendre import synthesize
 from crossdiff.truncation import build_cross
@@ -237,7 +243,80 @@ def test_results_table_header_check(tmp_path):
         ResultsTable.load(path)
 
 
-def test_experiment_config_ini_round_trip(tmp_path):
+def _reachable_configs():
+    """Configs a command can resolve to: a preset with any subset of its
+    values replaced by valid ones. Fields a preset leaves None stay None."""
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    names = st.text("abcxyz0189-_./", min_size=1, max_size=12)
+    random_noise = st.fixed_dictionaries({
+        "delta_list": st.lists(floats.filter(lambda d: 0 <= d < 1), min_size=1,
+                               max_size=4).map(tuple),
+        "h_list": st.just(()),
+        "noise_mode": st.sampled_from(("rescaled", "raw_gaussian"))})
+    trapezoid = st.fixed_dictionaries({
+        "delta_list": st.just(()),
+        "h_list": st.lists(st.sampled_from((1.0, 0.5, 4e-3, 1e-4, 8e-6)), min_size=1,
+                           max_size=4).map(tuple),
+        "noise_mode": st.just("trapezoid")})
+    options = {
+        "function": st.sampled_from(("example1", "example2", "class")),
+        "r": st.integers(1, 4),
+        "axis": st.sampled_from(("t", "tau")),
+        # bounded so the class function's norm, which raises the degree to
+        # s * (mu1 + mu2), stays finite
+        "s": st.floats(1, 5),
+        "mu1": st.floats(1e-3, 10),
+        "mu2": st.floats(1e-3, 10),
+        "p": st.one_of(floats.filter(lambda x: x >= 1), st.just(math.inf)),
+        "noise_p": st.one_of(floats.filter(lambda x: x >= 1), st.just(math.inf)),
+        "seeds": st.integers(1, 10 ** 6),
+        "base_seed": st.integers(0, 2 ** 63),
+        "c": floats.filter(lambda x: x > 0),
+        "gamma": floats.filter(lambda x: x >= 1),
+        "grid_degree": st.integers(1, cli.MAX_GRID_DEGREE),
+        "out_dir": names,
+        "run_id": names,
+        "metric": st.sampled_from(("L2", "C")),
+    }
+
+    @st.composite
+    def build(draw):
+        preset = draw(st.sampled_from(sorted(PRESETS)))
+        cfg = ExperimentConfig(**PRESETS[preset])
+        if draw(st.booleans()):
+            cfg = replace(cfg, **draw(st.one_of(random_noise, trapezoid)))
+        for attr in draw(st.sets(st.sampled_from(sorted(options)))):
+            if getattr(cfg, attr) is not None or attr in ("out_dir", "run_id", "metric"):
+                cfg = replace(cfg, **{attr: draw(options[attr])})
+        rows = len(cfg.delta_list or cfg.h_list)
+        if cfg.h_list or (cfg.n_list and len(cfg.n_list) != rows) or draw(st.booleans()):
+            ns = st.lists(st.integers(1, cli.MAX_GRID_DEGREE), min_size=rows, max_size=rows)
+            cfg = replace(cfg, n_list=tuple(draw(ns)))
+        elif draw(st.booleans()):
+            cfg = replace(cfg, n_list=())
+        return preset, cfg
+
+    return build()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=_reachable_configs(), onto=st.sampled_from(sorted(PRESETS)))
+def test_experiment_config_ini_round_trip(tmp_path, drawn, onto):
+    # what to_ini writes, apply_ini reads back exactly, onto any preset;
+    # only the fields left out of the file (the None ones) keep the values
+    # of the config they are applied to
+    preset, cfg = drawn
+    cfg.validate()
+    path = tmp_path / "config.ini"
+    cfg.to_ini(path)
+    assert ExperimentConfig(**PRESETS[preset]).apply_ini(path) == cfg
+    base = ExperimentConfig(**PRESETS[onto])
+    unset = {k: getattr(base, k) for k, v in vars(cfg).items() if v is None}
+    assert base.apply_ini(path) == replace(cfg, **unset)
+
+
+def test_experiment_config_ini_round_trip_by_hand(tmp_path):
     cfg = ExperimentConfig(
         function="example1",
         delta_list=(1e-7, 1e-9),
@@ -269,3 +348,160 @@ def test_experiment_config_validate():
     with pytest.raises(ValueError):
         ExperimentConfig(delta_list=(1e-7,), function="mystery").validate()
     ExperimentConfig(delta_list=(1e-7,)).validate()
+
+
+# one valid value per flag, lists as long as the presets' (three rows); a
+# flag added to the schema needs one here
+FLAG_VALUES = {"--noise-p": "2", "--delta": "1e-7,0,1e-9", "--h": "4e-3,2e-3,1e-3",
+               "--seeds": "3", "--base-seed": "7", "--n": "8,9,10", "--c": "1.5",
+               "--gamma": "1.25", "--grid-degree": "32", "--out": "elsewhere",
+               "--run-id": "rid"}
+
+
+@pytest.mark.parametrize("command", ["example1", "example2"])
+@pytest.mark.parametrize("f", [f for f in FIELDS if f.flag and f.attr != "metric"],
+                         ids=lambda f: f.flag)
+def test_every_schema_flag_is_accepted_by_every_table_command(command, f, monkeypatch):
+    # metric is read by rate studies only and is a rate-study flag only
+    resolved = []
+    monkeypatch.setattr(cli, "cmd_table", resolved.append)
+    assert run_cli(command, f.flag, FLAG_VALUES[f.flag]) == 0
+    (cfg,) = resolved
+    assert getattr(cfg, f.attr) == f.parse(FLAG_VALUES[f.flag])
+    cfg.validate()  # --delta and --h also switch the noise mode
+
+
+def test_metric_is_a_rate_study_flag_only():
+    (metric,) = [f for f in FIELDS if f.attr == "metric"]
+    assert metric.flag == "--metric" and metric.on == ("rate-study",)
+    with pytest.raises(SystemExit):
+        run_cli("example1", "--metric", "C")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("f", [f for f in FIELDS if f.parse in (float, cli.float_list)],
+                         ids=lambda f: f.attr)
+def test_validate_rejects_non_finite_numbers(f, bad):
+    # inf is a valid norm index (p, noise_p); NaN is valid nowhere
+    base = ExperimentConfig(**PRESETS["example1-trapezoid" if f.attr == "h_list"
+                                      else "example1-random"])
+    value = getattr(base, f.attr)
+    cfg = replace(base, **{f.attr: value[:-1] + (bad,) if isinstance(value, tuple) else bad})
+    if f.attr in ("p", "noise_p") and bad == math.inf:
+        cfg.validate()
+        return
+    with pytest.raises(ValueError) as exc:
+        cfg.validate()
+    name = "trapezoid step h" if f.attr == "h_list" else f"[{f.section}] {f.key}"
+    assert str(exc.value).startswith(f"{name}={bad} must lie in ")
+
+
+@pytest.mark.parametrize("c", ["nan", "inf"])
+def test_non_finite_calibration_constant_is_reported(tmp_path, capsys, c):
+    rc = run_cli("example1", "--choose-n", "--c", c, "--seeds", 1,
+                 "--out", tmp_path, "--run-id", "bad")
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: [method] c={c} must lie in (0, inf)\n"
+    cfg = tmp_path / "rate.ini"
+    cfg.write_text(f"[experiment]\nfunction = class\n\n[method]\nc = {c}\n")
+    assert run_cli("rate-study", "--config", cfg, "--out", tmp_path) == 2
+    assert capsys.readouterr().err == f"error: [method] c={c} must lie in (0, inf)\n"
+    assert os.listdir(tmp_path) == ["rate.ini"]
+
+
+@pytest.mark.parametrize("argv", [["--n", "16,25,65"], ["--choose-n", "--c", "1e300"]],
+                         ids=["given", "chosen"])
+def test_truncation_level_beyond_grid_degree_is_reported(tmp_path, capsys, monkeypatch, argv):
+    enumerate_cross = cli.build_cross
+
+    def small_crosses_only(n, *args):
+        assert n <= 64, "the refused cross was enumerated"
+        return enumerate_cross(n, *args)
+
+    monkeypatch.setattr(cli, "build_cross", small_crosses_only)
+    rc = run_cli("example1", *argv, "--seeds", 1, "--out", tmp_path)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: truncation level n=") and err.count("\n") == 1
+    assert err.endswith(" exceeds grid degree 64\n")
+
+
+@pytest.mark.parametrize("degree", [0, cli.MAX_GRID_DEGREE + 1, 100000])
+def test_grid_degree_limits_are_reported(tmp_path, capsys, monkeypatch, degree):
+    def refuse(*args):
+        raise AssertionError("a grid was computed")
+
+    monkeypatch.setattr(cli, "exact_coeffs", refuse)
+    rc = run_cli("example1", "--grid-degree", degree, "--out", tmp_path)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: [method] grid_degree={degree} must lie in [1, 1024]\n")
+    # the upper limit itself is valid
+    ExperimentConfig(delta_list=(1e-7,), grid_degree=cli.MAX_GRID_DEGREE).validate()
+
+
+@pytest.mark.parametrize("points", [1, cli.MAX_GRID_POINTS + 1])
+def test_surface_grid_points_limits_are_reported(tmp_path, capsys, points):
+    assert run_cli("example1", "--grid-degree", 16, "--n", "8,9,10", "--seeds", 1,
+                   "--out", tmp_path, "--run-id", "e1") == 0
+    capsys.readouterr()
+    rc = run_cli("emit-surface", "--run", "e1", "--out", tmp_path,
+                 "--grid-points", points)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: grid_points={points} must lie in [2, 1025]\n")
+    assert not (tmp_path / "e1" / "surface.csv").exists()
+
+
+def _run_outputs(run_dir):
+    """Every output file of a run except config.ini; table.csv without wall_time."""
+    files = {}
+    for base, _, names in os.walk(run_dir):
+        for name in names:
+            if name == "config.ini":
+                continue
+            path = os.path.join(base, name)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            if name == "table.csv":
+                data = b"\n".join(line.rsplit(b",", 1)[0] for line in data.splitlines())
+            files[os.path.relpath(path, run_dir)] = data
+    return files
+
+
+@pytest.mark.parametrize("argv", [
+    ["example1", "--grid-degree", 16, "--n", "8,10,12", "--seeds", 2],
+    ["example1", "--noise", "trapezoid", "--h", "0.004,0.002", "--n", "8,10",
+     "--grid-degree", 16],
+    ["example2", "--h", "0.004,0.002", "--n", "8,10", "--grid-degree", 16],
+    ["rate-study", "--metric", "C"],
+], ids=["example1-random", "example1-trapezoid", "example2", "rate-study-C"])
+def test_rerun_from_config_ini_reproduces_the_run(tmp_path, argv):
+    command = argv[0]
+    if command == "rate-study":
+        ini = tmp_path / "rate.ini"
+        ini.write_text("[experiment]\nfunction = class\n\n[noise]\nseeds = 2\n")
+        argv = argv + ["--config", ini]
+    assert run_cli(*argv, "--out", tmp_path / "res", "--run-id", "first") == 0
+    first = tmp_path / "res" / "first"
+    # only the command and the resolved config.ini: no preset flag, no overrides
+    assert run_cli(command, "--config", first / "config.ini", "--run-id", "again") == 0
+    again = tmp_path / "res" / "again"
+    outputs = _run_outputs(first)
+    assert {"table.csv", "rate.csv"} & outputs.keys()
+    assert _run_outputs(again) == outputs
+    assert (again / "config.ini").read_text() == (
+        (first / "config.ini").read_text().replace("run_id = first", "run_id = again"))
+
+
+def test_importing_the_package_leaves_the_cli_unloaded(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crossdiff.__file__)))
+    code = "import sys, crossdiff; print('crossdiff.cli' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
+    # so running the module finds nothing preloaded and runpy stays quiet
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "crossdiff.cli",
+                          "cross-card", "--gamma", "2", "--n", "64", "--out", str(tmp_path)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0 and run.stderr == ""
