@@ -139,21 +139,34 @@ class TestFunction:
 
     def exact_deriv(self, r: int, axis: str = "t"):
         """Callable (t,tau) -> d^r F / d axis^r, exact."""
-        if axis not in ("t", "tau"):
-            raise ValueError(f"axis must be 't' or 'tau', got {axis!r}")
-        if r < 0:
-            raise ValueError("derivative order r must be >= 0")
         if self.coeff_data is not None:
-            data = self.coeff_data
-            if r > 0:
-                deg = (data.shape[0] if axis == "t" else data.shape[1]) - 1
-                op = iterate_derivative(mueller_first_derivative(deg), r)
-                data = op.matrix @ data if axis == "t" else data @ op.matrix.T
+            data = self.deriv_coeffs(r, axis).data
             return lambda t, tau: _synth_eval(data, t, tau)
+        _check_deriv(r, axis)
         gt = self.t_factor.deriv(r) if axis == "t" else self.t_factor
         qt = self.tau_factor.deriv(r) if axis == "tau" else self.tau_factor
         scale = self.C
         return lambda t, tau: gt.eval(t) * qt.eval(tau) / scale
+
+    def deriv_coeffs(self, r: int, axis: str = "t") -> CoeffGrid:
+        """Coefficient grid of d^r F / d axis^r for a coefficient-defined
+        function: the derivative operator applied to coeff_data."""
+        _check_deriv(r, axis)
+        if self.coeff_data is None:
+            raise ValueError(f"{self.id} is not defined by a coefficient grid")
+        data = self.coeff_data
+        if r > 0:
+            deg = (data.shape[0] if axis == "t" else data.shape[1]) - 1
+            op = iterate_derivative(mueller_first_derivative(deg), r)
+            data = op.matrix @ data if axis == "t" else data @ op.matrix.T
+        return CoeffGrid(data=data, provenance="exact")
+
+
+def _check_deriv(r: int, axis: str) -> None:
+    if axis not in ("t", "tau"):
+        raise ValueError(f"axis must be 't' or 'tau', got {axis!r}")
+    if r < 0:
+        raise ValueError("derivative order r must be >= 0")
 
 
 def _kink_factor() -> PiecewisePoly:
@@ -211,10 +224,17 @@ def corpus() -> list:
 
 
 def _effective_degrees(data: np.ndarray) -> tuple[int, int]:
-    rows, cols = np.nonzero(data)
+    """Highest row and column holding a nonzero; (0, 0) for an all-zero grid."""
+    rows = np.flatnonzero(data.any(axis=1))
     if rows.size == 0:
         return 0, 0
-    return int(rows.max()), int(cols.max())
+    return int(rows[-1]), int(np.flatnonzero(data.any(axis=0))[-1])
+
+
+# rows of the uniform C grid per pass: a block of the synthesis and of the
+# reference (2 x 128 x 513 doubles, ~1 MB) stays in cache while it is
+# subtracted and its absolute maximum taken
+_C_BLOCK = 128
 
 
 class ErrorEvaluator:
@@ -223,7 +243,11 @@ class ErrorEvaluator:
     Built once per study from the reference and the largest degrees (K, J)
     of the grids it will score; quad_nodes and the breakpoints mean what
     they mean in l2_error, grid_points what it means in c_error. The
-    composite Gauss rules, the basis tables at their nodes and on the
+    reference is a callable f(t, tau) or, for a function defined by its
+    coefficients, the CoeffGrid of its derivative (TestFunction.deriv_coeffs);
+    the L2 distance to a CoeffGrid is the Frobenius distance of the
+    coefficients (Parseval), with no quadrature.
+    The composite Gauss rules, the basis tables at their nodes and on the
     uniform C grid, and the reference's values on both grids are computed
     on first use and shared by every later trial. A trial synthesizes only
     its active block [0..kmax] x [0..jmax], since truncation to the cross
@@ -249,6 +273,12 @@ class ErrorEvaluator:
         self.breakpoints_tau = tuple(breakpoints_tau)
         self.grid_points = grid_points
 
+    def _values(self, t, tau) -> np.ndarray:
+        """The reference on the tensor grid t x tau."""
+        if isinstance(self.exact, CoeffGrid):
+            return synthesize(self.exact, t, tau)
+        return np.asarray(self.exact(t[:, None], tau[None, :]), dtype=float)
+
     @cached_property
     def _quad_tables(self):
         t, wt = _composite_rule(self.quad_nodes, self.breakpoints_t)
@@ -256,14 +286,13 @@ class ErrorEvaluator:
             tau, wtau = t, wt
         else:
             tau, wtau = _composite_rule(self.quad_nodes, self.breakpoints_tau)
-        ref = np.asarray(self.exact(t[:, None], tau[None, :]), dtype=float)
+        ref = self._values(t, tau)
         return wt, wtau, phi_matrix(self.K, t), phi_matrix(self.J, tau), ref
 
     @cached_property
     def _grid_tables(self):
         g = np.linspace(-1.0, 1.0, self.grid_points)
-        ref = np.asarray(self.exact(g[:, None], g[None, :]), dtype=float)
-        return phi_matrix(max(self.K, self.J), g), ref
+        return phi_matrix(max(self.K, self.J), g), self._values(g, g)
 
     def _active(self, approx: CoeffGrid):
         kmax, jmax = _effective_degrees(approx.data)
@@ -275,8 +304,15 @@ class ErrorEvaluator:
         return approx.data[: kmax + 1, : jmax + 1], kmax, jmax
 
     def l2(self, approx: CoeffGrid) -> float:
-        """L2([-1,1]^2) distance of approx to the reference, by quadrature."""
+        """L2([-1,1]^2) distance of approx to the reference: by Parseval for
+        a coefficient reference, by quadrature otherwise."""
         block, kmax, jmax = self._active(approx)
+        if isinstance(self.exact, CoeffGrid):
+            ref = self.exact.data
+            diff = np.zeros((max(ref.shape[0], kmax + 1), max(ref.shape[1], jmax + 1)))
+            diff[: ref.shape[0], : ref.shape[1]] = ref
+            diff[: kmax + 1, : jmax + 1] -= block
+            return float(np.linalg.norm(diff))
         if self.quad_nodes < max(kmax, jmax) + 32:
             raise ValueError(
                 f"quad_nodes={self.quad_nodes} too small for active degrees "
@@ -292,10 +328,17 @@ class ErrorEvaluator:
         """Max-norm distance of approx to the reference on the uniform grid."""
         block, kmax, jmax = self._active(approx)
         phi, ref = self._grid_tables
-        diff = phi[: kmax + 1].T @ block @ phi[: jmax + 1]
-        diff -= ref
-        np.abs(diff, out=diff)
-        return float(diff.max())
+        left = phi[: kmax + 1].T @ block
+        right = phi[: jmax + 1]
+        buf = np.empty((min(_C_BLOCK, self.grid_points), self.grid_points))
+        worst = 0.0
+        for lo in range(0, self.grid_points, _C_BLOCK):
+            rows = left[lo:lo + _C_BLOCK]
+            diff = np.matmul(rows, right, out=buf[: len(rows)])
+            diff -= ref[lo:lo + _C_BLOCK]
+            np.abs(diff, out=diff)
+            worst = np.maximum(worst, diff.max())  # keeps a NaN, as max() does
+        return float(worst)
 
 
 def l2_error(
@@ -406,14 +449,19 @@ def rate_study(
                 f"grid_degree={grid_degree} differs from the degree {deg} of "
                 f"{fn.id}'s coefficient data; omit grid_degree"
             )
+        # the derivative has a finite expansion, so L2 errors follow by Parseval
+        reference = fn.deriv_coeffs(r, axis)
     else:
         deg = 64 if grid_degree is None else grid_degree
         grid = exact_coeffs(fn, deg, deg, deg + 40)
+        reference = fn.exact_deriv(r, axis)
+    if not np.isfinite(grid.data).all():
+        raise ValueError(f"coefficients of {fn.id} are not finite")
     deg_k, deg_j = grid.K, grid.J
     op_deg = deg_k if axis == "t" else deg_j
     op = iterate_derivative(mueller_first_derivative(op_deg), r)
     scorer = ErrorEvaluator(
-        fn.exact_deriv(r, axis), deg_k, deg_j, max(deg_k, deg_j) + 40,
+        reference, deg_k, deg_j, max(deg_k, deg_j) + 40,
         fn.breakpoints_t, fn.breakpoints_tau,
     )
 
@@ -440,6 +488,8 @@ def rate_study(
             rows.append((delta, n, g, el2, ec, seed))
             vals.append(el2 if metric == "L2" else ec)
         medians.append(float(np.median(vals)))
+    if not all(math.isfinite(e) for row in rows for e in row[3:5]):
+        raise ValueError(f"rate study of {fn.id} produced non-finite errors")
 
     slope = float(np.polyfit(np.log(delta_list), np.log(medians), 1)[0])
     return RateStudyResult(

@@ -124,8 +124,9 @@ class ExperimentConfig:
     noise_mode "trapezoid") must be set; setting either clears the other
     and switches to a matching mode. Empty n_list means choose_n with
     constant c; delta entries of 0 request the noise-free path. None leaves
-    a rate study's gamma to the metric and its grid_degree to the function;
-    only rate studies read metric.
+    a rate study's gamma to the metric and its grid_degree to the function,
+    and is its noise_p, which it does not use; only rate studies read
+    metric.
     """
 
     function: str = _key("example1", "experiment", STR)
@@ -224,7 +225,8 @@ FIELDS = tuple(SimpleNamespace(**{**f.metadata, "attr": f.name,
 
 # Each command's defaults; --config overrides them and flags override both.
 # rate-study leaves gamma to the metric, grid_degree to the function and
-# run_id to "rate-<metric>".
+# run_id to "rate-<metric>", and has no noise_p: its noise is drawn in the
+# class norm index p.
 PRESETS = {
     "example1-random": dict(
         function="example1", delta_list=(1e-7, 1e-8, 1e-9), n_list=(16, 25, 28),
@@ -237,7 +239,7 @@ PRESETS = {
         h_list=(8e-5, 2e-5, 8e-6), n_list=(19, 31, 43), run_id="example2"),
     "rate-study": dict(
         function="class", metric="L2", delta_list=(1e-5, 1e-6, 1e-7, 1e-8, 1e-9),
-        base_seed=1000, gamma=None, grid_degree=None),
+        base_seed=1000, noise_p=None, gamma=None, grid_degree=None),
 }
 
 
@@ -403,11 +405,13 @@ def _resolve_config(preset: str, args) -> ExperimentConfig:
 def cmd_rate_study(cfg: ExperimentConfig) -> RateStudyResult:
     """Run a noise-convergence study: n from choose_n for each delta, the
     cross shape from the metric unless gamma is set, and the function's
-    own grid degree unless grid_degree is set."""
+    own grid degree unless grid_degree is set. A given [noise] p is
+    ignored and not written back, since the noise is drawn in the class
+    norm index [experiment] p."""
+    cfg = replace(cfg, noise_p=None, run_id=cfg.run_id or f"rate-{cfg.metric}")
     cfg.validate()
     if cfg.h_list:
         raise ValueError("rate-study needs [noise] deltas, not hs")
-    cfg = replace(cfg, run_id=cfg.run_id or f"rate-{cfg.metric}")
     sp = SmoothnessParams(s=cfg.s, mu1=cfg.mu1, mu2=cfg.mu2, p=cfg.p,
                           delta=min(cfg.delta_list))
     result = rate_study(

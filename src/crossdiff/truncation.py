@@ -14,6 +14,7 @@ with its admissibility hypotheses.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -158,20 +159,34 @@ def truncate(coeffs: CoeffGrid, params: MethodParams, deriv_op: DerivOperator) -
         raise ValueError(
             f"operator order {deriv_op.order} does not match requested r={params.r}"
         )
-    cross = build_cross(params.n, params.gamma, params.r, params.axis)
-    keep = cross.mask(coeffs.K, coeffs.J)  # raises if grid too small
-    masked = np.where(keep, coeffs.data, 0.0)
+    keep = _cross_block(params.n, params.gamma, params.r, params.axis,
+                        coeffs.K, coeffs.J)  # raises if grid too small
+    if deriv_op.max_degree < (coeffs.K if params.axis == "t" else coeffs.J):
+        raise ValueError("derivative operator smaller than grid degree")
+    # Everything outside the cross's bounding block is zero, and the
+    # operator is upper triangular, so the derivative of the block is the
+    # whole nonzero part of the result.
+    kb, jb = keep.shape
+    block = np.where(keep, coeffs.data[:kb, :jb], 0.0)
+    out = np.zeros((coeffs.K + 1, coeffs.J + 1))
     if params.axis == "t":
-        if deriv_op.max_degree < coeffs.K:
-            raise ValueError("derivative operator smaller than grid degree")
-        mat = deriv_op.matrix[: coeffs.K + 1, : coeffs.K + 1]
-        out = mat @ masked
+        out[:kb, :jb] = deriv_op.matrix[:kb, :kb] @ block
     else:
-        if deriv_op.max_degree < coeffs.J:
-            raise ValueError("derivative operator smaller than grid degree")
-        mat = deriv_op.matrix[: coeffs.J + 1, : coeffs.J + 1]
-        out = masked @ mat.T
+        out[:kb, :jb] = block @ deriv_op.matrix[:jb, :jb].T
     return CoeffGrid(data=out, provenance="derivative")
+
+
+@functools.lru_cache(maxsize=64)
+def _cross_block(n: int, gamma: float, r: int, axis: str, K: int, J: int) -> np.ndarray:
+    """Read-only membership mask of the cross, trimmed to its bounding box.
+    Memoised, since a rate study truncates every seed of a noise level with
+    the same cross."""
+    cross = build_cross(n, gamma, r, axis)
+    kb = max((k + 1 for k, _ in cross.indices), default=0)
+    jb = max((j + 1 for _, j in cross.indices), default=0)
+    keep = cross.mask(K, J)[:kb, :jb].copy()
+    keep.flags.writeable = False
+    return keep
 
 
 def choose_n(sp: SmoothnessParams, r: int, c: float = 0.9) -> int:
@@ -238,7 +253,12 @@ def class_norm(coeffs, s: float, mu1: float, mu2: float) -> float:
     data = np.asarray(getattr(coeffs, "data", coeffs), dtype=float)
     kbar = np.maximum(1.0, np.arange(data.shape[0], dtype=float))
     jbar = np.maximum(1.0, np.arange(data.shape[1], dtype=float))
-    weighted = (
-        kbar[:, None] ** (s * mu1) * jbar[None, :] ** (s * mu2) * np.abs(data) ** s
-    )
-    return float(np.sum(weighted) ** (1.0 / s))
+    # The weights kbar^(s mu1) overflow once s*mu1 passes ~146 at degree
+    # 128, so sum the terms in log form, scaled by the largest one.
+    with np.errstate(divide="ignore"):
+        log_w = (mu1 * np.log(kbar)[:, None] + mu2 * np.log(jbar)[None, :]
+                 + np.log(np.abs(data)))
+    top = float(log_w.max(initial=-np.inf))
+    if not math.isfinite(top):  # all zero (-inf), or a NaN or inf coefficient
+        return 0.0 if top == -math.inf else top
+    return float(math.exp(top) * np.sum(np.exp(s * (log_w - top))) ** (1.0 / s))

@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.polynomial import polynomial as npoly
 
+from crossdiff import analysis
 from crossdiff.analysis import (
     ErrorEvaluator,
     _kink_factor,
@@ -20,7 +24,14 @@ from crossdiff.analysis import (
 )
 from crossdiff.coeffs import CoeffGrid, NoiseSpec, _composite_rule, add_noise, exact_coeffs
 from crossdiff.legendre import iterate_derivative, mueller_first_derivative, synthesize
-from crossdiff.truncation import MethodParams, SmoothnessParams, class_norm, truncate
+from crossdiff.truncation import (
+    MethodParams,
+    SmoothnessParams,
+    choose_gamma,
+    choose_n,
+    class_norm,
+    truncate,
+)
 
 
 def deriv_norm(F, r=2, axis="t", quad=96):
@@ -334,3 +345,164 @@ def test_noise_free_truncation_decay_rate():
         errs.append(l2_error(approx, exact_d, grid.K + 40))
     slope = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert slope >= 5.6 - 4 + 0.5 - 0.5 - 0.3
+
+
+def nonzero_degrees(data):
+    # the np.nonzero form the evaluator used before
+    rows, cols = np.nonzero(data)
+    if rows.size == 0:
+        return 0, 0
+    return int(rows.max()), int(cols.max())
+
+
+def test_effective_degrees_match_the_nonzero_form():
+    rng = np.random.default_rng(11)
+    grids = [np.zeros((1, 1)), np.zeros((9, 5)), np.full((4, 6), -0.0),
+             np.array([[0.0, -0.0], [-0.0, 3.0]]), np.array([[np.nan]]),
+             np.array([[0.0, np.inf, 0.0], [0.0, 0.0, 0.0]])]
+    for shape in ((1, 7), (7, 1), (12, 12), (40, 9)):
+        for density in (0.02, 0.3, 1.0):
+            data = rng.standard_normal(shape) * (rng.random(shape) < density)
+            grids += [data, -data, np.where(data == 0.0, -0.0, 0.0)]
+    zeros = np.zeros((6, 6))
+    zeros[2, 5] = -0.0
+    zeros[4, 1] = 1e-300
+    grids.append(zeros)
+    for data in grids:
+        assert analysis._effective_degrees(data) == nonzero_degrees(data), data
+
+
+def rounding_bound(scorer, approx):
+    # largest rounding gap between two summation orders of one entry of
+    # the synthesis: each is a (jmax+1)-term sum of products
+    block, kmax, jmax = scorer._active(approx)
+    phi, _ = scorer._grid_tables
+    left = phi[: kmax + 1].T @ block
+    mags = np.abs(left) @ np.abs(phi[: jmax + 1])
+    return 2 * (jmax + 2) * np.finfo(float).eps * float(mags.max())
+
+
+def whole_array_c(scorer, approx):
+    # the one-product form of ErrorEvaluator.c
+    block, kmax, jmax = scorer._active(approx)
+    phi, ref = scorer._grid_tables
+    diff = phi[: kmax + 1].T @ block @ phi[: jmax + 1]
+    diff -= ref
+    np.abs(diff, out=diff)
+    return float(diff.max())
+
+
+@pytest.mark.parametrize("points,block", [
+    (257, None), (513, None), (1025, None), (257, 256), (257, 258)],
+    ids=["257", "513", "1025", "block+1", "block-1"])
+def test_blocked_c_error_matches_the_whole_array_form(monkeypatch, points, block):
+    if block is not None:
+        monkeypatch.setattr(analysis, "_C_BLOCK", block)
+    fn = make_class_function()
+    grid = CoeffGrid(data=np.array(fn.coeff_data))
+    for axis in ("t", "tau"):
+        scorer = ErrorEvaluator(fn.deriv_coeffs(2, axis), grid.K, grid.J, grid.K + 40,
+                                grid_points=points)
+        params = MethodParams(n=36, gamma=2.25, r=2, axis=axis)
+        trials = list(noisy_trials(grid, params, (1e-5, 1e-9)))
+        # the reference itself, and the reference plus phi_0(t) + phi_1(t),
+        # whose worst points lie in the last row (t = 1) only
+        exact = fn.deriv_coeffs(2, axis).data
+        trials.append(CoeffGrid(data=exact))
+        bumped = exact.copy()
+        bumped[:2, 0] += 1.0
+        trials.append(CoeffGrid(data=bumped))
+        for approx in trials:
+            got, whole = scorer.c(approx), whole_array_c(scorer, approx)
+            assert abs(got - whole) <= rounding_bound(scorer, approx), (axis, got, whole)
+    # a NaN anywhere is the result, as in the one-product form
+    data = np.zeros((3, 3))
+    data[1, 1] = np.nan
+    assert math.isnan(scorer.c(CoeffGrid(data=data)))
+
+
+def rate_trials(fn, axis, seeds=3):
+    # the trials a default rate study scores, at all five of its deltas
+    grid = CoeffGrid(data=np.array(fn.coeff_data))
+    op = iterate_derivative(mueller_first_derivative(grid.K), 2)
+    for i, delta in enumerate((1e-5, 1e-6, 1e-7, 1e-8, 1e-9)):
+        sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=delta)
+        params = MethodParams(n=choose_n(sp, 2), gamma=choose_gamma(sp, 2), r=2, axis=axis)
+        for sd in range(seeds):
+            yield truncate(add_noise(grid, NoiseSpec(delta, 2.0, "rescaled", 50 * i + sd)),
+                           params, op)
+
+
+@pytest.mark.parametrize("axis", ["t", "tau"])
+def test_parseval_l2_matches_quadrature_on_rate_trials(axis):
+    fn = make_class_function()
+    quad = fn.coeff_data.shape[0] + 40
+    scorer = ErrorEvaluator(fn.deriv_coeffs(2, axis), 128, 128, quad)
+    exact = fn.exact_deriv(2, axis)
+    for approx in rate_trials(fn, axis):
+        assert scorer.l2(approx) == pytest.approx(l2_error(approx, exact, quad), rel=1e-12)
+
+
+def test_coefficient_reference_is_the_exact_derivative():
+    fn = make_class_function()
+    for axis in ("t", "tau"):
+        ref = fn.deriv_coeffs(2, axis)
+        t = np.linspace(-1.0, 1.0, 7)
+        assert np.array_equal(synthesize(ref, t, t), fn.exact_deriv(2, axis)(t[:, None], t[None, :]))
+    assert fn.deriv_coeffs(0).data is fn.coeff_data
+    with pytest.raises(ValueError, match="not defined by a coefficient grid"):
+        example1_F().deriv_coeffs(2)
+    with pytest.raises(ValueError, match="axis must be"):
+        fn.deriv_coeffs(2, "x")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_parseval_holds_for_a_coefficient_reference(data):
+    # the Frobenius distance of two coefficient grids is the L2 distance of
+    # the functions they define, which quadrature measures exactly
+    K, J = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 12))
+    elems = st.floats(-1e3, 1e3, allow_subnormal=False)
+    ref = data.draw(hnp.arrays(float, (K + 1, J + 1), elements=elems))
+    kk, jj = data.draw(st.integers(0, K)), data.draw(st.integers(0, J))
+    approx = CoeffGrid(data=data.draw(hnp.arrays(float, (kk + 1, jj + 1), elements=elems)))
+    exact = lambda t, tau: synthesize(ref, np.ravel(t), np.ravel(tau))
+    quad = l2_error(approx, exact, max(K, J) + 32)
+    parseval = ErrorEvaluator(CoeffGrid(data=ref), K, J, 0).l2(approx)
+    scale = np.abs(ref).sum() + np.abs(approx.data).sum()
+    assert parseval == pytest.approx(quad, rel=1e-9, abs=1e-12 * scale)
+
+
+def test_rate_study_rejects_non_finite_coefficients_and_errors():
+    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=1e-7)
+    data = np.array(make_class_function().coeff_data)
+    data[3, 4] = np.nan
+    bad = analysis.TestFunction(id="nan-coeffs", coeff_data=data)
+    with pytest.raises(ValueError, match="^coefficients of nan-coeffs are not finite$"):
+        rate_study(bad, sp, 2, "L2", (1e-5, 1e-7, 1e-9), 1)
+    # finite coefficients whose derivative's squares overflow
+    huge = analysis.TestFunction(id="huge", coeff_data=np.full((129, 129), 1e200))
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="^rate study of huge produced non-finite errors$"):
+        rate_study(huge, sp, 2, "L2", (1e-5, 1e-7, 1e-9), 1)
+
+
+def power_form_class_norm(data, s, mu1, mu2):
+    # the direct form, which overflows once s * mu1 passes ~146 at degree 128
+    kbar = np.maximum(1.0, np.arange(data.shape[0], dtype=float))
+    jbar = np.maximum(1.0, np.arange(data.shape[1], dtype=float))
+    weighted = kbar[:, None] ** (s * mu1) * jbar[None, :] ** (s * mu2) * np.abs(data) ** s
+    return float(np.sum(weighted) ** (1.0 / s))
+
+
+def test_class_norm_is_finite_beyond_the_power_form():
+    for s, mu1, mu2 in ((2.0, 5.6, 5.6), (2.0, 6.0, 4.0), (1.0, 5.6, 5.6), (3.0, 7.0, 2.0)):
+        kbar = np.maximum(1.0, np.arange(129, dtype=float))
+        data = np.outer(kbar ** (-mu1 - 1 / s - 0.01), kbar ** (-mu2 - 1 / s - 0.01))
+        expect = power_form_class_norm(data, s, mu1, mu2)
+        assert class_norm(data, s, mu1, mu2) == pytest.approx(expect, rel=1e-13)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fn = make_class_function(s=10.0, mu1=20.0, mu2=20.0)
+    assert np.isfinite(fn.coeff_data).all()
+    assert class_norm(fn.coeff_data, 10.0, 20.0, 20.0) == pytest.approx(1.0, rel=1e-12)
+    assert class_norm(np.zeros((3, 3)), 2.0, 1.0, 1.0) == 0.0

@@ -137,6 +137,51 @@ def test_rate_study_rejects_grid_degree_of_coefficient_function(tmp_path, capsys
     assert not (tmp_path / "deg").exists()
 
 
+def test_rate_study_ignores_and_omits_noise_p(tmp_path):
+    # the noise is drawn in [experiment] p, so [noise] p has no effect; a
+    # config written with it (as every rate config.ini once was) still runs
+    rates = {}
+    for name, extra in (("none", ""), ("two", "p = 2\n"), ("inf", "p = inf\n")):
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text("[experiment]\nfunction = class\n\n"
+                       f"[noise]\n{extra}deltas = 1e-5,1e-7,1e-9\nseeds = 2\n")
+        assert run_cli("rate-study", "--config", cfg, "--out", tmp_path, "--run-id", name) == 0
+        rates[name] = (tmp_path / name / "rate.csv").read_bytes()
+        written = (tmp_path / name / "config.ini").read_text()
+        assert "[noise]\nmode = rescaled\ndeltas = " in written
+        assert "\np = " not in written.split("[noise]")[1]
+    assert rates["none"] == rates["two"] == rates["inf"]
+    assert ExperimentConfig(**PRESETS["rate-study"]).noise_p is None
+
+
+def test_rate_study_class_function_with_large_weights_is_finite(tmp_path):
+    # s * (mu1 + mu2) = 400 used to overflow the class norm into NaN errors
+    cfg = tmp_path / "heavy.ini"
+    cfg.write_text("[experiment]\nfunction = class\ns = 10\nmu1 = 20\nmu2 = 20\n\n"
+                   "[noise]\nseeds = 1\n")
+    assert run_cli("rate-study", "--config", cfg, "--out", tmp_path, "--run-id", "heavy") == 0
+    lines = (tmp_path / "heavy" / "rate.csv").read_text().strip().splitlines()
+    values = [float(x) for line in lines[1:] for x in line.split(",")[3:5]]
+    assert all(math.isfinite(v) for v in values)
+
+
+def test_non_finite_class_coefficients_are_reported(tmp_path, capsys, monkeypatch):
+    make = cli.make_class_function
+
+    def nan_class(**kw):
+        fn = make(**kw)
+        fn.coeff_data[0, 0] = np.nan
+        return fn
+
+    monkeypatch.setattr(cli, "make_class_function", nan_class)
+    cfg = tmp_path / "rate.ini"
+    cfg.write_text("[experiment]\nfunction = class\n")
+    assert run_cli("rate-study", "--config", cfg, "--out", tmp_path) == 2
+    assert capsys.readouterr().err == (
+        "error: coefficients of class-s2-mu5.6x5.6 are not finite\n")
+    assert os.listdir(tmp_path) == ["rate.ini"]
+
+
 def test_rate_study_small_run(tmp_path, capsys):
     cfg = tmp_path / "rate.ini"
     cfg.write_text(

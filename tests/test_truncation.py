@@ -5,7 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from crossdiff import truncation
 from crossdiff.analysis import example1_F
 from crossdiff.coeffs import CoeffGrid, NoiseSpec, add_noise, exact_coeffs
 from crossdiff.legendre import gauss_rule, iterate_derivative, mueller_first_derivative, synthesize
@@ -303,3 +307,74 @@ def test_cross_set_save(tmp_path):
     assert len(lines) - 1 == cross.cardinality
     k, j = map(int, lines[1].split(","))
     assert (k, j) == cross.indices[0]
+
+
+def dense_truncate(grid, params, op):
+    """The whole-grid form: mask every entry, apply the full operator."""
+    keep = build_cross(params.n, params.gamma, params.r, params.axis).mask(grid.K, grid.J)
+    masked = np.where(keep, grid.data, 0.0)
+    if params.axis == "t":
+        return op.matrix[: grid.K + 1, : grid.K + 1] @ masked
+    return masked @ op.matrix[: grid.J + 1, : grid.J + 1].T
+
+
+def test_block_truncate_matches_the_dense_form():
+    rng = np.random.default_rng(12)
+    for K, J in ((128, 128), (40, 61), (64, 33), (12, 12)):
+        data = rng.standard_normal((K + 1, J + 1))
+        for r in (1, 2, 3):
+            op = iterate_derivative(mueller_first_derivative(max(K, J)), r)
+            for axis in ("t", "tau"):
+                for n in (r - 1, r, 7, min(K, J)):  # n < r is the empty cross
+                    for gamma in (1.0, 2.25):
+                        params = MethodParams(n=n, gamma=gamma, r=r, axis=axis)
+                        got = truncate(CoeffGrid(data=data), params, op).data
+                        expect = dense_truncate(CoeffGrid(data=data), params, op)
+                        assert got.shape == expect.shape
+                        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+                        if n < r:
+                            assert not got.any()
+
+
+def test_truncate_reuses_one_read_only_mask_per_cross(monkeypatch):
+    truncation._cross_block.cache_clear()
+    calls = []
+    monkeypatch.setattr(truncation, "build_cross",
+                        lambda *a: calls.append(a) or build_cross(*a))
+    grid = CoeffGrid(data=np.ones((20, 20)))
+    op = second_deriv_op(19)
+    params = MethodParams(n=10, gamma=1.5, r=2)
+    first = truncate(grid, params, op)
+    assert np.array_equal(truncate(grid, params, op).data, first.data)
+    assert calls == [(10, 1.5, 2, "t")]
+    keep = truncation._cross_block(10, 1.5, 2, "t", 19, 19)
+    # k runs over 2..10 and j up to (10/2)^(1/1.5) ~ 2.9 at k = 2
+    assert keep.shape == (11, 3) and not keep.flags.writeable
+    # a grid the cross sticks out of is refused every time, not cached
+    for _ in range(2):
+        with pytest.raises(ValueError, match="outside grid of degrees"):
+            truncate(CoeffGrid(data=np.ones((6, 6))), params, op)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), a=st.floats(-10, 10), b=st.floats(-10, 10), r=st.integers(1, 3),
+       gamma=st.floats(1, 4), axis=st.sampled_from(("t", "tau")))
+def test_truncate_is_linear_property(data, a, b, r, gamma, axis):
+    K, J = data.draw(st.integers(1, 24)), data.draw(st.integers(1, 24))
+    x, y = (data.draw(hnp.arrays(float, (K + 1, J + 1), elements=st.floats(-1e3, 1e3)))
+            for _ in range(2))
+    params = MethodParams(n=data.draw(st.integers(0, min(K, J))), gamma=gamma, r=r, axis=axis)
+    op = iterate_derivative(mueller_first_derivative(max(K, J)), r)
+    tx, ty, both = (truncate(CoeffGrid(data=g), params, op).data
+                    for g in (x, y, a * x + b * y))
+    scale = 1.0 + np.abs(tx).max() * abs(a) + np.abs(ty).max() * abs(b) + np.abs(both).max()
+    assert np.abs(both - (a * tx + b * ty)).max() <= 1e-12 * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 80), gamma=st.floats(1, 5), r=st.integers(1, 4),
+       axis=st.sampled_from(("t", "tau")))
+def test_build_cross_matches_brute_force_property(n, gamma, r, axis):
+    cross = build_cross(n, gamma, r, axis)
+    assert set(cross.indices) == brute_force_cross(n, gamma, r, axis)
+    assert list(cross.indices) == sorted(set(cross.indices))
