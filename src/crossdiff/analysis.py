@@ -235,6 +235,11 @@ def _effective_degrees(data: np.ndarray) -> tuple[int, int]:
 # reference (2 x 128 x 513 doubles, ~1 MB) stays in cache while it is
 # subtracted and its absolute maximum taken
 _C_BLOCK = 128
+# rows per slab of a bounded C pass (_NearBias): the maximum of a noisy
+# trial usually lies in one slab, 16 rows of the 513
+_C_SLAB = 16
+# unit roundoff of float64
+_U = 2.0 ** -53
 
 
 class ErrorEvaluator:
@@ -251,7 +256,9 @@ class ErrorEvaluator:
     uniform C grid, and the reference's values on both grids are computed
     on first use and shared by every later trial. A trial synthesizes only
     its active block [0..kmax] x [0..jmax], since truncation to the cross
-    leaves every coefficient outside it zero.
+    leaves every coefficient outside it zero. _NearBias gives the C
+    distance of trials that differ from one grid by noise from a few
+    slabs of the C grid.
     """
 
     def __init__(
@@ -294,6 +301,12 @@ class ErrorEvaluator:
         g = np.linspace(-1.0, 1.0, self.grid_points)
         return phi_matrix(max(self.K, self.J), g), self._values(g, g)
 
+    @cached_property
+    def _phi_max(self) -> np.ndarray:
+        """max |phi_l| over the C grid, per degree l."""
+        phi = self._grid_tables[0]
+        return np.maximum(phi.max(axis=1), -phi.min(axis=1))
+
     def _active(self, approx: CoeffGrid):
         kmax, jmax = _effective_degrees(approx.data)
         if kmax > self.K or jmax > self.J:
@@ -324,20 +337,96 @@ class ErrorEvaluator:
         diff *= diff
         return math.sqrt(max(wt @ diff @ wtau, 0.0))
 
+    def _synthesis(self, block: np.ndarray):
+        """The C-grid synthesis of an active block as a product left @ right."""
+        phi = self._grid_tables[0]
+        return phi[: block.shape[0]].T @ block, phi[: block.shape[1]]
+
+    def _abs_diff(self, left, right, lo: int, hi: int, buf) -> np.ndarray:
+        """|synthesis - reference| on rows lo:hi of the C grid, written into buf."""
+        diff = np.matmul(left[lo:hi], right, out=buf[: hi - lo])
+        diff -= self._grid_tables[1][lo:hi]
+        return np.abs(diff, out=diff)
+
+    def _row_maxima(self, block: np.ndarray) -> np.ndarray:
+        """max over each row of the C grid of |synthesis - reference|, in
+        slabs of _C_BLOCK rows; a NaN in a row is that row's maximum."""
+        left, right = self._synthesis(block)
+        points = self.grid_points
+        buf = np.empty((min(_C_BLOCK, points), points))
+        out = np.empty(points)
+        for lo in range(0, points, _C_BLOCK):
+            hi = min(lo + _C_BLOCK, points)
+            self._abs_diff(left, right, lo, hi, buf).max(axis=1, out=out[lo:hi])
+        return out
+
     def c(self, approx: CoeffGrid) -> float:
         """Max-norm distance of approx to the reference on the uniform grid."""
-        block, kmax, jmax = self._active(approx)
-        phi, ref = self._grid_tables
-        left = phi[: kmax + 1].T @ block
-        right = phi[: jmax + 1]
-        buf = np.empty((min(_C_BLOCK, self.grid_points), self.grid_points))
-        worst = 0.0
-        for lo in range(0, self.grid_points, _C_BLOCK):
-            rows = left[lo:lo + _C_BLOCK]
-            diff = np.matmul(rows, right, out=buf[: len(rows)])
-            diff -= ref[lo:lo + _C_BLOCK]
-            np.abs(diff, out=diff)
+        return float(self._row_maxima(self._active(approx)[0]).max())
+
+
+class _NearBias:
+    """The C distance of scorer for trials A = B + N near one grid B,
+    evaluated only on the slabs of the C grid that can hold the maximum.
+
+    B is the noise-free truncation of a noise level. Built once, it keeps
+    b_s, the maximum of |synthesis(B) - reference| over each slab s of
+    _C_SLAB rows of the C grid. Since the synthesis is linear, a trial's
+    error on slab s is at most b_s + n_s, where
+    n_s = max over x in s of sum_l |(Phi^T N)(x, l)| max_y |phi_l(y)|.
+    c() evaluates slabs in decreasing order of that bound and stops once
+    its running maximum exceeds every remaining bound. Each bound is
+    raised by rel * (b_s + n_s + sigma_A + sigma_B), sigma from _scale, which
+    exceeds the rounding of both syntheses and of the bound itself. So
+    the result is the maximum of ErrorEvaluator.c's formula over every
+    _C_SLAB-row slab, bit for bit. ErrorEvaluator.c multiplies slabs of
+    _C_BLOCK rows, which BLAS may round differently in the last bit. A
+    trial or reference that is not finite is evaluated on every slab.
+    slabs holds the number of slabs the last call evaluated.
+    """
+
+    def __init__(self, scorer: ErrorEvaluator, bias: CoeffGrid):
+        self._scorer = scorer
+        self._bias, _, _ = scorer._active(bias)
+        self._starts = np.arange(0, scorer.grid_points, _C_SLAB)
+        self.bias_max = np.maximum.reduceat(scorer._row_maxima(self._bias), self._starts)
+        self._bias_scale = self._scale(self._bias)
+        # rounding of (K+1)- and (J+1)-term sums, with room to spare
+        self._rel = 8 * (scorer.K + scorer.J + 8) * _U
+        self.slabs = 0
+
+    def _scale(self, block: np.ndarray) -> float:
+        """sum_kl max|phi_k| |block_kl| max|phi_l|, which bounds the magnitude
+        of every term of the block's synthesis anywhere on the C grid."""
+        phi_max = self._scorer._phi_max
+        return float(phi_max[: block.shape[0]] @ np.abs(block) @ phi_max[: block.shape[1]])
+
+    def c(self, approx: CoeffGrid) -> float:
+        s = self._scorer
+        block, kmax, jmax = s._active(approx)
+        noise = np.zeros((max(kmax + 1, self._bias.shape[0]),
+                          max(jmax + 1, self._bias.shape[1])))
+        noise[: kmax + 1, : jmax + 1] = block
+        noise[: self._bias.shape[0], : self._bias.shape[1]] -= self._bias
+        left_n, _ = s._synthesis(noise)
+        row_noise = np.abs(left_n) @ s._phi_max[: noise.shape[1]]
+        bound = self.bias_max + np.maximum.reduceat(row_noise, self._starts)
+        limit = (bound * (1.0 + self._rel)  # 1e-300: room for underflow
+                 + self._rel * (self._scale(block) + self._bias_scale) + 1e-300)
+        left, right = s._synthesis(block)
+        points = s.grid_points
+        buf = np.empty((_C_SLAB, points))
+        worst = np.float64(0.0)
+        self.slabs = 0
+        # argsort puts NaN bounds last, so they come first here and the
+        # running maximum, never above a NaN, cannot stop before them
+        for i in np.argsort(limit)[::-1]:
+            if worst > limit[i]:
+                break
+            lo = self._starts[i]
+            diff = s._abs_diff(left, right, lo, min(lo + _C_SLAB, points), buf)
             worst = np.maximum(worst, diff.max())  # keeps a NaN, as max() does
+            self.slabs += 1
         return float(worst)
 
 
@@ -478,13 +567,15 @@ def rate_study(
                 "increase grid_degree"
             )
         params = MethodParams(n=n, gamma=g, r=r, axis=axis)
+        # every trial is this noise-free truncation plus a small noise part
+        near = _NearBias(scorer, truncate(grid, params, op))
         vals = []
         for sd in range(seeds):
             seed = base_seed + 997 * i + sd
             noisy = add_noise(grid, NoiseSpec(delta, sp.p, noise_mode, seed))
             approx = truncate(noisy, params, op)
             el2 = scorer.l2(approx)
-            ec = scorer.c(approx)
+            ec = near.c(approx)
             rows.append((delta, n, g, el2, ec, seed))
             vals.append(el2 if metric == "L2" else ec)
         medians.append(float(np.median(vals)))

@@ -499,13 +499,24 @@ def cmd_emit_surface(run: str, function: str | None = None, grid_points: int = 1
     return out_path
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flags match whole names only (argparse would read --r as --run-id),
+    and a usage error is one line on stderr, exit 2."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crossdiff",
         description="Stable recovery of partial derivatives from noisy "
         "Fourier-Legendre coefficients.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)  # subparsers are _Parser too
     cmds = {name: sub.add_parser(name, help=text) for name, text in (
         ("example1", "first corpus function's error table"),
         ("example2", "second corpus function's error table"),

@@ -13,6 +13,7 @@ from crossdiff import analysis
 from crossdiff.analysis import (
     ErrorEvaluator,
     _kink_factor,
+    _NearBias,
     c_error,
     corpus,
     example1_F,
@@ -405,6 +406,9 @@ def test_blocked_c_error_matches_the_whole_array_form(monkeypatch, points, block
                                 grid_points=points)
         params = MethodParams(n=36, gamma=2.25, r=2, axis=axis)
         trials = list(noisy_trials(grid, params, (1e-5, 1e-9)))
+        # the bounded pass multiplies slabs of another height
+        op = iterate_derivative(mueller_first_derivative(grid.K), 2)
+        near = _NearBias(scorer, truncate(grid, params, op))
         # the reference itself, and the reference plus phi_0(t) + phi_1(t),
         # whose worst points lie in the last row (t = 1) only
         exact = fn.deriv_coeffs(2, axis).data
@@ -413,8 +417,9 @@ def test_blocked_c_error_matches_the_whole_array_form(monkeypatch, points, block
         bumped[:2, 0] += 1.0
         trials.append(CoeffGrid(data=bumped))
         for approx in trials:
-            got, whole = scorer.c(approx), whole_array_c(scorer, approx)
-            assert abs(got - whole) <= rounding_bound(scorer, approx), (axis, got, whole)
+            whole, bound = whole_array_c(scorer, approx), rounding_bound(scorer, approx)
+            for got in (scorer.c(approx), near.c(approx)):
+                assert abs(got - whole) <= bound, (axis, got, whole)
     # a NaN anywhere is the result, as in the one-product form
     data = np.zeros((3, 3))
     data[1, 1] = np.nan
@@ -506,3 +511,107 @@ def test_class_norm_is_finite_beyond_the_power_form():
     assert np.isfinite(fn.coeff_data).all()
     assert class_norm(fn.coeff_data, 10.0, 20.0, 20.0) == pytest.approx(1.0, rel=1e-12)
     assert class_norm(np.zeros((3, 3)), 2.0, 1.0, 1.0) == 0.0
+
+
+def slab_maxima(scorer, approx):
+    # ErrorEvaluator.c's formula, left[slab] @ right - ref[slab], evaluated
+    # on every slab of the bounded pass: one maximum of |.| per slab
+    block, kmax, jmax = scorer._active(approx)
+    phi, ref = scorer._grid_tables
+    left = phi[: kmax + 1].T @ block
+    step = analysis._C_SLAB
+    return np.array([
+        np.abs(left[lo:lo + step] @ phi[: jmax + 1] - ref[lo:lo + step]).max()
+        for lo in range(0, scorer.grid_points, step)])
+
+
+def assert_same_float(got, want):
+    assert np.array_equal([got], [want], equal_nan=True), (got, want)
+
+
+# (n, delta) of three noise levels of the class function: the truncation
+# error dominates, both are of one size, the noise dominates
+LEVELS = {"bias": (6, 1e-12), "even": (16, 1e-4), "noise": (40, 1e-2)}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("axis", ["t", "tau"])
+@pytest.mark.parametrize("points", [257, 513, 1025])
+def test_bounded_c_equals_the_exhaustive_slab_pass(points, axis, r):
+    fn = make_class_function()
+    grid = CoeffGrid(data=np.array(fn.coeff_data))
+    op = iterate_derivative(mueller_first_derivative(grid.K), r)
+    scorer = ErrorEvaluator(fn.deriv_coeffs(r, axis), grid.K, grid.J, 0,
+                            grid_points=points)
+    g = np.linspace(-1.0, 1.0, points)
+    trials = 0
+    for level, (n, delta) in LEVELS.items():
+        params = MethodParams(n=n, gamma=2.0, r=r, axis=axis)
+        bias = truncate(grid, params, op)
+        near = _NearBias(scorer, bias)
+        noisy = [truncate(add_noise(grid, NoiseSpec(delta, 2.0, "rescaled", sd)), params, op)
+                 for sd in range(20)]
+        noise = np.abs(synthesize(noisy[0].data - bias.data, g, g)).max()
+        ratio = noise / slab_maxima(scorer, bias).max()
+        assert {"bias": ratio < 1e-6, "even": 0.05 < ratio < 20,
+                "noise": ratio > 1e3}[level], (level, ratio)
+        # noise-free (approx == B); a bump phi_0(t) + phi_1(t) whose worst
+        # points lie in the last row (t = 1), a slab of one row
+        bumped = bias.data.copy()
+        bumped[:2, 0] += 10.0 * (slab_maxima(scorer, bias).max() + noise)
+        assert np.argmax(slab_maxima(scorer, CoeffGrid(data=bumped))) == len(near.bias_max) - 1
+        for approx in [bias, CoeffGrid(data=bumped), *noisy]:
+            assert_same_float(near.c(approx), slab_maxima(scorer, approx).max())
+            trials += 1
+        # a NaN or an inf in the trial
+        for k, value in ((1, np.nan), (0, np.nan), (1, np.inf), (0, np.inf)):
+            data = noisy[0].data.copy()
+            data[k, 1] = value
+            with np.errstate(invalid="ignore"):  # inf * 0 in the synthesis
+                got = near.c(CoeffGrid(data=data))
+                assert_same_float(got, slab_maxima(scorer, CoeffGrid(data=data)).max())
+            assert not math.isfinite(got)
+            assert math.isnan(got) or value == np.inf
+            trials += 1
+    assert trials == 3 * 26
+
+
+def test_bounded_c_keeps_a_nan_of_the_reference():
+    # a reference that is NaN at one point of one middle slab
+    F = example1_F()
+    d = F.exact_deriv(2)
+
+    def exact(t, tau):
+        vals = np.array(d(t, tau), dtype=float)
+        vals[(np.abs(t - 0.25) < 1e-12) & (np.abs(tau) < 1e-12)] = np.nan
+        return vals
+
+    grid = exact_coeffs(F, 32, 32, 96)
+    op = iterate_derivative(mueller_first_derivative(32), 2)
+    params = MethodParams(n=16, gamma=2.0, r=2)
+    scorer = ErrorEvaluator(exact, 32, 32, 72)
+    near = _NearBias(scorer, truncate(grid, params, op))
+    assert np.isnan(near.bias_max).sum() == 1
+    noisy = add_noise(grid, NoiseSpec(1e-7, 2.0, "rescaled", 3))
+    assert math.isnan(near.c(truncate(noisy, params, op)))
+
+
+@pytest.mark.parametrize("axis", ["t", "tau"])
+def test_bounded_c_prunes_rate_trials(axis):
+    # every trial of a default rate study: the same maximum as the
+    # exhaustive pass from a small share of the slabs
+    fn = make_class_function()
+    grid = CoeffGrid(data=np.array(fn.coeff_data))
+    op = iterate_derivative(mueller_first_derivative(grid.K), 2)
+    scorer = ErrorEvaluator(fn.deriv_coeffs(2, axis), grid.K, grid.J, 0)
+    slabs = []
+    for i, delta in enumerate((1e-5, 1e-6, 1e-7, 1e-8, 1e-9)):
+        sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=delta)
+        params = MethodParams(n=choose_n(sp, 2), gamma=choose_gamma(sp, 2), r=2, axis=axis)
+        near = _NearBias(scorer, truncate(grid, params, op))
+        for sd in range(20):
+            noisy = add_noise(grid, NoiseSpec(delta, 2.0, "rescaled", 50 * i + sd))
+            approx = truncate(noisy, params, op)
+            assert_same_float(near.c(approx), slab_maxima(scorer, approx).max())
+            slabs.append(near.slabs)
+    assert np.mean(slabs) <= 3 and max(slabs) < len(near.bias_max) // 2, slabs

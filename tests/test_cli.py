@@ -423,6 +423,27 @@ def test_metric_is_a_rate_study_flag_only():
         run_cli("example1", "--metric", "C")
 
 
+@pytest.mark.parametrize("flag", ["--r", "--run"])
+def test_flag_prefixes_are_refused(tmp_path, capsys, monkeypatch, flag):
+    # both are prefixes of --run-id; the table commands have no --r flag
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("example1", flag, 3, "--grid-degree", 32, "--seeds", 1, "--out", tmp_path)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert os.listdir(tmp_path) == []
+
+
+def test_usage_errors_are_one_line(capsys):
+    for argv in ((), ("example1", "--grid-degree", "x"), ("rate-study",)):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("f", [f for f in FIELDS if f.parse in (float, cli.float_list)],
                          ids=lambda f: f.attr)

@@ -1,10 +1,15 @@
 """Coefficient grids: Gauss and trapezoid computation, noise, serialization."""
 
 import math
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from crossdiff import coeffs as coeffs_module
 from crossdiff.analysis import _kink_factor, example1_F, example2_F
@@ -284,3 +289,39 @@ def test_trapezoid_grid_round_trip_keeps_step(tmp_path):
     assert np.array_equal(back.data, grid.data)
     assert back.h == 0.125
     assert back.provenance == "trapezoid"
+
+
+# values a CSV round trip could lose: signed zeros, subnormals, the ends of
+# the finite range, and exact zeros besides ordinary numbers
+_EDGE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=40),
+                    elements=_EDGE_VALUES),
+    kind=st.sampled_from(["exact", "trapezoid", "noisy"]),
+    h=st.floats(1e-9, 1.0),
+    noise=st.builds(NoiseSpec, delta=st.floats(1e-300, 0.999999),
+                    p=st.one_of(st.floats(1.0, 1e300), st.just(math.inf)),
+                    mode=st.sampled_from(["rescaled", "raw_gaussian"]),
+                    seed=st.integers(0, 2 ** 63 - 1)),
+)
+def test_grid_csv_round_trip_property(data, kind, h, noise):
+    grid = {"exact": CoeffGrid(data=data),
+            "trapezoid": CoeffGrid(data=data, provenance="trapezoid", h=h),
+            "noisy": CoeffGrid(data=data, provenance="noisy", noise=noise,
+                               base_provenance="exact")}[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grid.csv")
+        save_grid(grid, path)
+        back = load_grid(path)
+    assert back.data.shape == data.shape
+    assert np.array_equal(back.data, data)
+    assert np.array_equal(np.signbit(back.data), np.signbit(data))
+    assert (back.provenance, back.h, back.noise, back.base_provenance) == (
+        grid.provenance, grid.h, grid.noise, grid.base_provenance)

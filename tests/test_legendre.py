@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import legendre as npleg
 
 from crossdiff.coeffs import _composite_rule
 from crossdiff.legendre import (
@@ -228,6 +231,19 @@ def test_coefficient_space_derivatives_match_polynomial_calculus():
             approx = P_pts.T @ (iterate_derivative(op1, r).matrix @ c)
             scale = max(1.0, np.abs(exact).max())
             assert np.abs(approx - exact).max() < 1e-8 * scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(deg=st.integers(1, 256), r=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_derivative_operator_matches_legder_property(deg, r, seed):
+    # orthonormal coefficients c_k are Legendre coefficients c_k sqrt(k+1/2)
+    c = np.random.default_rng(seed).standard_normal(deg + 1)
+    half = np.sqrt(np.arange(deg + 1) + 0.5)
+    expected = np.zeros(deg + 1)
+    der = npleg.legder(c * half, r)
+    expected[: der.size] = der / half[: der.size]
+    got = iterate_derivative(mueller_first_derivative(deg), r).matrix @ c
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_endpoint_derivative_closed_form():
