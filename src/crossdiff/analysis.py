@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .coeffs import CoeffGrid, NoiseSpec, _composite_rule, add_noise, exact_coeffs
-from .legendre import iterate_derivative, mueller_first_derivative, phi_matrix, synthesize
+from .legendre import differentiate, phi_matrix, synthesize
 from .truncation import (
     MethodParams,
     SmoothnessParams,
@@ -154,11 +154,7 @@ class TestFunction:
         _check_deriv(r, axis)
         if self.coeff_data is None:
             raise ValueError(f"{self.id} is not defined by a coefficient grid")
-        data = self.coeff_data
-        if r > 0:
-            deg = (data.shape[0] if axis == "t" else data.shape[1]) - 1
-            op = iterate_derivative(mueller_first_derivative(deg), r)
-            data = op.matrix @ data if axis == "t" else data @ op.matrix.T
+        data = differentiate(self.coeff_data, r, axis) if r > 0 else self.coeff_data
         return CoeffGrid(data=data, provenance="exact")
 
 
@@ -460,14 +456,10 @@ def theoretical_slope(sp: SmoothnessParams, r: int, metric: str = "L2", axis: st
     """Predicted exponent of the error's power-law decay in delta."""
     mu_a, mu_b = (sp.mu1, sp.mu2) if axis == "t" else (sp.mu2, sp.mu1)
     inv_p = 0.0 if math.isinf(sp.p) else 1.0 / sp.p
-    den = mu_a - inv_p + 1.0 / sp.s
-    if metric == "L2":
-        num = mu_a - 2 * r + 1.0 / sp.s - 0.5
-    elif metric == "C":
-        num = mu_a - 2 * r + 1.0 / sp.s - 1.5
-    else:
+    if metric not in ("L2", "C"):
         raise ValueError(f"metric must be 'L2' or 'C', got {metric!r}")
-    return num / den
+    num = mu_a - 2 * r + 1.0 / sp.s - (0.5 if metric == "L2" else 1.5)
+    return num / (mu_a - inv_p + 1.0 / sp.s)
 
 
 @dataclass(eq=False)
@@ -547,8 +539,6 @@ def rate_study(
     if not np.isfinite(grid.data).all():
         raise ValueError(f"coefficients of {fn.id} are not finite")
     deg_k, deg_j = grid.K, grid.J
-    op_deg = deg_k if axis == "t" else deg_j
-    op = iterate_derivative(mueller_first_derivative(op_deg), r)
     scorer = ErrorEvaluator(
         reference, deg_k, deg_j, max(deg_k, deg_j) + 40,
         fn.breakpoints_t, fn.breakpoints_tau,
@@ -568,12 +558,12 @@ def rate_study(
             )
         params = MethodParams(n=n, gamma=g, r=r, axis=axis)
         # every trial is this noise-free truncation plus a small noise part
-        near = _NearBias(scorer, truncate(grid, params, op))
+        near = _NearBias(scorer, truncate(grid, params))
         vals = []
         for sd in range(seeds):
             seed = base_seed + 997 * i + sd
             noisy = add_noise(grid, NoiseSpec(delta, sp.p, noise_mode, seed))
-            approx = truncate(noisy, params, op)
+            approx = truncate(noisy, params)
             el2 = scorer.l2(approx)
             ec = near.c(approx)
             rows.append((delta, n, g, el2, ec, seed))

@@ -195,8 +195,6 @@ def add_noise(grid: CoeffGrid, spec: NoiseSpec, support=None) -> CoeffGrid:
     indices. The Gaussian stream is drawn over the full grid shape first
     and masked, so results are reproducible regardless of support.
     """
-    if not 0.0 < spec.delta < 1.0:
-        raise ValueError(f"noise level delta={spec.delta} must lie in (0,1)")
     rng = np.random.default_rng(spec.seed)
     xi = rng.standard_normal(grid.data.shape)
     if support is not None:

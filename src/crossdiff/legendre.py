@@ -26,6 +26,7 @@ __all__ = [
     "gauss_rule",
     "mueller_first_derivative",
     "iterate_derivative",
+    "differentiate",
     "synthesize",
 ]
 
@@ -178,11 +179,30 @@ def iterate_derivative(op1: DerivOperator, r: int) -> DerivOperator:
     mat = op1.matrix
     for _ in range(r - 1):
         mat = op1.matrix @ mat
-    if not np.all(np.isfinite(mat)):
-        raise OverflowError(
-            f"operator entries overflow for order {r} at degree {op1.max_degree}"
-        )
+        if not np.isfinite(mat).all():  # no later power is finite either
+            raise OverflowError(
+                f"operator entries overflow for order {r} at degree {op1.max_degree}"
+            )
     return DerivOperator(order=r, max_degree=op1.max_degree, matrix=mat)
+
+
+def differentiate(data: np.ndarray, r: int, axis: str = "t") -> np.ndarray:
+    """Order-r derivative of a 2-D coefficient block along t (rows) or tau
+    (columns), by the order-r operator of the block's size on that axis."""
+    if axis == "t":
+        return _deriv_matrix(data.shape[0], r) @ data
+    if axis == "tau":
+        return data @ _deriv_matrix(data.shape[1], r).T
+    raise ValueError(f"axis must be 't' or 'tau', got {axis!r}")
+
+
+@functools.lru_cache(maxsize=16)  # one operator of degree 1024 holds 8 MB
+def _deriv_matrix(size: int, r: int) -> np.ndarray:
+    """Read-only order-r operator on degrees below size, zero if size <= r."""
+    mat = (iterate_derivative(mueller_first_derivative(size - 1), r).matrix
+           if size > r else np.zeros((size, size)))
+    mat.flags.writeable = False
+    return mat
 
 
 def synthesize(coeffs, t_points, tau_points) -> np.ndarray:

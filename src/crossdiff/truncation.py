@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import CoeffGrid
-from .legendre import DerivOperator
+from .legendre import differentiate
 
 __all__ = [
     "CrossSet",
@@ -149,30 +149,21 @@ def cardinality_growth(gamma: float, r: int, n_list) -> list:
     return [(n, build_cross(n, gamma, r).cardinality) for n in n_list]
 
 
-def truncate(coeffs: CoeffGrid, params: MethodParams, deriv_op: DerivOperator) -> CoeffGrid:
-    """Zero coefficients outside the cross, then apply the derivative operator.
+def truncate(coeffs: CoeffGrid, params: MethodParams) -> CoeffGrid:
+    """Zero coefficients outside the cross, then differentiate what remains.
 
     The result is the coefficient grid of the stabilized approximation to
     the (r,0) or (0,r) partial derivative, with provenance "derivative".
     """
-    if deriv_op.order != params.r:
-        raise ValueError(
-            f"operator order {deriv_op.order} does not match requested r={params.r}"
-        )
     keep = _cross_block(params.n, params.gamma, params.r, params.axis,
                         coeffs.K, coeffs.J)  # raises if grid too small
-    if deriv_op.max_degree < (coeffs.K if params.axis == "t" else coeffs.J):
-        raise ValueError("derivative operator smaller than grid degree")
     # Everything outside the cross's bounding block is zero, and the
-    # operator is upper triangular, so the derivative of the block is the
-    # whole nonzero part of the result.
+    # derivative never raises a degree, so the derivative of the block is
+    # the whole nonzero part of the result.
     kb, jb = keep.shape
-    block = np.where(keep, coeffs.data[:kb, :jb], 0.0)
     out = np.zeros((coeffs.K + 1, coeffs.J + 1))
-    if params.axis == "t":
-        out[:kb, :jb] = deriv_op.matrix[:kb, :kb] @ block
-    else:
-        out[:kb, :jb] = block @ deriv_op.matrix[:jb, :jb].T
+    out[:kb, :jb] = differentiate(np.where(keep, coeffs.data[:kb, :jb], 0.0),
+                                  params.r, params.axis)
     return CoeffGrid(data=out, provenance="derivative")
 
 
@@ -217,27 +208,19 @@ def choose_gamma(sp: SmoothnessParams, r: int, metric: str = "L2") -> float:
     """
     if r < 1:
         raise ValueError("derivative order r must be >= 1")
-    if metric == "L2":
-        den = sp.mu1 - 2 * r + 1.0 / sp.s - 0.5
-        if not den > 0:
-            raise ValueError(
-                f"smoothness mu1={sp.mu1} too small for order r={r} in L2: "
-                f"need mu1 > {2 * r - 1.0 / sp.s + 0.5:g}"
-            )
-        if sp.s >= 2.0:
-            gamma_max = (sp.mu2 + 1.0 / sp.s - 0.5) / den
-        else:
-            gamma_max = sp.mu2 / den
-    elif metric == "C":
-        den = sp.mu1 - 2 * r + 1.0 / sp.s - 1.5
-        if not den > 0:
-            raise ValueError(
-                f"smoothness mu1={sp.mu1} too small for order r={r} in C: "
-                f"need mu1 > {2 * r - 1.0 / sp.s + 1.5:g}"
-            )
-        gamma_max = (sp.mu2 + 1.0 / sp.s - 1.5) / den
-    else:
+    if metric not in ("L2", "C"):
         raise ValueError(f"metric must be 'L2' or 'C', got {metric!r}")
+    shift = 0.5 if metric == "L2" else 1.5
+    den = sp.mu1 - 2 * r + 1.0 / sp.s - shift
+    if not den > 0:
+        raise ValueError(
+            f"smoothness mu1={sp.mu1} too small for order r={r} in {metric}: "
+            f"need mu1 > {2 * r - 1.0 / sp.s + shift:g}"
+        )
+    if metric == "L2" and sp.s < 2.0:
+        gamma_max = sp.mu2 / den
+    else:
+        gamma_max = (sp.mu2 + 1.0 / sp.s - shift) / den
     if not gamma_max > 1.0:
         raise ValueError(
             f"admissible gamma interval is empty (gamma_max={gamma_max:g} <= 1)"

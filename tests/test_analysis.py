@@ -24,7 +24,7 @@ from crossdiff.analysis import (
     theoretical_slope,
 )
 from crossdiff.coeffs import CoeffGrid, NoiseSpec, _composite_rule, add_noise, exact_coeffs
-from crossdiff.legendre import iterate_derivative, mueller_first_derivative, synthesize
+from crossdiff.legendre import synthesize
 from crossdiff.truncation import (
     MethodParams,
     SmoothnessParams,
@@ -136,11 +136,10 @@ def oracle_c(approx, exact, grid_points=513):
 
 
 def noisy_trials(grid, params, deltas, seeds=2):
-    op = iterate_derivative(mueller_first_derivative(max(grid.K, grid.J)), params.r)
     for i, delta in enumerate(deltas):
         for sd in range(seeds):
             noisy = add_noise(grid, NoiseSpec(delta, 2.0, "rescaled", 10 * i + sd))
-            yield truncate(noisy, params, op)
+            yield truncate(noisy, params)
 
 
 @pytest.mark.parametrize("axis", ["t", "tau"])
@@ -222,8 +221,7 @@ def test_l2_bounded_by_twice_sup_norm():
     from crossdiff.coeffs import exact_coeffs
 
     grid = exact_coeffs(F, 32, 32, 72)
-    op = iterate_derivative(mueller_first_derivative(32), 2)
-    approx = truncate(grid, MethodParams(n=12, gamma=1.0, r=2), op)
+    approx = truncate(grid, MethodParams(n=12, gamma=1.0, r=2))
     d = F.exact_deriv(2, "t")
     el2 = l2_error(approx, d, 72, F.breakpoints_t, F.breakpoints_tau)
     ec = c_error(approx, d)
@@ -337,12 +335,11 @@ def test_noise_free_truncation_decay_rate():
     # 0.3 preasymptotic allowance)
     fn = make_class_function()
     grid = CoeffGrid(data=np.array(fn.coeff_data))
-    op = iterate_derivative(mueller_first_derivative(grid.K), 2)
     exact_d = fn.exact_deriv(2, "t")
     errs = []
     ns = (8, 16, 32, 64)
     for n in ns:
-        approx = truncate(grid, MethodParams(n=n, gamma=2.25, r=2), op)
+        approx = truncate(grid, MethodParams(n=n, gamma=2.25, r=2))
         errs.append(l2_error(approx, exact_d, grid.K + 40))
     slope = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert slope >= 5.6 - 4 + 0.5 - 0.5 - 0.3
@@ -407,8 +404,7 @@ def test_blocked_c_error_matches_the_whole_array_form(monkeypatch, points, block
         params = MethodParams(n=36, gamma=2.25, r=2, axis=axis)
         trials = list(noisy_trials(grid, params, (1e-5, 1e-9)))
         # the bounded pass multiplies slabs of another height
-        op = iterate_derivative(mueller_first_derivative(grid.K), 2)
-        near = _NearBias(scorer, truncate(grid, params, op))
+        near = _NearBias(scorer, truncate(grid, params))
         # the reference itself, and the reference plus phi_0(t) + phi_1(t),
         # whose worst points lie in the last row (t = 1) only
         exact = fn.deriv_coeffs(2, axis).data
@@ -429,13 +425,12 @@ def test_blocked_c_error_matches_the_whole_array_form(monkeypatch, points, block
 def rate_trials(fn, axis, seeds=3):
     # the trials a default rate study scores, at all five of its deltas
     grid = CoeffGrid(data=np.array(fn.coeff_data))
-    op = iterate_derivative(mueller_first_derivative(grid.K), 2)
     for i, delta in enumerate((1e-5, 1e-6, 1e-7, 1e-8, 1e-9)):
         sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=delta)
         params = MethodParams(n=choose_n(sp, 2), gamma=choose_gamma(sp, 2), r=2, axis=axis)
         for sd in range(seeds):
             yield truncate(add_noise(grid, NoiseSpec(delta, 2.0, "rescaled", 50 * i + sd)),
-                           params, op)
+                           params)
 
 
 @pytest.mark.parametrize("axis", ["t", "tau"])
@@ -540,16 +535,15 @@ LEVELS = {"bias": (6, 1e-12), "even": (16, 1e-4), "noise": (40, 1e-2)}
 def test_bounded_c_equals_the_exhaustive_slab_pass(points, axis, r):
     fn = make_class_function()
     grid = CoeffGrid(data=np.array(fn.coeff_data))
-    op = iterate_derivative(mueller_first_derivative(grid.K), r)
     scorer = ErrorEvaluator(fn.deriv_coeffs(r, axis), grid.K, grid.J, 0,
                             grid_points=points)
     g = np.linspace(-1.0, 1.0, points)
     trials = 0
     for level, (n, delta) in LEVELS.items():
         params = MethodParams(n=n, gamma=2.0, r=r, axis=axis)
-        bias = truncate(grid, params, op)
+        bias = truncate(grid, params)
         near = _NearBias(scorer, bias)
-        noisy = [truncate(add_noise(grid, NoiseSpec(delta, 2.0, "rescaled", sd)), params, op)
+        noisy = [truncate(add_noise(grid, NoiseSpec(delta, 2.0, "rescaled", sd)), params)
                  for sd in range(20)]
         noise = np.abs(synthesize(noisy[0].data - bias.data, g, g)).max()
         ratio = noise / slab_maxima(scorer, bias).max()
@@ -587,13 +581,12 @@ def test_bounded_c_keeps_a_nan_of_the_reference():
         return vals
 
     grid = exact_coeffs(F, 32, 32, 96)
-    op = iterate_derivative(mueller_first_derivative(32), 2)
     params = MethodParams(n=16, gamma=2.0, r=2)
     scorer = ErrorEvaluator(exact, 32, 32, 72)
-    near = _NearBias(scorer, truncate(grid, params, op))
+    near = _NearBias(scorer, truncate(grid, params))
     assert np.isnan(near.bias_max).sum() == 1
     noisy = add_noise(grid, NoiseSpec(1e-7, 2.0, "rescaled", 3))
-    assert math.isnan(near.c(truncate(noisy, params, op)))
+    assert math.isnan(near.c(truncate(noisy, params)))
 
 
 @pytest.mark.parametrize("axis", ["t", "tau"])
@@ -602,16 +595,15 @@ def test_bounded_c_prunes_rate_trials(axis):
     # exhaustive pass from a small share of the slabs
     fn = make_class_function()
     grid = CoeffGrid(data=np.array(fn.coeff_data))
-    op = iterate_derivative(mueller_first_derivative(grid.K), 2)
     scorer = ErrorEvaluator(fn.deriv_coeffs(2, axis), grid.K, grid.J, 0)
     slabs = []
     for i, delta in enumerate((1e-5, 1e-6, 1e-7, 1e-8, 1e-9)):
         sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=delta)
         params = MethodParams(n=choose_n(sp, 2), gamma=choose_gamma(sp, 2), r=2, axis=axis)
-        near = _NearBias(scorer, truncate(grid, params, op))
+        near = _NearBias(scorer, truncate(grid, params))
         for sd in range(20):
             noisy = add_noise(grid, NoiseSpec(delta, 2.0, "rescaled", 50 * i + sd))
-            approx = truncate(noisy, params, op)
+            approx = truncate(noisy, params)
             assert_same_float(near.c(approx), slab_maxima(scorer, approx).max())
             slabs.append(near.slabs)
     assert np.mean(slabs) <= 3 and max(slabs) < len(near.bias_max) // 2, slabs

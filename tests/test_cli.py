@@ -506,6 +506,46 @@ def test_grid_degree_limits_are_reported(tmp_path, capsys, monkeypatch, degree):
     ExperimentConfig(delta_list=(1e-7,), grid_degree=cli.MAX_GRID_DEGREE).validate()
 
 
+def test_derivative_order_limits_are_reported(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a grid was computed")
+
+    monkeypatch.setattr(cli, "exact_coeffs", refuse)
+    cfg = tmp_path / "r.ini"
+    cfg.write_text("[experiment]\nr = 0\n")
+    assert run_cli("example1", "--config", cfg, "--out", tmp_path) == 2
+    assert capsys.readouterr().err == "error: [experiment] r=0 must lie in [1, inf)\n"
+    assert os.listdir(tmp_path) == ["r.ini"]
+
+
+def test_overflowing_derivative_operator_is_reported(tmp_path, capsys):
+    # the order-200 operator of the cross's 301-row block overflows
+    cfg = tmp_path / "r.ini"
+    cfg.write_text("[experiment]\nr = 200\n[method]\nn = 300,300,300\ngrid_degree = 300\n")
+    assert run_cli("example1", "--config", cfg, "--out", tmp_path) == 2
+    assert capsys.readouterr().err == (
+        "error: operator entries overflow for order 200 at degree 300\n")
+    assert os.listdir(tmp_path) == ["r.ini"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "0,5"], "--n level 0 must lie in [2, 1024]"),
+    (["--n", "1,5"], "--n level 1 must lie in [2, 1024]"),
+    (["--n", "10,1000000"], "--n level 1000000 must lie in [2, 1024]"),
+    (["--n", "5,8", "--r", "0"], "--r=0 must lie in [1, 5], the smallest --n level"),
+    (["--n", "2,5", "--r", "3"], "--r=3 must lie in [1, 2], the smallest --n level"),
+])
+def test_cross_card_limits_are_reported(tmp_path, capsys, monkeypatch, argv, message):
+    def refuse(*args):
+        raise AssertionError("a cross was enumerated")
+
+    monkeypatch.setattr(cli, "cardinality_growth", refuse)
+    rc = run_cli("cross-card", "--gamma", "1", *argv, "--out", tmp_path)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("points", [1, cli.MAX_GRID_POINTS + 1])
 def test_surface_grid_points_limits_are_reported(tmp_path, capsys, points):
     assert run_cli("example1", "--grid-degree", 16, "--n", "8,9,10", "--seeds", 1,

@@ -11,6 +11,7 @@ from numpy.polynomial import legendre as npleg
 from crossdiff.coeffs import _composite_rule
 from crossdiff.legendre import (
     _PHI_BLOCK,
+    differentiate,
     eval_phi,
     gauss_rule,
     iterate_derivative,
@@ -18,6 +19,7 @@ from crossdiff.legendre import (
     phi_matrix,
     synthesize,
 )
+from crossdiff.truncation import build_cross
 
 
 def test_phi0_is_normalized_constant():
@@ -244,6 +246,47 @@ def test_derivative_operator_matches_legder_property(deg, r, seed):
     expected[: der.size] = der / half[: der.size]
     got = iterate_derivative(mueller_first_derivative(deg), r).matrix @ c
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), gamma=st.floats(1, 4), r=st.integers(1, 4),
+       axis=st.sampled_from(("t", "tau")), seed=st.integers(0, 2 ** 32 - 1))
+def test_differentiate_cross_block_matches_legder_and_the_operator_property(
+        data, gamma, r, axis, seed):
+    # the bounding block of a cross, zero outside it, as truncate hands it on
+    n = data.draw(st.integers(r, 160))
+    cross = build_cross(n, gamma, r, axis)
+    K, J = (max(idx[i] for idx in cross.indices) for i in (0, 1))
+    rng = np.random.default_rng(seed)
+    block = np.where(cross.mask(K, J), rng.standard_normal((K + 1, J + 1)), 0.0)
+    got = differentiate(block, r, axis)
+    cols = block if axis == "t" else block.T  # coefficient vectors as columns
+    size = cols.shape[0]
+    half = np.sqrt(np.arange(size) + 0.5)[:, None]
+    by_legder = np.zeros_like(cols)
+    der = npleg.legder(cols * half, r, axis=0)
+    by_legder[: der.shape[0]] = der / half[: der.shape[0]]
+    # the oracle operator is built at a larger degree and cut to the block
+    deg = size - 1 + data.draw(st.integers(0, 8))
+    by_operator = iterate_derivative(mueller_first_derivative(deg), r).matrix[:size, :size] @ cols
+    for expected in (by_legder, by_operator):
+        expected = expected if axis == "t" else expected.T
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_differentiate_validation_and_limits():
+    for args in ((np.ones((3, 3)), 2, "x"), (np.ones((3, 3)), 0), (np.ones((3, 3)), -1)):
+        with pytest.raises(ValueError):
+            differentiate(*args)
+    # degrees below r differentiate to zero, whatever r
+    for r in (2, 3, 10 ** 6):
+        assert np.array_equal(differentiate(np.ones((2, 3)), r), np.zeros((2, 3)))
+    assert differentiate(np.ones((4, 0)), 2, "tau").shape == (4, 0)
+    # the operator's first non-finite power ends the build, with its order and degree
+    with pytest.raises(OverflowError,
+                       match="^operator entries overflow for order 200 at degree 299$"):
+        differentiate(np.ones((300, 1)), 200)
 
 
 def test_endpoint_derivative_closed_form():

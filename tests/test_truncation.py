@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from crossdiff import truncation
+from crossdiff import legendre, truncation
 from crossdiff.analysis import example1_F
 from crossdiff.coeffs import CoeffGrid, NoiseSpec, add_noise, exact_coeffs
 from crossdiff.legendre import gauss_rule, iterate_derivative, mueller_first_derivative, synthesize
@@ -23,10 +23,6 @@ from crossdiff.truncation import (
     class_norm,
     truncate,
 )
-
-
-def second_deriv_op(deg):
-    return iterate_derivative(mueller_first_derivative(deg), 2)
 
 
 def brute_force_cross(n, gamma, r, axis):
@@ -103,8 +99,7 @@ def test_truncate_single_mode_against_difference_quotient():
     data = np.zeros((8, 8))
     data[3, 0] = 1.0
     grid = CoeffGrid(data=data)
-    op = second_deriv_op(8)
-    out = truncate(grid, MethodParams(n=3, gamma=1.0, r=2), op)
+    out = truncate(grid, MethodParams(n=3, gamma=1.0, r=2))
     ts = np.array([-0.7, -0.2, 0.4, 0.8])
     approx = synthesize(out.data, ts, np.array([0.3]))[:, 0]
     h = 1e-4
@@ -122,21 +117,19 @@ def test_truncate_single_mode_against_difference_quotient():
 
 def test_truncate_zero_grid():
     grid = CoeffGrid(data=np.zeros((12, 12)))
-    op = second_deriv_op(11)
-    out = truncate(grid, MethodParams(n=6, gamma=1.0, r=2), op)
+    out = truncate(grid, MethodParams(n=6, gamma=1.0, r=2))
     assert np.all(out.data == 0.0)
 
 
 def test_truncate_error_decreases_with_n():
     F = example1_F()
     grid = exact_coeffs(F, 64, 64, 104)
-    op = second_deriv_op(64)
     exact = F.exact_deriv(2, "t")
     rule = gauss_rule(80)
     target = exact(rule.nodes[:, None], rule.nodes[None, :])
     errs = []
     for n in (8, 12, 16, 24):
-        out = truncate(grid, MethodParams(n=n, gamma=2.0, r=2), op)
+        out = truncate(grid, MethodParams(n=n, gamma=2.0, r=2))
         vals = synthesize(out.data, rule.nodes, rule.nodes)
         diff = vals - target
         errs.append(math.sqrt(rule.weights @ (diff * diff) @ rule.weights))
@@ -148,9 +141,8 @@ def test_truncate_idempotent_on_masked_grid():
     data = rng.standard_normal((20, 20))
     params = MethodParams(n=10, gamma=1.5, r=2)
     masked = data * build_cross(10, 1.5, 2).mask(19, 19)
-    op = second_deriv_op(19)
-    a = truncate(CoeffGrid(data=masked), params, op)
-    b = truncate(CoeffGrid(data=data), params, op)
+    a = truncate(CoeffGrid(data=masked), params)
+    b = truncate(CoeffGrid(data=data), params)
     assert np.array_equal(a.data, b.data)
 
 
@@ -159,11 +151,10 @@ def test_truncate_is_linear():
     x = rng.standard_normal((16, 16))
     y = rng.standard_normal((16, 16))
     params = MethodParams(n=8, gamma=1.0, r=2)
-    op = second_deriv_op(15)
-    combined = truncate(CoeffGrid(data=2.0 * x - 3.0 * y), params, op)
+    combined = truncate(CoeffGrid(data=2.0 * x - 3.0 * y), params)
     parts = (
-        2.0 * truncate(CoeffGrid(data=x), params, op).data
-        - 3.0 * truncate(CoeffGrid(data=y), params, op).data
+        2.0 * truncate(CoeffGrid(data=x), params).data
+        - 3.0 * truncate(CoeffGrid(data=y), params).data
     )
     assert np.abs(combined.data - parts).max() < 1e-12
 
@@ -171,11 +162,10 @@ def test_truncate_is_linear():
 def test_truncate_axis_symmetry():
     rng = np.random.default_rng(7)
     data = rng.standard_normal((18, 18))
-    op = second_deriv_op(17)
     out_t = truncate(CoeffGrid(data=data),
-                     MethodParams(n=9, gamma=1.5, r=2, axis="t"), op)
+                     MethodParams(n=9, gamma=1.5, r=2, axis="t"))
     out_tau = truncate(CoeffGrid(data=data.T),
-                       MethodParams(n=9, gamma=1.5, r=2, axis="tau"), op)
+                       MethodParams(n=9, gamma=1.5, r=2, axis="tau"))
     assert np.array_equal(out_t.data, out_tau.data.T)
 
 
@@ -191,21 +181,15 @@ def test_truncate_noise_amplification_shape():
         cross = build_cross(n, 1.0, r)
         noisy = add_noise(base, NoiseSpec(delta=delta, p=math.inf, seed=n),
                           support=cross)
-        op = iterate_derivative(mueller_first_derivative(n), r)
-        out = truncate(noisy, MethodParams(n=n, gamma=1.0, r=r), op)
+        out = truncate(noisy, MethodParams(n=n, gamma=1.0, r=r))
         ratios.append(np.linalg.norm(out.data) / (delta * n ** (2 * r + 0.5)))
     assert max(ratios) < 1.0
 
 
 def test_truncate_validation():
-    grid = CoeffGrid(data=np.zeros((10, 10)))
-    op1 = mueller_first_derivative(9)
-    with pytest.raises(ValueError):
-        truncate(grid, MethodParams(n=5, gamma=1.0, r=2), op1)  # order mismatch
-    op2 = second_deriv_op(20)
     small = CoeffGrid(data=np.zeros((3, 3)))
     with pytest.raises(ValueError):
-        truncate(small, MethodParams(n=8, gamma=1.0, r=2), op2)
+        truncate(small, MethodParams(n=8, gamma=1.0, r=2))
 
 
 def test_choose_n_reference_values():
@@ -328,7 +312,7 @@ def test_block_truncate_matches_the_dense_form():
                 for n in (r - 1, r, 7, min(K, J)):  # n < r is the empty cross
                     for gamma in (1.0, 2.25):
                         params = MethodParams(n=n, gamma=gamma, r=r, axis=axis)
-                        got = truncate(CoeffGrid(data=data), params, op).data
+                        got = truncate(CoeffGrid(data=data), params).data
                         expect = dense_truncate(CoeffGrid(data=data), params, op)
                         assert got.shape == expect.shape
                         assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
@@ -342,10 +326,9 @@ def test_truncate_reuses_one_read_only_mask_per_cross(monkeypatch):
     monkeypatch.setattr(truncation, "build_cross",
                         lambda *a: calls.append(a) or build_cross(*a))
     grid = CoeffGrid(data=np.ones((20, 20)))
-    op = second_deriv_op(19)
     params = MethodParams(n=10, gamma=1.5, r=2)
-    first = truncate(grid, params, op)
-    assert np.array_equal(truncate(grid, params, op).data, first.data)
+    first = truncate(grid, params)
+    assert np.array_equal(truncate(grid, params).data, first.data)
     assert calls == [(10, 1.5, 2, "t")]
     keep = truncation._cross_block(10, 1.5, 2, "t", 19, 19)
     # k runs over 2..10 and j up to (10/2)^(1/1.5) ~ 2.9 at k = 2
@@ -353,7 +336,24 @@ def test_truncate_reuses_one_read_only_mask_per_cross(monkeypatch):
     # a grid the cross sticks out of is refused every time, not cached
     for _ in range(2):
         with pytest.raises(ValueError, match="outside grid of degrees"):
-            truncate(CoeffGrid(data=np.ones((6, 6))), params, op)
+            truncate(CoeffGrid(data=np.ones((6, 6))), params)
+
+
+def test_truncate_reuses_one_read_only_operator_per_size_and_order(monkeypatch):
+    legendre._deriv_matrix.cache_clear()
+    calls = []
+    monkeypatch.setattr(legendre, "iterate_derivative", lambda op1, r: (
+        calls.append((op1.max_degree, r)) or iterate_derivative(op1, r)))
+    # every cross below has an 11-wide block along its axis, whatever the grid
+    for K, gamma, axis in ((19, 1.5, "t"), (19, 1.5, "tau"), (19, 2.5, "t"), (30, 1.5, "t")):
+        grid = CoeffGrid(data=np.ones((K + 1, K + 1)))
+        truncate(grid, MethodParams(n=10, gamma=gamma, r=2, axis=axis))
+    assert calls == [(10, 2)]
+    truncate(grid, MethodParams(n=10, gamma=1.5, r=3))
+    assert calls == [(10, 2), (10, 3)]
+    op = legendre._deriv_matrix(11, 2)
+    assert not op.flags.writeable
+    assert np.array_equal(op, iterate_derivative(mueller_first_derivative(10), 2).matrix)
 
 
 @settings(max_examples=80, deadline=None)
@@ -364,8 +364,7 @@ def test_truncate_is_linear_property(data, a, b, r, gamma, axis):
     x, y = (data.draw(hnp.arrays(float, (K + 1, J + 1), elements=st.floats(-1e3, 1e3)))
             for _ in range(2))
     params = MethodParams(n=data.draw(st.integers(0, min(K, J))), gamma=gamma, r=r, axis=axis)
-    op = iterate_derivative(mueller_first_derivative(max(K, J)), r)
-    tx, ty, both = (truncate(CoeffGrid(data=g), params, op).data
+    tx, ty, both = (truncate(CoeffGrid(data=g), params).data
                     for g in (x, y, a * x + b * y))
     scale = 1.0 + np.abs(tx).max() * abs(a) + np.abs(ty).max() * abs(b) + np.abs(both).max()
     assert np.abs(both - (a * tx + b * ty)).max() <= 1e-12 * scale
