@@ -227,12 +227,9 @@ def _effective_degrees(data: np.ndarray) -> tuple[int, int]:
     return int(rows[-1]), int(np.flatnonzero(data.any(axis=0))[-1])
 
 
-# rows of the uniform C grid per pass: a block of the synthesis and of the
-# reference (2 x 128 x 513 doubles, ~1 MB) stays in cache while it is
-# subtracted and its absolute maximum taken
-_C_BLOCK = 128
-# rows per slab of a bounded C pass (_NearBias): the maximum of a noisy
-# trial usually lies in one slab, 16 rows of the 513
+# rows of the uniform C grid per slab: a slab of the synthesis and of the
+# reference stays in cache while it is subtracted and its absolute maximum
+# taken, and the maximum of a noisy trial usually lies in one slab of the 33
 _C_SLAB = 16
 # unit roundoff of float64
 _U = 2.0 ** -53
@@ -315,13 +312,13 @@ class ErrorEvaluator:
     def l2(self, approx: CoeffGrid) -> float:
         """L2([-1,1]^2) distance of approx to the reference: by Parseval for
         a coefficient reference, by quadrature otherwise."""
-        block, kmax, jmax = self._active(approx)
         if isinstance(self.exact, CoeffGrid):
-            ref = self.exact.data
-            diff = np.zeros((max(ref.shape[0], kmax + 1), max(ref.shape[1], jmax + 1)))
+            ref, data = self.exact.data, approx.data
+            diff = np.zeros(np.maximum(ref.shape, data.shape))
             diff[: ref.shape[0], : ref.shape[1]] = ref
-            diff[: kmax + 1, : jmax + 1] -= block
+            diff[: data.shape[0], : data.shape[1]] -= data
             return float(np.linalg.norm(diff))
+        block, kmax, jmax = self._active(approx)
         if self.quad_nodes < max(kmax, jmax) + 32:
             raise ValueError(
                 f"quad_nodes={self.quad_nodes} too small for active degrees "
@@ -333,32 +330,35 @@ class ErrorEvaluator:
         diff *= diff
         return math.sqrt(max(wt @ diff @ wtau, 0.0))
 
-    def _synthesis(self, block: np.ndarray):
-        """The C-grid synthesis of an active block as a product left @ right."""
-        phi = self._grid_tables[0]
-        return phi[: block.shape[0]].T @ block, phi[: block.shape[1]]
-
-    def _abs_diff(self, left, right, lo: int, hi: int, buf) -> np.ndarray:
-        """|synthesis - reference| on rows lo:hi of the C grid, written into buf."""
-        diff = np.matmul(left[lo:hi], right, out=buf[: hi - lo])
-        diff -= self._grid_tables[1][lo:hi]
-        return np.abs(diff, out=diff)
-
-    def _row_maxima(self, block: np.ndarray) -> np.ndarray:
-        """max over each row of the C grid of |synthesis - reference|, in
-        slabs of _C_BLOCK rows; a NaN in a row is that row's maximum."""
-        left, right = self._synthesis(block)
+    def _slab_maxima(self, block: np.ndarray, bounds=None) -> np.ndarray:
+        """max |synthesis(block) - reference| over each slab of _C_SLAB rows
+        of the C grid; a NaN in a slab is that slab's maximum. Given one
+        upper bound per slab, the slabs go in decreasing order of bound and
+        the pass stops once its running maximum exceeds every remaining
+        bound; the slabs it skips read -inf."""
+        phi, ref = self._grid_tables
+        left, right = phi[: block.shape[0]].T @ block, phi[: block.shape[1]]
         points = self.grid_points
-        buf = np.empty((min(_C_BLOCK, points), points))
-        out = np.empty(points)
-        for lo in range(0, points, _C_BLOCK):
-            hi = min(lo + _C_BLOCK, points)
-            self._abs_diff(left, right, lo, hi, buf).max(axis=1, out=out[lo:hi])
+        out = np.full(len(range(0, points, _C_SLAB)), -np.inf)
+        buf = np.empty((min(_C_SLAB, points), points))
+        # argsort puts NaN bounds last, so they come first here and the
+        # running maximum, never above a NaN, cannot stop before them
+        order = range(out.size) if bounds is None else np.argsort(bounds)[::-1]
+        worst = -np.inf
+        for i in order:
+            if bounds is not None and worst > bounds[i]:
+                break
+            lo = i * _C_SLAB
+            hi = min(lo + _C_SLAB, points)
+            diff = np.matmul(left[lo:hi], right, out=buf[: hi - lo])
+            diff -= ref[lo:hi]
+            out[i] = np.abs(diff, out=diff).max()
+            worst = np.maximum(worst, out[i])  # keeps a NaN, as max() does
         return out
 
     def c(self, approx: CoeffGrid) -> float:
         """Max-norm distance of approx to the reference on the uniform grid."""
-        return float(self._row_maxima(self._active(approx)[0]).max())
+        return float(self._slab_maxima(self._active(approx)[0]).max())
 
 
 class _NearBias:
@@ -370,22 +370,20 @@ class _NearBias:
     _C_SLAB rows of the C grid. Since the synthesis is linear, a trial's
     error on slab s is at most b_s + n_s, where
     n_s = max over x in s of sum_l |(Phi^T N)(x, l)| max_y |phi_l(y)|.
-    c() evaluates slabs in decreasing order of that bound and stops once
+    c() hands these bounds to the evaluator's slab pass, which stops once
     its running maximum exceeds every remaining bound. Each bound is
     raised by rel * (b_s + n_s + sigma_A + sigma_B), sigma from _scale, which
     exceeds the rounding of both syntheses and of the bound itself. So
-    the result is the maximum of ErrorEvaluator.c's formula over every
-    _C_SLAB-row slab, bit for bit. ErrorEvaluator.c multiplies slabs of
-    _C_BLOCK rows, which BLAS may round differently in the last bit. A
-    trial or reference that is not finite is evaluated on every slab.
-    slabs holds the number of slabs the last call evaluated.
+    the result equals ErrorEvaluator.c, bit for bit. A trial or reference
+    that is not finite is evaluated on every slab. slabs holds the number
+    of slabs the last call evaluated.
     """
 
     def __init__(self, scorer: ErrorEvaluator, bias: CoeffGrid):
         self._scorer = scorer
         self._bias, _, _ = scorer._active(bias)
         self._starts = np.arange(0, scorer.grid_points, _C_SLAB)
-        self.bias_max = np.maximum.reduceat(scorer._row_maxima(self._bias), self._starts)
+        self.bias_max = scorer._slab_maxima(self._bias)
         self._bias_scale = self._scale(self._bias)
         # rounding of (K+1)- and (J+1)-term sums, with room to spare
         self._rel = 8 * (scorer.K + scorer.J + 8) * _U
@@ -404,26 +402,14 @@ class _NearBias:
                           max(jmax + 1, self._bias.shape[1])))
         noise[: kmax + 1, : jmax + 1] = block
         noise[: self._bias.shape[0], : self._bias.shape[1]] -= self._bias
-        left_n, _ = s._synthesis(noise)
+        left_n = s._grid_tables[0][: noise.shape[0]].T @ noise
         row_noise = np.abs(left_n) @ s._phi_max[: noise.shape[1]]
         bound = self.bias_max + np.maximum.reduceat(row_noise, self._starts)
         limit = (bound * (1.0 + self._rel)  # 1e-300: room for underflow
                  + self._rel * (self._scale(block) + self._bias_scale) + 1e-300)
-        left, right = s._synthesis(block)
-        points = s.grid_points
-        buf = np.empty((_C_SLAB, points))
-        worst = np.float64(0.0)
-        self.slabs = 0
-        # argsort puts NaN bounds last, so they come first here and the
-        # running maximum, never above a NaN, cannot stop before them
-        for i in np.argsort(limit)[::-1]:
-            if worst > limit[i]:
-                break
-            lo = self._starts[i]
-            diff = s._abs_diff(left, right, lo, min(lo + _C_SLAB, points), buf)
-            worst = np.maximum(worst, diff.max())  # keeps a NaN, as max() does
-            self.slabs += 1
-        return float(worst)
+        maxima = s._slab_maxima(block, limit)
+        self.slabs = int(np.count_nonzero(maxima != -np.inf))
+        return float(maxima.max())
 
 
 def l2_error(

@@ -149,7 +149,7 @@ class ExperimentConfig:
                          also=lambda cfg: {"delta_list": (), "noise_mode": "trapezoid"})
     seeds: int = _key(5, "noise", INT, "--seeds", within="[1, inf)",
                       help="noise realizations per row")
-    base_seed: int = _key(2025, "noise", INT, "--base-seed")
+    base_seed: int = _key(2025, "noise", INT, "--base-seed", within="[0, inf)")
     n_list: tuple = _key((), "method", (_parse_n, _fmt_n), "--n", key="n", type=int_list,
                          within=f"[1, {MAX_GRID_DEGREE}]",
                          help="comma-separated truncation levels")
@@ -402,11 +402,13 @@ def _resolve_config(preset: str, args) -> ExperimentConfig:
 
 
 def cmd_rate_study(cfg: ExperimentConfig) -> RateStudyResult:
-    """Run a noise-convergence study: n from choose_n for each delta, the
-    cross shape from the metric unless gamma is set, and the function's
-    own grid degree unless grid_degree is set. A given [noise] p is
-    ignored and not written back, since the noise is drawn in the class
-    norm index [experiment] p."""
+    """Run a noise-convergence study: n from choose_n for each delta (a
+    given [method] n is refused), the cross shape from the metric unless
+    gamma is set, and the function's own grid degree unless grid_degree
+    is set. A given [noise] p is ignored and not written back, since the
+    noise is drawn in the class norm index [experiment] p."""
+    if cfg.n_list:
+        raise ValueError("rate-study takes n from choose_n, not [method] n")
     cfg = replace(cfg, noise_p=None, run_id=cfg.run_id or f"rate-{cfg.metric}")
     cfg.validate()
     if cfg.h_list:

@@ -390,12 +390,14 @@ def whole_array_c(scorer, approx):
     return float(diff.max())
 
 
-@pytest.mark.parametrize("points,block", [
-    (257, None), (513, None), (1025, None), (257, 256), (257, 258)],
-    ids=["257", "513", "1025", "block+1", "block-1"])
-def test_blocked_c_error_matches_the_whole_array_form(monkeypatch, points, block):
-    if block is not None:
-        monkeypatch.setattr(analysis, "_C_BLOCK", block)
+@pytest.mark.parametrize("points,slab", [
+    (257, None), (513, None), (1025, None), (257, 256), (257, 258), (513, 100)],
+    ids=["257", "513", "1025", "block+1", "block-1", "ragged"])
+def test_blocked_c_error_matches_the_whole_array_form(monkeypatch, points, slab):
+    # block+1 leaves a one-row last slab, block-1 and ragged a slab that
+    # does not divide the grid
+    if slab is not None:
+        monkeypatch.setattr(analysis, "_C_SLAB", slab)
     fn = make_class_function()
     grid = CoeffGrid(data=np.array(fn.coeff_data))
     for axis in ("t", "tau"):
@@ -403,7 +405,6 @@ def test_blocked_c_error_matches_the_whole_array_form(monkeypatch, points, block
                                 grid_points=points)
         params = MethodParams(n=36, gamma=2.25, r=2, axis=axis)
         trials = list(noisy_trials(grid, params, (1e-5, 1e-9)))
-        # the bounded pass multiplies slabs of another height
         near = _NearBias(scorer, truncate(grid, params))
         # the reference itself, and the reference plus phi_0(t) + phi_1(t),
         # whose worst points lie in the last row (t = 1) only
@@ -414,8 +415,10 @@ def test_blocked_c_error_matches_the_whole_array_form(monkeypatch, points, block
         trials.append(CoeffGrid(data=bumped))
         for approx in trials:
             whole, bound = whole_array_c(scorer, approx), rounding_bound(scorer, approx)
-            for got in (scorer.c(approx), near.c(approx)):
-                assert abs(got - whole) <= bound, (axis, got, whole)
+            got = scorer.c(approx)
+            assert abs(got - whole) <= bound, (axis, got, whole)
+            # the bounded pass multiplies the same slabs
+            assert_same_float(near.c(approx), got)
     # a NaN anywhere is the result, as in the one-product form
     data = np.zeros((3, 3))
     data[1, 1] = np.nan
@@ -509,8 +512,8 @@ def test_class_norm_is_finite_beyond_the_power_form():
 
 
 def slab_maxima(scorer, approx):
-    # ErrorEvaluator.c's formula, left[slab] @ right - ref[slab], evaluated
-    # on every slab of the bounded pass: one maximum of |.| per slab
+    # the slab pass's formula, left[slab] @ right - ref[slab], evaluated
+    # on every slab of _C_SLAB rows: one maximum of |.| per slab
     block, kmax, jmax = scorer._active(approx)
     phi, ref = scorer._grid_tables
     left = phi[: kmax + 1].T @ block
@@ -555,7 +558,9 @@ def test_bounded_c_equals_the_exhaustive_slab_pass(points, axis, r):
         bumped[:2, 0] += 10.0 * (slab_maxima(scorer, bias).max() + noise)
         assert np.argmax(slab_maxima(scorer, CoeffGrid(data=bumped))) == len(near.bias_max) - 1
         for approx in [bias, CoeffGrid(data=bumped), *noisy]:
-            assert_same_float(near.c(approx), slab_maxima(scorer, approx).max())
+            want = slab_maxima(scorer, approx).max()
+            assert_same_float(near.c(approx), want)
+            assert_same_float(scorer.c(approx), want)
             trials += 1
         # a NaN or an inf in the trial
         for k, value in ((1, np.nan), (0, np.nan), (1, np.inf), (0, np.inf)):
@@ -564,6 +569,7 @@ def test_bounded_c_equals_the_exhaustive_slab_pass(points, axis, r):
             with np.errstate(invalid="ignore"):  # inf * 0 in the synthesis
                 got = near.c(CoeffGrid(data=data))
                 assert_same_float(got, slab_maxima(scorer, CoeffGrid(data=data)).max())
+                assert_same_float(scorer.c(CoeffGrid(data=data)), got)
             assert not math.isfinite(got)
             assert math.isnan(got) or value == np.inf
             trials += 1

@@ -154,6 +154,16 @@ def test_rate_study_ignores_and_omits_noise_p(tmp_path):
     assert ExperimentConfig(**PRESETS["rate-study"]).noise_p is None
 
 
+def test_rate_study_refuses_a_given_n(tmp_path, capsys):
+    # n comes from choose_n; a given n would run unused yet land in config.ini
+    cfg = tmp_path / "n.ini"
+    cfg.write_text("[experiment]\nfunction = class\n\n[method]\nn = 3,3,3,3,3\n")
+    assert run_cli("rate-study", "--config", cfg, "--out", tmp_path) == 2
+    assert capsys.readouterr().err == (
+        "error: rate-study takes n from choose_n, not [method] n\n")
+    assert os.listdir(tmp_path) == ["n.ini"]
+
+
 def test_rate_study_class_function_with_large_weights_is_finite(tmp_path):
     # s * (mu1 + mu2) = 400 used to overflow the class norm into NaN errors
     cfg = tmp_path / "heavy.ini"
@@ -516,6 +526,21 @@ def test_derivative_order_limits_are_reported(tmp_path, capsys, monkeypatch):
     assert run_cli("example1", "--config", cfg, "--out", tmp_path) == 2
     assert capsys.readouterr().err == "error: [experiment] r=0 must lie in [1, inf)\n"
     assert os.listdir(tmp_path) == ["r.ini"]
+
+
+def test_negative_base_seed_is_reported(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a grid was computed")
+
+    monkeypatch.setattr(cli, "exact_coeffs", refuse)
+    message = "error: [noise] base_seed=-1 must lie in [0, inf)\n"
+    assert run_cli("example1", "--base-seed", -1, "--seeds", 1, "--out", tmp_path) == 2
+    assert capsys.readouterr().err == message
+    cfg = tmp_path / "rate.ini"
+    cfg.write_text("[experiment]\nfunction = class\n\n[noise]\nbase_seed = -1\n")
+    assert run_cli("rate-study", "--config", cfg, "--out", tmp_path) == 2
+    assert capsys.readouterr().err == message
+    assert os.listdir(tmp_path) == ["rate.ini"]
 
 
 def test_overflowing_derivative_operator_is_reported(tmp_path, capsys):
