@@ -11,21 +11,23 @@ from prescribed coefficient decay.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .coeffs import CoeffGrid, NoiseSpec, _composite_rule, add_noise, exact_coeffs
+from .coeffs import CoeffGrid, NoiseSpec, _composite_rule, _noisy_block, exact_coeffs
 from .legendre import differentiate, phi_matrix, synthesize
 from .truncation import (
-    MethodParams,
     SmoothnessParams,
+    _cross_block,
+    _truncate_block,
     choose_gamma,
     choose_n,
     class_norm,
-    truncate,
 )
 
 __all__ = [
@@ -300,25 +302,42 @@ class ErrorEvaluator:
         phi = self._grid_tables[0]
         return np.maximum(phi.max(axis=1), -phi.min(axis=1))
 
-    def _active(self, approx: CoeffGrid):
-        kmax, jmax = _effective_degrees(approx.data)
+    def _active(self, data: np.ndarray) -> np.ndarray:
+        """data up to its highest nonzero row and column."""
+        kmax, jmax = _effective_degrees(data)
         if kmax > self.K or jmax > self.J:
             raise ValueError(
                 f"active degrees ({kmax},{jmax}) exceed the evaluator's "
                 f"degrees ({self.K},{self.J})"
             )
-        return approx.data[: kmax + 1, : jmax + 1], kmax, jmax
+        return data[: kmax + 1, : jmax + 1]
 
     def l2(self, approx: CoeffGrid) -> float:
         """L2([-1,1]^2) distance of approx to the reference: by Parseval for
         a coefficient reference, by quadrature otherwise."""
+        return self._l2_block(approx.data)
+
+    def _outside(self, shape) -> float:
+        """Sum of the squares of a coefficient reference outside its top-left
+        block of the given shape. Summed directly: the total less the inside
+        cancels to ~1e-8 relative when the block holds nearly all of it."""
+        ref, (kb, jb) = self.exact.data, shape
+        return float(np.sum(np.square(ref[kb:])) + np.sum(np.square(ref[:kb, jb:])))
+
+    def _l2_block(self, block: np.ndarray, outside: float | None = None) -> float:
+        """L2 distance of the grid that is block in its top-left corner and
+        zero elsewhere. For a coefficient reference, the root of outside
+        (default: _outside(block.shape)) plus the squared distance on the
+        block; otherwise quadrature of the block's active part."""
         if isinstance(self.exact, CoeffGrid):
-            ref, data = self.exact.data, approx.data
-            diff = np.zeros(np.maximum(ref.shape, data.shape))
-            diff[: ref.shape[0], : ref.shape[1]] = ref
-            diff[: data.shape[0], : data.shape[1]] -= data
-            return float(np.linalg.norm(diff))
-        block, kmax, jmax = self._active(approx)
+            if outside is None:
+                outside = self._outside(block.shape)
+            ref = self.exact.data[: block.shape[0], : block.shape[1]]
+            diff = np.negative(block)
+            diff[: ref.shape[0], : ref.shape[1]] += ref
+            return math.sqrt(outside + float(np.sum(np.square(diff, out=diff))))
+        block = self._active(block)
+        kmax, jmax = block.shape[0] - 1, block.shape[1] - 1
         if self.quad_nodes < max(kmax, jmax) + 32:
             raise ValueError(
                 f"quad_nodes={self.quad_nodes} too small for active degrees "
@@ -358,7 +377,7 @@ class ErrorEvaluator:
 
     def c(self, approx: CoeffGrid) -> float:
         """Max-norm distance of approx to the reference on the uniform grid."""
-        return float(self._slab_maxima(self._active(approx)[0]).max())
+        return float(self._slab_maxima(self._active(approx.data)).max())
 
 
 class _NearBias:
@@ -381,7 +400,7 @@ class _NearBias:
 
     def __init__(self, scorer: ErrorEvaluator, bias: CoeffGrid):
         self._scorer = scorer
-        self._bias, _, _ = scorer._active(bias)
+        self._bias = scorer._active(bias.data)
         self._starts = np.arange(0, scorer.grid_points, _C_SLAB)
         self.bias_max = scorer._slab_maxima(self._bias)
         self._bias_scale = self._scale(self._bias)
@@ -396,11 +415,15 @@ class _NearBias:
         return float(phi_max[: block.shape[0]] @ np.abs(block) @ phi_max[: block.shape[1]])
 
     def c(self, approx: CoeffGrid) -> float:
+        return self._c_block(approx.data)
+
+    def _c_block(self, data: np.ndarray) -> float:
+        """c() of the grid that is data in its top-left corner and zero
+        elsewhere."""
         s = self._scorer
-        block, kmax, jmax = s._active(approx)
-        noise = np.zeros((max(kmax + 1, self._bias.shape[0]),
-                          max(jmax + 1, self._bias.shape[1])))
-        noise[: kmax + 1, : jmax + 1] = block
+        block = s._active(data)
+        noise = np.zeros(np.maximum(block.shape, self._bias.shape))
+        noise[: block.shape[0], : block.shape[1]] = block
         noise[: self._bias.shape[0], : self._bias.shape[1]] -= self._bias
         left_n = s._grid_tables[0][: noise.shape[0]].T @ noise
         row_noise = np.abs(left_n) @ s._phi_max[: noise.shape[1]]
@@ -477,6 +500,96 @@ class RateStudyResult:
             )
 
 
+# a forked worker takes at least this many trials (~0.7 ms each on the
+# rate-seeds workload), so that they outweigh its fork (~3 ms)
+_MIN_SHARE = 32
+
+
+def _worker_count(items: int) -> int:
+    """Processes for `items` trials: one per usable CPU, each with at least
+    _MIN_SHARE trials; one where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, items // _MIN_SHARE))
+
+
+def _run_share(fn, items: list, first: int, step: int):
+    """fn over items[first::step]: (results, None), or the results before
+    the first failure and (index of the failing item, its exception)."""
+    out = []
+    for index in range(first, len(items), step):
+        try:
+            out.append(fn(items[index]))
+        except Exception as exc:
+            return out, (index, exc)
+    return out, None
+
+
+def _forked_map(fn, items: list) -> list:
+    """[fn(x) for x in items], the items dealt in turn to _worker_count
+    processes. The caller runs the first share and forks one worker per
+    other share; a worker sends its results back through a pipe (pickle),
+    prints nothing and leaves by os._exit. The result does not depend on
+    the number of workers. A failure raises the exception of the first
+    failing item, as the serial loop would; a worker that ends without
+    sending its results raises ChildProcessError. Every worker is reaped
+    before this returns or raises.
+
+    A forked worker shares the tables the caller built, which a spawned
+    one would build again. Fork copies only the calling thread; OpenBLAS,
+    NumPy's BLAS, stops its thread pool before a fork and restarts it
+    after, through its own fork handlers."""
+    workers = min(_worker_count(len(items)), len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    pids, reads, payloads, done = [], [], [], False
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker
+                code = 1
+                try:
+                    os.close(read)
+                    with os.fdopen(write, "wb") as fh:
+                        pickle.dump(_run_share(fn, items, w, workers), fh)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            pids.append(pid)
+            reads.append(read)
+        shares = [_run_share(fn, items, 0, workers)]
+        for i, read in enumerate(reads):
+            reads[i] = None
+            with os.fdopen(read, "rb") as fh:
+                payloads.append(fh.read())
+        done = True
+    finally:
+        for read in reads:
+            if read is not None:
+                os.close(read)
+        if not done:
+            import signal  # only this path needs it
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for pid, code, payload in zip(pids, codes, payloads):
+        if code != 0 or not payload:
+            raise ChildProcessError(
+                f"forked worker {pid} ended with exit code {code} and no results")
+        shares.append(pickle.loads(payload))
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    rows = [None] * len(items)
+    for w, (out, _) in enumerate(shares):
+        rows[w::workers] = out
+    return rows
+
+
 def rate_study(
     fn: TestFunction,
     sp: SmoothnessParams,
@@ -499,6 +612,11 @@ def rate_study(
     independent perturbations are reconstructed and the per-delta median
     error in the requested metric enters a log-log least-squares fit.
     Requires delta_list to span at least three decades.
+
+    A trial works on the cross's bounding block only, and the trials are
+    split across forked processes, one per usable CPU (see _forked_map).
+    Each trial draws its own seed, so the result is the same, bit for bit,
+    for any number of processes.
     """
     delta_list = [float(d) for d in delta_list]
     if len(delta_list) < 2 or max(delta_list) / min(delta_list) < 0.999e3:
@@ -530,8 +648,12 @@ def rate_study(
         fn.breakpoints_t, fn.breakpoints_tau,
     )
 
-    rows = []
-    medians = []
+    # Everything a trial reads is built here, before the workers fork: per
+    # noise level the cross's mask, the noise-free truncation B (whose
+    # _NearBias builds the scorer's C tables) and, for Parseval, the
+    # squares of the reference outside the cross's bounding block.
+    parseval = isinstance(reference, CoeffGrid)
+    levels = []
     for i, delta in enumerate(delta_list):
         spd = replace(sp, delta=delta)
         n = choose_n(spd, r, c)
@@ -542,21 +664,28 @@ def rate_study(
                 f"truncation level n={n} exceeds grid degree {limit}; "
                 "increase grid_degree"
             )
-        params = MethodParams(n=n, gamma=g, r=r, axis=axis)
-        # every trial is this noise-free truncation plus a small noise part
-        near = _NearBias(scorer, truncate(grid, params))
-        vals = []
-        for sd in range(seeds):
-            seed = base_seed + 997 * i + sd
-            noisy = add_noise(grid, NoiseSpec(delta, sp.p, noise_mode, seed))
-            approx = truncate(noisy, params)
-            el2 = scorer.l2(approx)
-            ec = near.c(approx)
-            rows.append((delta, n, g, el2, ec, seed))
-            vals.append(el2 if metric == "L2" else ec)
-        medians.append(float(np.median(vals)))
+        keep = _cross_block(n, g, r, axis, deg_k, deg_j)
+        bias = _truncate_block(grid.data[: keep.shape[0], : keep.shape[1]], keep, r, axis)
+        outside = scorer._outside(keep.shape) if parseval else None
+        levels.append((delta, n, g, keep, _NearBias(scorer, CoeffGrid(data=bias)), outside))
+    if not parseval:
+        scorer._quad_tables  # built here once, not once per worker
+
+    def trial(item):
+        # the cross's bounding block of add_noise's grid, truncated and scored
+        i, sd = item
+        delta, n, g, keep, near, outside = levels[i]
+        seed = base_seed + 997 * i + sd
+        noisy = _noisy_block(grid.data, NoiseSpec(delta, sp.p, noise_mode, seed), keep.shape)
+        approx = _truncate_block(noisy, keep, r, axis)
+        return delta, n, g, scorer._l2_block(approx, outside), near._c_block(approx), seed
+
+    rows = _forked_map(trial, [(i, sd) for i in range(len(levels)) for sd in range(seeds)])
     if not all(math.isfinite(e) for row in rows for e in row[3:5]):
         raise ValueError(f"rate study of {fn.id} produced non-finite errors")
+    pick = 3 if metric == "L2" else 4
+    medians = [float(np.median([row[pick] for row in rows[i * seeds:(i + 1) * seeds]]))
+               for i in range(len(levels))]
 
     slope = float(np.polyfit(np.log(delta_list), np.log(medians), 1)[0])
     return RateStudyResult(

@@ -40,7 +40,7 @@ from .legendre import synthesize
 from .truncation import (
     MethodParams,
     SmoothnessParams,
-    build_cross,
+    _cross_block,
     cardinality_growth,
     choose_n,
     truncate,
@@ -334,10 +334,11 @@ def cmd_table(cfg: ExperimentConfig) -> ResultsTable:
         else:
             sp = SmoothnessParams(cfg.s, cfg.mu1, cfg.mu2, cfg.p, val)
             n = choose_n(sp, cfg.r, cfg.c)
-        if n > deg:  # checked before build_cross, whose size grows with n
+        if n > deg:  # checked before the cross, whose size grows with n, is built
             raise ValueError(f"truncation level n={n} exceeds grid degree {deg}")
         params = MethodParams(n=n, gamma=cfg.gamma, r=cfg.r, axis=cfg.axis)
-        card = build_cross(n, cfg.gamma, cfg.r, cfg.axis).cardinality
+        # the mask truncate() uses below, built once per distinct cross
+        card = int(_cross_block(n, cfg.gamma, cfg.r, cfg.axis, deg, deg).sum())
         gap = None
         if kind == "h":
             inputs = [trapezoid_coeffs(fn, deg, deg, val)]

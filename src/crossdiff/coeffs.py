@@ -182,10 +182,12 @@ def lp_norm(x, p: float) -> float:
     """l_p norm of a grid or array, p in [1, inf]."""
     if not (p >= 1.0 or math.isinf(p)):
         raise ValueError(f"norm index p={p} must lie in [1, inf]")
-    a = np.abs(np.asarray(getattr(x, "data", x), dtype=float))
+    a = np.asarray(getattr(x, "data", x), dtype=float)
     if math.isinf(p):
-        return float(a.max()) if a.size else 0.0
-    return float(np.sum(a ** p) ** (1.0 / p))
+        return float(np.abs(a).max()) if a.size else 0.0
+    # for p = 2 one pass: np.square(a) equals np.abs(a) ** 2.0 bit for bit
+    powers = np.square(a) if p == 2.0 else np.abs(a) ** p
+    return float(np.sum(powers) ** (1.0 / p))
 
 
 def add_noise(grid: CoeffGrid, spec: NoiseSpec, support=None) -> CoeffGrid:
@@ -195,25 +197,39 @@ def add_noise(grid: CoeffGrid, spec: NoiseSpec, support=None) -> CoeffGrid:
     indices. The Gaussian stream is drawn over the full grid shape first
     and masked, so results are reproducible regardless of support.
     """
-    rng = np.random.default_rng(spec.seed)
-    xi = rng.standard_normal(grid.data.shape)
-    if support is not None:
-        keep = support.mask(grid.K, grid.J)
-        xi[~keep] = 0.0
-    if spec.mode == "rescaled":
-        norm = lp_norm(xi, spec.p)
-        if norm == 0.0:
-            raise ValueError("empty noise support")
-        xi *= spec.delta / norm
-    else:
-        xi *= spec.delta
+    keep = None if support is None else support.mask(grid.K, grid.J)
     return CoeffGrid(
-        data=grid.data + xi,
+        data=_noisy_block(grid.data, spec, grid.data.shape, keep),
         provenance="noisy",
         h=grid.h,
         noise=spec,
         base_provenance=grid.provenance,
     )
+
+
+def _noisy_block(data: np.ndarray, spec: NoiseSpec, shape, keep=None) -> np.ndarray:
+    """The top-left block of the given shape of data plus the noise of spec.
+
+    The Gaussian stream is drawn over all of data, zeroed outside the mask
+    keep and, in mode "rescaled", normalised over all of data too; only the
+    block is then scaled and added. So the block holds exactly the values of
+    the same block of add_noise's grid.
+    """
+    xi = np.random.default_rng(spec.seed).standard_normal(data.shape)
+    if keep is not None:
+        xi[~keep] = 0.0
+    if spec.mode == "rescaled":
+        norm = lp_norm(xi, spec.p)
+        if norm == 0.0:
+            raise ValueError("empty noise support")
+        scale = spec.delta / norm
+    else:
+        scale = spec.delta
+    kb, jb = shape
+    block = xi[:kb, :jb]
+    block *= scale
+    block += data[:kb, :jb]
+    return block
 
 
 def _fmt(x) -> str:

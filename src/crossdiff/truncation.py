@@ -162,9 +162,14 @@ def truncate(coeffs: CoeffGrid, params: MethodParams) -> CoeffGrid:
     # the whole nonzero part of the result.
     kb, jb = keep.shape
     out = np.zeros((coeffs.K + 1, coeffs.J + 1))
-    out[:kb, :jb] = differentiate(np.where(keep, coeffs.data[:kb, :jb], 0.0),
-                                  params.r, params.axis)
+    out[:kb, :jb] = _truncate_block(coeffs.data[:kb, :jb], keep, params.r, params.axis)
     return CoeffGrid(data=out, provenance="derivative")
+
+
+def _truncate_block(block: np.ndarray, keep: np.ndarray, r: int, axis: str) -> np.ndarray:
+    """truncate on the cross's bounding block: block, of the shape of the
+    mask keep from _cross_block, zeroed outside the cross and differentiated."""
+    return differentiate(np.where(keep, block, 0.0), r, axis)
 
 
 @functools.lru_cache(maxsize=64)

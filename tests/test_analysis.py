@@ -1,6 +1,8 @@
 """Test-function corpus, error metrics, and noise-convergence studies."""
 
+import atexit
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.polynomial import polynomial as npoly
 
-from crossdiff import analysis
+from crossdiff import analysis, coeffs, truncation
 from crossdiff.analysis import (
     ErrorEvaluator,
     _kink_factor,
@@ -373,18 +375,18 @@ def test_effective_degrees_match_the_nonzero_form():
 def rounding_bound(scorer, approx):
     # largest rounding gap between two summation orders of one entry of
     # the synthesis: each is a (jmax+1)-term sum of products
-    block, kmax, jmax = scorer._active(approx)
+    block = scorer._active(approx.data)
     phi, _ = scorer._grid_tables
-    left = phi[: kmax + 1].T @ block
-    mags = np.abs(left) @ np.abs(phi[: jmax + 1])
-    return 2 * (jmax + 2) * np.finfo(float).eps * float(mags.max())
+    left = phi[: block.shape[0]].T @ block
+    mags = np.abs(left) @ np.abs(phi[: block.shape[1]])
+    return 2 * (block.shape[1] + 1) * np.finfo(float).eps * float(mags.max())
 
 
 def whole_array_c(scorer, approx):
     # the one-product form of ErrorEvaluator.c
-    block, kmax, jmax = scorer._active(approx)
+    block = scorer._active(approx.data)
     phi, ref = scorer._grid_tables
-    diff = phi[: kmax + 1].T @ block @ phi[: jmax + 1]
+    diff = phi[: block.shape[0]].T @ block @ phi[: block.shape[1]]
     diff -= ref
     np.abs(diff, out=diff)
     return float(diff.max())
@@ -459,21 +461,46 @@ def test_coefficient_reference_is_the_exact_derivative():
         fn.deriv_coeffs(2, "x")
 
 
+# Values below sqrt(tiny) ~ 1.5e-154 have subnormal squares, so both the
+# quadrature and the Parseval sums keep only a few of their digits there
+UNDERFLOW = math.sqrt(np.finfo(float).tiny)
+
+
+def assert_parseval(ref, approx_data):
+    # the Frobenius distance of two coefficient grids is the L2 distance of
+    # the functions they define, which quadrature measures exactly
+    K, J = ref.shape[0] - 1, ref.shape[1] - 1
+    approx = CoeffGrid(data=approx_data)
+    exact = lambda t, tau: synthesize(ref, np.ravel(t), np.ravel(tau))
+    quad = l2_error(approx, exact, max(K, J) + 32)
+    parseval = ErrorEvaluator(CoeffGrid(data=ref), K, J, 0).l2(approx)
+    floor = max(1e-12 * (np.abs(ref).sum() + np.abs(approx_data).sum()), UNDERFLOW)
+    assert parseval == pytest.approx(quad, rel=1e-9, abs=floor)
+    # the block form against the whole difference: the reference's squares
+    # outside approx's block are summed apart from the block's residual
+    diff = -np.pad(approx_data, [(0, K + 1 - approx_data.shape[0]),
+                                 (0, J + 1 - approx_data.shape[1])]) + ref
+    assert parseval == pytest.approx(math.sqrt(np.sum(diff * diff)), rel=1e-14, abs=UNDERFLOW)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_parseval_holds_for_a_coefficient_reference(data):
-    # the Frobenius distance of two coefficient grids is the L2 distance of
-    # the functions they define, which quadrature measures exactly
     K, J = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 12))
     elems = st.floats(-1e3, 1e3, allow_subnormal=False)
     ref = data.draw(hnp.arrays(float, (K + 1, J + 1), elements=elems))
     kk, jj = data.draw(st.integers(0, K)), data.draw(st.integers(0, J))
-    approx = CoeffGrid(data=data.draw(hnp.arrays(float, (kk + 1, jj + 1), elements=elems)))
-    exact = lambda t, tau: synthesize(ref, np.ravel(t), np.ravel(tau))
-    quad = l2_error(approx, exact, max(K, J) + 32)
-    parseval = ErrorEvaluator(CoeffGrid(data=ref), K, J, 0).l2(approx)
-    scale = np.abs(ref).sum() + np.abs(approx.data).sum()
-    assert parseval == pytest.approx(quad, rel=1e-9, abs=1e-12 * scale)
+    approx = data.draw(hnp.arrays(float, (kk + 1, jj + 1), elements=elems))
+    if data.draw(st.booleans()):  # as large as the reference
+        approx = np.pad(approx, [(0, K - kk), (0, J - jj)])
+    assert_parseval(ref, approx)
+
+
+def test_parseval_holds_below_the_underflow_scale():
+    # a draw whose squares are subnormal: quadrature 1.414906331e-158,
+    # Parseval 1.414906488e-158, 1.1e-7 apart relative
+    assert_parseval(np.zeros((1, 1)), np.array([[1.4149065e-158]]))
+    assert_parseval(np.array([[3e-160, 0.0], [0.0, -2e-155]]), np.array([[1e-158]]))
 
 
 def test_rate_study_rejects_non_finite_coefficients_and_errors():
@@ -514,12 +541,12 @@ def test_class_norm_is_finite_beyond_the_power_form():
 def slab_maxima(scorer, approx):
     # the slab pass's formula, left[slab] @ right - ref[slab], evaluated
     # on every slab of _C_SLAB rows: one maximum of |.| per slab
-    block, kmax, jmax = scorer._active(approx)
+    block = scorer._active(approx.data)
     phi, ref = scorer._grid_tables
-    left = phi[: kmax + 1].T @ block
+    left = phi[: block.shape[0]].T @ block
     step = analysis._C_SLAB
     return np.array([
-        np.abs(left[lo:lo + step] @ phi[: jmax + 1] - ref[lo:lo + step]).max()
+        np.abs(left[lo:lo + step] @ phi[: block.shape[1]] - ref[lo:lo + step]).max()
         for lo in range(0, scorer.grid_points, step)])
 
 
@@ -613,3 +640,133 @@ def test_bounded_c_prunes_rate_trials(axis):
             assert_same_float(near.c(approx), slab_maxima(scorer, approx).max())
             slabs.append(near.slabs)
     assert np.mean(slabs) <= 3 and max(slabs) < len(near.bias_max) // 2, slabs
+
+
+@pytest.mark.parametrize("axis", ["t", "tau"])
+def test_block_trials_score_like_the_full_grid(axis):
+    # a rate-study trial on the cross's bounding block: the block of the
+    # full-grid trial, the same C error bit for bit, the same L2 error to
+    # rounding, and the reference's squares outside it summed directly
+    fn = make_class_function()
+    grid = CoeffGrid(data=np.array(fn.coeff_data))
+    scorer = ErrorEvaluator(fn.deriv_coeffs(2, axis), grid.K, grid.J, 0)
+    ref = scorer.exact.data
+    for i, delta in enumerate((1e-5, 1e-7, 1e-9)):
+        sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=delta)
+        params = MethodParams(n=choose_n(sp, 2), gamma=choose_gamma(sp, 2), r=2, axis=axis)
+        keep = truncation._cross_block(params.n, params.gamma, 2, axis, grid.K, grid.J)
+        kb, jb = keep.shape
+        outside = scorer._outside(keep.shape)
+        inside = np.zeros(ref.shape, dtype=bool)
+        inside[:kb, :jb] = True
+        assert outside == pytest.approx(math.fsum(ref[~inside] ** 2), rel=1e-14)
+        near = _NearBias(scorer, truncate(grid, params))
+        for sd in range(5):
+            spec = NoiseSpec(delta, 2.0, "rescaled", 50 * i + sd)
+            full = truncate(add_noise(grid, spec), params).data
+            block = truncation._truncate_block(
+                coeffs._noisy_block(grid.data, spec, keep.shape), keep, 2, axis)
+            assert np.array_equal(block, full[:kb, :jb]) and not full[~inside].any()
+            assert_same_float(near._c_block(block), near.c(CoeffGrid(data=full)))
+            whole = float(np.linalg.norm(ref - full))
+            assert scorer._l2_block(block, outside) == pytest.approx(whole, rel=1e-15)
+
+
+RATE_SP = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=1e-7)
+# three noise levels of four seeds: trial 4 * i + sd draws seed 1000 + 997 * i + sd
+RATE_ARGS = (RATE_SP, 2, "L2", (1e-5, 1e-7, 1e-9), 4)
+
+
+def force_workers(monkeypatch, count):
+    monkeypatch.setattr(analysis, "_worker_count", lambda items: count)
+
+
+def fail_draws(monkeypatch, seeds, fail):
+    # fail(seed, pid of the caller) runs in place of the draws of these seeds
+    caller, draw = os.getpid(), analysis._noisy_block
+
+    def noisy_block(data, spec, shape, keep=None):
+        if spec.seed in seeds:
+            fail(spec.seed, caller)
+        return draw(data, spec, shape, keep)
+
+    monkeypatch.setattr(analysis, "_noisy_block", noisy_block)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_count_follows_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    counts = [analysis._worker_count(n) for n in (0, 31, 32, 64, 250, 10 ** 6)]
+    assert counts == [1, 1, 1, 2, 7, 8]
+    monkeypatch.delattr(os, "fork")
+    assert analysis._worker_count(10 ** 6) == 1
+
+
+@pytest.mark.parametrize("fn,metric,axis", [
+    (make_class_function(), "L2", "t"), (make_class_function(), "C", "tau"),
+    (example1_F(), "C", "t")], ids=["class-L2", "class-C-tau", "example1-C"])
+def test_rate_csv_is_the_same_for_any_worker_count(tmp_path, monkeypatch, fn, metric, axis):
+    sp = fn.class_info
+    written = set()
+    for workers in (1, 2, 3, 5):
+        force_workers(monkeypatch, workers)
+        path = tmp_path / f"rate-{workers}.csv"
+        rate_study(fn, sp, 2, metric, (1e-5, 1e-7, 1e-9), 4, axis=axis,
+                   grid_degree=None if fn.coeff_data is not None else 40).save(path)
+        written.add(path.read_bytes())
+    assert len(written) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_first_failing_trial_raises_for_any_worker_count(monkeypatch, workers):
+    # trials 5 and 6 fail; trial 5 is the first, whichever worker runs it
+    # (a forked one for two and three workers, where the caller runs 6)
+    force_workers(monkeypatch, workers)
+
+    def fail(seed, caller):
+        raise ValueError(f"bad draw {seed}")
+
+    fail_draws(monkeypatch, {1998, 1999}, fail)
+    with pytest.raises(ValueError, match="^bad draw 1998$"):
+        rate_study(make_class_function(), *RATE_ARGS)
+    assert_no_child_left()
+
+
+def test_worker_ending_without_results_is_reported(monkeypatch):
+    force_workers(monkeypatch, 2)
+
+    def die(seed, caller):
+        if os.getpid() != caller:
+            os._exit(3)
+
+    fail_draws(monkeypatch, {1998}, die)  # trial 5, in the forked worker's share
+    with pytest.raises(ChildProcessError,
+                       match=r"^forked worker \d+ ended with exit code 3 and no results$"):
+        rate_study(make_class_function(), *RATE_ARGS)
+    assert_no_child_left()
+
+
+def test_workers_print_nothing_and_leave_by_os_exit(tmp_path, monkeypatch, capfd):
+    # a worker that left through the interpreter's exit would run the
+    # atexit handlers and flush its copy of the unflushed "before"
+    force_workers(monkeypatch, 3)
+    marker = tmp_path / "atexit-ran"
+
+    def at_exit():
+        marker.write_text(str(os.getpid()))
+
+    atexit.register(at_exit)
+    try:
+        print("before", end="")
+        rate_study(make_class_function(), *RATE_ARGS)
+        print(" after")
+    finally:
+        atexit.unregister(at_exit)
+    assert capfd.readouterr() == ("before after\n", "")
+    assert not marker.exists()
+    assert_no_child_left()

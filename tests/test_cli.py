@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import crossdiff
-from crossdiff import cli, coeffs
+from crossdiff import analysis, cli, coeffs, truncation
 from crossdiff.analysis import example1_F
 from crossdiff.cli import FIELDS, PRESETS, ExperimentConfig, ResultRow, ResultsTable, main
 from crossdiff.coeffs import load_grid
@@ -208,6 +209,66 @@ def test_rate_study_small_run(tmp_path, capsys):
     assert len(lines) == 1 + 3 * 2 + 1
     assert lines[-1].startswith("slope,")
     assert (tmp_path / "rl2" / "config.ini").is_file()
+
+
+def _die(seed):
+    os._exit(3)
+
+
+def _refuse(seed):
+    raise ValueError(f"bad draw {seed}")
+
+
+@pytest.mark.parametrize("fail,message", [
+    (_refuse, "bad draw 1001"),
+    (_die, r"forked worker \d+ ended with exit code 3 and no results")], ids=["raise", "die"])
+def test_rate_study_worker_failure_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                                     fail, message):
+    # seed 1001 is trial 1 of 6, in the forked worker's share of two
+    monkeypatch.setattr(analysis, "_worker_count", lambda items: 2)
+    caller, draw = os.getpid(), analysis._noisy_block
+
+    def noisy_block(data, spec, shape, keep=None):
+        if spec.seed == 1001 and os.getpid() != caller:
+            fail(spec.seed)
+        return draw(data, spec, shape, keep)
+
+    monkeypatch.setattr(analysis, "_noisy_block", noisy_block)
+    cfg = tmp_path / "rate.ini"
+    cfg.write_text("[experiment]\nfunction = class\n\n"
+                   "[noise]\ndeltas = 1e-5,1e-7,1e-9\nseeds = 2\n")
+    rc = run_cli("rate-study", "--config", cfg, "--metric", "L2",
+                 "--out", tmp_path, "--run-id", "failed")
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(f"error: {message}\n", err), err
+    assert not (tmp_path / "failed").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("preset,argv", [
+    ("example1-random", ["example1", "--seeds", 1, "--grid-degree", 32]),
+    ("example1-trapezoid", ["example1", "--noise", "trapezoid", "--h", "0.01,0.01,0.01"]),
+    ("example2", ["example2", "--h", "0.01,0.01,0.01"])])
+def test_table_card_counts_each_cross_once(tmp_path, monkeypatch, preset, argv):
+    # card is read off the mask truncate() uses, so each row's cross is
+    # enumerated once, and the count is the cross's cardinality
+    truncation._cross_block.cache_clear()
+    calls, enumerate_cross = [], truncation.build_cross
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_cross(*args)
+
+    monkeypatch.setattr(truncation, "build_cross", counted)
+    monkeypatch.setattr(cli, "build_cross", counted, raising=False)  # any direct use
+    assert run_cli(*argv, "--out", tmp_path, "--run-id", "t") == 0
+    rows = read_table(tmp_path, "t").rows
+    assert [r.n for r in rows] == list(PRESETS[preset]["n_list"])
+    assert [r.card for r in rows] == [enumerate_cross(r.n, r.gamma, 2).cardinality
+                                      for r in rows]
+    assert sorted(calls) == sorted({(r.n, r.gamma, 2, "t") for r in rows})
 
 
 def test_cross_card_verdicts(tmp_path, capsys):
@@ -488,13 +549,13 @@ def test_non_finite_calibration_constant_is_reported(tmp_path, capsys, c):
 @pytest.mark.parametrize("argv", [["--n", "16,25,65"], ["--choose-n", "--c", "1e300"]],
                          ids=["given", "chosen"])
 def test_truncation_level_beyond_grid_degree_is_reported(tmp_path, capsys, monkeypatch, argv):
-    enumerate_cross = cli.build_cross
+    enumerate_cross = truncation.build_cross
 
     def small_crosses_only(n, *args):
         assert n <= 64, "the refused cross was enumerated"
         return enumerate_cross(n, *args)
 
-    monkeypatch.setattr(cli, "build_cross", small_crosses_only)
+    monkeypatch.setattr(truncation, "build_cross", small_crosses_only)
     rc = run_cli("example1", *argv, "--seeds", 1, "--out", tmp_path)
     assert rc == 2
     err = capsys.readouterr().err

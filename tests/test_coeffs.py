@@ -25,6 +25,7 @@ from crossdiff.coeffs import (
     trapezoid_coeffs,
 )
 from crossdiff.legendre import eval_phi, gauss_rule, phi_matrix, synthesize
+from crossdiff.truncation import build_cross
 
 
 def test_exact_coeffs_orthonormal_product():
@@ -243,8 +244,6 @@ def test_add_noise_raw_gaussian_mode():
 
 
 def test_add_noise_restricted_to_cross_support():
-    from crossdiff.truncation import build_cross
-
     grid = CoeffGrid(data=np.zeros((10, 10)))
     cross = build_cross(5, 1.0, 2)
     out = add_noise(grid, NoiseSpec(delta=1e-4, p=2.0, seed=1), support=cross)
@@ -265,6 +264,32 @@ def test_lp_norm_values():
     assert lp_norm(CoeffGrid(data=two), math.inf) == 4.0
     with pytest.raises(ValueError):
         lp_norm(x, 0.9)
+
+
+def test_lp_norm_two_is_the_abs_power_sum_bit_for_bit():
+    # np.square(x) and np.abs(x) ** 2.0 give the same bits, so the one-pass
+    # p = 2 norm is the norm of the abs/power form
+    rng = np.random.default_rng(5)
+    arrays = [rng.standard_normal((129, 129)), rng.standard_normal((7, 3)) * 1e-160,
+              rng.standard_normal(1000) * 1e150, np.array([[-0.0, 5e-324, -3.0]]),
+              np.zeros((0, 4))]
+    for x in arrays:
+        power = np.sum(np.abs(x) ** 2.0)
+        assert np.array_equal(np.sum(np.square(x)), power)
+        assert np.array_equal(lp_norm(x, 2.0), power ** 0.5)
+
+
+def test_noisy_block_is_the_block_of_add_noise():
+    grid = exact_coeffs(example1_F(), 20, 20, 60)
+    for spec, support in ((NoiseSpec(1e-6, 2.0, "rescaled", 7), None),
+                          (NoiseSpec(1e-6, math.inf, "rescaled", 8), None),
+                          (NoiseSpec(1e-6, 2.0, "raw_gaussian", 9), None),
+                          (NoiseSpec(1e-6, 1.0, "rescaled", 10), build_cross(9, 1.0, 2))):
+        full = add_noise(grid, spec, support).data
+        keep = None if support is None else support.mask(grid.K, grid.J)
+        for shape in ((21, 21), (10, 4), (1, 1), (0, 0)):
+            block = coeffs_module._noisy_block(grid.data, spec, shape, keep)
+            assert np.array_equal(block, full[: shape[0], : shape[1]])
 
 
 def test_grid_csv_round_trip_is_bit_exact(tmp_path):
