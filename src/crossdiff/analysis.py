@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -500,18 +501,21 @@ class RateStudyResult:
             )
 
 
-# a forked worker takes at least this many trials (~0.7 ms each on the
-# rate-seeds workload), so that they outweigh its fork (~3 ms)
+# Forking is limited to where it was measured (Linux, OpenBLAS, 2 CPUs).
+# There 2 forked workers lost to the serial loop or tied with it up to
+# 30-32 trials, and won by 1.12x or more from 52-65 trials on, for L2 and
+# C errors, Parseval and quadrature alike. So a worker takes at least
+# _MIN_SHARE trials, and there are at most _MAX_WORKERS of them.
 _MIN_SHARE = 32
+_MAX_WORKERS = 2
 
 
 def _worker_count(items: int) -> int:
-    """Processes for `items` trials: one per usable CPU, each with at least
-    _MIN_SHARE trials; one where the platform cannot fork."""
-    if not hasattr(os, "fork"):
+    """Processes for `items` trials: one per usable CPU, at most
+    _MAX_WORKERS, each with at least _MIN_SHARE trials; one off Linux."""
+    if not sys.platform.startswith("linux"):
         return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cpus or 1, items // _MIN_SHARE))
+    return max(1, min(len(os.sched_getaffinity(0)), _MAX_WORKERS, items // _MIN_SHARE))
 
 
 def _run_share(fn, items: list, first: int, step: int):
@@ -529,7 +533,7 @@ def _run_share(fn, items: list, first: int, step: int):
 def _forked_map(fn, items: list) -> list:
     """[fn(x) for x in items], the items dealt in turn to _worker_count
     processes. The caller runs the first share and forks one worker per
-    other share; a worker sends its results back through a pipe (pickle),
+    other share (none for a single share); a worker sends its results back through a pipe (pickle),
     prints nothing and leaves by os._exit. The result does not depend on
     the number of workers. A failure raises the exception of the first
     failing item, as the serial loop would; a worker that ends without
@@ -539,10 +543,9 @@ def _forked_map(fn, items: list) -> list:
     A forked worker shares the tables the caller built, which a spawned
     one would build again. Fork copies only the calling thread; OpenBLAS,
     NumPy's BLAS, stops its thread pool before a fork and restarts it
-    after, through its own fork handlers."""
-    workers = min(_worker_count(len(items)), len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
+    after, through its own fork handlers. Python 3.12 and later warn
+    (DeprecationWarning) on a fork while such threads exist."""
+    workers = _worker_count(len(items))
     pids, reads, payloads, done = [], [], [], False
     try:
         for w in range(1, workers):
@@ -613,8 +616,9 @@ def rate_study(
     error in the requested metric enters a log-log least-squares fit.
     Requires delta_list to span at least three decades.
 
-    A trial works on the cross's bounding block only, and the trials are
-    split across forked processes, one per usable CPU (see _forked_map).
+    A trial works on the cross's bounding block only. So this call may
+    fork: on Linux, a study of 64 or more trials splits them across two
+    processes where two CPUs are usable (see _worker_count, _forked_map).
     Each trial draws its own seed, so the result is the same, bit for bit,
     for any number of processes.
     """

@@ -3,6 +3,7 @@
 import atexit
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -699,11 +700,23 @@ def assert_no_child_left():
 
 
 def test_worker_count_follows_the_usable_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    counts = [analysis._worker_count(n) for n in (0, 31, 32, 64, 250, 10 ** 6)]
-    assert counts == [1, 1, 1, 2, 7, 8]
-    monkeypatch.delattr(os, "fork")
-    assert analysis._worker_count(10 ** 6) == 1
+    # at least 32 trials a worker, at most two workers, forked on Linux only
+    sizes = (0, 31, 32, 63, 64, 250, 10 ** 6)
+    monkeypatch.setattr(sys, "platform", "linux")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert [analysis._worker_count(n) for n in sizes] == [1, 1, 1, 1, 2, 2, 2]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert [analysis._worker_count(n) for n in sizes] == [1] * len(sizes)
+    for platform in ("darwin", "win32"):
+        monkeypatch.setattr(sys, "platform", platform)
+        assert analysis._worker_count(10 ** 6) == 1
+
+
+def test_shares_may_be_empty(monkeypatch):
+    force_workers(monkeypatch, 3)
+    assert analysis._forked_map(abs, []) == []
+    assert analysis._forked_map(abs, [-1, -2]) == [1, 2]
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("fn,metric,axis", [
