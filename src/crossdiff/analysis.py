@@ -245,15 +245,17 @@ class ErrorEvaluator:
     of the grids it will score; quad_nodes and the breakpoints mean what
     they mean in l2_error, grid_points what it means in c_error. The
     reference is a callable f(t, tau) or, for a function defined by its
-    coefficients, the CoeffGrid of its derivative (TestFunction.deriv_coeffs);
-    the L2 distance to a CoeffGrid is the Frobenius distance of the
-    coefficients (Parseval), with no quadrature.
-    The composite Gauss rules, the basis tables at their nodes and on the
-    uniform C grid, and the reference's values on both grids are computed
-    on first use and shared by every later trial. A trial synthesizes only
-    its active block [0..kmax] x [0..jmax], since truncation to the cross
-    leaves every coefficient outside it zero. _NearBias gives the C
-    distance of trials that differ from one grid by noise from a few
+    coefficients, the CoeffGrid of its derivative (TestFunction.deriv_coeffs).
+    Either stands in as coefficients c_Q and a tail, computed on first use:
+    a CoeffGrid is its own c_Q with tail 0; a callable F has its projection
+    c_Q under the composite Gauss rule and tail = ||F - Pi F||_Q^2. The rule
+    keeps the basis below quad_nodes orthonormal, so for every grid a within
+    those degrees ||F - a||_Q^2 = tail + ||c_Q - a||_F^2: two sums of squares,
+    nothing to cancel, and no quadrature in any trial (Parseval). A C trial
+    synthesizes only its active block [0..kmax] x [0..jmax], since
+    truncation to the cross leaves every coefficient outside it zero, on the
+    uniform C grid, whose tables are shared the same way. _NearBias gives
+    the C distance of trials that differ from one grid by noise from a few
     slabs of the C grid.
     """
 
@@ -283,14 +285,22 @@ class ErrorEvaluator:
         return np.asarray(self.exact(t[:, None], tau[None, :]), dtype=float)
 
     @cached_property
-    def _quad_tables(self):
+    def _reference(self) -> tuple[np.ndarray, float]:
+        """(c_Q, tail): the reference's coefficients, of degrees up to (K, J)
+        and below quad_nodes, and the squared quadrature distance they leave."""
+        if isinstance(self.exact, CoeffGrid):
+            return self.exact.data, 0.0
         t, wt = _composite_rule(self.quad_nodes, self.breakpoints_t)
         if self.breakpoints_tau == self.breakpoints_t:
             tau, wtau = t, wt
         else:
             tau, wtau = _composite_rule(self.quad_nodes, self.breakpoints_tau)
+        deg = self.quad_nodes - 1
+        pt, ptau = phi_matrix(min(self.K, deg), t), phi_matrix(min(self.J, deg), tau)
         ref = self._values(t, tau)
-        return wt, wtau, phi_matrix(self.K, t), phi_matrix(self.J, tau), ref
+        coeffs = (pt * wt) @ ref @ (ptau * wtau).T
+        resid = ref - pt.T @ coeffs @ ptau
+        return coeffs, float(wt @ np.square(resid, out=resid) @ wtau)
 
     @cached_property
     def _grid_tables(self):
@@ -314,41 +324,33 @@ class ErrorEvaluator:
         return data[: kmax + 1, : jmax + 1]
 
     def l2(self, approx: CoeffGrid) -> float:
-        """L2([-1,1]^2) distance of approx to the reference: by Parseval for
-        a coefficient reference, by quadrature otherwise."""
-        return self._l2_block(approx.data)
+        """L2([-1,1]^2) distance of approx to the reference. Against a
+        callable, approx's active degrees must lie within (K, J) and at least
+        32 below quad_nodes, as in l2_error: the identity holds only there."""
+        block = approx.data
+        if not isinstance(self.exact, CoeffGrid):
+            block = self._active(block)
+            _check_margin(self.quad_nodes, block)
+        return self._l2_block(block)
 
     def _outside(self, shape) -> float:
-        """Sum of the squares of a coefficient reference outside its top-left
-        block of the given shape. Summed directly: the total less the inside
-        cancels to ~1e-8 relative when the block holds nearly all of it."""
-        ref, (kb, jb) = self.exact.data, shape
-        return float(np.sum(np.square(ref[kb:])) + np.sum(np.square(ref[:kb, jb:])))
+        """tail plus the squares of c_Q outside its top-left block of the
+        given shape. Summed directly: the total less the inside cancels to
+        ~1e-8 relative when the block holds nearly all of it."""
+        (ref, tail), (kb, jb) = self._reference, shape
+        return float(tail + np.sum(np.square(ref[kb:])) + np.sum(np.square(ref[:kb, jb:])))
 
     def _l2_block(self, block: np.ndarray, outside: float | None = None) -> float:
         """L2 distance of the grid that is block in its top-left corner and
-        zero elsewhere. For a coefficient reference, the root of outside
-        (default: _outside(block.shape)) plus the squared distance on the
-        block; otherwise quadrature of the block's active part."""
-        if isinstance(self.exact, CoeffGrid):
-            if outside is None:
-                outside = self._outside(block.shape)
-            ref = self.exact.data[: block.shape[0], : block.shape[1]]
-            diff = np.negative(block)
-            diff[: ref.shape[0], : ref.shape[1]] += ref
-            return math.sqrt(outside + float(np.sum(np.square(diff, out=diff))))
-        block = self._active(block)
-        kmax, jmax = block.shape[0] - 1, block.shape[1] - 1
-        if self.quad_nodes < max(kmax, jmax) + 32:
-            raise ValueError(
-                f"quad_nodes={self.quad_nodes} too small for active degrees "
-                f"({kmax},{jmax})"
-            )
-        wt, wtau, pt, ptau, ref = self._quad_tables
-        diff = pt[: kmax + 1].T @ block @ ptau[: jmax + 1]
-        diff -= ref
-        diff *= diff
-        return math.sqrt(max(wt @ diff @ wtau, 0.0))
+        zero elsewhere: the root of outside (default: _outside(block.shape))
+        plus the squared distance to the reference's coefficients on the
+        block."""
+        if outside is None:
+            outside = self._outside(block.shape)
+        ref = self._reference[0][: block.shape[0], : block.shape[1]]
+        diff = np.negative(block)
+        diff[: ref.shape[0], : ref.shape[1]] += ref
+        return math.sqrt(outside + float(np.sum(np.square(diff, out=diff))))
 
     def _slab_maxima(self, block: np.ndarray, bounds=None) -> np.ndarray:
         """max |synthesis(block) - reference| over each slab of _C_SLAB rows
@@ -436,6 +438,15 @@ class _NearBias:
         return float(maxima.max())
 
 
+def _check_margin(quad_nodes: int, data: np.ndarray) -> None:
+    """Refuse quad_nodes short of data's active degrees + 32 (see l2_error)."""
+    kmax, jmax = _effective_degrees(data)
+    if quad_nodes < max(kmax, jmax) + 32:
+        raise ValueError(
+            f"quad_nodes={quad_nodes} too small for active degrees ({kmax},{jmax})"
+        )
+
+
 def l2_error(
     approx: CoeffGrid,
     exact,
@@ -448,11 +459,17 @@ def l2_error(
     quad_nodes (per smooth piece per axis) must exceed the highest active
     degree of approx by >= 32 so the quadrature resolves the integrand;
     breakpoints split the rule where the reference is only piecewise smooth.
+    A callable reference is integrated here, on fresh composite Gauss rules:
+    the quadrature form ErrorEvaluator's coefficient path is tested against.
     Scoring many grids against one reference is cheaper with ErrorEvaluator.
     """
-    return ErrorEvaluator(
-        exact, approx.K, approx.J, quad_nodes, breakpoints_t, breakpoints_tau
-    ).l2(approx)
+    if isinstance(exact, CoeffGrid):
+        return ErrorEvaluator(exact, approx.K, approx.J, quad_nodes).l2(approx)
+    _check_margin(quad_nodes, approx.data)
+    t, wt = _composite_rule(quad_nodes, breakpoints_t)
+    tau, wtau = _composite_rule(quad_nodes, breakpoints_tau)
+    diff = synthesize(approx, t, tau) - np.asarray(exact(t[:, None], tau[None, :]), dtype=float)
+    return math.sqrt(max(wt @ np.square(diff, out=diff) @ wtau, 0.0))
 
 
 def c_error(approx: CoeffGrid, exact, grid_points: int = 513) -> float:
@@ -518,7 +535,7 @@ def _worker_count(items: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), _MAX_WORKERS, items // _MIN_SHARE))
 
 
-def _run_share(fn, items: list, first: int, step: int):
+def _run_share(fn, items, first: int, step: int):
     """fn over items[first::step]: (results, None), or the results before
     the first failure and (index of the failing item, its exception)."""
     out = []
@@ -530,9 +547,9 @@ def _run_share(fn, items: list, first: int, step: int):
     return out, None
 
 
-def _forked_map(fn, items: list) -> list:
-    """[fn(x) for x in items], the items dealt in turn to _worker_count
-    processes. The caller runs the first share and forks one worker per
+def _forked_map(fn, items) -> list:
+    """[fn(x) for x in items], the items (a list or range) dealt in turn
+    to _worker_count processes. The caller runs the first share and forks one worker per
     other share (none for a single share); a worker sends its results back through a pipe (pickle),
     prints nothing and leaves by os._exit. The result does not depend on
     the number of workers. A failure raises the exception of the first
@@ -638,7 +655,7 @@ def rate_study(
                 f"grid_degree={grid_degree} differs from the degree {deg} of "
                 f"{fn.id}'s coefficient data; omit grid_degree"
             )
-        # the derivative has a finite expansion, so L2 errors follow by Parseval
+        # the derivative has a finite expansion: its own c_Q, with tail 0
         reference = fn.deriv_coeffs(r, axis)
     else:
         deg = 64 if grid_degree is None else grid_degree
@@ -654,9 +671,9 @@ def rate_study(
 
     # Everything a trial reads is built here, before the workers fork: per
     # noise level the cross's mask, the noise-free truncation B (whose
-    # _NearBias builds the scorer's C tables) and, for Parseval, the
-    # squares of the reference outside the cross's bounding block.
-    parseval = isinstance(reference, CoeffGrid)
+    # _NearBias builds the scorer's C tables) and the scorer's tail plus
+    # the squares of c_Q outside the cross's bounding block (whose first
+    # sum builds c_Q and the tail).
     levels = []
     for i, delta in enumerate(delta_list):
         spd = replace(sp, delta=delta)
@@ -670,21 +687,19 @@ def rate_study(
             )
         keep = _cross_block(n, g, r, axis, deg_k, deg_j)
         bias = _truncate_block(grid.data[: keep.shape[0], : keep.shape[1]], keep, r, axis)
-        outside = scorer._outside(keep.shape) if parseval else None
-        levels.append((delta, n, g, keep, _NearBias(scorer, CoeffGrid(data=bias)), outside))
-    if not parseval:
-        scorer._quad_tables  # built here once, not once per worker
+        levels.append((delta, n, g, keep, _NearBias(scorer, CoeffGrid(data=bias)),
+                       scorer._outside(keep.shape)))
 
-    def trial(item):
+    def trial(index):
         # the cross's bounding block of add_noise's grid, truncated and scored
-        i, sd = item
+        i, sd = divmod(index, seeds)
         delta, n, g, keep, near, outside = levels[i]
         seed = base_seed + 997 * i + sd
         noisy = _noisy_block(grid.data, NoiseSpec(delta, sp.p, noise_mode, seed), keep.shape)
         approx = _truncate_block(noisy, keep, r, axis)
         return delta, n, g, scorer._l2_block(approx, outside), near._c_block(approx), seed
 
-    rows = _forked_map(trial, [(i, sd) for i in range(len(levels)) for sd in range(seeds)])
+    rows = _forked_map(trial, range(len(levels) * seeds))
     if not all(math.isfinite(e) for row in rows for e in row[3:5]):
         raise ValueError(f"rate study of {fn.id} produced non-finite errors")
     pick = 3 if metric == "L2" else 4

@@ -61,6 +61,10 @@ __all__ = [
 
 _ENV_ROOT = "CROSSDIFF_RESULTS"
 MAX_GRID_DEGREE = 1024  # the high-degree regime; gauss_rule's cost grows as m^2
+# Noise realizations per row or noise level. A rate study keeps a ~220-byte
+# row per trial, so at this limit its five default noise levels hold ~1.1 GB
+# and take ~25 min on 2 CPUs.
+MAX_SEEDS = 10 ** 6
 MAX_GRID_POINTS = 1025  # emit-surface writes points^2 rows, ~100 MB at the limit
 TABLES = ("example1", "example2")
 _RUNS = TABLES + ("rate-study", "cross-card")  # the commands that write a run directory
@@ -147,7 +151,7 @@ class ExperimentConfig:
     h_list: tuple = _key((), "noise", FLOATS, "--h", key="hs",
                          help="comma-separated trapezoid steps",
                          also=lambda cfg: {"delta_list": (), "noise_mode": "trapezoid"})
-    seeds: int = _key(5, "noise", INT, "--seeds", within="[1, inf)",
+    seeds: int = _key(5, "noise", INT, "--seeds", within=f"[1, {MAX_SEEDS}]",
                       help="noise realizations per row")
     base_seed: int = _key(2025, "noise", INT, "--base-seed", within="[0, inf)")
     n_list: tuple = _key((), "method", (_parse_n, _fmt_n), "--n", key="n", type=int_list,

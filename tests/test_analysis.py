@@ -212,6 +212,17 @@ def test_error_metric_preconditions():
         ErrorEvaluator(exact, 8, 8, 48).c(grid)
 
 
+def test_evaluator_projects_only_onto_the_degrees_its_rule_resolves():
+    # the 40-node rule keeps phi_0..phi_39 orthonormal, not the evaluator's
+    # degrees up to 80, where this reference holds as much as below
+    rng = np.random.default_rng(7)
+    ref = rng.standard_normal((81, 81))
+    exact = lambda t, tau: synthesize(ref, np.ravel(t), np.ravel(tau))
+    approx = CoeffGrid(data=rng.standard_normal((9, 9)))
+    expect = oracle_l2(approx, exact, 40)
+    assert ErrorEvaluator(exact, 80, 80, 40).l2(approx) == pytest.approx(expect, rel=1e-12)
+
+
 def test_l2_bounded_by_twice_sup_norm():
     # area of the square is 4, so ||g||_L2 <= 2 ||g||_C; the sampled sup
     # slightly underestimates, hence the tiny slack
@@ -477,6 +488,10 @@ def assert_parseval(ref, approx_data):
     parseval = ErrorEvaluator(CoeffGrid(data=ref), K, J, 0).l2(approx)
     floor = max(1e-12 * (np.abs(ref).sum() + np.abs(approx_data).sum()), UNDERFLOW)
     assert parseval == pytest.approx(quad, rel=1e-9, abs=floor)
+    # the evaluator on the callable, of approx's degrees: its projection is
+    # ref's top-left block, its tail the squares of ref outside that block
+    projected = ErrorEvaluator(exact, approx.K, approx.J, max(K, J) + 32).l2(approx)
+    assert projected == pytest.approx(parseval, rel=1e-12, abs=floor)
     # the block form against the whole difference: the reference's squares
     # outside approx's block are summed apart from the block's residual
     diff = -np.pad(approx_data, [(0, K + 1 - approx_data.shape[0]),
@@ -643,15 +658,23 @@ def test_bounded_c_prunes_rate_trials(axis):
     assert np.mean(slabs) <= 3 and max(slabs) < len(near.bias_max) // 2, slabs
 
 
-@pytest.mark.parametrize("axis", ["t", "tau"])
-def test_block_trials_score_like_the_full_grid(axis):
+@pytest.mark.parametrize("axis,make", [
+    ("t", make_class_function), ("tau", make_class_function),
+    ("t", example1_F), ("tau", example1_F)], ids=["t", "tau", "example1-t", "example1-tau"])
+def test_block_trials_score_like_the_full_grid(axis, make):
     # a rate-study trial on the cross's bounding block: the block of the
     # full-grid trial, the same C error bit for bit, the same L2 error to
-    # rounding, and the reference's squares outside it summed directly
-    fn = make_class_function()
-    grid = CoeffGrid(data=np.array(fn.coeff_data))
-    scorer = ErrorEvaluator(fn.deriv_coeffs(2, axis), grid.K, grid.J, 0)
-    ref = scorer.exact.data
+    # rounding, and the reference's squares outside it summed directly;
+    # against a callable reference, the L2 error of per-call quadrature
+    fn = make()
+    bt, btau = fn.breakpoints_t, fn.breakpoints_tau
+    if fn.coeff_data is not None:
+        grid = CoeffGrid(data=np.array(fn.coeff_data))
+        scorer = ErrorEvaluator(fn.deriv_coeffs(2, axis), grid.K, grid.J, 0)
+    else:  # as rate_study builds it
+        grid = exact_coeffs(fn, 64, 64, 104)
+        scorer = ErrorEvaluator(fn.exact_deriv(2, axis), 64, 64, 104, bt, btau)
+    ref, tail = scorer._reference
     for i, delta in enumerate((1e-5, 1e-7, 1e-9)):
         sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=delta)
         params = MethodParams(n=choose_n(sp, 2), gamma=choose_gamma(sp, 2), r=2, axis=axis)
@@ -660,7 +683,7 @@ def test_block_trials_score_like_the_full_grid(axis):
         outside = scorer._outside(keep.shape)
         inside = np.zeros(ref.shape, dtype=bool)
         inside[:kb, :jb] = True
-        assert outside == pytest.approx(math.fsum(ref[~inside] ** 2), rel=1e-14)
+        assert outside == pytest.approx(tail + math.fsum(ref[~inside] ** 2), rel=1e-14)
         near = _NearBias(scorer, truncate(grid, params))
         for sd in range(5):
             spec = NoiseSpec(delta, 2.0, "rescaled", 50 * i + sd)
@@ -669,8 +692,11 @@ def test_block_trials_score_like_the_full_grid(axis):
                 coeffs._noisy_block(grid.data, spec, keep.shape), keep, 2, axis)
             assert np.array_equal(block, full[:kb, :jb]) and not full[~inside].any()
             assert_same_float(near._c_block(block), near.c(CoeffGrid(data=full)))
-            whole = float(np.linalg.norm(ref - full))
-            assert scorer._l2_block(block, outside) == pytest.approx(whole, rel=1e-15)
+            if fn.coeff_data is None:
+                whole, rel = oracle_l2(CoeffGrid(data=full), scorer.exact, 104, bt, btau), 1e-12
+            else:
+                whole, rel = float(np.linalg.norm(ref - full)), 1e-15
+            assert scorer._l2_block(block, outside) == pytest.approx(whole, rel=rel)
 
 
 RATE_SP = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=1e-7)
@@ -721,7 +747,8 @@ def test_shares_may_be_empty(monkeypatch):
 
 @pytest.mark.parametrize("fn,metric,axis", [
     (make_class_function(), "L2", "t"), (make_class_function(), "C", "tau"),
-    (example1_F(), "C", "t")], ids=["class-L2", "class-C-tau", "example1-C"])
+    (example1_F(), "C", "t"), (example1_F(), "L2", "tau")],
+    ids=["class-L2", "class-C-tau", "example1-C", "example1-L2-tau"])
 def test_rate_csv_is_the_same_for_any_worker_count(tmp_path, monkeypatch, fn, metric, axis):
     sp = fn.class_info
     written = set()

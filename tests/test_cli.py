@@ -604,6 +604,25 @@ def test_negative_base_seed_is_reported(tmp_path, capsys, monkeypatch):
     assert os.listdir(tmp_path) == ["rate.ini"]
 
 
+@pytest.mark.parametrize("seeds", [0, cli.MAX_SEEDS + 1, 20000000])
+def test_seed_count_limits_are_reported(tmp_path, capsys, monkeypatch, seeds):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a study was started")
+
+    monkeypatch.setattr(cli, "exact_coeffs", refuse)
+    monkeypatch.setattr(cli, "rate_study", refuse)
+    message = f"error: [noise] seeds={seeds} must lie in [1, 1000000]\n"
+    assert run_cli("example1", "--seeds", seeds, "--out", tmp_path) == 2
+    assert capsys.readouterr().err == message
+    cfg = tmp_path / "rate.ini"
+    cfg.write_text(f"[experiment]\nfunction = class\n\n[noise]\nseeds = {seeds}\n")
+    assert run_cli("rate-study", "--config", cfg, "--out", tmp_path) == 2
+    assert capsys.readouterr().err == message
+    assert os.listdir(tmp_path) == ["rate.ini"]
+    # the upper limit itself is valid
+    ExperimentConfig(delta_list=(1e-7,), seeds=cli.MAX_SEEDS).validate()
+
+
 def test_overflowing_derivative_operator_is_reported(tmp_path, capsys):
     # the order-200 operator of the cross's 301-row block overflows
     cfg = tmp_path / "r.ini"
