@@ -20,7 +20,9 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .coeffs import CoeffGrid, NoiseSpec, _composite_rule, _noisy_block, exact_coeffs
+from .coeffs import (
+    CoeffGrid, NoiseSpec, _composite_rule, _noisy_block, _write_csv, exact_coeffs,
+)
 from .legendre import differentiate, phi_matrix, synthesize
 from .truncation import (
     SmoothnessParams,
@@ -507,15 +509,8 @@ class RateStudyResult:
     def save(self, path) -> None:
         """CSV of all trial rows, then a summary row whose first field is
         'slope' carrying (fitted, theoretical) in the two error columns."""
-        with open(str(path), "w") as fh:
-            fh.write("delta,n,gamma,error_l2,error_c,seed\n")
-            for delta, n, gamma, el2, ec, seed in self.rows:
-                fh.write(
-                    f"{delta:.17g},{n},{gamma:.17g},{el2:.17g},{ec:.17g},{seed}\n"
-                )
-            fh.write(
-                f"slope,,,{self.fitted_slope:.17g},{self.theoretical_slope:.17g},\n"
-            )
+        _write_csv(path, "delta,n,gamma,error_l2,error_c,seed", ("fsfffs", self.rows),
+                   ("s--ff-", [("slope", self.fitted_slope, self.theoretical_slope)]))
 
 
 # Forking is limited to where it was measured (Linux, OpenBLAS, 2 CPUs).

@@ -35,7 +35,7 @@ from .analysis import (  # noqa: F401  (l2_error, c_error stay importable from c
     rate_study,
 )
 from .coeffs import NoiseSpec, add_noise, exact_coeffs, save_grid, load_grid, trapezoid_coeffs
-from .coeffs import _trapezoid_steps
+from .coeffs import _cells, _fmt_float, _trapezoid_steps, _write_csv
 from .legendre import synthesize
 from .truncation import (
     MethodParams,
@@ -61,21 +61,18 @@ __all__ = [
 
 _ENV_ROOT = "CROSSDIFF_RESULTS"
 MAX_GRID_DEGREE = 1024  # the high-degree regime; gauss_rule's cost grows as m^2
-# Noise realizations per row or noise level. A rate study keeps a ~220-byte
-# row per trial, so at this limit its five default noise levels hold ~1.1 GB
-# and take ~25 min on 2 CPUs.
+# Noise realizations per row or noise level, and noisy trials per run (noise
+# levels x seeds). A rate study keeps a ~220-byte row per trial, so at the
+# trial limit it holds ~1.1 GB and takes ~25 min on 2 CPUs.
 MAX_SEEDS = 10 ** 6
+MAX_TRIALS = 5 * MAX_SEEDS
 MAX_GRID_POINTS = 1025  # emit-surface writes points^2 rows, ~100 MB at the limit
 TABLES = ("example1", "example2")
 _RUNS = TABLES + ("rate-study", "cross-card")  # the commands that write a run directory
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def _fmt_list(xs) -> str:
-    return ",".join(_fmt(x) for x in xs)
+    return ",".join(_fmt_float(x) for x in xs)
 
 
 def float_list(text: str) -> tuple:
@@ -101,7 +98,7 @@ def _within(x, interval: str) -> bool:
         (x < hi) if interval[-1] == ")" else (x <= hi))
 
 
-STR, INT, FLOAT, FLOATS = (str, str), (int, str), (float, _fmt), (float_list, _fmt_list)
+STR, INT, FLOAT, FLOATS = (str, str), (int, str), (float, _fmt_float), (float_list, _fmt_list)
 
 
 def _key(default, section, kind, flag=None, *, key=None, on=TABLES, also=None,
@@ -178,6 +175,10 @@ class ExperimentConfig:
             for x in values if isinstance(values, tuple) else (values,):
                 if f.within and x is not None and not _within(x, f.within):
                     raise ValueError(f"[{f.section}] {f.key}={x} must lie in {f.within}")
+        trials = len(self.delta_list) * self.seeds
+        if trials > MAX_TRIALS:
+            raise ValueError(f"[noise] {len(self.delta_list)} deltas x {self.seeds} seeds = "
+                             f"{trials} trials, over the limit of {MAX_TRIALS}")
         has_delta = len(self.delta_list) > 0
         has_h = len(self.h_list) > 0
         if has_delta == has_h:
@@ -269,14 +270,10 @@ class ResultsTable:
     _HEADER = "kind,value,n,gamma,card,error_l2,error_c,coeff_linf,wall_time"
 
     def save(self, path) -> None:
-        with open(str(path), "w") as fh:
-            fh.write(self._HEADER + "\n")
-            for r in self.rows:
-                gap = "" if r.coeff_linf is None else _fmt(r.coeff_linf)
-                fh.write(
-                    f"{r.kind},{_fmt(r.value)},{r.n},{_fmt(r.gamma)},{r.card},"
-                    f"{_fmt(r.error_l2)},{_fmt(r.error_c)},{gap},{_fmt(r.wall_time)}\n"
-                )
+        _write_csv(path, self._HEADER, ("sfsfsffsf", [
+            (r.kind, r.value, r.n, r.gamma, r.card, r.error_l2, r.error_c,
+             "" if r.coeff_linf is None else _fmt_float(r.coeff_linf), r.wall_time)
+            for r in self.rows]))
 
     @staticmethod
     def load(path) -> "ResultsTable":
@@ -287,19 +284,9 @@ class ResultsTable:
                 raise ValueError(f"unexpected table header in {path}")
             for line in fh:
                 kind, value, n, gamma, card, el2, ec, gap, wt = line.rstrip("\n").split(",")
-                rows.append(
-                    ResultRow(
-                        kind=kind,
-                        value=float(value),
-                        n=int(n),
-                        gamma=float(gamma),
-                        card=int(card),
-                        error_l2=float(el2),
-                        error_c=float(ec),
-                        coeff_linf=float(gap) if gap else None,
-                        wall_time=float(wt),
-                    )
-                )
+                rows.append(ResultRow(kind, float(value), int(n), float(gamma), int(card),
+                                      float(el2), float(ec), float(gap) if gap else None,
+                                      float(wt)))
         return ResultsTable(rows=tuple(rows))
 
 
@@ -380,10 +367,10 @@ def cmd_table(cfg: ExperimentConfig) -> ResultsTable:
         os.makedirs(row_dir, exist_ok=True)
         save_grid(grid, os.path.join(row_dir, "deriv.csv"))
     for r in table.rows:
-        gap = "" if r.coeff_linf is None else f" coeff_linf={_fmt(r.coeff_linf)}"
+        gap = "" if r.coeff_linf is None else f" coeff_linf={_fmt_float(r.coeff_linf)}"
         print(
-            f"{r.kind}={_fmt(r.value)} n={r.n} gamma={_fmt(r.gamma)} card={r.card} "
-            f"error_l2={_fmt(r.error_l2)} error_c={_fmt(r.error_c)}{gap}"
+            f"{r.kind}={_fmt_float(r.value)} n={r.n} gamma={_fmt_float(r.gamma)} card={r.card} "
+            f"error_l2={_fmt_float(r.error_l2)} error_c={_fmt_float(r.error_c)}{gap}"
         )
     print(f"run written to {run_dir}")
     return table
@@ -428,10 +415,10 @@ def cmd_rate_study(cfg: ExperimentConfig) -> RateStudyResult:
     run_dir = _open_run(cfg)
     result.save(os.path.join(run_dir, "rate.csv"))
     for delta, err in zip(result.delta_list, result.errors):
-        print(f"delta={_fmt(delta)} median_{cfg.metric}={_fmt(err)}")
+        print(f"delta={_fmt_float(delta)} median_{cfg.metric}={_fmt_float(err)}")
     print(
-        f"fitted_slope={_fmt(result.fitted_slope)} "
-        f"theoretical_slope={_fmt(result.theoretical_slope)}"
+        f"fitted_slope={_fmt_float(result.fitted_slope)} "
+        f"theoretical_slope={_fmt_float(result.theoretical_slope)}"
     )
     print(f"run written to {run_dir}")
     return result
@@ -450,26 +437,23 @@ def cmd_cross_card(gammas, r: int, ns, out: str | None = None,
     verdicts = []
     run_dir = os.path.join(_resolve_root(out), run_id or "cross-card")
     os.makedirs(run_dir, exist_ok=True)
-    with open(os.path.join(run_dir, "card.csv"), "w") as fh:
-        fh.write("gamma,n,card\n")
-        for g in gammas:
-            growth = cardinality_growth(g, r, ns)
-            for n, card in growth:
-                fh.write(f"{_fmt(g)},{n},{card}\n")
-            if len(growth) < 2:
-                verdicts.append(f"gamma={g:g}: insufficient data")
-                continue
-            if g == 1.0:
-                ratios = [card / (n * math.log(n)) for n, card in growth]
-                label = "card ~ n ln n"
-            else:
-                ratios = [card / n for n, card in growth]
-                label = "card ~ n"
-            ok = max(ratios) / min(ratios) < 2.0
-            verdicts.append(f"gamma={g:g}: {label}: {'PASS' if ok else 'FAIL'}")
+    growths = [(g, cardinality_growth(g, r, ns)) for g in gammas]
+    _write_csv(os.path.join(run_dir, "card.csv"), "gamma,n,card",
+               ("fss", [(g, n, card) for g, growth in growths for n, card in growth]))
+    for g, growth in growths:
+        if len(growth) < 2:
+            verdicts.append(f"gamma={g:g}: insufficient data")
+            continue
+        if g == 1.0:
+            ratios = [card / (n * math.log(n)) for n, card in growth]
+            label = "card ~ n ln n"
+        else:
+            ratios = [card / n for n, card in growth]
+            label = "card ~ n"
+        ok = max(ratios) / min(ratios) < 2.0
+        verdicts.append(f"gamma={g:g}: {label}: {'PASS' if ok else 'FAIL'}")
     with open(os.path.join(run_dir, "verdicts.txt"), "w") as fh:
-        for v in verdicts:
-            fh.write(v + "\n")
+        fh.writelines(v + "\n" for v in verdicts)
     for v in verdicts:
         print(v)
     print(f"run written to {run_dir}")
@@ -500,14 +484,8 @@ def cmd_emit_surface(run: str, function: str | None = None, grid_points: int = 1
     approx = synthesize(grid, t, t)
     exact = np.asarray(exact_d(t[:, None], t[None, :]), dtype=float)
     out_path = os.path.join(run_dir, "surface.csv")
-    with open(out_path, "w") as fh:
-        fh.write("t,tau,exact,approx\n")
-        for i in range(grid_points):
-            for j in range(grid_points):
-                fh.write(
-                    f"{_fmt(t[i])},{_fmt(t[j])},"
-                    f"{_fmt(exact[i, j])},{_fmt(approx[i, j])}\n"
-                )
+    ts = t.tolist()
+    _write_csv(out_path, "t,tau,exact,approx", ("ffff", _cells(ts, ts, exact, approx)))
     print(f"surface written to {out_path}")
     return out_path
 

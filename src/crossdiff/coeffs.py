@@ -9,7 +9,9 @@ happens later, at truncation time.
 
 from __future__ import annotations
 
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,8 +234,33 @@ def _noisy_block(data: np.ndarray, spec: NoiseSpec, shape, keep=None) -> np.ndar
     return block
 
 
-def _fmt(x) -> str:
-    return f"{x:.17g}"
+def _row_format(kinds: str) -> str:
+    """The %-format of one CSV line of fields of the given kinds: "f" a float
+    in 17 significant digits, which read back bit for bit, "s" str(), "-" empty."""
+    return ",".join({"f": "%.17g", "s": "%s", "-": ""}[k] for k in kinds) + "\n"
+
+
+def _fmt_float(x) -> str:
+    """A float as every run file and printed line writes it."""
+    return _row_format("f")[:-1] % x
+
+
+def _cells(rows, cols, *grids):
+    """(rows[i], cols[j], grids[0][i, j], ...) for every cell, row by row;
+    cols is iterated once per row."""
+    return itertools.chain.from_iterable(
+        zip(itertools.repeat(r), cols, *(g[i].tolist() for g in grids))
+        for i, r in enumerate(rows))
+
+
+def _write_csv(path, header: str, *blocks) -> None:
+    """Write a CSV file: the header line, then for each (kinds, rows) of
+    blocks every row, a tuple, in the line format of those kinds."""
+    with open(str(path), "w") as fh:
+        fh.write(header + "\n")
+        for kinds, rows in blocks:
+            line = _row_format(kinds)
+            fh.writelines(line % row for row in rows)
 
 
 def save_grid(grid: CoeffGrid, path) -> None:
@@ -242,55 +269,48 @@ def save_grid(grid: CoeffGrid, path) -> None:
     Values carry 17 significant digits so the round-trip is bit exact.
     """
     path = str(path)
-    with open(path, "w") as fh:
-        fh.write("k,j,value\n")
-        for k in range(grid.K + 1):
-            for j in range(grid.J + 1):
-                fh.write(f"{k},{j},{_fmt(grid.data[k, j])}\n")
-    meta = {
-        "provenance": grid.provenance,
-        "K": grid.K,
-        "J": grid.J,
-    }
+    _write_csv(path, "k,j,value", ("ssf", _cells(range(grid.K + 1), range(grid.J + 1), grid.data)))
+    meta = {"provenance": grid.provenance, "K": grid.K, "J": grid.J}
     if grid.h is not None:
-        meta["h"] = _fmt(grid.h)
+        meta["h"] = _fmt_float(grid.h)
     if grid.base_provenance is not None:
         meta["base_provenance"] = grid.base_provenance
     if grid.noise is not None:
-        meta["delta"] = _fmt(grid.noise.delta)
-        meta["p"] = _fmt(grid.noise.p)
-        meta["mode"] = grid.noise.mode
-        meta["seed"] = grid.noise.seed
+        spec = grid.noise
+        meta.update(delta=_fmt_float(spec.delta), p=_fmt_float(spec.p), mode=spec.mode,
+                    seed=spec.seed)
     with open(path + ".meta", "w") as fh:
-        for key, val in meta.items():
-            fh.write(f"{key}={val}\n")
+        fh.writelines(f"{key}={val}\n" for key, val in meta.items())
 
 
 def load_grid(path) -> CoeffGrid:
-    """Inverse of save_grid."""
+    """Inverse of save_grid. A row without three numeric fields, an index
+    outside the grid's degrees, or a row count other than the grid's cell
+    count raises ValueError."""
     path = str(path)
-    meta: dict[str, str] = {}
     with open(path + ".meta") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                key, _, val = line.partition("=")
-                meta[key] = val
+        meta = dict(line.strip().partition("=")[::2] for line in fh if line.strip())
     K, J = int(meta["K"]), int(meta["J"])
     data = np.zeros((K + 1, J + 1))
-    with open(path) as fh:
-        next(fh)  # header
-        for line in fh:
-            k_s, j_s, v_s = line.rstrip("\n").split(",")
-            data[int(k_s), int(j_s)] = float(v_s)
+    try:
+        with warnings.catch_warnings():  # on a file without rows; counted below
+            warnings.simplefilter("ignore", UserWarning)
+            cells = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1,
+                               dtype=[("k", np.int64), ("j", np.int64), ("value", float)])
+    except ValueError as exc:  # numpy's message ends in advice on usecols
+        raise ValueError(f"{path}: {str(exc).partition('; use')[0]}") from None
+    if cells.size != data.size:
+        raise ValueError(f"{path}: {cells.size} rows, not the {data.size} of a grid of "
+                         f"degrees ({K},{J})")
+    bad = (cells["k"] < 0) | (cells["k"] > K) | (cells["j"] < 0) | (cells["j"] > J)
+    if bad.any():
+        k, j, _ = cells[np.argmax(bad)]
+        raise ValueError(f"{path}: index ({k},{j}) outside grid of degrees ({K},{J})")
+    data[cells["k"], cells["j"]] = cells["value"]
     noise = None
     if meta["provenance"] == "noisy":
-        noise = NoiseSpec(
-            delta=float(meta["delta"]),
-            p=float(meta["p"]),
-            mode=meta["mode"],
-            seed=int(meta["seed"]),
-        )
+        noise = NoiseSpec(delta=float(meta["delta"]), p=float(meta["p"]),
+                          mode=meta["mode"], seed=int(meta["seed"]))
     return CoeffGrid(
         data=data,
         provenance=meta["provenance"],

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import CoeffGrid
+from .coeffs import CoeffGrid, _write_csv
 from .legendre import differentiate
 
 __all__ = [
@@ -65,10 +65,7 @@ class CrossSet:
 
     def save(self, path) -> None:
         """Write the index set as CSV with header k,j."""
-        with open(str(path), "w") as fh:
-            fh.write("k,j\n")
-            for k, j in self.indices:
-                fh.write(f"{k},{j}\n")
+        _write_csv(path, "k,j", ("ss", self.indices))
 
 
 @dataclass(frozen=True)

@@ -331,6 +331,30 @@ def test_emit_surface_function_mismatch(tmp_path, capsys):
     assert "example2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, reason", [
+    ("5,1,0", "index (5,1) outside grid of degrees (4,4)"),
+    ("1,5,0", "index (1,5) outside grid of degrees (4,4)"),
+    ("-1,1,0", "index (-1,1) outside grid of degrees (4,4)"),
+    ("1,1", "the dtype passed requires 3 columns but 2 were found at row 7"),
+])
+def test_emit_surface_reports_a_bad_grid_row(tmp_path, capsys, edit, reason):
+    # an index outside the grid, negative included, or a short row is one
+    # error: line, not a traceback or a value written to the wrong cell
+    assert run_cli("example1", "--grid-degree", 4, "--n", "2,3,4", "--seeds", 1,
+                   "--out", tmp_path, "--run-id", "e1") == 0
+    capsys.readouterr()
+    path = os.path.join(str(tmp_path), "e1", "row_0", "deriv.csv")
+    with open(path) as fh:
+        lines = fh.readlines()
+    assert lines[7].startswith("1,1,")
+    lines[7] = edit + "\n"
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+    assert run_cli("emit-surface", "--run", "e1", "--out", tmp_path) == 2
+    assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+    assert not (tmp_path / "e1" / "surface.csv").exists()
+
+
 def test_env_var_results_root(tmp_path, monkeypatch):
     root = tmp_path / "envroot"
     monkeypatch.setenv("CROSSDIFF_RESULTS", str(root))
@@ -621,6 +645,28 @@ def test_seed_count_limits_are_reported(tmp_path, capsys, monkeypatch, seeds):
     assert os.listdir(tmp_path) == ["rate.ini"]
     # the upper limit itself is valid
     ExperimentConfig(delta_list=(1e-7,), seeds=cli.MAX_SEEDS).validate()
+
+
+def test_trial_count_limit_is_reported(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a study was started")
+
+    monkeypatch.setattr(cli, "exact_coeffs", refuse)
+    monkeypatch.setattr(cli, "rate_study", refuse)
+    deltas = ",".join(["1e-5", "1e-6", "1e-7", "1e-8", "1e-9", "1e-10"])
+    message = ("error: [noise] 6 deltas x 1000000 seeds = 6000000 trials, "
+               "over the limit of 5000000\n")
+    assert run_cli("example1", "--delta", deltas, "--n", "8,8,8,8,8,8",
+                   "--seeds", cli.MAX_SEEDS, "--out", tmp_path) == 2
+    assert capsys.readouterr().err == message
+    cfg = tmp_path / "rate.ini"
+    cfg.write_text(f"[experiment]\nfunction = class\n\n"
+                   f"[noise]\ndeltas = {deltas}\nseeds = {cli.MAX_SEEDS}\n")
+    assert run_cli("rate-study", "--config", cfg, "--out", tmp_path) == 2
+    assert capsys.readouterr().err == message
+    assert os.listdir(tmp_path) == ["rate.ini"]
+    # the limit itself is valid
+    ExperimentConfig(delta_list=(1e-7,) * 5, seeds=cli.MAX_SEEDS).validate()
 
 
 def test_overflowing_derivative_operator_is_reported(tmp_path, capsys):

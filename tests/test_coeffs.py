@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import tempfile
 from dataclasses import replace
 
@@ -317,11 +318,12 @@ def test_trapezoid_grid_round_trip_keeps_step(tmp_path):
 
 
 # values a CSV round trip could lose: signed zeros, subnormals, the ends of
-# the finite range, and exact zeros besides ordinary numbers
+# the finite range, both infinities, and exact zeros besides ordinary numbers
 _EDGE_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
-                     1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]),
-    st.floats(allow_nan=False, allow_infinity=False),
+                     1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+                     math.inf, -math.inf]),
+    st.floats(allow_nan=False),
 )
 
 
@@ -348,5 +350,43 @@ def test_grid_csv_round_trip_property(data, kind, h, noise):
     assert back.data.shape == data.shape
     assert np.array_equal(back.data, data)
     assert np.array_equal(np.signbit(back.data), np.signbit(data))
+    assert np.array_equal(back.data.view(np.uint64), data.view(np.uint64))
     assert (back.provenance, back.h, back.noise, back.base_provenance) == (
         grid.provenance, grid.h, grid.noise, grid.base_provenance)
+
+
+def test_grid_csv_round_trip_keeps_every_bit(tmp_path):
+    data = np.array([
+        [0.0, -0.0, 5e-324, -5e-324],
+        [1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf],
+        [0.1, -1.0 / 3.0, 2.2250738585072014e-308, 1e-7],
+    ])
+    save_grid(CoeffGrid(data=data), tmp_path / "grid.csv")
+    back = load_grid(tmp_path / "grid.csv")
+    assert np.array_equal(back.data.view(np.uint64), data.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.one_of(st.floats(), st.integers(-2 ** 60, 2 ** 60)))
+def test_one_float_format_for_run_files_and_printed_lines(x):
+    # the %-format every CSV row uses writes what the 17-digit f-string wrote
+    want = f"{float(x):.17g}"
+    assert coeffs_module._fmt_float(x) == want
+    assert coeffs_module._row_format("sf-f") % ("a", x, x) == f"a,{want},,{want}\n"
+
+
+@pytest.mark.parametrize("rows, reason", [
+    ("0,1,1\n1.5,0,2\n", "could not convert string '1.5' to int64"),
+    ("0,1,1\n0,0\n", "requires 3 columns but 2 were found"),
+    ("0,1,1\n0,0,2,3\n", "requires 3 columns but 4 were found"),
+    ("0,1,1\n0,0,x\n", "could not convert string 'x' to float64"),
+    ("0,0,1\n0,1,1\n1,0,1\n", "3 rows, not the 4 of a grid of degrees (1,1)"),
+    ("", "0 rows, not the 4 of a grid of degrees (1,1)"),
+])
+def test_load_grid_refuses_a_bad_row(tmp_path, rows, reason):
+    path = tmp_path / "grid.csv"
+    save_grid(CoeffGrid(data=np.ones((2, 2))), path)
+    path.write_text(f"k,j,value\n{rows}")
+    with pytest.raises(ValueError, match=re.escape(reason)) as info:
+        load_grid(path)
+    assert str(info.value).startswith(f"{path}: ") and "usecols" not in str(info.value)
