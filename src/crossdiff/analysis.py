@@ -23,7 +23,7 @@ from numpy.polynomial import polynomial as npoly
 from .coeffs import (
     CoeffGrid, NoiseSpec, _composite_rule, _noisy_block, _write_csv, exact_coeffs,
 )
-from .legendre import differentiate, phi_matrix, synthesize
+from .legendre import _usable_cpus, differentiate, phi_matrix, synthesize
 from .truncation import (
     SmoothnessParams,
     _cross_block,
@@ -67,7 +67,7 @@ class PiecewisePoly:
         out = np.zeros_like(t)
         for lo, hi, cs in zip(edges[:-1], edges[1:], self.pieces):
             sel = (t >= lo) & (t < hi)
-            out[sel] = npoly.polyval(t[sel], np.asarray(cs, dtype=float))
+            out[sel] = _horner(t[sel], np.asarray(cs, dtype=float))
         return out
 
     def deriv(self, r: int) -> "PiecewisePoly":
@@ -77,6 +77,22 @@ class PiecewisePoly:
             tuple(npoly.polyder(np.asarray(cs, dtype=float), r)) for cs in self.pieces
         )
         return PiecewisePoly(self.breakpoints, pieces)
+
+
+def _horner(x: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """npoly.polyval(x, cs) for a 1-D float x, bit for bit, in one array.
+
+    polyval starts from cs[-1] + x*0 and takes cs[i] + acc*x down the
+    coefficients, each step into two new arrays; here each step runs in
+    place. IEEE addition commutes exactly, signed zeros included, so
+    acc += cs[i] gives polyval's values.
+    """
+    acc = x * 0.0
+    acc += cs[-1]
+    for c in cs[-2::-1]:
+        acc *= x
+        acc += c
+    return acc
 
 
 @dataclass(frozen=True)
@@ -527,7 +543,7 @@ def _worker_count(items: int) -> int:
     _MAX_WORKERS, each with at least _MIN_SHARE trials; one off Linux."""
     if not sys.platform.startswith("linux"):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), _MAX_WORKERS, items // _MIN_SHARE))
+    return max(1, min(_usable_cpus(), _MAX_WORKERS, items // _MIN_SHARE))
 
 
 def _run_share(fn, items, first: int, step: int):
@@ -685,16 +701,21 @@ def rate_study(
         levels.append((delta, n, g, keep, _NearBias(scorer, CoeffGrid(data=bias)),
                        scorer._outside(keep.shape)))
 
-    def trial(index):
-        # the cross's bounding block of add_noise's grid, truncated and scored
+    def seed_of(index):
         i, sd = divmod(index, seeds)
-        delta, n, g, keep, near, outside = levels[i]
-        seed = base_seed + 997 * i + sd
-        noisy = _noisy_block(grid.data, NoiseSpec(delta, sp.p, noise_mode, seed), keep.shape)
-        approx = _truncate_block(noisy, keep, r, axis)
-        return delta, n, g, scorer._l2_block(approx, outside), near._c_block(approx), seed
+        return base_seed + 997 * i + sd
+
+    def trial(index):
+        # the cross's bounding block of add_noise's grid, truncated and
+        # scored: (error_l2, error_c), all a worker sends back
+        delta, _, _, keep, near, outside = levels[index // seeds]
+        noise = NoiseSpec(delta, sp.p, noise_mode, seed_of(index))
+        approx = _truncate_block(_noisy_block(grid.data, noise, keep.shape), keep, r, axis)
+        return scorer._l2_block(approx, outside), near._c_block(approx)
 
     rows = _forked_map(trial, range(len(levels) * seeds))
+    for index, (error_l2, error_c) in enumerate(rows):  # each pair freed as its row is made
+        rows[index] = (*levels[index // seeds][:3], error_l2, error_c, seed_of(index))
     if not all(math.isfinite(e) for row in rows for e in row[3:5]):
         raise ValueError(f"rate study of {fn.id} produced non-finite errors")
     pick = 3 if metric == "L2" else 4

@@ -283,15 +283,38 @@ def save_grid(grid: CoeffGrid, path) -> None:
         fh.writelines(f"{key}={val}\n" for key, val in meta.items())
 
 
+def _degree(text: str) -> int:
+    """A grid degree from its text: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+_KIND_NAMES = {float: "a float", int: "an integer", _degree: "an integer >= 0"}
+
+
+def _meta_field(path: str, meta: dict, key: str, kind=str):
+    """kind(meta[key]); a missing key or a value kind refuses raises one
+    ValueError naming the sidecar and the key."""
+    if key not in meta:
+        raise ValueError(f"{path}.meta: no {key}= line")
+    try:
+        return kind(meta[key])
+    except ValueError:
+        raise ValueError(f"{path}.meta: {key}={meta[key]} is not {_KIND_NAMES[kind]}") from None
+
+
 def load_grid(path) -> CoeffGrid:
-    """Inverse of save_grid. A row without three numeric fields, an index
-    outside the grid's degrees, or a row count other than the grid's cell
-    count raises ValueError."""
+    """Inverse of save_grid. A sidecar without provenance, K or J, a field
+    of the wrong kind, a row without three numeric fields, an index outside
+    the grid's degrees, or a row count other than the grid's cell count
+    raises ValueError. Rows are counted before the grid is allocated."""
     path = str(path)
     with open(path + ".meta") as fh:
         meta = dict(line.strip().partition("=")[::2] for line in fh if line.strip())
-    K, J = int(meta["K"]), int(meta["J"])
-    data = np.zeros((K + 1, J + 1))
+    provenance = _meta_field(path, meta, "provenance")
+    K, J = (_meta_field(path, meta, key, _degree) for key in ("K", "J"))
     try:
         with warnings.catch_warnings():  # on a file without rows; counted below
             warnings.simplefilter("ignore", UserWarning)
@@ -299,22 +322,26 @@ def load_grid(path) -> CoeffGrid:
                                dtype=[("k", np.int64), ("j", np.int64), ("value", float)])
     except ValueError as exc:  # numpy's message ends in advice on usecols
         raise ValueError(f"{path}: {str(exc).partition('; use')[0]}") from None
-    if cells.size != data.size:
-        raise ValueError(f"{path}: {cells.size} rows, not the {data.size} of a grid of "
-                         f"degrees ({K},{J})")
+    size = (K + 1) * (J + 1)
+    if cells.size != size:
+        raise ValueError(f"{path}: {cells.size} rows, not the {size} of a grid of degrees "
+                         f"({K},{J})")
     bad = (cells["k"] < 0) | (cells["k"] > K) | (cells["j"] < 0) | (cells["j"] > J)
     if bad.any():
         k, j, _ = cells[np.argmax(bad)]
         raise ValueError(f"{path}: index ({k},{j}) outside grid of degrees ({K},{J})")
+    data = np.zeros((K + 1, J + 1))
     data[cells["k"], cells["j"]] = cells["value"]
     noise = None
-    if meta["provenance"] == "noisy":
-        noise = NoiseSpec(delta=float(meta["delta"]), p=float(meta["p"]),
-                          mode=meta["mode"], seed=int(meta["seed"]))
+    if provenance == "noisy":
+        noise = NoiseSpec(delta=_meta_field(path, meta, "delta", float),
+                          p=_meta_field(path, meta, "p", float),
+                          mode=_meta_field(path, meta, "mode"),
+                          seed=_meta_field(path, meta, "seed", int))
     return CoeffGrid(
         data=data,
-        provenance=meta["provenance"],
-        h=float(meta["h"]) if "h" in meta else None,
+        provenance=provenance,
+        h=_meta_field(path, meta, "h", float) if "h" in meta else None,
         noise=noise,
         base_provenance=meta.get("base_provenance"),
     )

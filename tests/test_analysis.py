@@ -15,6 +15,7 @@ from numpy.polynomial import polynomial as npoly
 from crossdiff import analysis, coeffs, truncation
 from crossdiff.analysis import (
     ErrorEvaluator,
+    PiecewisePoly,
     _kink_factor,
     _NearBias,
     c_error,
@@ -97,6 +98,29 @@ def test_piecewise_eval_is_bit_identical_to_where_form():
             got, want = factor.eval(t), where_piecewise_eval(factor, t)
             assert type(got) is type(want) and got.shape == want.shape
             assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_piecewise_eval_is_polyval_per_piece_signed_zeros_included():
+    # the in-place Horner loop gives npoly.polyval's values, signs of zero
+    # included, for integer coefficients too
+    grid = np.concatenate([np.linspace(-1.0, 1.0, 2001), [-0.0, 0.0, -1e-300, 1e-300]])
+    factors = [
+        PiecewisePoly((0.0,), ((1, -2, 3), (0, 0, -1, 4))),
+        # -0.0 everywhere on the first piece, at t = -0.0 on the second
+        PiecewisePoly((-0.5, 0.5), ((-0.0,), (-0.0, 1.0), (0.0, -0.0, 2.0))),
+        _kink_factor(), _kink_factor().deriv(8), _kink_factor().deriv(9),
+    ]
+    negative_zeros = 0
+    for factor in factors:
+        got = factor.eval(grid)
+        edges = (-np.inf, *factor.breakpoints, np.inf)
+        for lo, hi, cs in zip(edges[:-1], edges[1:], factor.pieces):
+            sel = (grid >= lo) & (grid < hi)
+            want = npoly.polyval(grid[sel], cs)
+            assert np.array_equal(got[sel], want)
+            assert np.array_equal(np.signbit(got[sel]), np.signbit(want))
+        negative_zeros += np.count_nonzero(np.signbit(got[got == 0.0]))
+    assert negative_zeros > 2
 
 
 def test_l2_error_of_identical_grids_is_zero():
@@ -760,6 +784,25 @@ def test_rate_csv_is_the_same_for_any_worker_count(tmp_path, monkeypatch, fn, me
         written.add(path.read_bytes())
     assert len(written) == 1
     assert_no_child_left()
+
+
+def test_a_trial_sends_back_two_floats(monkeypatch):
+    # a worker pickles (error_l2, error_c) per trial; the caller rebuilds
+    # each row's delta, n, gamma and seed from the trial's index
+    forked_map, sent = analysis._forked_map, []
+
+    def recording(fn, items):
+        results = forked_map(fn, items)
+        sent.extend(results)
+        return results
+
+    monkeypatch.setattr(analysis, "_forked_map", recording)
+    result = rate_study(make_class_function(), *RATE_ARGS)
+    assert all(type(pair) is tuple and list(map(type, pair)) == [float, float]
+               for pair in sent)
+    assert [row[3:5] for row in result.rows] == sent
+    assert [row[5] for row in result.rows] == [1000 + 997 * i + sd
+                                              for i in range(3) for sd in range(4)]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -355,6 +355,33 @@ def test_emit_surface_reports_a_bad_grid_row(tmp_path, capsys, edit, reason):
     assert not (tmp_path / "e1" / "surface.csv").exists()
 
 
+@pytest.mark.parametrize("sidecar, reason", [
+    ("K=4\nJ=4\n", ".meta: no provenance= line"),
+    ("provenance=derivative\nJ=4\n", ".meta: no K= line"),
+    ("provenance=derivative\nK=4\n", ".meta: no J= line"),
+    ("provenance=derivative\nK=four\nJ=4\n", ".meta: K=four is not an integer >= 0"),
+    ("provenance=derivative\nK=4\nJ=4.0\n", ".meta: J=4.0 is not an integer >= 0"),
+    ("provenance=derivative\nK=-1\nJ=4\n", ".meta: K=-1 is not an integer >= 0"),
+    ("provenance=derivative\nK=4\nJ=4\nh=x\n", ".meta: h=x is not a float"),
+    ("provenance=noisy\nK=4\nJ=4\ndelta=1e-7\np=inf\nmode=rescaled\n",
+     ".meta: no seed= line"),
+    # counted, not allocated: 10**9 x 5 cells would need 40 GB
+    ("provenance=derivative\nK=1000000000\nJ=4\n",
+     ": 25 rows, not the 5000000005 of a grid of degrees (1000000000,4)"),
+])
+def test_emit_surface_reports_a_bad_sidecar(tmp_path, capsys, sidecar, reason):
+    # a missing or malformed key of the .meta sidecar is one error: line
+    assert run_cli("example1", "--grid-degree", 4, "--n", "2,3,4", "--seeds", 1,
+                   "--out", tmp_path, "--run-id", "e1") == 0
+    capsys.readouterr()
+    path = os.path.join(str(tmp_path), "e1", "row_0", "deriv.csv")
+    with open(path + ".meta", "w") as fh:
+        fh.write(sidecar)
+    assert run_cli("emit-surface", "--run", "e1", "--out", tmp_path) == 2
+    assert capsys.readouterr().err == f"error: {path}{reason}\n"
+    assert not (tmp_path / "e1" / "surface.csv").exists()
+
+
 def test_env_var_results_root(tmp_path, monkeypatch):
     root = tmp_path / "envroot"
     monkeypatch.setenv("CROSSDIFF_RESULTS", str(root))

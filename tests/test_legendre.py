@@ -1,6 +1,7 @@
 """Basis evaluation, Gauss quadrature, and coefficient-space differentiation."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
 
+from crossdiff import legendre
 from crossdiff.coeffs import _composite_rule
 from crossdiff.legendre import (
     _PHI_BLOCK,
+    _phi_blocks,
     differentiate,
     eval_phi,
     gauss_rule,
@@ -59,16 +62,48 @@ def whole_array_phi_matrix(max_degree, t):
     return out
 
 
-@pytest.mark.parametrize(
-    "size", [0, 1, _PHI_BLOCK - 1, _PHI_BLOCK, _PHI_BLOCK + 1, 2 * _PHI_BLOCK + 3]
-)
-def test_blocked_phi_matrix_is_bit_identical_to_whole_array_recurrence(size):
+def tabulate_on(monkeypatch, cpus, max_degree, t):
+    """phi_matrix with cpus usable CPUs; also the threads that filled which
+    nodes, and the live thread count before and after the call."""
+    fills = []
+
+    def recording(t, out, scale, lo, hi):
+        fills.append((threading.current_thread(), lo, hi))
+        _phi_blocks(t, out, scale, lo, hi)
+
+    monkeypatch.setattr(legendre, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(legendre, "_phi_blocks", recording)
+    before = threading.active_count()
+    table = phi_matrix(max_degree, t)
+    return table, fills, (before, threading.active_count())
+
+
+# node counts around the block edges; from two blocks on, the threaded fill
+# splits the nodes into unequal runs of whole and partial blocks
+SIZES = {"0": 0, "1": 1, "block-1": _PHI_BLOCK - 1, "block": _PHI_BLOCK,
+         "block+1": _PHI_BLOCK + 1, "2blocks-1": 2 * _PHI_BLOCK - 1,
+         "2blocks+3": 2 * _PHI_BLOCK + 3, "3blocks+5": 3 * _PHI_BLOCK + 5,
+         "4blocks+5": 4 * _PHI_BLOCK + 5}
+
+
+@pytest.mark.parametrize("size", SIZES.values(), ids=SIZES.keys())
+def test_blocked_phi_matrix_is_bit_identical_to_whole_array_recurrence(monkeypatch, size):
     t = np.random.default_rng(size).uniform(-1.0, 1.0, size)
     t[:3] = (-1.0, 1.0, 0.0)[:size]
     for deg in (0, 1, 2, 64):
-        table = phi_matrix(deg, t)
+        table, fills, threads = tabulate_on(monkeypatch, 2, deg, t)
         assert table.shape == (deg + 1, size)
         assert np.array_equal(table, whole_array_phi_matrix(deg, t))
+        # two threads from two blocks on, each filling one half of the
+        # nodes; no thread outlives the call
+        threaded = deg > 0 and size >= 2 * _PHI_BLOCK
+        assert len({thread for thread, _, _ in fills}) == (2 if threaded else min(deg, 1))
+        if threaded:
+            assert sorted((lo, hi) for _, lo, hi in fills) == [(0, size // 2), (size // 2, size)]
+        assert threads[0] == threads[1]
+        serial, fills, _ = tabulate_on(monkeypatch, 1, deg, t)
+        assert np.array_equal(table, serial)
+        assert len({thread for thread, _, _ in fills}) == min(deg, 1)
         # independent oracle: numpy's Legendre series times sqrt(k + 1/2);
         # both recurrences round once per degree, so the gap grows with k
         for k in sorted({0, deg // 2, deg}):
@@ -76,6 +111,27 @@ def test_blocked_phi_matrix_is_bit_identical_to_whole_array_recurrence(size):
             unit[k] = 1.0
             expect = math.sqrt(k + 0.5) * np.polynomial.legendre.legval(t, unit)
             assert np.all(np.abs(table[k] - expect) <= 1e-13 * (k + 1))
+
+
+@pytest.mark.parametrize("failing", ["caller's half", "helper's half"])
+def test_a_failed_half_raises_and_leaves_no_thread(monkeypatch, failing):
+    # the exception of the failing half reaches the caller after the helper
+    # is joined, so no half-filled table is returned and no thread lives on
+    error = RuntimeError("half failed")
+
+    def fill_or_fail(t, out, scale, lo, hi):
+        if (lo > 0) == (failing == "helper's half"):
+            raise error
+        _phi_blocks(t, out, scale, lo, hi)
+
+    monkeypatch.setattr(legendre, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(legendre, "_phi_blocks", fill_or_fail)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        phi_matrix(8, np.linspace(-1.0, 1.0, 2 * _PHI_BLOCK + 3))
+    assert info.value is error
+    assert threading.active_count() == before
+    assert not any(thread.name == "phi_matrix" for thread in threading.enumerate())
 
 
 def test_blocked_phi_matrix_flattens_2d_input():
