@@ -456,6 +456,57 @@ class _NearBias:
         return float(maxima.max())
 
 
+def _scorer(fn: TestFunction, r: int, axis: str, K: int, J: int) -> ErrorEvaluator:
+    """The evaluator of fn's r-th derivative along axis for grids of degrees
+    up to (K, J). The derivative of a function defined by its coefficients
+    has a finite expansion, which is its own c_Q with tail 0; any other
+    reference is fn.exact_deriv, projected by quadrature."""
+    exact = fn.deriv_coeffs(r, axis) if fn.coeff_data is not None else fn.exact_deriv(r, axis)
+    return ErrorEvaluator(exact, K, J, max(K, J) + 40, fn.breakpoints_t, fn.breakpoints_tau)
+
+
+def _check_level(n: int, scorer: ErrorEvaluator, axis: str) -> None:
+    """Refuse a truncation level beyond the scored grids' degree along axis,
+    before anything of that level, the cross or a grid, is built."""
+    limit = scorer.K if axis == "t" else scorer.J
+    if n > limit:
+        raise ValueError(f"truncation level n={n} exceeds grid degree {limit}")
+
+
+def _noise(delta: float, p: float, mode: str, base_seed: int, level: int) -> NoiseSpec:
+    """The noise of draw 0 of noise level `level` (0, 1, ...) of a run;
+    _Level.trial's draw sd takes this seed + sd."""
+    return NoiseSpec(delta, p, mode, base_seed + 997 * level)
+
+
+class _Level:
+    """One noise level of an error table or a rate study: data cut to the
+    cross of (n, gamma), differentiated r times along axis and scored by
+    scorer. Built before any worker forks: the cross's mask keep, the
+    noise-free truncation B with its _NearBias, and the L2 error's outside
+    sum (ErrorEvaluator._outside). errors holds B's (L2, C) errors, the C
+    from one exhaustive slab pass: the bias of every trial, and the whole
+    error of a row without noise (noise None)."""
+
+    def __init__(self, scorer: ErrorEvaluator, data: np.ndarray, n: int, gamma: float,
+                 r: int, axis: str, noise: NoiseSpec | None):
+        self.n, self.gamma, self.noise = n, gamma, noise
+        self._scorer, self._data, self._r, self._axis = scorer, data, r, axis
+        self.keep = keep = _cross_block(n, gamma, r, axis, scorer.K, scorer.J)
+        bias = _truncate_block(data[: keep.shape[0], : keep.shape[1]], keep, r, axis)
+        self._near = _NearBias(scorer, CoeffGrid(data=bias))
+        self._outside = scorer._outside(keep.shape)
+        self.errors = scorer._l2_block(bias, self._outside), float(self._near.bias_max.max())
+
+    def trial(self, sd: int) -> tuple[float, float]:
+        """(error_l2, error_c) of noise draw sd, all a forked worker sends
+        back: the mask's block of add_noise's grid, truncated and scored."""
+        noise = replace(self.noise, seed=self.noise.seed + sd)
+        approx = _truncate_block(_noisy_block(self._data, noise, self.keep.shape),
+                                 self.keep, self._r, self._axis)
+        return self._scorer._l2_block(approx, self._outside), self._near._c_block(approx)
+
+
 def _check_margin(quad_nodes: int, data: np.ndarray) -> None:
     """Refuse quad_nodes short of data's active degrees + 32 (see l2_error)."""
     kmax, jmax = _effective_degrees(data)
@@ -666,56 +717,30 @@ def rate_study(
                 f"grid_degree={grid_degree} differs from the degree {deg} of "
                 f"{fn.id}'s coefficient data; omit grid_degree"
             )
-        # the derivative has a finite expansion: its own c_Q, with tail 0
-        reference = fn.deriv_coeffs(r, axis)
     else:
         deg = 64 if grid_degree is None else grid_degree
         grid = exact_coeffs(fn, deg, deg, deg + 40)
-        reference = fn.exact_deriv(r, axis)
     if not np.isfinite(grid.data).all():
         raise ValueError(f"coefficients of {fn.id} are not finite")
-    deg_k, deg_j = grid.K, grid.J
-    scorer = ErrorEvaluator(
-        reference, deg_k, deg_j, max(deg_k, deg_j) + 40,
-        fn.breakpoints_t, fn.breakpoints_tau,
-    )
+    scorer = _scorer(fn, r, axis, grid.K, grid.J)
 
-    # Everything a trial reads is built here, before the workers fork: per
-    # noise level the cross's mask, the noise-free truncation B (whose
-    # _NearBias builds the scorer's C tables) and the scorer's tail plus
-    # the squares of c_Q outside the cross's bounding block (whose first
-    # sum builds c_Q and the tail).
     levels = []
     for i, delta in enumerate(delta_list):
         spd = replace(sp, delta=delta)
         n = choose_n(spd, r, c)
         g = choose_gamma(spd, r, metric) if gamma is None else float(gamma)
-        limit = deg_k if axis == "t" else deg_j
-        if n > limit:
-            raise ValueError(
-                f"truncation level n={n} exceeds grid degree {limit}; "
-                "increase grid_degree"
-            )
-        keep = _cross_block(n, g, r, axis, deg_k, deg_j)
-        bias = _truncate_block(grid.data[: keep.shape[0], : keep.shape[1]], keep, r, axis)
-        levels.append((delta, n, g, keep, _NearBias(scorer, CoeffGrid(data=bias)),
-                       scorer._outside(keep.shape)))
-
-    def seed_of(index):
-        i, sd = divmod(index, seeds)
-        return base_seed + 997 * i + sd
+        _check_level(n, scorer, axis)
+        levels.append(_Level(scorer, grid.data, n, g, r, axis,
+                             _noise(delta, sp.p, noise_mode, base_seed, i)))
 
     def trial(index):
-        # the cross's bounding block of add_noise's grid, truncated and
-        # scored: (error_l2, error_c), all a worker sends back
-        delta, _, _, keep, near, outside = levels[index // seeds]
-        noise = NoiseSpec(delta, sp.p, noise_mode, seed_of(index))
-        approx = _truncate_block(_noisy_block(grid.data, noise, keep.shape), keep, r, axis)
-        return scorer._l2_block(approx, outside), near._c_block(approx)
+        return levels[index // seeds].trial(index % seeds)
 
     rows = _forked_map(trial, range(len(levels) * seeds))
     for index, (error_l2, error_c) in enumerate(rows):  # each pair freed as its row is made
-        rows[index] = (*levels[index // seeds][:3], error_l2, error_c, seed_of(index))
+        level = levels[index // seeds]
+        rows[index] = (level.noise.delta, level.n, level.gamma, error_l2, error_c,
+                       level.noise.seed + index % seeds)
     if not all(math.isfinite(e) for row in rows for e in row[3:5]):
         raise ValueError(f"rate study of {fn.id} produced non-finite errors")
     pick = 3 if metric == "L2" else 4

@@ -7,8 +7,9 @@ variable, or ./results, in that order of precedence). A run directory
 holds the effective config (config.ini), the results table (table.csv),
 and the reconstructed derivative grid of each table row (row_<i>/deriv.csv
 with sidecar). Output is deterministic for a fixed config and seed except
-for the wall_time column. All numbers are written with 17 significant
-digits.
+for the wall_time column, at a fixed BLAS thread count: OpenBLAS sums in
+an order that depends on its thread count, which can move the last digits.
+All numbers are written with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -25,26 +26,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from .analysis import (  # noqa: F401  (l2_error, c_error stay importable from cli)
-    ErrorEvaluator,
-    RateStudyResult,
-    c_error,
-    example1_F,
-    example2_F,
-    l2_error,
-    make_class_function,
-    rate_study,
+    RateStudyResult, _Level, _check_level, _forked_map, _noise, _scorer, c_error, example1_F,
+    example2_F, l2_error, make_class_function, rate_study,
 )
-from .coeffs import NoiseSpec, add_noise, exact_coeffs, save_grid, load_grid, trapezoid_coeffs
+from .coeffs import add_noise, exact_coeffs, save_grid, load_grid, trapezoid_coeffs
 from .coeffs import _cells, _fmt_float, _trapezoid_steps, _write_csv
 from .legendre import synthesize
-from .truncation import (
-    MethodParams,
-    SmoothnessParams,
-    _cross_block,
-    cardinality_growth,
-    choose_n,
-    truncate,
-)
+from .truncation import MethodParams, SmoothnessParams, cardinality_growth, choose_n, truncate
 
 __all__ = [
     "FIELDS",
@@ -63,7 +51,9 @@ _ENV_ROOT = "CROSSDIFF_RESULTS"
 MAX_GRID_DEGREE = 1024  # the high-degree regime; gauss_rule's cost grows as m^2
 # Noise realizations per row or noise level, and noisy trials per run (noise
 # levels x seeds). A rate study keeps a ~220-byte row per trial, so at the
-# trial limit it holds ~1.1 GB and takes ~25 min on 2 CPUs.
+# trial limit it holds ~1.1 GB and takes ~25 min on 2 CPUs. A noisy table row
+# keeps an (error_l2, error_c) pair per seed until it takes their medians:
+# at MAX_SEEDS ~180 MB and ~3 min at grid degree 64 on 2 CPUs.
 MAX_SEEDS = 10 ** 6
 MAX_TRIALS = 5 * MAX_SEEDS
 MAX_GRID_POINTS = 1025  # emit-surface writes points^2 rows, ~100 MB at the limit
@@ -308,13 +298,14 @@ def _resolve_root(explicit: str | None) -> str:
 
 def cmd_table(cfg: ExperimentConfig) -> ResultsTable:
     """Run one error table (PRESETS holds the paper's three) and write its
-    run directory."""
+    run directory. A row without noise (an h row, or delta 0) has the
+    errors of its noise-free truncation; a noisy row has the medians over
+    its seeds, scored as rate-study trials are, and keeps seed 0's grid."""
     cfg.validate()
     fn = _get_function(cfg)
     deg = cfg.grid_degree
     exact_grid = exact_coeffs(fn, deg, deg, deg + 64)
-    scorer = ErrorEvaluator(fn.exact_deriv(cfg.r, cfg.axis), deg, deg, deg + 40,
-                            fn.breakpoints_t, fn.breakpoints_tau)
+    scorer = _scorer(fn, cfg.r, cfg.axis, deg, deg)
 
     kind = "delta" if cfg.delta_list else "h"
     rows, grids = [], []
@@ -325,40 +316,23 @@ def cmd_table(cfg: ExperimentConfig) -> ResultsTable:
         else:
             sp = SmoothnessParams(cfg.s, cfg.mu1, cfg.mu2, cfg.p, val)
             n = choose_n(sp, cfg.r, cfg.c)
-        if n > deg:  # checked before the cross, whose size grows with n, is built
-            raise ValueError(f"truncation level n={n} exceeds grid degree {deg}")
-        params = MethodParams(n=n, gamma=cfg.gamma, r=cfg.r, axis=cfg.axis)
-        # the mask truncate() uses below, built once per distinct cross
-        card = int(_cross_block(n, cfg.gamma, cfg.r, cfg.axis, deg, deg).sum())
-        gap = None
+        _check_level(n, scorer, cfg.axis)
+        grid, gap, noise = exact_grid, None, None
         if kind == "h":
-            inputs = [trapezoid_coeffs(fn, deg, deg, val)]
-            gap = float(np.abs(inputs[0].data - exact_grid.data).max())
-        elif val == 0.0:
-            inputs = [exact_grid]
-        else:  # one noisy grid at a time; the row keeps the first seed's result
-            inputs = (add_noise(exact_grid, NoiseSpec(val, cfg.noise_p, cfg.noise_mode,
-                                                      cfg.base_seed + 997 * i + sd))
-                      for sd in range(cfg.seeds))
-        approx, l2s, cs = None, [], []
-        for trial in (truncate(grid, params) for grid in inputs):
-            approx = trial if approx is None else approx
-            l2s.append(scorer.l2(trial))
-            cs.append(scorer.c(trial))
-        rows.append(
-            ResultRow(
-                kind=kind,
-                value=float(val),
-                n=n,
-                gamma=cfg.gamma,
-                card=card,
-                error_l2=float(np.median(l2s)),
-                error_c=float(np.median(cs)),
-                coeff_linf=gap,
-                wall_time=time.perf_counter() - start,
-            )
-        )
-        grids.append(approx)
+            grid = trapezoid_coeffs(fn, deg, deg, val)
+            gap = float(np.abs(grid.data - exact_grid.data).max())
+        elif val != 0.0:
+            noise = _noise(val, cfg.noise_p, cfg.noise_mode, cfg.base_seed, i)
+        level = _Level(scorer, grid.data, n, cfg.gamma, cfg.r, cfg.axis, noise)
+        error_l2, error_c = level.errors
+        if noise is not None:
+            l2s, cs = zip(*_forked_map(level.trial, range(cfg.seeds)))
+            error_l2, error_c = float(np.median(l2s)), float(np.median(cs))
+            grid = add_noise(grid, noise)
+        grids.append(truncate(grid, MethodParams(n=n, gamma=cfg.gamma, r=cfg.r, axis=cfg.axis)))
+        rows.append(ResultRow(kind=kind, value=float(val), n=n, gamma=cfg.gamma,
+                              card=int(level.keep.sum()), error_l2=error_l2, error_c=error_c,
+                              coeff_linf=gap, wall_time=time.perf_counter() - start))
     table = ResultsTable(rows=tuple(rows))
     run_dir = _open_run(cfg)
     table.save(os.path.join(run_dir, "table.csv"))

@@ -219,11 +219,14 @@ def _refuse(seed):
     raise ValueError(f"bad draw {seed}")
 
 
-@pytest.mark.parametrize("fail,message", [
-    (_refuse, "bad draw 1001"),
-    (_die, r"forked worker \d+ ended with exit code 3 and no results")], ids=["raise", "die"])
+@pytest.mark.parametrize("fail,message,function", [
+    (_refuse, "bad draw 1001", "class"),
+    (_die, r"forked worker \d+ ended with exit code 3 and no results", "class"),
+    (_refuse, "bad draw 1001", "example1"),
+    (_die, r"forked worker \d+ ended with exit code 3 and no results", "example1")],
+    ids=["raise", "die", "raise-example1", "die-example1"])
 def test_rate_study_worker_failure_is_one_error_line(tmp_path, capsys, monkeypatch,
-                                                     fail, message):
+                                                     fail, message, function):
     # seed 1001 is trial 1 of 6, in the forked worker's share of two
     monkeypatch.setattr(analysis, "_worker_count", lambda items: 2)
     caller, draw = os.getpid(), analysis._noisy_block
@@ -235,7 +238,7 @@ def test_rate_study_worker_failure_is_one_error_line(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr(analysis, "_noisy_block", noisy_block)
     cfg = tmp_path / "rate.ini"
-    cfg.write_text("[experiment]\nfunction = class\n\n"
+    cfg.write_text(f"[experiment]\nfunction = {function}\n\n"
                    "[noise]\ndeltas = 1e-5,1e-7,1e-9\nseeds = 2\n")
     rc = run_cli("rate-study", "--config", cfg, "--metric", "L2",
                  "--out", tmp_path, "--run-id", "failed")
@@ -269,6 +272,51 @@ def test_table_card_counts_each_cross_once(tmp_path, monkeypatch, preset, argv):
     assert [r.card for r in rows] == [enumerate_cross(r.n, r.gamma, 2).cardinality
                                       for r in rows]
     assert sorted(calls) == sorted({(r.n, r.gamma, 2, "t") for r in rows})
+
+
+@pytest.mark.parametrize("deltas", ["1e-7,1e-8,1e-9", "0,1e-8,1e-9"])
+def test_class_table_error_l2_is_parseval_on_the_saved_grids(tmp_path, deltas):
+    # a function defined by its coefficients is scored against its
+    # derivative's exact coefficients: with one seed, each row's L2 error is
+    # the coefficient distance of the grid the row saved
+    cfg = tmp_path / "class.ini"
+    cfg.write_text("[experiment]\nfunction = class\n")
+    assert run_cli("example1", "--config", cfg, "--delta", deltas, "--seeds", 1,
+                   "--out", tmp_path, "--run-id", "c") == 0
+    exact = analysis.make_class_function().deriv_coeffs(2, "t").data
+    for i, row in enumerate(read_table(tmp_path, "c").rows):
+        diff = exact.copy()
+        saved = load_grid(tmp_path / "c" / f"row_{i}" / "deriv.csv").data
+        diff[: saved.shape[0], : saved.shape[1]] -= saved
+        assert row.error_l2 == pytest.approx(math.sqrt(np.sum(np.square(diff))), rel=1e-14)
+
+
+def test_forked_table_seeds_match_a_serial_run_and_the_whole_grid_oracle(tmp_path,
+                                                                          monkeypatch):
+    # 70 seeds a row, dealt to two forked workers, write the table and the
+    # grids of a serial run; the errors are the medians of whole-grid trials
+    argv = ("example1", "--grid-degree", 16, "--n", "8,12,16", "--seeds", 70, "--out", tmp_path)
+    for workers in (2, 1):
+        monkeypatch.setattr(analysis, "_worker_count", lambda items: workers)
+        assert run_cli(*argv, "--run-id", f"w{workers}") == 0
+    for name in ["table.csv"] + [f"row_{i}/deriv.csv{ext}" for i in range(3)
+                                 for ext in ("", ".meta")]:
+        forked, serial = ((tmp_path / f"w{w}" / name).read_text() for w in (2, 1))
+        if name == "table.csv":  # wall_time, the last column, aside
+            forked, serial = ([line.rsplit(",", 1)[0] for line in text.splitlines()]
+                              for text in (forked, serial))
+        assert forked == serial, name
+    fn = example1_F()
+    exact = coeffs.exact_coeffs(fn, 16, 16, 80)
+    scorer = analysis.ErrorEvaluator(fn.exact_deriv(2, "t"), 16, 16, 56,
+                                     fn.breakpoints_t, fn.breakpoints_tau)
+    for i, (row, delta) in enumerate(zip(read_table(tmp_path, "w2").rows, (1e-7, 1e-8, 1e-9))):
+        params = truncation.MethodParams(n=row.n, gamma=1.0, r=2, axis="t")
+        trials = [truncation.truncate(coeffs.add_noise(exact, coeffs.NoiseSpec(
+            delta, math.inf, "rescaled", 2025 + 997 * i + sd)), params) for sd in range(70)]
+        assert row.error_c == np.median([scorer.c(a) for a in trials])
+        assert row.error_l2 == pytest.approx(np.median([scorer.l2(a) for a in trials]),
+                                             rel=1e-15)
 
 
 def test_cross_card_verdicts(tmp_path, capsys):
@@ -597,21 +645,29 @@ def test_non_finite_calibration_constant_is_reported(tmp_path, capsys, c):
     assert os.listdir(tmp_path) == ["rate.ini"]
 
 
-@pytest.mark.parametrize("argv", [["--n", "16,25,65"], ["--choose-n", "--c", "1e300"]],
-                         ids=["given", "chosen"])
-def test_truncation_level_beyond_grid_degree_is_reported(tmp_path, capsys, monkeypatch, argv):
+@pytest.mark.parametrize("argv,degree", [
+    (["example1", "--n", "16,25,65", "--seeds", 1], 64),
+    (["example1", "--choose-n", "--c", "1e300", "--seeds", 1], 64),
+    (["rate-study"], 16)], ids=["given", "chosen", "rate-study"])
+def test_truncation_level_beyond_grid_degree_is_reported(tmp_path, capsys, monkeypatch,
+                                                          argv, degree):
+    # one refusal, before the refused level's cross is enumerated; the rate
+    # study's fourth level, n=24, is the first beyond grid degree 16
     enumerate_cross = truncation.build_cross
 
     def small_crosses_only(n, *args):
-        assert n <= 64, "the refused cross was enumerated"
+        assert n <= degree, "the refused cross was enumerated"
         return enumerate_cross(n, *args)
 
     monkeypatch.setattr(truncation, "build_cross", small_crosses_only)
-    rc = run_cli("example1", *argv, "--seeds", 1, "--out", tmp_path)
+    truncation._cross_block.cache_clear()
+    cfg = tmp_path / "e1.ini"
+    cfg.write_text(f"[experiment]\nfunction = example1\n\n[method]\ngrid_degree = {degree}\n")
+    rc = run_cli(*argv, "--config", cfg, "--out", tmp_path)
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: truncation level n=") and err.count("\n") == 1
-    assert err.endswith(" exceeds grid degree 64\n")
+    assert err.endswith(f" exceeds grid degree {degree}\n")
 
 
 @pytest.mark.parametrize("degree", [0, cli.MAX_GRID_DEGREE + 1, 100000])
