@@ -272,9 +272,8 @@ class ErrorEvaluator:
     nothing to cancel, and no quadrature in any trial (Parseval). A C trial
     synthesizes only its active block [0..kmax] x [0..jmax], since
     truncation to the cross leaves every coefficient outside it zero, on the
-    uniform C grid, whose tables are shared the same way. _NearBias gives
-    the C distance of trials that differ from one grid by noise from a few
-    slabs of the C grid.
+    uniform C grid, whose tables are shared the same way. _Level finds the
+    C distance of a noise level's trials from a few slabs of the C grid.
     """
 
     def __init__(
@@ -401,61 +400,6 @@ class ErrorEvaluator:
         return float(self._slab_maxima(self._active(approx.data)).max())
 
 
-class _NearBias:
-    """The C distance of scorer for trials A = B + N near one grid B,
-    evaluated only on the slabs of the C grid that can hold the maximum.
-
-    B is the noise-free truncation of a noise level. Built once, it keeps
-    b_s, the maximum of |synthesis(B) - reference| over each slab s of
-    _C_SLAB rows of the C grid. Since the synthesis is linear, a trial's
-    error on slab s is at most b_s + n_s, where
-    n_s = max over x in s of sum_l |(Phi^T N)(x, l)| max_y |phi_l(y)|.
-    c() hands these bounds to the evaluator's slab pass, which stops once
-    its running maximum exceeds every remaining bound. Each bound is
-    raised by rel * (b_s + n_s + sigma_A + sigma_B), sigma from _scale, which
-    exceeds the rounding of both syntheses and of the bound itself. So
-    the result equals ErrorEvaluator.c, bit for bit. A trial or reference
-    that is not finite is evaluated on every slab. slabs holds the number
-    of slabs the last call evaluated.
-    """
-
-    def __init__(self, scorer: ErrorEvaluator, bias: CoeffGrid):
-        self._scorer = scorer
-        self._bias = scorer._active(bias.data)
-        self._starts = np.arange(0, scorer.grid_points, _C_SLAB)
-        self.bias_max = scorer._slab_maxima(self._bias)
-        self._bias_scale = self._scale(self._bias)
-        # rounding of (K+1)- and (J+1)-term sums, with room to spare
-        self._rel = 8 * (scorer.K + scorer.J + 8) * _U
-        self.slabs = 0
-
-    def _scale(self, block: np.ndarray) -> float:
-        """sum_kl max|phi_k| |block_kl| max|phi_l|, which bounds the magnitude
-        of every term of the block's synthesis anywhere on the C grid."""
-        phi_max = self._scorer._phi_max
-        return float(phi_max[: block.shape[0]] @ np.abs(block) @ phi_max[: block.shape[1]])
-
-    def c(self, approx: CoeffGrid) -> float:
-        return self._c_block(approx.data)
-
-    def _c_block(self, data: np.ndarray) -> float:
-        """c() of the grid that is data in its top-left corner and zero
-        elsewhere."""
-        s = self._scorer
-        block = s._active(data)
-        noise = np.zeros(np.maximum(block.shape, self._bias.shape))
-        noise[: block.shape[0], : block.shape[1]] = block
-        noise[: self._bias.shape[0], : self._bias.shape[1]] -= self._bias
-        left_n = s._grid_tables[0][: noise.shape[0]].T @ noise
-        row_noise = np.abs(left_n) @ s._phi_max[: noise.shape[1]]
-        bound = self.bias_max + np.maximum.reduceat(row_noise, self._starts)
-        limit = (bound * (1.0 + self._rel)  # 1e-300: room for underflow
-                 + self._rel * (self._scale(block) + self._bias_scale) + 1e-300)
-        maxima = s._slab_maxima(block, limit)
-        self.slabs = int(np.count_nonzero(maxima != -np.inf))
-        return float(maxima.max())
-
-
 def _scorer(fn: TestFunction, r: int, axis: str, K: int, J: int) -> ErrorEvaluator:
     """The evaluator of fn's r-th derivative along axis for grids of degrees
     up to (K, J). The derivative of a function defined by its coefficients
@@ -483,10 +427,20 @@ class _Level:
     """One noise level of an error table or a rate study: data cut to the
     cross of (n, gamma), differentiated r times along axis and scored by
     scorer. Built before any worker forks: the cross's mask keep, the
-    noise-free truncation B with its _NearBias, and the L2 error's outside
-    sum (ErrorEvaluator._outside). errors holds B's (L2, C) errors, the C
-    from one exhaustive slab pass: the bias of every trial, and the whole
-    error of a row without noise (noise None)."""
+    noise-free truncation B, the L2 error's outside sum (_outside) and
+    bias_max, the maximum b_s of |synthesis(B) - reference| over each slab
+    s of the C grid. errors holds B's (L2, C) errors: the bias of every
+    trial, and the whole error of a row without noise (noise None).
+
+    A trial A = B + N errs by at most b_s + n_s on slab s, the synthesis
+    being linear, where n_s = max over x in s of
+    sum_l |(Phi^T N)(x, l)| max_y |phi_l(y)|. _c_block raises each bound by
+    rel * (b_s + n_s + sigma_A + sigma_B), sigma from _scale, which exceeds
+    the rounding of both syntheses and of the bound, and hands the bounds
+    to the evaluator's slab pass. So it equals ErrorEvaluator.c, bit for
+    bit, from the slabs that can hold the maximum (slabs counts those of
+    the last call). A trial or reference that is not finite is evaluated
+    on every slab."""
 
     def __init__(self, scorer: ErrorEvaluator, data: np.ndarray, n: int, gamma: float,
                  r: int, axis: str, noise: NoiseSpec | None):
@@ -494,9 +448,37 @@ class _Level:
         self._scorer, self._data, self._r, self._axis = scorer, data, r, axis
         self.keep = keep = _cross_block(n, gamma, r, axis, scorer.K, scorer.J)
         bias = _truncate_block(data[: keep.shape[0], : keep.shape[1]], keep, r, axis)
-        self._near = _NearBias(scorer, CoeffGrid(data=bias))
         self._outside = scorer._outside(keep.shape)
-        self.errors = scorer._l2_block(bias, self._outside), float(self._near.bias_max.max())
+        self._bias = scorer._active(bias)
+        self.bias_max = scorer._slab_maxima(self._bias)
+        self.errors = scorer._l2_block(bias, self._outside), float(self.bias_max.max())
+        self._bias_scale = self._scale(self._bias)
+        # rounding of (K+1)- and (J+1)-term sums, with room to spare
+        self._rel = 8 * (scorer.K + scorer.J + 8) * _U
+        self._starts = np.arange(0, scorer.grid_points, _C_SLAB)
+        self.slabs = 0
+
+    def _scale(self, block: np.ndarray) -> float:
+        """sum_kl max|phi_k| |block_kl| max|phi_l|, which bounds the magnitude
+        of every term of the block's synthesis anywhere on the C grid."""
+        phi_max = self._scorer._phi_max
+        return float(phi_max[: block.shape[0]] @ np.abs(block) @ phi_max[: block.shape[1]])
+
+    def _c_block(self, data: np.ndarray) -> float:
+        """ErrorEvaluator.c of the grid that is data padded with zeros."""
+        s = self._scorer
+        block = s._active(data)
+        noise = np.zeros(np.maximum(block.shape, self._bias.shape))
+        noise[: block.shape[0], : block.shape[1]] = block
+        noise[: self._bias.shape[0], : self._bias.shape[1]] -= self._bias
+        left_n = s._grid_tables[0][: noise.shape[0]].T @ noise
+        row_noise = np.abs(left_n) @ s._phi_max[: noise.shape[1]]
+        bound = self.bias_max + np.maximum.reduceat(row_noise, self._starts)
+        limit = (bound * (1.0 + self._rel)  # 1e-300: room for underflow
+                 + self._rel * (self._scale(block) + self._bias_scale) + 1e-300)
+        maxima = s._slab_maxima(block, limit)
+        self.slabs = int(np.count_nonzero(maxima != -np.inf))
+        return float(maxima.max())
 
     def trial(self, sd: int) -> tuple[float, float]:
         """(error_l2, error_c) of noise draw sd, all a forked worker sends
@@ -504,7 +486,7 @@ class _Level:
         noise = replace(self.noise, seed=self.noise.seed + sd)
         approx = _truncate_block(_noisy_block(self._data, noise, self.keep.shape),
                                  self.keep, self._r, self._axis)
-        return self._scorer._l2_block(approx, self._outside), self._near._c_block(approx)
+        return self._scorer._l2_block(approx, self._outside), self._c_block(approx)
 
 
 def _check_margin(quad_nodes: int, data: np.ndarray) -> None:
@@ -611,13 +593,14 @@ def _run_share(fn, items, first: int, step: int):
 
 def _forked_map(fn, items) -> list:
     """[fn(x) for x in items], the items (a list or range) dealt in turn
-    to _worker_count processes. The caller runs the first share and forks one worker per
-    other share (none for a single share); a worker sends its results back through a pipe (pickle),
-    prints nothing and leaves by os._exit. The result does not depend on
-    the number of workers. A failure raises the exception of the first
-    failing item, as the serial loop would; a worker that ends without
-    sending its results raises ChildProcessError. Every worker is reaped
-    before this returns or raises.
+    to _worker_count processes. The caller runs the first share and forks
+    one worker per other share (none for a single share); a worker sends
+    its results back through a pipe (pickle), prints nothing and leaves by
+    os._exit. The result does not depend on the number of workers. A
+    failure raises the exception of the first failing item, as the serial
+    loop would; a worker that ends without sending its results raises
+    ChildProcessError. Every worker is reaped before this returns or
+    raises.
 
     A forked worker shares the tables the caller built, which a spawned
     one would build again. Fork copies only the calling thread; OpenBLAS,

@@ -308,8 +308,9 @@ def _meta_field(path: str, meta: dict, key: str, kind=str):
 def load_grid(path) -> CoeffGrid:
     """Inverse of save_grid. A sidecar without provenance, K or J, a field
     of the wrong kind, a row without three numeric fields, an index outside
-    the grid's degrees, or a row count other than the grid's cell count
-    raises ValueError. Rows are counted before the grid is allocated."""
+    the grid's degrees, a cell given twice, or a row count other than the
+    grid's cell count raises ValueError. Rows are counted before the grid is
+    allocated."""
     path = str(path)
     with open(path + ".meta") as fh:
         meta = dict(line.strip().partition("=")[::2] for line in fh if line.strip())
@@ -330,6 +331,10 @@ def load_grid(path) -> CoeffGrid:
     if bad.any():
         k, j, _ = cells[np.argmax(bad)]
         raise ValueError(f"{path}: index ({k},{j}) outside grid of degrees ({K},{J})")
+    counts = np.bincount(cells["k"] * (J + 1) + cells["j"], minlength=size)
+    if counts.max() > 1:  # the row count holds, so a repeat hides a missing cell
+        k, j = divmod(int(np.argmax(counts)), J + 1)
+        raise ValueError(f"{path}: cell ({k},{j}) given {counts.max()} times")
     data = np.zeros((K + 1, J + 1))
     data[cells["k"], cells["j"]] = cells["value"]
     noise = None

@@ -17,7 +17,7 @@ from crossdiff.analysis import (
     ErrorEvaluator,
     PiecewisePoly,
     _kink_factor,
-    _NearBias,
+    _Level,
     c_error,
     corpus,
     example1_F,
@@ -443,7 +443,7 @@ def test_blocked_c_error_matches_the_whole_array_form(monkeypatch, points, slab)
                                 grid_points=points)
         params = MethodParams(n=36, gamma=2.25, r=2, axis=axis)
         trials = list(noisy_trials(grid, params, (1e-5, 1e-9)))
-        near = _NearBias(scorer, truncate(grid, params))
+        level = _Level(scorer, grid.data, 36, 2.25, 2, axis, None)
         # the reference itself, and the reference plus phi_0(t) + phi_1(t),
         # whose worst points lie in the last row (t = 1) only
         exact = fn.deriv_coeffs(2, axis).data
@@ -456,7 +456,7 @@ def test_blocked_c_error_matches_the_whole_array_form(monkeypatch, points, slab)
             got = scorer.c(approx)
             assert abs(got - whole) <= bound, (axis, got, whole)
             # the bounded pass multiplies the same slabs
-            assert_same_float(near.c(approx), got)
+            assert_same_float(level._c_block(approx.data), got)
     # a NaN anywhere is the result, as in the one-product form
     data = np.zeros((3, 3))
     data[1, 1] = np.nan
@@ -612,7 +612,7 @@ def test_bounded_c_equals_the_exhaustive_slab_pass(points, axis, r):
     for level, (n, delta) in LEVELS.items():
         params = MethodParams(n=n, gamma=2.0, r=r, axis=axis)
         bias = truncate(grid, params)
-        near = _NearBias(scorer, bias)
+        noise_level = _Level(scorer, grid.data, n, 2.0, r, axis, None)
         noisy = [truncate(add_noise(grid, NoiseSpec(delta, 2.0, "rescaled", sd)), params)
                  for sd in range(20)]
         noise = np.abs(synthesize(noisy[0].data - bias.data, g, g)).max()
@@ -623,10 +623,11 @@ def test_bounded_c_equals_the_exhaustive_slab_pass(points, axis, r):
         # points lie in the last row (t = 1), a slab of one row
         bumped = bias.data.copy()
         bumped[:2, 0] += 10.0 * (slab_maxima(scorer, bias).max() + noise)
-        assert np.argmax(slab_maxima(scorer, CoeffGrid(data=bumped))) == len(near.bias_max) - 1
+        assert (np.argmax(slab_maxima(scorer, CoeffGrid(data=bumped)))
+                == len(noise_level.bias_max) - 1)
         for approx in [bias, CoeffGrid(data=bumped), *noisy]:
             want = slab_maxima(scorer, approx).max()
-            assert_same_float(near.c(approx), want)
+            assert_same_float(noise_level._c_block(approx.data), want)
             assert_same_float(scorer.c(approx), want)
             trials += 1
         # a NaN or an inf in the trial
@@ -634,7 +635,7 @@ def test_bounded_c_equals_the_exhaustive_slab_pass(points, axis, r):
             data = noisy[0].data.copy()
             data[k, 1] = value
             with np.errstate(invalid="ignore"):  # inf * 0 in the synthesis
-                got = near.c(CoeffGrid(data=data))
+                got = noise_level._c_block(data)
                 assert_same_float(got, slab_maxima(scorer, CoeffGrid(data=data)).max())
                 assert_same_float(scorer.c(CoeffGrid(data=data)), got)
             assert not math.isfinite(got)
@@ -656,10 +657,10 @@ def test_bounded_c_keeps_a_nan_of_the_reference():
     grid = exact_coeffs(F, 32, 32, 96)
     params = MethodParams(n=16, gamma=2.0, r=2)
     scorer = ErrorEvaluator(exact, 32, 32, 72)
-    near = _NearBias(scorer, truncate(grid, params))
-    assert np.isnan(near.bias_max).sum() == 1
+    level = _Level(scorer, grid.data, 16, 2.0, 2, "t", None)
+    assert np.isnan(level.bias_max).sum() == 1
     noisy = add_noise(grid, NoiseSpec(1e-7, 2.0, "rescaled", 3))
-    assert math.isnan(near.c(truncate(noisy, params)))
+    assert math.isnan(level._c_block(truncate(noisy, params).data))
 
 
 @pytest.mark.parametrize("axis", ["t", "tau"])
@@ -673,13 +674,13 @@ def test_bounded_c_prunes_rate_trials(axis):
     for i, delta in enumerate((1e-5, 1e-6, 1e-7, 1e-8, 1e-9)):
         sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=delta)
         params = MethodParams(n=choose_n(sp, 2), gamma=choose_gamma(sp, 2), r=2, axis=axis)
-        near = _NearBias(scorer, truncate(grid, params))
+        level = _Level(scorer, grid.data, params.n, params.gamma, 2, axis, None)
         for sd in range(20):
             noisy = add_noise(grid, NoiseSpec(delta, 2.0, "rescaled", 50 * i + sd))
             approx = truncate(noisy, params)
-            assert_same_float(near.c(approx), slab_maxima(scorer, approx).max())
-            slabs.append(near.slabs)
-    assert np.mean(slabs) <= 3 and max(slabs) < len(near.bias_max) // 2, slabs
+            assert_same_float(level._c_block(approx.data), slab_maxima(scorer, approx).max())
+            slabs.append(level.slabs)
+    assert np.mean(slabs) <= 3 and max(slabs) < len(level.bias_max) // 2, slabs
 
 
 @pytest.mark.parametrize("axis,make", [
@@ -708,19 +709,36 @@ def test_block_trials_score_like_the_full_grid(axis, make):
         inside = np.zeros(ref.shape, dtype=bool)
         inside[:kb, :jb] = True
         assert outside == pytest.approx(tail + math.fsum(ref[~inside] ** 2), rel=1e-14)
-        near = _NearBias(scorer, truncate(grid, params))
+        level = _Level(scorer, grid.data, params.n, params.gamma, 2, axis, None)
         for sd in range(5):
             spec = NoiseSpec(delta, 2.0, "rescaled", 50 * i + sd)
             full = truncate(add_noise(grid, spec), params).data
             block = truncation._truncate_block(
                 coeffs._noisy_block(grid.data, spec, keep.shape), keep, 2, axis)
             assert np.array_equal(block, full[:kb, :jb]) and not full[~inside].any()
-            assert_same_float(near._c_block(block), near.c(CoeffGrid(data=full)))
+            assert_same_float(level._c_block(block), level._c_block(full))
             if fn.coeff_data is None:
                 whole, rel = oracle_l2(CoeffGrid(data=full), scorer.exact, 104, bt, btau), 1e-12
             else:
                 whole, rel = float(np.linalg.norm(ref - full)), 1e-15
             assert scorer._l2_block(block, outside) == pytest.approx(whole, rel=rel)
+
+
+@pytest.mark.parametrize("axis", ["t", "tau"])
+@pytest.mark.parametrize("h", [1e-4, None], ids=["h", "delta0"])
+def test_noise_free_level_errors_match_the_exhaustive_oracle(h, axis):
+    # a table row without noise, an h row or delta = 0, built as the table
+    # command builds it: its level's errors are the whole-grid C pass, bit
+    # for bit, and the whole-grid L2 error
+    fn = example1_F()
+    grid = exact_coeffs(fn, 24, 24, 88) if h is None else coeffs.trapezoid_coeffs(fn, 24, 24, h)
+    oracle = ErrorEvaluator(fn.exact_deriv(2, axis), 24, 24, 64, fn.breakpoints_t,
+                            fn.breakpoints_tau)
+    for n in (8, 16, 24):
+        level = _Level(analysis._scorer(fn, 2, axis, 24, 24), grid.data, n, 1.0, 2, axis, None)
+        approx = truncate(grid, MethodParams(n=n, gamma=1.0, r=2, axis=axis))
+        assert_same_float(level.errors[1], oracle.c(approx))
+        assert level.errors[0] == pytest.approx(oracle.l2(approx), rel=1e-15)
 
 
 RATE_SP = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=1e-7)

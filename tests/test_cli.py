@@ -384,10 +384,12 @@ def test_emit_surface_function_mismatch(tmp_path, capsys):
     ("1,5,0", "index (1,5) outside grid of degrees (4,4)"),
     ("-1,1,0", "index (-1,1) outside grid of degrees (4,4)"),
     ("1,1", "the dtype passed requires 3 columns but 2 were found at row 7"),
+    ("0,0,0", "cell (0,0) given 2 times"),
 ])
 def test_emit_surface_reports_a_bad_grid_row(tmp_path, capsys, edit, reason):
-    # an index outside the grid, negative included, or a short row is one
-    # error: line, not a traceback or a value written to the wrong cell
+    # an index outside the grid, negative included, a short row or a cell
+    # given twice is one error: line, not a traceback or a value written to
+    # the wrong cell
     assert run_cli("example1", "--grid-degree", 4, "--n", "2,3,4", "--seeds", 1,
                    "--out", tmp_path, "--run-id", "e1") == 0
     capsys.readouterr()

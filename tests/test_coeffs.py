@@ -382,6 +382,7 @@ def test_one_float_format_for_run_files_and_printed_lines(x):
     ("0,1,1\n0,0,x\n", "could not convert string 'x' to float64"),
     ("0,0,1\n0,1,1\n1,0,1\n", "3 rows, not the 4 of a grid of degrees (1,1)"),
     ("", "0 rows, not the 4 of a grid of degrees (1,1)"),
+    ("0,0,1\n0,1,1\n1,0,1\n0,1,2\n", "cell (0,1) given 2 times"),
 ])
 def test_load_grid_refuses_a_bad_row(tmp_path, rows, reason):
     path = tmp_path / "grid.csv"
