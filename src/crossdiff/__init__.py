@@ -12,12 +12,9 @@ not load.
 """
 
 from .legendre import (
-    DerivOperator,
     QuadRule,
-    eval_phi,
     gauss_rule,
     iterate_derivative,
-    mueller_first_derivative,
     phi_matrix,
     synthesize,
 )
@@ -48,7 +45,6 @@ from .analysis import (
     RateStudyResult,
     TestFunction,
     c_error,
-    corpus,
     example1_F,
     example2_F,
     l2_error,
@@ -60,12 +56,9 @@ from .analysis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DerivOperator",
     "QuadRule",
-    "eval_phi",
     "gauss_rule",
     "iterate_derivative",
-    "mueller_first_derivative",
     "phi_matrix",
     "synthesize",
     "CoeffGrid",
@@ -90,7 +83,6 @@ __all__ = [
     "RateStudyResult",
     "TestFunction",
     "c_error",
-    "corpus",
     "example1_F",
     "example2_F",
     "l2_error",

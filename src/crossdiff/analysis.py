@@ -40,7 +40,6 @@ __all__ = [
     "example1_F",
     "example2_F",
     "make_class_function",
-    "corpus",
     "ErrorEvaluator",
     "l2_error",
     "c_error",
@@ -233,11 +232,6 @@ def make_class_function(
         coeff_data=data,
         class_info=SmoothnessParams(s=s, mu1=mu1, mu2=mu2, p=2.0, delta=1e-7),
     )
-
-
-def corpus() -> list:
-    """Default test functions used across examples and rate studies."""
-    return [example1_F(), example2_F(), make_class_function()]
 
 
 def _effective_degrees(data: np.ndarray) -> tuple[int, int]:
@@ -676,7 +670,7 @@ def rate_study(
     shape from choose_gamma (unless gamma overrides it); `seeds`
     independent perturbations are reconstructed and the per-delta median
     error in the requested metric enters a log-log least-squares fit.
-    Requires delta_list to span at least three decades.
+    Requires every delta in (0, 1), spanning at least three decades.
 
     A trial works on the cross's bounding block only. So this call may
     fork: on Linux, a study of 64 or more trials splits them across two
@@ -685,6 +679,7 @@ def rate_study(
     for any number of processes.
     """
     delta_list = [float(d) for d in delta_list]
+    level_params = [replace(sp, delta=d) for d in delta_list]  # refuses a delta outside (0,1)
     if len(delta_list) < 2 or max(delta_list) / min(delta_list) < 0.999e3:
         raise ValueError("delta_list must span at least three decades")
     if seeds < 1:
@@ -708,13 +703,12 @@ def rate_study(
     scorer = _scorer(fn, r, axis, grid.K, grid.J)
 
     levels = []
-    for i, delta in enumerate(delta_list):
-        spd = replace(sp, delta=delta)
+    for i, spd in enumerate(level_params):
         n = choose_n(spd, r, c)
         g = choose_gamma(spd, r, metric) if gamma is None else float(gamma)
         _check_level(n, scorer, axis)
         levels.append(_Level(scorer, grid.data, n, g, r, axis,
-                             _noise(delta, sp.p, noise_mode, base_seed, i)))
+                             _noise(spd.delta, sp.p, noise_mode, base_seed, i)))
 
     def trial(index):
         return levels[index // seeds].trial(index % seeds)

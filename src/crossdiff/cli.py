@@ -409,9 +409,9 @@ def cmd_cross_card(gammas, r: int, ns, out: str | None = None,
     if not 1 <= r <= min(ns, default=r):
         raise ValueError(f"--r={r} must lie in [1, {min(ns)}], the smallest --n level")
     verdicts = []
+    growths = [(g, cardinality_growth(g, r, ns)) for g in gammas]  # refuses before any write
     run_dir = os.path.join(_resolve_root(out), run_id or "cross-card")
     os.makedirs(run_dir, exist_ok=True)
-    growths = [(g, cardinality_growth(g, r, ns)) for g in gammas]
     _write_csv(os.path.join(run_dir, "card.csv"), "gamma,n,card",
                ("fss", [(g, n, card) for g, growth in growths for n, card in growth]))
     for g, growth in growths:

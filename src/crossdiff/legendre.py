@@ -22,11 +22,8 @@ import numpy as np
 
 __all__ = [
     "QuadRule",
-    "DerivOperator",
-    "eval_phi",
     "phi_matrix",
     "gauss_rule",
-    "mueller_first_derivative",
     "iterate_derivative",
     "differentiate",
     "synthesize",
@@ -129,15 +126,6 @@ def _phi_blocks(t: np.ndarray, out: np.ndarray, scale: np.ndarray, lo: int, hi: 
             p_prev_b, p_b, nxt_b = p_b, nxt_b, p_prev_b
 
 
-def eval_phi(k: int, t):
-    """Evaluate phi_k(t) = sqrt(k + 1/2) P_k(t) by three-term recurrence."""
-    if k < 0:
-        raise ValueError("degree k must be >= 0")
-    arr = np.asarray(t, dtype=float)
-    vals = phi_matrix(k, arr.ravel())[k].reshape(arr.shape)
-    return float(vals) if np.isscalar(t) or arr.ndim == 0 else vals
-
-
 @dataclass(frozen=True)
 class QuadRule:
     """Gauss-Legendre nodes and weights on [-1, 1]."""
@@ -192,46 +180,31 @@ def _gauss_rule(m: int) -> QuadRule:
     return QuadRule(nodes=nodes, weights=weights)
 
 
-@dataclass(frozen=True)
-class DerivOperator:
-    """Coefficient-space differentiation operator of a given order.
+def iterate_derivative(max_degree: int, r: int) -> np.ndarray:
+    """Order-r operator on degrees 0..max_degree: the r-th power of the
+    order-1 operator M[l, k] = 2 sqrt(k+1/2) sqrt(l+1/2) for l < k, k+l odd.
 
-    matrix[l, k] maps input coefficient k to output coefficient l; it is
-    strictly upper triangular, and for order 1 only entries with k + l odd
-    are populated.
+    Entry [l, k] maps input coefficient k to output coefficient l; the
+    operator is strictly upper triangular. Raises OverflowError at the first power
+    with a non-finite entry.
     """
-
-    order: int
-    max_degree: int
-    matrix: np.ndarray
-
-
-def mueller_first_derivative(max_degree: int) -> DerivOperator:
-    """Order-1 operator: M[l, k] = 2 sqrt(k+1/2) sqrt(l+1/2) for l < k, k+l odd."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    idx = np.arange(max_degree + 1)
-    half = np.sqrt(idx + 0.5)
-    mat = 2.0 * np.outer(half, half)
-    keep = (idx[:, None] < idx[None, :]) & ((idx[:, None] + idx[None, :]) % 2 == 1)
-    mat[~keep] = 0.0
-    return DerivOperator(order=1, max_degree=max_degree, matrix=mat)
-
-
-def iterate_derivative(op1: DerivOperator, r: int) -> DerivOperator:
-    """r-fold composition of the order-1 operator."""
     if r < 1:
         raise ValueError("derivative order must be >= 1")
-    if op1.order != 1:
-        raise ValueError("iterate_derivative starts from an order-1 operator")
-    mat = op1.matrix
+    idx = np.arange(max_degree + 1)
+    half = np.sqrt(idx + 0.5)
+    op1 = 2.0 * np.outer(half, half)
+    keep = (idx[:, None] < idx[None, :]) & ((idx[:, None] + idx[None, :]) % 2 == 1)
+    op1[~keep] = 0.0
+    mat = op1
     for _ in range(r - 1):
-        mat = op1.matrix @ mat
+        mat = op1 @ mat
         if not np.isfinite(mat).all():  # no later power is finite either
             raise OverflowError(
-                f"operator entries overflow for order {r} at degree {op1.max_degree}"
+                f"operator entries overflow for order {r} at degree {max_degree}"
             )
-    return DerivOperator(order=r, max_degree=op1.max_degree, matrix=mat)
+    return mat
 
 
 def differentiate(data: np.ndarray, r: int, axis: str = "t") -> np.ndarray:
@@ -247,8 +220,7 @@ def differentiate(data: np.ndarray, r: int, axis: str = "t") -> np.ndarray:
 @functools.lru_cache(maxsize=16)  # one operator of degree 1024 holds 8 MB
 def _deriv_matrix(size: int, r: int) -> np.ndarray:
     """Read-only order-r operator on degrees below size, zero if size <= r."""
-    mat = (iterate_derivative(mueller_first_derivative(size - 1), r).matrix
-           if size > r else np.zeros((size, size)))
+    mat = iterate_derivative(size - 1, r) if size > r else np.zeros((size, size))
     mat.flags.writeable = False
     return mat
 

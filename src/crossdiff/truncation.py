@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import CoeffGrid, _write_csv
+from .coeffs import CoeffGrid
 from .legendre import differentiate
 
 __all__ = [
@@ -62,10 +62,6 @@ class CrossSet:
                 )
             m[k, j] = True
         return m
-
-    def save(self, path) -> None:
-        """Write the index set as CSV with header k,j."""
-        _write_csv(path, "k,j", ("ss", self.indices))
 
 
 @dataclass(frozen=True)

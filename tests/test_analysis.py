@@ -19,7 +19,6 @@ from crossdiff.analysis import (
     _kink_factor,
     _Level,
     c_error,
-    corpus,
     example1_F,
     example2_F,
     l2_error,
@@ -271,7 +270,7 @@ def test_exact_first_derivatives_match_difference_quotients():
     t = rng.uniform(-0.9, 0.9, 100)
     tau = rng.uniform(-0.9, 0.9, 100)
     h = 1e-5
-    for F in corpus():
+    for F in (example1_F(), example2_F(), make_class_function()):
         for axis in ("t", "tau"):
             d = F.exact_deriv(1, axis)(t, tau)
             if axis == "t":
@@ -346,6 +345,11 @@ def test_rate_study_validation():
         rate_study(fn, sp, 2, "L2", (1e-5, 1e-7, 1e-9), 0)
     with pytest.raises(ValueError):
         rate_study(fn, sp, 2, "H1", (1e-5, 1e-7, 1e-9), 3)
+    # every delta is checked before the span, which divides by the smallest
+    with pytest.raises(ValueError, match=r"^accuracy delta=0\.0 must lie in \(0,1\)$"):
+        rate_study(fn, sp, 2, "L2", (0.0, 1e-5, 1e-9), 2)
+    with pytest.raises(ValueError, match=r"^accuracy delta=-0\.001 must lie in \(0,1\)$"):
+        rate_study(fn, sp, 2, "L2", (-1e-3, 1e-5, 1e-9), 2)
     # a coefficient-defined function fixes the grid degree
     with pytest.raises(ValueError, match="grid_degree=64 differs from the degree 128"):
         rate_study(fn, sp, 2, "L2", (1e-5, 1e-7, 1e-9), 1, grid_degree=64)

@@ -770,12 +770,16 @@ def test_overflowing_derivative_operator_is_reported(tmp_path, capsys):
     (["--n", "10,1000000"], "--n level 1000000 must lie in [2, 1024]"),
     (["--n", "5,8", "--r", "0"], "--r=0 must lie in [1, 5], the smallest --n level"),
     (["--n", "2,5", "--r", "3"], "--r=3 must lie in [1, 2], the smallest --n level"),
+    (["--n", "4,4"], "n_list must be strictly increasing"),
+    (["--n", "8,4"], "n_list must be strictly increasing"),
+    (["--n", "4,8", "--gamma", "0.5"], "cross shape gamma=0.5 must be >= 1"),
+    (["--n", "4,8", "--gamma", "nan"], "cross shape gamma=nan must be >= 1"),
 ])
 def test_cross_card_limits_are_reported(tmp_path, capsys, monkeypatch, argv, message):
     def refuse(*args):
         raise AssertionError("a cross was enumerated")
 
-    monkeypatch.setattr(cli, "cardinality_growth", refuse)
+    monkeypatch.setattr(truncation, "_limit", refuse)
     rc = run_cli("cross-card", "--gamma", "1", *argv, "--out", tmp_path)
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"

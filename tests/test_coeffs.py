@@ -25,12 +25,13 @@ from crossdiff.coeffs import (
     save_grid,
     trapezoid_coeffs,
 )
-from crossdiff.legendre import eval_phi, gauss_rule, phi_matrix, synthesize
+from crossdiff.legendre import gauss_rule, phi_matrix, synthesize
 from crossdiff.truncation import build_cross
 
 
 def test_exact_coeffs_orthonormal_product():
-    f = lambda t, tau: eval_phi(2, t) * eval_phi(3, tau)
+    # exact_coeffs evaluates f on a column of t nodes and a row of tau nodes
+    f = lambda t, tau: phi_matrix(2, t)[2][:, None] * phi_matrix(3, tau)[3][None, :]
     grid = exact_coeffs(f, 4, 4, 40)
     expect = np.zeros((5, 5))
     expect[2, 3] = 1.0

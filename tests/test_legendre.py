@@ -15,14 +15,13 @@ from crossdiff.legendre import (
     _PHI_BLOCK,
     _phi_blocks,
     differentiate,
-    eval_phi,
     gauss_rule,
     iterate_derivative,
-    mueller_first_derivative,
     phi_matrix,
     synthesize,
 )
 from crossdiff.truncation import build_cross
+from operator_reference import reference_operator
 
 
 def test_phi0_is_normalized_constant():
@@ -31,14 +30,14 @@ def test_phi0_is_normalized_constant():
 
 
 def test_phi1_endpoint_value():
-    assert eval_phi(1, 1.0) == pytest.approx(math.sqrt(1.5), rel=1e-15)
+    assert phi_matrix(1, np.array([1.0]))[1, 0] == pytest.approx(math.sqrt(1.5), rel=1e-15)
 
 
 def test_phi5_against_rodrigues_polynomial():
     # P_5(t) = (63 t^5 - 70 t^3 + 15 t)/8, independent of the recurrence
     for t in (0.3, -0.77, 0.995):
         p5 = (63.0 * t**5 - 70.0 * t**3 + 15.0 * t) / 8.0
-        assert eval_phi(5, t) == pytest.approx(math.sqrt(5.5) * p5, abs=1e-13)
+        assert phi_matrix(5, np.array([t]))[5, 0] == pytest.approx(math.sqrt(5.5) * p5, abs=1e-13)
 
 
 def test_phi_matrix_shape_and_negative_degree():
@@ -215,9 +214,7 @@ def test_gauss_monomial_exactness():
 
 
 def test_first_derivative_operator_columns():
-    op = mueller_first_derivative(6)
-    M = op.matrix
-    assert op.order == 1
+    M = iterate_derivative(6, 1)
     # column 2: only entry l=1, value 2*sqrt(5/2)*sqrt(3/2) = sqrt(15)
     col2 = M[:, 2].copy()
     assert col2[1] == pytest.approx(math.sqrt(15.0), rel=1e-15)
@@ -231,7 +228,7 @@ def test_first_derivative_operator_columns():
 
 
 def test_first_derivative_operator_sparsity_pattern():
-    M = mueller_first_derivative(25).matrix
+    M = iterate_derivative(25, 1)
     for k in range(26):
         nz = np.nonzero(M[:, k])[0]
         assert len(nz) == (k + 1) // 2
@@ -240,14 +237,11 @@ def test_first_derivative_operator_sparsity_pattern():
 
 
 def test_iterate_derivative_identity_and_validation():
-    op1 = mueller_first_derivative(8)
-    same = iterate_derivative(op1, 1)
-    assert same.order == 1
-    assert np.array_equal(same.matrix, op1.matrix)
-    with pytest.raises(ValueError):
-        iterate_derivative(op1, 0)
-    with pytest.raises(ValueError):
-        iterate_derivative(iterate_derivative(op1, 2), 2)
+    assert np.array_equal(iterate_derivative(8, 1), reference_operator(8, 1))
+    with pytest.raises(ValueError, match="^derivative order must be >= 1$"):
+        iterate_derivative(8, 0)
+    with pytest.raises(ValueError, match="^max_degree must be >= 1$"):
+        iterate_derivative(0, 1)
 
 
 def test_second_derivative_of_cubic():
@@ -255,16 +249,14 @@ def test_second_derivative_of_cubic():
     c = np.zeros(5)
     c[1] = (3.0 / 5.0) / math.sqrt(1.5)
     c[3] = (2.0 / 5.0) / math.sqrt(3.5)
-    op2 = iterate_derivative(mueller_first_derivative(4), 2)
-    out = op2.matrix @ c
+    out = iterate_derivative(4, 2) @ c
     expect = np.zeros(5)
     expect[1] = 6.0 / math.sqrt(1.5)
     assert np.abs(out - expect).max() < 1e-12
 
 
 def test_second_derivative_operator_column_2():
-    op2 = iterate_derivative(mueller_first_derivative(4), 2)
-    col = op2.matrix[:, 2].copy()
+    col = iterate_derivative(4, 2)[:, 2].copy()
     assert col[0] == pytest.approx(math.sqrt(45.0), rel=1e-14)
     col[0] = 0.0
     assert np.all(col == 0.0)
@@ -278,7 +270,6 @@ def test_coefficient_space_derivatives_match_polynomial_calculus():
     P = phi_matrix(deg, rule.nodes)
     pts = np.linspace(-1.0, 1.0, 33)
     P_pts = phi_matrix(deg, pts)
-    op1 = mueller_first_derivative(deg)
     for trial in range(5):
         coeffs = rng.uniform(-1.0, 1.0, 31)
         qvals = np.polynomial.polynomial.polyval(rule.nodes, coeffs)
@@ -286,7 +277,7 @@ def test_coefficient_space_derivatives_match_polynomial_calculus():
         for r in (1, 2, 3):
             d_coeffs = np.polynomial.polynomial.polyder(coeffs, r)
             exact = np.polynomial.polynomial.polyval(pts, d_coeffs)
-            approx = P_pts.T @ (iterate_derivative(op1, r).matrix @ c)
+            approx = P_pts.T @ (iterate_derivative(deg, r) @ c)
             scale = max(1.0, np.abs(exact).max())
             assert np.abs(approx - exact).max() < 1e-8 * scale
 
@@ -300,7 +291,7 @@ def test_derivative_operator_matches_legder_property(deg, r, seed):
     expected = np.zeros(deg + 1)
     der = npleg.legder(c * half, r)
     expected[: der.size] = der / half[: der.size]
-    got = iterate_derivative(mueller_first_derivative(deg), r).matrix @ c
+    got = iterate_derivative(deg, r) @ c
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
@@ -324,7 +315,7 @@ def test_differentiate_cross_block_matches_legder_and_the_operator_property(
     by_legder[: der.shape[0]] = der / half[: der.shape[0]]
     # the oracle operator is built at a larger degree and cut to the block
     deg = size - 1 + data.draw(st.integers(0, 8))
-    by_operator = iterate_derivative(mueller_first_derivative(deg), r).matrix[:size, :size] @ cols
+    by_operator = reference_operator(deg, r)[:size, :size] @ cols
     for expected in (by_legder, by_operator):
         expected = expected if axis == "t" else expected.T
         assert got.shape == expected.shape
@@ -348,7 +339,6 @@ def test_differentiate_validation_and_limits():
 def test_endpoint_derivative_closed_form():
     # phi_k^{(r)}(1) = sqrt(k+1/2) * prod_{i=0}^{r-1} (k-i)(k+i+1) / (2^r r!)
     deg = 40
-    op1 = mueller_first_derivative(deg)
     one = np.array([1.0])
     for k in (1, 3, 7, 12, 20, 40):
         for r in (1, 2, 3):
@@ -358,7 +348,7 @@ def test_endpoint_derivative_closed_form():
             expect = math.sqrt(k + 0.5) * num / (2.0**r * math.factorial(r))
             c = np.zeros(deg + 1)
             c[k] = 1.0
-            d = iterate_derivative(op1, r).matrix @ c
+            d = iterate_derivative(deg, r) @ c
             val = float((phi_matrix(deg, one).T @ d)[0])
             if expect == 0.0:
                 assert abs(val) < 1e-10

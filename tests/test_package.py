@@ -1,0 +1,74 @@
+"""The package's public surface, and the README's library example."""
+
+import importlib
+import inspect
+import math
+import pathlib
+import re
+
+import crossdiff
+
+MODULES = ("legendre", "coeffs", "truncation", "analysis", "cli")
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_package_exports_exactly_the_documented_names():
+    assert crossdiff.__all__ == [
+        "QuadRule",
+        "gauss_rule",
+        "iterate_derivative",
+        "phi_matrix",
+        "synthesize",
+        "CoeffGrid",
+        "NoiseSpec",
+        "add_noise",
+        "exact_coeffs",
+        "load_grid",
+        "lp_norm",
+        "save_grid",
+        "trapezoid_coeffs",
+        "CrossSet",
+        "MethodParams",
+        "SmoothnessParams",
+        "build_cross",
+        "cardinality_growth",
+        "choose_gamma",
+        "choose_n",
+        "class_norm",
+        "truncate",
+        "CosFactor",
+        "PiecewisePoly",
+        "RateStudyResult",
+        "TestFunction",
+        "c_error",
+        "example1_F",
+        "example2_F",
+        "l2_error",
+        "make_class_function",
+        "rate_study",
+        "theoretical_slope",
+        "__version__",
+    ]
+    for name in crossdiff.__all__:
+        assert hasattr(crossdiff, name), name
+
+
+def test_every_public_name_is_defined_in_its_module():
+    for layer in MODULES:
+        mod = importlib.import_module(f"crossdiff.{layer}")
+        assert len(set(mod.__all__)) == len(mod.__all__), layer
+        for name in mod.__all__:
+            assert name in vars(mod), f"{layer}.{name}"
+            obj = vars(mod)[name]
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                assert obj.__module__ == mod.__name__, f"{layer}.{name}"
+
+
+def test_readme_library_quick_reference_runs(tmp_path, monkeypatch):
+    text = README.read_text()
+    section = text[text.index("## Library quick reference"):]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(code, str(README), "exec"), namespace)
+    assert math.isfinite(namespace["err"])

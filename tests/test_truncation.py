@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from crossdiff import legendre, truncation
 from crossdiff.analysis import example1_F
 from crossdiff.coeffs import CoeffGrid, NoiseSpec, add_noise, exact_coeffs
-from crossdiff.legendre import gauss_rule, iterate_derivative, mueller_first_derivative, synthesize
+from crossdiff.legendre import gauss_rule, iterate_derivative, synthesize
 from crossdiff.truncation import (
     MethodParams,
     SmoothnessParams,
@@ -23,6 +23,7 @@ from crossdiff.truncation import (
     class_norm,
     truncate,
 )
+from operator_reference import reference_operator
 
 
 def brute_force_cross(n, gamma, r, axis):
@@ -282,24 +283,13 @@ def test_method_params_validation():
         MethodParams(n=8, gamma=1.0, r=1, axis="x")
 
 
-def test_cross_set_save(tmp_path):
-    cross = build_cross(6, 1.0, 2)
-    path = tmp_path / "cross.csv"
-    cross.save(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k,j"
-    assert len(lines) - 1 == cross.cardinality
-    k, j = map(int, lines[1].split(","))
-    assert (k, j) == cross.indices[0]
-
-
 def dense_truncate(grid, params, op):
     """The whole-grid form: mask every entry, apply the full operator."""
     keep = build_cross(params.n, params.gamma, params.r, params.axis).mask(grid.K, grid.J)
     masked = np.where(keep, grid.data, 0.0)
     if params.axis == "t":
-        return op.matrix[: grid.K + 1, : grid.K + 1] @ masked
-    return masked @ op.matrix[: grid.J + 1, : grid.J + 1].T
+        return op[: grid.K + 1, : grid.K + 1] @ masked
+    return masked @ op[: grid.J + 1, : grid.J + 1].T
 
 
 def test_block_truncate_matches_the_dense_form():
@@ -307,7 +297,7 @@ def test_block_truncate_matches_the_dense_form():
     for K, J in ((128, 128), (40, 61), (64, 33), (12, 12)):
         data = rng.standard_normal((K + 1, J + 1))
         for r in (1, 2, 3):
-            op = iterate_derivative(mueller_first_derivative(max(K, J)), r)
+            op = reference_operator(max(K, J), r)
             for axis in ("t", "tau"):
                 for n in (r - 1, r, 7, min(K, J)):  # n < r is the empty cross
                     for gamma in (1.0, 2.25):
@@ -342,8 +332,8 @@ def test_truncate_reuses_one_read_only_mask_per_cross(monkeypatch):
 def test_truncate_reuses_one_read_only_operator_per_size_and_order(monkeypatch):
     legendre._deriv_matrix.cache_clear()
     calls = []
-    monkeypatch.setattr(legendre, "iterate_derivative", lambda op1, r: (
-        calls.append((op1.max_degree, r)) or iterate_derivative(op1, r)))
+    monkeypatch.setattr(legendre, "iterate_derivative", lambda max_degree, r: (
+        calls.append((max_degree, r)) or iterate_derivative(max_degree, r)))
     # every cross below has an 11-wide block along its axis, whatever the grid
     for K, gamma, axis in ((19, 1.5, "t"), (19, 1.5, "tau"), (19, 2.5, "t"), (30, 1.5, "t")):
         grid = CoeffGrid(data=np.ones((K + 1, K + 1)))
@@ -353,7 +343,7 @@ def test_truncate_reuses_one_read_only_operator_per_size_and_order(monkeypatch):
     assert calls == [(10, 2), (10, 3)]
     op = legendre._deriv_matrix(11, 2)
     assert not op.flags.writeable
-    assert np.array_equal(op, iterate_derivative(mueller_first_derivative(10), 2).matrix)
+    assert np.array_equal(op, reference_operator(10, 2))
 
 
 @settings(max_examples=80, deadline=None)
