@@ -133,8 +133,7 @@ class TestFunction:
 
     Either separable (t_factor, tau_factor, divided by C) or given
     directly by a coefficient grid (coeff_data). class_info records the
-    smoothness class the function is designed to sit in; its delta field
-    is a nominal placeholder.
+    smoothness class the function is designed to sit in.
     """
 
     id: str
@@ -200,7 +199,7 @@ def example1_F() -> TestFunction:
         C=947.0,
         t_factor=f,
         tau_factor=f,
-        class_info=SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=1e-7),
+        class_info=SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0),
     )
 
 
@@ -211,7 +210,7 @@ def example2_F() -> TestFunction:
         C=26318.0,
         t_factor=_kink_factor(),
         tau_factor=CosFactor(2.0, math.pi),
-        class_info=SmoothnessParams(s=2.0, mu1=5.4, mu2=5.4, p=2.0, delta=1e-7),
+        class_info=SmoothnessParams(s=2.0, mu1=5.4, mu2=5.4, p=2.0),
     )
 
 
@@ -230,7 +229,7 @@ def make_class_function(
     return TestFunction(
         id=f"class-s{s:g}-mu{mu1:g}x{mu2:g}",
         coeff_data=data,
-        class_info=SmoothnessParams(s=s, mu1=mu1, mu2=mu2, p=2.0, delta=1e-7),
+        class_info=SmoothnessParams(s=s, mu1=mu1, mu2=mu2, p=2.0),
     )
 
 
@@ -403,12 +402,17 @@ def _scorer(fn: TestFunction, r: int, axis: str, K: int, J: int) -> ErrorEvaluat
     return ErrorEvaluator(exact, K, J, max(K, J) + 40, fn.breakpoints_t, fn.breakpoints_tau)
 
 
-def _check_level(n: int, scorer: ErrorEvaluator, axis: str) -> None:
-    """Refuse a truncation level beyond the scored grids' degree along axis,
-    before anything of that level, the cross or a grid, is built."""
-    limit = scorer.K if axis == "t" else scorer.J
-    if n > limit:
-        raise ValueError(f"truncation level n={n} exceeds grid degree {limit}")
+def _plan(sp: SmoothnessParams, deltas, ns, r: int, c: float, gamma, metric,
+          degree: int) -> tuple[list, float]:
+    """(n of every noise level, the run's gamma): ns, or else choose_n of
+    each delta, and gamma, or else choose_gamma, which does not depend on
+    delta. Refuses the first n beyond degree, the grids' degree along the
+    derivative's axis, before any grid, cross or trial is built."""
+    levels = list(ns) or [choose_n(sp, delta, r, c) for delta in deltas]
+    for n in levels:
+        if n > degree:
+            raise ValueError(f"truncation level n={n} exceeds grid degree {degree}")
+    return levels, choose_gamma(sp, r, metric) if gamma is None else float(gamma)
 
 
 def _noise(delta: float, p: float, mode: str, base_seed: int, level: int) -> NoiseSpec:
@@ -527,11 +531,10 @@ def c_error(approx: CoeffGrid, exact, grid_points: int = 513) -> float:
 def theoretical_slope(sp: SmoothnessParams, r: int, metric: str = "L2", axis: str = "t") -> float:
     """Predicted exponent of the error's power-law decay in delta."""
     mu_a, mu_b = (sp.mu1, sp.mu2) if axis == "t" else (sp.mu2, sp.mu1)
-    inv_p = 0.0 if math.isinf(sp.p) else 1.0 / sp.p
     if metric not in ("L2", "C"):
         raise ValueError(f"metric must be 'L2' or 'C', got {metric!r}")
     num = mu_a - 2 * r + 1.0 / sp.s - (0.5 if metric == "L2" else 1.5)
-    return num / (mu_a - inv_p + 1.0 / sp.s)
+    return num / (mu_a - 1.0 / sp.p + 1.0 / sp.s)  # 1/p = 0 at p = inf
 
 
 @dataclass(eq=False)
@@ -666,8 +669,9 @@ def rate_study(
 ) -> RateStudyResult:
     """Measure error versus noise level and fit the decay exponent.
 
-    For each delta the truncation level comes from choose_n and the cross
-    shape from choose_gamma (unless gamma overrides it); `seeds`
+    sp is the smoothness class; each delta's truncation level comes from
+    choose_n and the one cross shape from choose_gamma (unless gamma
+    overrides it), all planned before any grid is built. `seeds`
     independent perturbations are reconstructed and the per-delta median
     error in the requested metric enters a log-log least-squares fit.
     Requires every delta in (0, 1), spanning at least three decades.
@@ -679,36 +683,30 @@ def rate_study(
     for any number of processes.
     """
     delta_list = [float(d) for d in delta_list]
-    level_params = [replace(sp, delta=d) for d in delta_list]  # refuses a delta outside (0,1)
-    if len(delta_list) < 2 or max(delta_list) / min(delta_list) < 0.999e3:
-        raise ValueError("delta_list must span at least three decades")
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     if metric not in ("L2", "C"):
         raise ValueError(f"metric must be 'L2' or 'C', got {metric!r}")
-
-    if fn.coeff_data is not None:
-        grid = CoeffGrid(data=np.array(fn.coeff_data), provenance="exact")
-        if grid_degree is not None and (grid_degree, grid_degree) != (grid.K, grid.J):
-            deg = grid.K if grid.K == grid.J else f"({grid.K},{grid.J})"
-            raise ValueError(
-                f"grid_degree={grid_degree} differs from the degree {deg} of "
-                f"{fn.id}'s coefficient data; omit grid_degree"
-            )
+    if fn.coeff_data is None:
+        K = J = 64 if grid_degree is None else grid_degree
     else:
-        deg = 64 if grid_degree is None else grid_degree
-        grid = exact_coeffs(fn, deg, deg, deg + 40)
-    if not np.isfinite(grid.data).all():
-        raise ValueError(f"coefficients of {fn.id} are not finite")
-    scorer = _scorer(fn, r, axis, grid.K, grid.J)
+        K, J = (d - 1 for d in fn.coeff_data.shape)
+        if grid_degree is not None and (grid_degree, grid_degree) != (K, J):
+            deg = K if K == J else f"({K},{J})"
+            raise ValueError(f"grid_degree={grid_degree} differs from the degree {deg} of "
+                             f"{fn.id}'s coefficient data; omit grid_degree")
+    # refuses a delta outside (0,1) before the span, which divides by the smallest
+    ns, gamma = _plan(sp, delta_list, (), r, c, gamma, metric, K if axis == "t" else J)
+    if len(delta_list) < 2 or max(delta_list) / min(delta_list) < 0.999e3:
+        raise ValueError("delta_list must span at least three decades")
 
-    levels = []
-    for i, spd in enumerate(level_params):
-        n = choose_n(spd, r, c)
-        g = choose_gamma(spd, r, metric) if gamma is None else float(gamma)
-        _check_level(n, scorer, axis)
-        levels.append(_Level(scorer, grid.data, n, g, r, axis,
-                             _noise(spd.delta, sp.p, noise_mode, base_seed, i)))
+    data = exact_coeffs(fn, K, J, K + 40).data if fn.coeff_data is None else fn.coeff_data
+    if not np.isfinite(data).all():
+        raise ValueError(f"coefficients of {fn.id} are not finite")
+    scorer = _scorer(fn, r, axis, K, J)
+    levels = [_Level(scorer, data, n, gamma, r, axis,
+                     _noise(delta, sp.p, noise_mode, base_seed, i))
+              for i, (delta, n) in enumerate(zip(delta_list, ns))]
 
     def trial(index):
         return levels[index // seeds].trial(index % seeds)

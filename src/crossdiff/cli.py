@@ -26,13 +26,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from .analysis import (  # noqa: F401  (l2_error, c_error stay importable from cli)
-    RateStudyResult, _Level, _check_level, _forked_map, _noise, _scorer, c_error, example1_F,
+    RateStudyResult, _Level, _forked_map, _noise, _plan, _scorer, c_error, example1_F,
     example2_F, l2_error, make_class_function, rate_study,
 )
 from .coeffs import add_noise, exact_coeffs, save_grid, load_grid, trapezoid_coeffs
 from .coeffs import _cells, _fmt_float, _trapezoid_steps, _write_csv
 from .legendre import synthesize
-from .truncation import MethodParams, SmoothnessParams, cardinality_growth, choose_n, truncate
+from .truncation import MethodParams, SmoothnessParams, cardinality_growth, truncate
 
 __all__ = [
     "FIELDS",
@@ -303,34 +303,30 @@ def cmd_table(cfg: ExperimentConfig) -> ResultsTable:
     its seeds, scored as rate-study trials are, and keeps seed 0's grid."""
     cfg.validate()
     fn = _get_function(cfg)
-    deg = cfg.grid_degree
+    deg, values = cfg.grid_degree, cfg.delta_list or cfg.h_list
+    ns, gamma = _plan(SmoothnessParams(cfg.s, cfg.mu1, cfg.mu2, cfg.p), values, cfg.n_list,
+                      cfg.r, cfg.c, cfg.gamma, cfg.metric, deg)
     exact_grid = exact_coeffs(fn, deg, deg, deg + 64)
     scorer = _scorer(fn, cfg.r, cfg.axis, deg, deg)
 
     kind = "delta" if cfg.delta_list else "h"
     rows, grids = [], []
-    for i, val in enumerate(cfg.delta_list or cfg.h_list):
+    for i, (val, n) in enumerate(zip(values, ns)):
         start = time.perf_counter()
-        if cfg.n_list:
-            n = cfg.n_list[i]
-        else:
-            sp = SmoothnessParams(cfg.s, cfg.mu1, cfg.mu2, cfg.p, val)
-            n = choose_n(sp, cfg.r, cfg.c)
-        _check_level(n, scorer, cfg.axis)
         grid, gap, noise = exact_grid, None, None
         if kind == "h":
             grid = trapezoid_coeffs(fn, deg, deg, val)
             gap = float(np.abs(grid.data - exact_grid.data).max())
         elif val != 0.0:
             noise = _noise(val, cfg.noise_p, cfg.noise_mode, cfg.base_seed, i)
-        level = _Level(scorer, grid.data, n, cfg.gamma, cfg.r, cfg.axis, noise)
+        level = _Level(scorer, grid.data, n, gamma, cfg.r, cfg.axis, noise)
         error_l2, error_c = level.errors
         if noise is not None:
             l2s, cs = zip(*_forked_map(level.trial, range(cfg.seeds)))
             error_l2, error_c = float(np.median(l2s)), float(np.median(cs))
             grid = add_noise(grid, noise)
-        grids.append(truncate(grid, MethodParams(n=n, gamma=cfg.gamma, r=cfg.r, axis=cfg.axis)))
-        rows.append(ResultRow(kind=kind, value=float(val), n=n, gamma=cfg.gamma,
+        grids.append(truncate(grid, MethodParams(n=n, gamma=gamma, r=cfg.r, axis=cfg.axis)))
+        rows.append(ResultRow(kind=kind, value=float(val), n=n, gamma=gamma,
                               card=int(level.keep.sum()), error_l2=error_l2, error_c=error_c,
                               coeff_linf=gap, wall_time=time.perf_counter() - start))
     table = ResultsTable(rows=tuple(rows))
@@ -379,10 +375,9 @@ def cmd_rate_study(cfg: ExperimentConfig) -> RateStudyResult:
     cfg.validate()
     if cfg.h_list:
         raise ValueError("rate-study needs [noise] deltas, not hs")
-    sp = SmoothnessParams(s=cfg.s, mu1=cfg.mu1, mu2=cfg.mu2, p=cfg.p,
-                          delta=min(cfg.delta_list))
     result = rate_study(
-        _get_function(cfg), sp, cfg.r, cfg.metric, cfg.delta_list, cfg.seeds,
+        _get_function(cfg), SmoothnessParams(cfg.s, cfg.mu1, cfg.mu2, cfg.p), cfg.r,
+        cfg.metric, cfg.delta_list, cfg.seeds,
         c=cfg.c, gamma=cfg.gamma, axis=cfg.axis, noise_mode=cfg.noise_mode,
         base_seed=cfg.base_seed, grid_degree=cfg.grid_degree,
     )

@@ -66,23 +66,20 @@ class CrossSet:
 
 @dataclass(frozen=True)
 class SmoothnessParams:
-    """Weighted-summability class parameters plus the data accuracy delta."""
+    """Weighted-summability class parameters; choose_n takes the noise level."""
 
     s: float
     mu1: float
     mu2: float
     p: float
-    delta: float
 
     def __post_init__(self):
         if not self.s >= 1.0:
             raise ValueError(f"summability index s={self.s} must be >= 1")
         if not (self.mu1 > 0.0 and self.mu2 > 0.0):
             raise ValueError("smoothness weights mu1, mu2 must be positive")
-        if not (self.p >= 1.0 or math.isinf(self.p)):
+        if not self.p >= 1.0:  # NaN and -inf fail
             raise ValueError(f"norm index p={self.p} must lie in [1, inf]")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"accuracy delta={self.delta} must lie in (0,1)")
 
 
 @dataclass(frozen=True)
@@ -105,11 +102,17 @@ class MethodParams:
 
 def _limit(n: int, k: int, gamma: float) -> int:
     """Largest j with k * j**gamma <= n, evaluated with the same float test
-    a brute-force scan would use so the two enumerations agree exactly."""
+    a brute-force scan would use so the two enumerations agree exactly. A
+    power that overflows a float (j >= 2 once gamma >= 1024) exceeds n."""
+    def over(j):
+        try:
+            return k * float(j) ** gamma > n
+        except OverflowError:
+            return True
     j = int(math.floor((n / k) ** (1.0 / gamma) + 1e-12))
-    while k * float(j + 1) ** gamma <= n:
+    while not over(j + 1):
         j += 1
-    while j > 0 and k * float(j) ** gamma > n:
+    while j > 0 and over(j):
         j -= 1
     return j
 
@@ -178,24 +181,28 @@ def _cross_block(n: int, gamma: float, r: int, axis: str, K: int, J: int) -> np.
     return keep
 
 
-def choose_n(sp: SmoothnessParams, r: int, c: float = 0.9) -> int:
-    """Truncation level n(delta) = c * delta**(-1/(mu1 - 1/p + 1/s)), rounded.
+def choose_n(sp: SmoothnessParams, delta: float, r: int, c: float = 0.9) -> int:
+    """Truncation level n(delta) = c * delta**(-1/(mu1 - 1/p + 1/s)), rounded,
+    for the noise level delta in (0, 1).
 
     Requires mu1 > 2r - 1/s + 1/2 (the regime where the reconstruction
-    converges); the calibration constant c defaults to 0.9.
+    converges) and a finite level; the calibration constant c defaults to 0.9.
     """
     if r < 1:
         raise ValueError("derivative order r must be >= 1")
     if c <= 0:
         raise ValueError("calibration constant c must be positive")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"accuracy delta={delta} must lie in (0,1)")
     if not sp.mu1 > 2 * r - 1.0 / sp.s + 0.5:
         raise ValueError(
             f"smoothness mu1={sp.mu1} too small for order r={r}: "
             f"need mu1 > {2 * r - 1.0 / sp.s + 0.5:g}"
         )
-    inv_p = 0.0 if math.isinf(sp.p) else 1.0 / sp.p
-    expo = 1.0 / (sp.mu1 - inv_p + 1.0 / sp.s)
-    return max(r, int(round(c * sp.delta ** (-expo))))
+    level = c * delta ** (-1.0 / (sp.mu1 - 1.0 / sp.p + 1.0 / sp.s))  # 1/p = 0 at p = inf
+    if not math.isfinite(level):
+        raise ValueError(f"truncation level for delta={delta} and c={c} is not finite")
+    return max(r, int(round(level)))
 
 
 def choose_gamma(sp: SmoothnessParams, r: int, metric: str = "L2") -> float:

@@ -110,7 +110,7 @@ def test_criterion_4_rate_exponents():
     """Fitted error-decay exponents vs noise level match theory within 0.1."""
     t0 = time.perf_counter()
     fn = make_class_function()
-    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=1e-7)
+    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
     deltas = (1e-5, 1e-6, 1e-7, 1e-8, 1e-9)
     res_l2 = rate_study(fn, sp, 2, "L2", deltas, 5)
     res_c = rate_study(fn, sp, 2, "C", deltas, 5)
@@ -211,7 +211,7 @@ def test_criterion_6_property_suites():
     identical = np.array_equal(add_noise(base, spec).data,
                                add_noise(base, spec).data)
     fn = make_class_function()
-    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=1e-7)
+    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
     a = rate_study(fn, sp, 2, "L2", (1e-5, 1e-7, 1e-9), 2)
     b = rate_study(fn, sp, 2, "L2", (1e-5, 1e-7, 1e-9), 2)
     identical = identical and a.rows == b.rows and a.fitted_slope == b.fitted_slope

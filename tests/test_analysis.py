@@ -290,13 +290,13 @@ def test_class_function_has_unit_class_norm():
 
 
 def test_theoretical_slope_values():
-    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=1e-7)
+    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
     assert theoretical_slope(sp, 2, "L2") == pytest.approx(1.6 / 5.6, rel=1e-12)
     assert theoretical_slope(sp, 2, "C") == pytest.approx(0.6 / 5.6, rel=1e-12)
     with pytest.raises(ValueError):
         theoretical_slope(sp, 2, "H1")
     # swapping the axis swaps the roles of the two smoothness weights
-    mixed = SmoothnessParams(s=2.0, mu1=5.6, mu2=4.8, p=2.0, delta=1e-7)
+    mixed = SmoothnessParams(s=2.0, mu1=5.6, mu2=4.8, p=2.0)
     assert theoretical_slope(mixed, 2, "L2", axis="tau") == pytest.approx(
         0.8 / 4.8, rel=1e-12
     )
@@ -304,7 +304,7 @@ def test_theoretical_slope_values():
 
 def test_rate_study_recovers_theoretical_slope_l2():
     fn = make_class_function()
-    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=1e-7)
+    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
     res = rate_study(fn, sp, 2, "L2", (1e-5, 1e-6, 1e-7, 1e-8, 1e-9), 3)
     assert abs(res.fitted_slope - res.theoretical_slope) < 0.1
     assert res.errors == sorted(res.errors, reverse=True)
@@ -313,14 +313,14 @@ def test_rate_study_recovers_theoretical_slope_l2():
 
 def test_rate_study_recovers_theoretical_slope_c():
     fn = make_class_function()
-    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=1e-7)
+    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
     res = rate_study(fn, sp, 2, "C", (1e-5, 1e-6, 1e-7, 1e-8, 1e-9), 3)
     assert abs(res.fitted_slope - res.theoretical_slope) < 0.1
 
 
 def test_rate_study_first_order():
     fn = make_class_function()
-    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=1e-7)
+    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
     res = rate_study(fn, sp, 1, "L2", (1e-5, 1e-6, 1e-7, 1e-8, 1e-9), 3)
     assert res.theoretical_slope == pytest.approx(3.6 / 5.6, rel=1e-12)
     assert abs(res.fitted_slope - res.theoretical_slope) < 0.1
@@ -328,7 +328,7 @@ def test_rate_study_first_order():
 
 def test_rate_study_is_reproducible():
     fn = make_class_function()
-    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=1e-7)
+    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
     args = (fn, sp, 2, "L2", (1e-5, 1e-7, 1e-9), 2)
     a = rate_study(*args)
     b = rate_study(*args)
@@ -338,7 +338,7 @@ def test_rate_study_is_reproducible():
 
 def test_rate_study_validation():
     fn = make_class_function()
-    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=1e-7)
+    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
     with pytest.raises(ValueError):
         rate_study(fn, sp, 2, "L2", (1e-5, 1e-6), 3)  # only one decade
     with pytest.raises(ValueError):
@@ -359,7 +359,7 @@ def test_rate_study_validation():
 
 def test_rate_study_result_save(tmp_path):
     fn = make_class_function()
-    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=1e-7)
+    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
     res = rate_study(fn, sp, 2, "L2", (1e-5, 1e-7, 1e-9), 2)
     path = tmp_path / "rate.csv"
     res.save(path)
@@ -471,8 +471,9 @@ def rate_trials(fn, axis, seeds=3):
     # the trials a default rate study scores, at all five of its deltas
     grid = CoeffGrid(data=np.array(fn.coeff_data))
     for i, delta in enumerate((1e-5, 1e-6, 1e-7, 1e-8, 1e-9)):
-        sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=delta)
-        params = MethodParams(n=choose_n(sp, 2), gamma=choose_gamma(sp, 2), r=2, axis=axis)
+        sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
+        params = MethodParams(n=choose_n(sp, delta, 2), gamma=choose_gamma(sp, 2), r=2,
+                              axis=axis)
         for sd in range(seeds):
             yield truncate(add_noise(grid, NoiseSpec(delta, 2.0, "rescaled", 50 * i + sd)),
                            params)
@@ -548,7 +549,7 @@ def test_parseval_holds_below_the_underflow_scale():
 
 
 def test_rate_study_rejects_non_finite_coefficients_and_errors():
-    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=1e-7)
+    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
     data = np.array(make_class_function().coeff_data)
     data[3, 4] = np.nan
     bad = analysis.TestFunction(id="nan-coeffs", coeff_data=data)
@@ -676,8 +677,9 @@ def test_bounded_c_prunes_rate_trials(axis):
     scorer = ErrorEvaluator(fn.deriv_coeffs(2, axis), grid.K, grid.J, 0)
     slabs = []
     for i, delta in enumerate((1e-5, 1e-6, 1e-7, 1e-8, 1e-9)):
-        sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=delta)
-        params = MethodParams(n=choose_n(sp, 2), gamma=choose_gamma(sp, 2), r=2, axis=axis)
+        sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
+        params = MethodParams(n=choose_n(sp, delta, 2), gamma=choose_gamma(sp, 2), r=2,
+                              axis=axis)
         level = _Level(scorer, grid.data, params.n, params.gamma, 2, axis, None)
         for sd in range(20):
             noisy = add_noise(grid, NoiseSpec(delta, 2.0, "rescaled", 50 * i + sd))
@@ -705,8 +707,9 @@ def test_block_trials_score_like_the_full_grid(axis, make):
         scorer = ErrorEvaluator(fn.exact_deriv(2, axis), 64, 64, 104, bt, btau)
     ref, tail = scorer._reference
     for i, delta in enumerate((1e-5, 1e-7, 1e-9)):
-        sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=delta)
-        params = MethodParams(n=choose_n(sp, 2), gamma=choose_gamma(sp, 2), r=2, axis=axis)
+        sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
+        params = MethodParams(n=choose_n(sp, delta, 2), gamma=choose_gamma(sp, 2), r=2,
+                              axis=axis)
         keep = truncation._cross_block(params.n, params.gamma, 2, axis, grid.K, grid.J)
         kb, jb = keep.shape
         outside = scorer._outside(keep.shape)
@@ -745,7 +748,7 @@ def test_noise_free_level_errors_match_the_exhaustive_oracle(h, axis):
         assert level.errors[0] == pytest.approx(oracle.l2(approx), rel=1e-15)
 
 
-RATE_SP = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=1e-7)
+RATE_SP = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
 # three noise levels of four seeds: trial 4 * i + sd draws seed 1000 + 997 * i + sd
 RATE_ARGS = (RATE_SP, 2, "L2", (1e-5, 1e-7, 1e-9), 4)
 

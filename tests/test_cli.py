@@ -647,21 +647,52 @@ def test_non_finite_calibration_constant_is_reported(tmp_path, capsys, c):
     assert os.listdir(tmp_path) == ["rate.ini"]
 
 
+def test_a_chosen_level_that_is_not_finite_is_reported(tmp_path, capsys):
+    # c * delta**(-1/5.6) overflows to inf for c = 1e308
+    rc = run_cli("example1", "--choose-n", "--c", "1e308", "--seeds", 1, "--out", tmp_path)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: truncation level for delta=1e-07 and c=1e+308 is not finite\n")
+    cfg = tmp_path / "rate.ini"
+    cfg.write_text("[experiment]\nfunction = class\n\n[method]\nc = 1e308\n")
+    assert run_cli("rate-study", "--config", cfg, "--out", tmp_path) == 2
+    assert capsys.readouterr().err == (
+        "error: truncation level for delta=1e-05 and c=1e+308 is not finite\n")
+    assert os.listdir(tmp_path) == ["rate.ini"]
+
+
+@pytest.mark.parametrize("gamma", ["1024", "1e308"])
+def test_a_shape_whose_powers_overflow_runs(tmp_path, capsys, gamma):
+    # k * (j+1)**gamma overflows a float; it counts as beyond every n, so the
+    # cross keeps j <= 1: 2 * 15 cells at n = 16, r = 2
+    assert run_cli("example1", "--gamma", gamma, "--seeds", 1, "--out", tmp_path,
+                   "--run-id", "e1") == 0
+    assert [r.card for r in read_table(tmp_path, "e1").rows] == [30, 2 * 24, 2 * 27]
+    assert run_cli("cross-card", "--gamma", gamma, "--n", "4,8", "--out", tmp_path,
+                   "--run-id", "cc") == 0
+    assert (tmp_path / "cc" / "card.csv").read_text().splitlines()[1:] == [
+        f"{float(gamma):.17g},4,8", f"{float(gamma):.17g},8,16"]
+
+
 @pytest.mark.parametrize("argv,degree", [
     (["example1", "--n", "16,25,65", "--seeds", 1], 64),
     (["example1", "--choose-n", "--c", "1e300", "--seeds", 1], 64),
-    (["rate-study"], 16)], ids=["given", "chosen", "rate-study"])
+    (["rate-study"], 16),
+    (["example1", "--noise", "trapezoid", "--h", "1e-3,1e-3", "--n", "16,65"], 64),
+    (["example1", "--delta", "1e-7,1e-8", "--n", "16,65", "--seeds", 1], 64)],
+    ids=["given", "chosen", "rate-study", "trapezoid-later-row", "random-later-row"])
 def test_truncation_level_beyond_grid_degree_is_reported(tmp_path, capsys, monkeypatch,
                                                           argv, degree):
-    # one refusal, before the refused level's cross is enumerated; the rate
-    # study's fourth level, n=24, is the first beyond grid degree 16
-    enumerate_cross = truncation.build_cross
+    # one refusal, before any grid, cross or trial of any level is built,
+    # the earlier levels' included; the rate study's fourth level, n=24, is
+    # the first beyond grid degree 16
+    def refuse(*args):
+        raise AssertionError("work started before the refusal")
 
-    def small_crosses_only(n, *args):
-        assert n <= degree, "the refused cross was enumerated"
-        return enumerate_cross(n, *args)
-
-    monkeypatch.setattr(truncation, "build_cross", small_crosses_only)
+    for module, name in ((truncation, "build_cross"), (cli, "exact_coeffs"),
+                         (cli, "trapezoid_coeffs"), (analysis, "exact_coeffs"),
+                         (analysis._Level, "trial")):
+        monkeypatch.setattr(module, name, refuse)
     truncation._cross_block.cache_clear()
     cfg = tmp_path / "e1.ini"
     cfg.write_text(f"[experiment]\nfunction = example1\n\n[method]\ngrid_degree = {degree}\n")

@@ -63,6 +63,19 @@ def test_build_cross_matches_brute_force_everywhere():
                     assert got == want, (n, gamma, r, axis)
 
 
+@pytest.mark.parametrize("gamma", [1024.0, 1e308])
+def test_build_cross_with_a_shape_whose_powers_overflow(gamma):
+    # k * 2.0**gamma overflows a float from gamma = 1024 on; it exceeds every
+    # n, so each k keeps j = 0 and 1 only, as gamma = 1000 already does
+    for axis in ("t", "tau"):
+        cross = build_cross(16, gamma, 2, axis)
+        want = {(k, j) if axis == "t" else (j, k) for k in range(2, 17) for j in (0, 1)}
+        assert set(cross.indices) == want and cross.cardinality == 30
+        assert cross.indices == build_cross(16, 1000.0, 2, axis).indices
+    assert build_cross(1, gamma, 1).indices == ((1, 0), (1, 1))
+    assert cardinality_growth(gamma, 1, (4, 8)) == [(4, 8), (8, 16)]
+
+
 def test_build_cross_validation():
     with pytest.raises(ValueError):
         build_cross(8, 0.9, 2)
@@ -194,37 +207,53 @@ def test_truncate_validation():
 
 
 def test_choose_n_reference_values():
-    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=1e-7)
-    assert choose_n(sp, 2) == 16
-    sp9 = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=1e-9)
-    assert choose_n(sp9, 2) == 36
+    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
+    assert choose_n(sp, 1e-7, 2) == 16
+    assert choose_n(sp, 1e-9, 2) == 36
 
 
 def test_choose_n_monotone_in_delta():
     prev = 0
+    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
     for d in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
-        sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=d)
-        n = choose_n(sp, 2)
+        n = choose_n(sp, d, 2)
         assert n >= prev
         prev = n
 
 
 def test_choose_n_rejects_insufficient_smoothness():
     # mu1 must exceed 2r - 1/s + 1/2 = 4 for s=2, r=2
-    sp = SmoothnessParams(s=2.0, mu1=3.9, mu2=3.9, p=2.0, delta=1e-7)
+    sp = SmoothnessParams(s=2.0, mu1=3.9, mu2=3.9, p=2.0)
     with pytest.raises(ValueError):
-        choose_n(sp, 2)
-    good = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=1e-7)
+        choose_n(sp, 1e-7, 2)
+    good = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
     with pytest.raises(ValueError):
-        choose_n(good, 2, c=0.0)
+        choose_n(good, 1e-7, 2, c=0.0)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, 2.0, -1e-3, math.nan])
+def test_choose_n_refuses_a_noise_level_outside_the_unit_interval(delta):
+    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
+    with pytest.raises(ValueError) as exc:
+        choose_n(sp, delta, 2)
+    assert str(exc.value) == f"accuracy delta={delta} must lie in (0,1)"
+
+
+def test_choose_n_refuses_a_level_that_is_not_finite():
+    # 1e308 * 1e7**(1/5.6) overflows to inf, which no integer rounds to
+    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
+    with pytest.raises(ValueError) as exc:
+        choose_n(sp, 1e-7, 2, c=1e308)
+    assert str(exc.value) == "truncation level for delta=1e-07 and c=1e+308 is not finite"
+    assert choose_n(sp, 1e-7, 2, c=1e300) > 10 ** 300  # large but finite
 
 
 def test_choose_gamma_reference_values():
-    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=1e-7)
+    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
     # L2 metric, s >= 2: gamma_max = (mu2 + 1/s - 1/2) / (mu1 - 2r + 1/s - 1/2)
     #                              = 5.6 / 1.6 = 3.5, midpoint 2.25
     assert choose_gamma(sp, 2, "L2") == pytest.approx(2.25, rel=1e-12)
-    sp1 = SmoothnessParams(s=1.0, mu1=6.0, mu2=6.0, p=2.0, delta=1e-7)
+    sp1 = SmoothnessParams(s=1.0, mu1=6.0, mu2=6.0, p=2.0)
     # s < 2: gamma_max = mu2 / (mu1 - 2r + 1/s - 1/2) = 6/2.5 = 2.4, mid 1.7
     assert choose_gamma(sp1, 2, "L2") == pytest.approx(1.7, rel=1e-12)
     # sup-norm metric: gamma_max = (mu2 + 1/s - 3/2)/(mu1 - 2r + 1/s - 3/2)
@@ -233,10 +262,10 @@ def test_choose_gamma_reference_values():
 
 
 def test_choose_gamma_empty_interval_and_bad_metric():
-    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=0.1, p=2.0, delta=1e-7)
+    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=0.1, p=2.0)
     with pytest.raises(ValueError):
         choose_gamma(sp, 2, "L2")
-    good = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0, delta=1e-7)
+    good = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
     with pytest.raises(ValueError):
         choose_gamma(good, 2, "H1")
 
@@ -264,13 +293,13 @@ def test_class_norm_example1_is_order_one():
 
 def test_smoothness_params_validation():
     with pytest.raises(ValueError):
-        SmoothnessParams(s=0.5, mu1=5.0, mu2=5.0, p=2.0, delta=1e-7)
+        SmoothnessParams(s=0.5, mu1=5.0, mu2=5.0, p=2.0)
     with pytest.raises(ValueError):
-        SmoothnessParams(s=2.0, mu1=-1.0, mu2=5.0, p=2.0, delta=1e-7)
-    with pytest.raises(ValueError):
-        SmoothnessParams(s=2.0, mu1=5.0, mu2=5.0, p=0.5, delta=1e-7)
-    with pytest.raises(ValueError):
-        SmoothnessParams(s=2.0, mu1=5.0, mu2=5.0, p=2.0, delta=2.0)
+        SmoothnessParams(s=2.0, mu1=-1.0, mu2=5.0, p=2.0)
+    for p in (0.5, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"must lie in \[1, inf\]$"):
+            SmoothnessParams(s=2.0, mu1=5.0, mu2=5.0, p=p)
+    SmoothnessParams(s=2.0, mu1=5.0, mu2=5.0, p=math.inf)
 
 
 def test_method_params_validation():
