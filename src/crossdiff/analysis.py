@@ -445,7 +445,7 @@ class _Level:
         self.n, self.gamma, self.noise = n, gamma, noise
         self._scorer, self._data, self._r, self._axis = scorer, data, r, axis
         self.keep = keep = _cross_block(n, gamma, r, axis, scorer.K, scorer.J)
-        bias = _truncate_block(data[: keep.shape[0], : keep.shape[1]], keep, r, axis)
+        bias = self.approx()
         self._outside = scorer._outside(keep.shape)
         self._bias = scorer._active(bias)
         self.bias_max = scorer._slab_maxima(self._bias)
@@ -478,12 +478,17 @@ class _Level:
         self.slabs = int(np.count_nonzero(maxima != -np.inf))
         return float(maxima.max())
 
+    def approx(self, sd: int | None = None) -> np.ndarray:
+        """The truncated mask's block of noise draw sd's grid, or of data (B)."""
+        kb, jb = self.keep.shape
+        block = self._data[:kb, :jb] if sd is None else _noisy_block(
+            self._data, replace(self.noise, seed=self.noise.seed + sd), (kb, jb))
+        return _truncate_block(block, self.keep, self._r, self._axis)
+
     def trial(self, sd: int) -> tuple[float, float]:
         """(error_l2, error_c) of noise draw sd, all a forked worker sends
-        back: the mask's block of add_noise's grid, truncated and scored."""
-        noise = replace(self.noise, seed=self.noise.seed + sd)
-        approx = _truncate_block(_noisy_block(self._data, noise, self.keep.shape),
-                                 self.keep, self._r, self._axis)
+        back: approx(sd), scored."""
+        approx = self.approx(sd)
         return self._scorer._l2_block(approx, self._outside), self._c_block(approx)
 
 

@@ -29,10 +29,10 @@ from .analysis import (  # noqa: F401  (l2_error, c_error stay importable from c
     RateStudyResult, _Level, _forked_map, _noise, _plan, _scorer, c_error, example1_F,
     example2_F, l2_error, make_class_function, rate_study,
 )
-from .coeffs import add_noise, exact_coeffs, save_grid, load_grid, trapezoid_coeffs
+from .coeffs import CoeffGrid, exact_coeffs, save_grid, load_grid, trapezoid_coeffs
 from .coeffs import _cells, _fmt_float, _trapezoid_steps, _write_csv
 from .legendre import synthesize
-from .truncation import MethodParams, SmoothnessParams, cardinality_growth, truncate
+from .truncation import SmoothnessParams, cardinality_growth
 
 __all__ = [
     "FIELDS",
@@ -88,20 +88,21 @@ def _within(x, interval: str) -> bool:
         (x < hi) if interval[-1] == ")" else (x <= hi))
 
 
-STR, INT, FLOAT, FLOATS = (str, str), (int, str), (float, _fmt_float), (float_list, _fmt_list)
+STR, INT = (str, str, "text"), (int, str, "an integer")
+FLOAT, FLOATS = (float, _fmt_float, "a float"), (float_list, _fmt_list, "a list of floats")
 
 
 def _key(default, section, kind, flag=None, *, key=None, on=TABLES, also=None,
          within=None, **arg):
     """A config attribute: its default and how it appears outside the
     program. That is its INI section and key (default: the attribute name),
-    the parse/format pair ``kind`` between value and text, and the flag that
+    the parse/format/name triple ``kind`` between value and text, and the flag that
     sets it on the commands in ``on``, with extra argparse options ``arg``.
     ``also`` returns the further changes that setting it implies; ``within``
     is the interval validate() holds each of its numbers to."""
-    parse, fmt = kind
+    parse, fmt, what = kind
     return field(default=default, metadata=dict(
-        section=section, key=key, parse=parse, fmt=fmt, flag=flag, on=on, arg=arg,
+        section=section, key=key, parse=parse, fmt=fmt, what=what, flag=flag, on=on, arg=arg,
         also=also, within=within))
 
 
@@ -141,7 +142,8 @@ class ExperimentConfig:
     seeds: int = _key(5, "noise", INT, "--seeds", within=f"[1, {MAX_SEEDS}]",
                       help="noise realizations per row")
     base_seed: int = _key(2025, "noise", INT, "--base-seed", within="[0, inf)")
-    n_list: tuple = _key((), "method", (_parse_n, _fmt_n), "--n", key="n", type=int_list,
+    n_list: tuple = _key((), "method", (_parse_n, _fmt_n, "a list of integers or auto"),
+                         "--n", key="n", type=int_list,
                          within=f"[1, {MAX_GRID_DEGREE}]",
                          help="comma-separated truncation levels")
     c: float = _key(0.9, "method", FLOAT, "--c", within="(0, inf)",
@@ -201,10 +203,21 @@ class ExperimentConfig:
 
     def apply_ini(self, path) -> "ExperimentConfig":
         cp = configparser.ConfigParser()
-        if not cp.read(str(path)):
-            raise ValueError(f"config file {path} not found or unreadable")
-        return self._with((f, f.parse(cp.get(f.section, f.key)))
-                          for f in FIELDS if cp.has_option(f.section, f.key))
+        try:
+            if not cp.read(str(path)):
+                raise ValueError(f"config file {path} not found or unreadable")
+            texts = [(f, cp.get(f.section, f.key))
+                     for f in FIELDS if cp.has_option(f.section, f.key)]
+        except configparser.Error as exc:  # a file it refuses; its messages span lines
+            raise ValueError(f"{path}: " + " ".join(str(exc).split())) from None
+        settings = []
+        for f, text in texts:
+            try:
+                settings.append((f, f.parse(text)))
+            except ValueError:  # a value continued over lines is shown on one
+                text = " ".join(text.split())
+                raise ValueError(f"{path}: [{f.section}] {f.key}={text} is not {f.what}") from None
+        return self._with(settings)
 
     def _with(self, settings) -> "ExperimentConfig":
         """This config with each (field, value) of settings set in turn."""
@@ -299,8 +312,8 @@ def _resolve_root(explicit: str | None) -> str:
 def cmd_table(cfg: ExperimentConfig) -> ResultsTable:
     """Run one error table (PRESETS holds the paper's three) and write its
     run directory. A row without noise (an h row, or delta 0) has the
-    errors of its noise-free truncation; a noisy row has the medians over
-    its seeds, scored as rate-study trials are, and keeps seed 0's grid."""
+    errors of its noise-free truncation B and saves B; a noisy row has the medians
+    over its seeds, scored as rate-study trials are, and saves seed 0's."""
     cfg.validate()
     fn = _get_function(cfg)
     deg, values = cfg.grid_degree, cfg.delta_list or cfg.h_list
@@ -310,7 +323,7 @@ def cmd_table(cfg: ExperimentConfig) -> ResultsTable:
     scorer = _scorer(fn, cfg.r, cfg.axis, deg, deg)
 
     kind = "delta" if cfg.delta_list else "h"
-    rows, grids = [], []
+    rows, derivs = [], []
     for i, (val, n) in enumerate(zip(values, ns)):
         start = time.perf_counter()
         grid, gap, noise = exact_grid, None, None
@@ -324,18 +337,18 @@ def cmd_table(cfg: ExperimentConfig) -> ResultsTable:
         if noise is not None:
             l2s, cs = zip(*_forked_map(level.trial, range(cfg.seeds)))
             error_l2, error_c = float(np.median(l2s)), float(np.median(cs))
-            grid = add_noise(grid, noise)
-        grids.append(truncate(grid, MethodParams(n=n, gamma=gamma, r=cfg.r, axis=cfg.axis)))
+        derivs.append(level.approx(None if noise is None else 0))
         rows.append(ResultRow(kind=kind, value=float(val), n=n, gamma=gamma,
                               card=int(level.keep.sum()), error_l2=error_l2, error_c=error_c,
                               coeff_linf=gap, wall_time=time.perf_counter() - start))
     table = ResultsTable(rows=tuple(rows))
     run_dir = _open_run(cfg)
     table.save(os.path.join(run_dir, "table.csv"))
-    for i, grid in enumerate(grids):
+    for i, deriv in enumerate(derivs):
         row_dir = os.path.join(run_dir, f"row_{i}")
         os.makedirs(row_dir, exist_ok=True)
-        save_grid(grid, os.path.join(row_dir, "deriv.csv"))
+        data = np.pad(deriv, [(0, deg + 1 - deriv.shape[0]), (0, deg + 1 - deriv.shape[1])])
+        save_grid(CoeffGrid(data, provenance="derivative"), os.path.join(row_dir, "deriv.csv"))
     for r in table.rows:
         gap = "" if r.coeff_linf is None else f" coeff_linf={_fmt_float(r.coeff_linf)}"
         print(
@@ -398,10 +411,12 @@ def cmd_cross_card(gammas, r: int, ns, out: str | None = None,
     """Cardinality growth tables with band-check verdicts."""
     # before any cross (~n ln n indices) is enumerated; the verdicts divide
     # by n ln n, 0 at n = 1, and by the cardinality, 0 when r exceeds a level
+    if not gammas or not ns:
+        raise ValueError(f"--{'n' if gammas else 'gamma'} needs at least one value")
     for n in ns:
         if not 2 <= n <= MAX_GRID_DEGREE:
             raise ValueError(f"--n level {n} must lie in [2, {MAX_GRID_DEGREE}]")
-    if not 1 <= r <= min(ns, default=r):
+    if not 1 <= r <= min(ns):
         raise ValueError(f"--r={r} must lie in [1, {min(ns)}], the smallest --n level")
     verdicts = []
     growths = [(g, cardinality_growth(g, r, ns)) for g in gammas]  # refuses before any write

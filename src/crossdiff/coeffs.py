@@ -181,27 +181,25 @@ def trapezoid_coeffs(f, K: int, J: int, h: float) -> CoeffGrid:
 
 
 def lp_norm(x, p: float) -> float:
-    """l_p norm of a grid or array, p in [1, inf]."""
+    """l_p norm of a grid or array, p in [1, inf]. Where the p-th powers
+    over- or underflow, it is max|x| times the norm of x / max|x|."""
     if not (p >= 1.0 or math.isinf(p)):
         raise ValueError(f"norm index p={p} must lie in [1, inf]")
     a = np.asarray(getattr(x, "data", x), dtype=float)
     if math.isinf(p):
         return float(np.abs(a).max()) if a.size else 0.0
     # for p = 2 one pass: np.square(a) equals np.abs(a) ** 2.0 bit for bit
-    powers = np.square(a) if p == 2.0 else np.abs(a) ** p
-    return float(np.sum(powers) ** (1.0 / p))
+    with np.errstate(over="ignore"):  # an inf sum is rescaled below
+        powers = np.square(a) if p == 2.0 else np.abs(a) ** p
+    norm = float(np.sum(powers) ** (1.0 / p))
+    top = lp_norm(a, math.inf) if norm in (0.0, math.inf) else 0.0
+    return top * lp_norm(a / top, p) if 0.0 < top < math.inf else norm
 
 
-def add_noise(grid: CoeffGrid, spec: NoiseSpec, support=None) -> CoeffGrid:
-    """Add the perturbation defined by spec, optionally restricted to a cross.
-
-    support=None perturbs the whole grid; a CrossSet perturbs only its
-    indices. The Gaussian stream is drawn over the full grid shape first
-    and masked, so results are reproducible regardless of support.
-    """
-    keep = None if support is None else support.mask(grid.K, grid.J)
+def add_noise(grid: CoeffGrid, spec: NoiseSpec) -> CoeffGrid:
+    """Add the perturbation defined by spec to the whole grid."""
     return CoeffGrid(
-        data=_noisy_block(grid.data, spec, grid.data.shape, keep),
+        data=_noisy_block(grid.data, spec, grid.data.shape),
         provenance="noisy",
         h=grid.h,
         noise=spec,
@@ -209,24 +207,12 @@ def add_noise(grid: CoeffGrid, spec: NoiseSpec, support=None) -> CoeffGrid:
     )
 
 
-def _noisy_block(data: np.ndarray, spec: NoiseSpec, shape, keep=None) -> np.ndarray:
-    """The top-left block of the given shape of data plus the noise of spec.
-
-    The Gaussian stream is drawn over all of data, zeroed outside the mask
-    keep and, in mode "rescaled", normalised over all of data too; only the
-    block is then scaled and added. So the block holds exactly the values of
-    the same block of add_noise's grid.
-    """
+def _noisy_block(data: np.ndarray, spec: NoiseSpec, shape) -> np.ndarray:
+    """The top-left block of the given shape of data plus the noise of spec:
+    that block of add_noise's grid, bit for bit, since the Gaussian stream is
+    drawn, and in mode "rescaled" normalised, over all of data."""
     xi = np.random.default_rng(spec.seed).standard_normal(data.shape)
-    if keep is not None:
-        xi[~keep] = 0.0
-    if spec.mode == "rescaled":
-        norm = lp_norm(xi, spec.p)
-        if norm == 0.0:
-            raise ValueError("empty noise support")
-        scale = spec.delta / norm
-    else:
-        scale = spec.delta
+    scale = spec.delta / lp_norm(xi, spec.p) if spec.mode == "rescaled" else spec.delta
     kb, jb = shape
     block = xi[:kb, :jb]
     block *= scale

@@ -6,10 +6,12 @@ mixed derivative order (r,0) ("t" axis) the set is
 
     Gamma = {(k,j) : r <= k <= n,  k * j**gamma <= n},
 
-with j = 0 always admitted, and the mirrored condition for (0,r). The
-truncation level n and shape gamma are chosen from the smoothness class
-and the noise level; the formulas below implement that selection together
-with its admissibility hypotheses.
+with j = 0 always admitted, and the mirrored condition for (0,r). A
+CrossSet holds the set as a boolean mask over its bounding box, and
+truncate differentiates only that box of a grid, since the derivative
+never raises a degree. The truncation level n and shape gamma are chosen
+from the smoothness class and the noise level; the formulas below
+implement that selection together with its admissibility hypotheses.
 """
 
 from __future__ import annotations
@@ -40,28 +42,24 @@ _AXES = ("t", "tau")
 
 @dataclass(frozen=True)
 class CrossSet:
-    """A hyperbolic-cross index set with its defining parameters."""
+    """A hyperbolic-cross index set with its defining parameters. block is
+    its read-only membership mask over its bounding box: block[k, j] is
+    whether (k, j) belongs to the set, and an empty set has shape (0, 0)."""
 
     n: int
     gamma: float
     r: int
     axis: str
-    indices: tuple = field(repr=False, default=())
+    block: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def indices(self) -> tuple:
+        """The (k, j) pairs of the set in lexicographic order."""
+        return tuple(zip(*(ax.tolist() for ax in np.nonzero(self.block))))
 
     @property
     def cardinality(self) -> int:
-        return len(self.indices)
-
-    def mask(self, K: int, J: int) -> np.ndarray:
-        """Boolean (K+1, J+1) membership mask; errors if the set sticks out."""
-        m = np.zeros((K + 1, J + 1), dtype=bool)
-        for k, j in self.indices:
-            if k > K or j > J:
-                raise ValueError(
-                    f"cross index ({k},{j}) outside grid of degrees ({K},{J})"
-                )
-            m[k, j] = True
-        return m
+        return int(np.count_nonzero(self.block))
 
 
 @dataclass(frozen=True)
@@ -118,23 +116,19 @@ def _limit(n: int, k: int, gamma: float) -> int:
 
 
 def build_cross(n: int, gamma: float, r: int, axis: str = "t") -> CrossSet:
-    """Enumerate the cross for level n, shape gamma, derivative order r.
+    """The cross for level n, shape gamma, derivative order r.
 
     n < r yields the empty set (a valid degenerate case, not an error).
     """
-    if r < 1:
-        raise ValueError("derivative order r must be >= 1")
-    if not gamma >= 1.0:
-        raise ValueError(f"cross shape gamma={gamma} must be >= 1")
-    if axis not in _AXES:
-        raise ValueError(f"axis must be one of {_AXES}")
-    indices = []
-    for k in range(r, n + 1):
-        for j in range(_limit(n, k, gamma) + 1):
-            indices.append((k, j) if axis == "t" else (j, k))
+    MethodParams(n, gamma, r, axis)  # refuses r, gamma or axis
+    # _limit falls as k grows, so the widest row, k = r, sets the box's width
+    limits = np.array([_limit(n, k, gamma) for k in range(r, n + 1)], dtype=int)
+    block = np.zeros((n + 1, limits[0] + 1) if limits.size else (0, 0), dtype=bool)
+    block[r:] = np.arange(block.shape[1]) <= limits[:, None]
     if axis == "tau":
-        indices.sort()
-    return CrossSet(n=n, gamma=gamma, r=r, axis=axis, indices=tuple(indices))
+        block = np.ascontiguousarray(block.T)
+    block.flags.writeable = False
+    return CrossSet(n=n, gamma=gamma, r=r, axis=axis, block=block)
 
 
 def cardinality_growth(gamma: float, r: int, n_list) -> list:
@@ -153,13 +147,10 @@ def truncate(coeffs: CoeffGrid, params: MethodParams) -> CoeffGrid:
     """
     keep = _cross_block(params.n, params.gamma, params.r, params.axis,
                         coeffs.K, coeffs.J)  # raises if grid too small
-    # Everything outside the cross's bounding block is zero, and the
-    # derivative never raises a degree, so the derivative of the block is
-    # the whole nonzero part of the result.
     kb, jb = keep.shape
-    out = np.zeros((coeffs.K + 1, coeffs.J + 1))
-    out[:kb, :jb] = _truncate_block(coeffs.data[:kb, :jb], keep, params.r, params.axis)
-    return CoeffGrid(data=out, provenance="derivative")
+    block = _truncate_block(coeffs.data[:kb, :jb], keep, params.r, params.axis)
+    return CoeffGrid(data=np.pad(block, [(0, coeffs.K + 1 - kb), (0, coeffs.J + 1 - jb)]),
+                     provenance="derivative")
 
 
 def _truncate_block(block: np.ndarray, keep: np.ndarray, r: int, axis: str) -> np.ndarray:
@@ -170,15 +161,14 @@ def _truncate_block(block: np.ndarray, keep: np.ndarray, r: int, axis: str) -> n
 
 @functools.lru_cache(maxsize=64)
 def _cross_block(n: int, gamma: float, r: int, axis: str, K: int, J: int) -> np.ndarray:
-    """Read-only membership mask of the cross, trimmed to its bounding box.
+    """The cross's block, refused unless it fits a grid of degrees (K, J).
     Memoised, since a rate study truncates every seed of a noise level with
     the same cross."""
     cross = build_cross(n, gamma, r, axis)
-    kb = max((k + 1 for k, _ in cross.indices), default=0)
-    jb = max((j + 1 for _, j in cross.indices), default=0)
-    keep = cross.mask(K, J)[:kb, :jb].copy()
-    keep.flags.writeable = False
-    return keep
+    if cross.block.shape[0] > K + 1 or cross.block.shape[1] > J + 1:
+        k, j = next((k, j) for k, j in cross.indices if k > K or j > J)
+        raise ValueError(f"cross index ({k},{j}) outside grid of degrees ({K},{J})")
+    return cross.block
 
 
 def choose_n(sp: SmoothnessParams, delta: float, r: int, c: float = 0.9) -> int:

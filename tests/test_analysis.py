@@ -761,10 +761,10 @@ def fail_draws(monkeypatch, seeds, fail):
     # fail(seed, pid of the caller) runs in place of the draws of these seeds
     caller, draw = os.getpid(), analysis._noisy_block
 
-    def noisy_block(data, spec, shape, keep=None):
+    def noisy_block(data, spec, shape):
         if spec.seed in seeds:
             fail(spec.seed, caller)
-        return draw(data, spec, shape, keep)
+        return draw(data, spec, shape)
 
     monkeypatch.setattr(analysis, "_noisy_block", noisy_block)
 

@@ -231,10 +231,10 @@ def test_rate_study_worker_failure_is_one_error_line(tmp_path, capsys, monkeypat
     monkeypatch.setattr(analysis, "_worker_count", lambda items: 2)
     caller, draw = os.getpid(), analysis._noisy_block
 
-    def noisy_block(data, spec, shape, keep=None):
+    def noisy_block(data, spec, shape):
         if spec.seed == 1001 and os.getpid() != caller:
             fail(spec.seed)
-        return draw(data, spec, shape, keep)
+        return draw(data, spec, shape)
 
     monkeypatch.setattr(analysis, "_noisy_block", noisy_block)
     cfg = tmp_path / "rate.ini"
@@ -551,6 +551,35 @@ def test_experiment_config_ini_round_trip_by_hand(tmp_path):
     assert back == cfg
 
 
+@pytest.mark.parametrize("section, key, value, kind", [
+    ("noise", "base_seed", "1e30", "an integer"),
+    ("experiment", "s", "abc", "a float"),
+    ("method", "n", "4,x,6", "a list of integers or auto"),
+    ("noise", "deltas", "1e-7,,oops", "a list of floats"),
+    ("experiment", "r", "2.5", "an integer")])
+def test_ini_value_of_the_wrong_kind_names_file_and_key(tmp_path, capsys, section, key,
+                                                        value, kind):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    assert run_cli("example1", "--config", cfg, "--out", tmp_path) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: [{section}] {key}={value} is not {kind}\n"
+    assert os.listdir(tmp_path) == ["bad.ini"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("r = 2\n", "File contains no section headers."),
+    ("[noise]\nseeds = 1\nseeds = 2\n", "option 'seeds' in section 'noise' already exists"),
+    ("[experiment]\nfunction = 50%\n", "'%' must be followed by"),
+    ("[noise]\nseeds = 1\n  x\n", "[noise] seeds=1 x is not an integer")])
+def test_ini_file_errors_are_one_line_naming_the_file(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    assert run_cli("example1", "--config", cfg, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ") and message in err and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["bad.ini"]
+
+
 def test_experiment_config_validate():
     with pytest.raises(ValueError):
         ExperimentConfig().validate()  # neither deltas nor hs
@@ -805,6 +834,8 @@ def test_overflowing_derivative_operator_is_reported(tmp_path, capsys):
     (["--n", "8,4"], "n_list must be strictly increasing"),
     (["--n", "4,8", "--gamma", "0.5"], "cross shape gamma=0.5 must be >= 1"),
     (["--n", "4,8", "--gamma", "nan"], "cross shape gamma=nan must be >= 1"),
+    (["--n", ""], "--n needs at least one value"),
+    (["--n", "4,8", "--gamma", ""], "--gamma needs at least one value"),
 ])
 def test_cross_card_limits_are_reported(tmp_path, capsys, monkeypatch, argv, message):
     def refuse(*args):

@@ -26,7 +26,6 @@ from crossdiff.coeffs import (
     trapezoid_coeffs,
 )
 from crossdiff.legendre import gauss_rule, phi_matrix, synthesize
-from crossdiff.truncation import build_cross
 
 
 def test_exact_coeffs_orthonormal_product():
@@ -245,15 +244,6 @@ def test_add_noise_raw_gaussian_mode():
     assert np.array_equal(out.data, 1e-6 * draw)
 
 
-def test_add_noise_restricted_to_cross_support():
-    grid = CoeffGrid(data=np.zeros((10, 10)))
-    cross = build_cross(5, 1.0, 2)
-    out = add_noise(grid, NoiseSpec(delta=1e-4, p=2.0, seed=1), support=cross)
-    keep = cross.mask(9, 9)
-    assert np.all(out.data[~keep] == 0.0)
-    assert lp_norm(out.data, 2.0) == pytest.approx(1e-4, rel=1e-12)
-
-
 def test_lp_norm_values():
     one = np.array([[3.0]])
     assert lp_norm(one, 1.0) == 3.0
@@ -266,6 +256,31 @@ def test_lp_norm_values():
     assert lp_norm(CoeffGrid(data=two), math.inf) == 4.0
     with pytest.raises(ValueError):
         lp_norm(x, 0.9)
+
+
+def test_lp_norm_where_the_powers_overflow_or_underflow():
+    # the p-th powers of 4.0 overflow from p ~ 512 on and those of 0.5 underflow
+    # from p ~ 1075 on; the norm is then the largest magnitude times the norm
+    # of the array scaled by it
+    x = np.array([[0.5, -4.0], [3.0, 0.0]])
+    for p in (1e3, 1e4, 1e6):
+        scaled = float(np.sum(np.abs(x / 4.0) ** p) ** (1.0 / p))
+        assert lp_norm(x, p) == 4.0 * scaled
+        assert lp_norm(x / 8.0, p) == pytest.approx(0.5 * scaled, rel=1e-14)
+    assert lp_norm(np.array([3e200, 4e200]), 2.0) == pytest.approx(5e200, rel=1e-15)
+    assert lp_norm(np.array([3e-200, 4e-200]), 2.0) == pytest.approx(5e-200, rel=1e-15)
+    assert lp_norm(np.zeros((3, 3)), 1e4) == 0.0
+    assert lp_norm(np.array([1.0, math.inf]), 1e4) == math.inf
+
+
+@pytest.mark.parametrize("p", [1e3, 1e6])
+def test_add_noise_rescales_to_delta_where_the_powers_overflow(p):
+    # seed 29 draws a 3x3 grid with every entry inside (-1, 1), whose 1e6-th
+    # powers all underflow; larger grids hold entries whose powers overflow
+    for shape, seed in (((3, 3), 29), ((65, 65), 1)):
+        out = add_noise(CoeffGrid(data=np.zeros(shape)), NoiseSpec(1e-7, p, seed=seed))
+        assert lp_norm(out.data, p) == pytest.approx(1e-7, rel=1e-12)
+        assert np.abs(out.data).max() > 0.5e-7
 
 
 def test_lp_norm_two_is_the_abs_power_sum_bit_for_bit():
@@ -283,14 +298,11 @@ def test_lp_norm_two_is_the_abs_power_sum_bit_for_bit():
 
 def test_noisy_block_is_the_block_of_add_noise():
     grid = exact_coeffs(example1_F(), 20, 20, 60)
-    for spec, support in ((NoiseSpec(1e-6, 2.0, "rescaled", 7), None),
-                          (NoiseSpec(1e-6, math.inf, "rescaled", 8), None),
-                          (NoiseSpec(1e-6, 2.0, "raw_gaussian", 9), None),
-                          (NoiseSpec(1e-6, 1.0, "rescaled", 10), build_cross(9, 1.0, 2))):
-        full = add_noise(grid, spec, support).data
-        keep = None if support is None else support.mask(grid.K, grid.J)
+    for spec in (NoiseSpec(1e-6, 2.0, "rescaled", 7), NoiseSpec(1e-6, math.inf, "rescaled", 8),
+                 NoiseSpec(1e-6, 2.0, "raw_gaussian", 9), NoiseSpec(1e-6, 1.0, "rescaled", 10)):
+        full = add_noise(grid, spec).data
         for shape in ((21, 21), (10, 4), (1, 1), (0, 0)):
-            block = coeffs_module._noisy_block(grid.data, spec, shape, keep)
+            block = coeffs_module._noisy_block(grid.data, spec, shape)
             assert np.array_equal(block, full[: shape[0], : shape[1]])
 
 

@@ -303,9 +303,8 @@ def test_differentiate_cross_block_matches_legder_and_the_operator_property(
     # the bounding block of a cross, zero outside it, as truncate hands it on
     n = data.draw(st.integers(r, 160))
     cross = build_cross(n, gamma, r, axis)
-    K, J = (max(idx[i] for idx in cross.indices) for i in (0, 1))
     rng = np.random.default_rng(seed)
-    block = np.where(cross.mask(K, J), rng.standard_normal((K + 1, J + 1)), 0.0)
+    block = np.where(cross.block, rng.standard_normal(cross.block.shape), 0.0)
     got = differentiate(block, r, axis)
     cols = block if axis == "t" else block.T  # coefficient vectors as columns
     size = cols.shape[0]

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from crossdiff import legendre, truncation
 from crossdiff.analysis import example1_F
-from crossdiff.coeffs import CoeffGrid, NoiseSpec, add_noise, exact_coeffs
+from crossdiff.coeffs import CoeffGrid, exact_coeffs, lp_norm
 from crossdiff.legendre import gauss_rule, iterate_derivative, synthesize
 from crossdiff.truncation import (
     MethodParams,
@@ -42,10 +42,19 @@ def brute_force_cross(n, gamma, r, axis):
     return out
 
 
+def grid_mask(cross, K, J):
+    """The cross's membership mask over a whole grid of degrees (K, J)."""
+    kb, jb = cross.block.shape
+    return np.pad(cross.block, [(0, K + 1 - kb), (0, J + 1 - jb)])
+
+
 def test_build_cross_small_examples():
     assert build_cross(2, 1.0, 2).indices == ((2, 0), (2, 1))
+    assert build_cross(2, 1.0, 2, "tau").block.tolist() == [[False, False, True],
+                                                            [False, False, True]]
     assert build_cross(5, 1.0, 1).cardinality == 15
     assert build_cross(1, 3.0, 2).indices == ()
+    assert build_cross(1, 3.0, 2).block.shape == (0, 0)
 
 
 def test_build_cross_n_equals_r():
@@ -89,11 +98,20 @@ def test_cross_indices_sorted_and_unique():
 
 
 def test_cross_mask_shape_guard():
-    cross = build_cross(10, 1.0, 2)
-    mask = cross.mask(10, 10)
-    assert mask.sum() == cross.cardinality
-    with pytest.raises(ValueError):
-        cross.mask(5, 5)
+    # block is the read-only mask over the bounding box of the indices
+    for n, gamma, r, axis in ((10, 1.0, 2, "t"), (20, 1.5, 2, "tau"), (16, 1e308, 3, "t")):
+        cross = build_cross(n, gamma, r, axis)
+        ks, js = zip(*cross.indices)
+        assert cross.block.shape == (max(ks) + 1, max(js) + 1)
+        assert cross.cardinality == cross.block.sum() == len(cross.indices)
+        assert not cross.block.flags.writeable
+        with pytest.raises(ValueError):
+            cross.block[r, 0] = False
+    # a grid the cross sticks out of is refused, naming the first index outside it
+    assert np.array_equal(truncation._cross_block(10, 1.0, 2, "t", 10, 5),
+                          build_cross(10, 1.0, 2).block)
+    with pytest.raises(ValueError, match=r"cross index \(6,0\) outside grid of degrees \(5,5\)"):
+        truncation._cross_block(10, 1.0, 2, "t", 5, 5)
 
 
 def test_cardinality_growth_rates():
@@ -154,7 +172,7 @@ def test_truncate_idempotent_on_masked_grid():
     rng = np.random.default_rng(5)
     data = rng.standard_normal((20, 20))
     params = MethodParams(n=10, gamma=1.5, r=2)
-    masked = data * build_cross(10, 1.5, 2).mask(19, 19)
+    masked = data * grid_mask(build_cross(10, 1.5, 2), 19, 19)
     a = truncate(CoeffGrid(data=masked), params)
     b = truncate(CoeffGrid(data=data), params)
     assert np.array_equal(a.data, b.data)
@@ -191,10 +209,10 @@ def test_truncate_noise_amplification_shape():
     delta, r = 1e-7, 2
     ratios = []
     for n in (8, 16, 32, 64):
-        base = CoeffGrid(data=np.zeros((n + 1, n + 1)))
-        cross = build_cross(n, 1.0, r)
-        noisy = add_noise(base, NoiseSpec(delta=delta, p=math.inf, seed=n),
-                          support=cross)
+        # noise on the cross alone: a draw zeroed outside it, of sup norm delta
+        xi = np.random.default_rng(n).standard_normal((n + 1, n + 1))
+        xi[~grid_mask(build_cross(n, 1.0, r), n, n)] = 0.0
+        noisy = CoeffGrid(data=xi * (delta / lp_norm(xi, math.inf)))
         out = truncate(noisy, MethodParams(n=n, gamma=1.0, r=r))
         ratios.append(np.linalg.norm(out.data) / (delta * n ** (2 * r + 0.5)))
     assert max(ratios) < 1.0
@@ -314,7 +332,7 @@ def test_method_params_validation():
 
 def dense_truncate(grid, params, op):
     """The whole-grid form: mask every entry, apply the full operator."""
-    keep = build_cross(params.n, params.gamma, params.r, params.axis).mask(grid.K, grid.J)
+    keep = grid_mask(build_cross(params.n, params.gamma, params.r, params.axis), grid.K, grid.J)
     masked = np.where(keep, grid.data, 0.0)
     if params.axis == "t":
         return op[: grid.K + 1, : grid.K + 1] @ masked
