@@ -214,16 +214,12 @@ def example2_F() -> TestFunction:
     )
 
 
-def make_class_function(
-    s: float = 2.0,
-    mu1: float = 5.6,
-    mu2: float = 5.6,
-    eps: float = 0.01,
-    max_degree: int = 128,
-) -> TestFunction:
-    """Synthetic class member with coefficients max(1,k)^(-mu1-1/s-eps) *
-    max(1,j)^(-mu2-1/s-eps), normalized to class norm exactly 1."""
-    kbar = np.maximum(1.0, np.arange(max_degree + 1, dtype=float))
+def make_class_function(s: float = 2.0, mu1: float = 5.6, mu2: float = 5.6) -> TestFunction:
+    """Synthetic class member of degree 128 in each variable with coefficients
+    max(1,k)^(-mu1-1/s-eps) * max(1,j)^(-mu2-1/s-eps), eps = 0.01,
+    normalized to class norm exactly 1."""
+    eps = 0.01
+    kbar = np.maximum(1.0, np.arange(129, dtype=float))
     data = np.outer(kbar ** (-mu1 - 1.0 / s - eps), kbar ** (-mu2 - 1.0 / s - eps))
     data /= class_norm(data, s, mu1, mu2)
     return TestFunction(
@@ -241,6 +237,8 @@ def _effective_degrees(data: np.ndarray) -> tuple[int, int]:
     return int(rows[-1]), int(np.flatnonzero(data.any(axis=0))[-1])
 
 
+# points per axis of the uniform inclusive grid that samples the C error
+_C_POINTS = 513
 # rows of the uniform C grid per slab: a slab of the synthesis and of the
 # reference stays in cache while it is subtracted and its absolute maximum
 # taken, and the maximum of a noisy trial usually lies in one slab of the 33
@@ -253,40 +251,30 @@ class ErrorEvaluator:
     """L2 and C distances of many coefficient grids to one exact reference.
 
     Built once per study from the reference and the largest degrees (K, J)
-    of the grids it will score; quad_nodes and the breakpoints mean what
-    they mean in l2_error, grid_points what it means in c_error. The
-    reference is a callable f(t, tau) or, for a function defined by its
-    coefficients, the CoeffGrid of its derivative (TestFunction.deriv_coeffs).
-    Either stands in as coefficients c_Q and a tail, computed on first use:
-    a CoeffGrid is its own c_Q with tail 0; a callable F has its projection
-    c_Q under the composite Gauss rule and tail = ||F - Pi F||_Q^2. The rule
-    keeps the basis below quad_nodes orthonormal, so for every grid a within
-    those degrees ||F - a||_Q^2 = tail + ||c_Q - a||_F^2: two sums of squares,
-    nothing to cancel, and no quadrature in any trial (Parseval). A C trial
+    of the grids it will score; the breakpoints split the Gauss rule where
+    the reference is only piecewise smooth, as in l2_error. The reference
+    is a callable f(t, tau) or, for a function defined by its coefficients,
+    the CoeffGrid of its derivative (TestFunction.deriv_coeffs). Either
+    stands in as coefficients c_Q and a tail, computed on first use: a
+    CoeffGrid is its own c_Q with tail 0; a callable F has its projection
+    c_Q under the composite Gauss rule of max(K, J) + 40 nodes per smooth
+    piece, 40 past every degree it scores (l2_error asks for 32), and
+    tail = ||F - Pi F||_Q^2. The rule keeps the basis up to (K, J)
+    orthonormal, so for every grid a within those degrees
+    ||F - a||_Q^2 = tail + ||c_Q - a||_F^2: two sums of squares, nothing to
+    cancel, and no quadrature in any trial (Parseval). A C trial
     synthesizes only its active block [0..kmax] x [0..jmax], since
     truncation to the cross leaves every coefficient outside it zero, on the
-    uniform C grid, whose tables are shared the same way. _Level finds the
-    C distance of a noise level's trials from a few slabs of the C grid.
+    uniform C grid of 513 points per axis (_C_POINTS), whose tables are
+    shared the same way. _Level finds the C distance of a noise level's
+    trials from a few slabs of the C grid.
     """
 
-    def __init__(
-        self,
-        exact,
-        K: int,
-        J: int,
-        quad_nodes: int,
-        breakpoints_t=(),
-        breakpoints_tau=(),
-        grid_points: int = 513,
-    ):
-        if grid_points < 257:
-            raise ValueError(f"grid_points={grid_points} must be >= 257")
+    def __init__(self, exact, K: int, J: int, breakpoints_t=(), breakpoints_tau=()):
         self.exact = exact
         self.K, self.J = K, J
-        self.quad_nodes = quad_nodes
         self.breakpoints_t = tuple(breakpoints_t)
         self.breakpoints_tau = tuple(breakpoints_tau)
-        self.grid_points = grid_points
 
     def _values(self, t, tau) -> np.ndarray:
         """The reference on the tensor grid t x tau."""
@@ -296,17 +284,17 @@ class ErrorEvaluator:
 
     @cached_property
     def _reference(self) -> tuple[np.ndarray, float]:
-        """(c_Q, tail): the reference's coefficients, of degrees up to (K, J)
-        and below quad_nodes, and the squared quadrature distance they leave."""
+        """(c_Q, tail): the reference's coefficients, of degrees up to (K, J),
+        and the squared quadrature distance they leave."""
         if isinstance(self.exact, CoeffGrid):
             return self.exact.data, 0.0
-        t, wt = _composite_rule(self.quad_nodes, self.breakpoints_t)
+        nodes = max(self.K, self.J) + 40
+        t, wt = _composite_rule(nodes, self.breakpoints_t)
         if self.breakpoints_tau == self.breakpoints_t:
             tau, wtau = t, wt
         else:
-            tau, wtau = _composite_rule(self.quad_nodes, self.breakpoints_tau)
-        deg = self.quad_nodes - 1
-        pt, ptau = phi_matrix(min(self.K, deg), t), phi_matrix(min(self.J, deg), tau)
+            tau, wtau = _composite_rule(nodes, self.breakpoints_tau)
+        pt, ptau = phi_matrix(self.K, t), phi_matrix(self.J, tau)
         ref = self._values(t, tau)
         coeffs = (pt * wt) @ ref @ (ptau * wtau).T
         resid = ref - pt.T @ coeffs @ ptau
@@ -314,7 +302,7 @@ class ErrorEvaluator:
 
     @cached_property
     def _grid_tables(self):
-        g = np.linspace(-1.0, 1.0, self.grid_points)
+        g = np.linspace(-1.0, 1.0, _C_POINTS)
         return phi_matrix(max(self.K, self.J), g), self._values(g, g)
 
     @cached_property
@@ -335,12 +323,11 @@ class ErrorEvaluator:
 
     def l2(self, approx: CoeffGrid) -> float:
         """L2([-1,1]^2) distance of approx to the reference. Against a
-        callable, approx's active degrees must lie within (K, J) and at least
-        32 below quad_nodes, as in l2_error: the identity holds only there."""
+        callable, approx's active degrees must lie within (K, J): the
+        identity holds only there."""
         block = approx.data
         if not isinstance(self.exact, CoeffGrid):
             block = self._active(block)
-            _check_margin(self.quad_nodes, block)
         return self._l2_block(block)
 
     def _outside(self, shape) -> float:
@@ -370,9 +357,8 @@ class ErrorEvaluator:
         bound; the slabs it skips read -inf."""
         phi, ref = self._grid_tables
         left, right = phi[: block.shape[0]].T @ block, phi[: block.shape[1]]
-        points = self.grid_points
-        out = np.full(len(range(0, points, _C_SLAB)), -np.inf)
-        buf = np.empty((min(_C_SLAB, points), points))
+        out = np.full(len(range(0, _C_POINTS, _C_SLAB)), -np.inf)
+        buf = np.empty((min(_C_SLAB, _C_POINTS), _C_POINTS))
         # argsort puts NaN bounds last, so they come first here and the
         # running maximum, never above a NaN, cannot stop before them
         order = range(out.size) if bounds is None else np.argsort(bounds)[::-1]
@@ -381,7 +367,7 @@ class ErrorEvaluator:
             if bounds is not None and worst > bounds[i]:
                 break
             lo = i * _C_SLAB
-            hi = min(lo + _C_SLAB, points)
+            hi = min(lo + _C_SLAB, _C_POINTS)
             diff = np.matmul(left[lo:hi], right, out=buf[: hi - lo])
             diff -= ref[lo:hi]
             out[i] = np.abs(diff, out=diff).max()
@@ -399,7 +385,7 @@ def _scorer(fn: TestFunction, r: int, axis: str, K: int, J: int) -> ErrorEvaluat
     has a finite expansion, which is its own c_Q with tail 0; any other
     reference is fn.exact_deriv, projected by quadrature."""
     exact = fn.deriv_coeffs(r, axis) if fn.coeff_data is not None else fn.exact_deriv(r, axis)
-    return ErrorEvaluator(exact, K, J, max(K, J) + 40, fn.breakpoints_t, fn.breakpoints_tau)
+    return ErrorEvaluator(exact, K, J, fn.breakpoints_t, fn.breakpoints_tau)
 
 
 def _plan(sp: SmoothnessParams, deltas, ns, r: int, c: float, gamma, metric,
@@ -453,7 +439,7 @@ class _Level:
         self._bias_scale = self._scale(self._bias)
         # rounding of (K+1)- and (J+1)-term sums, with room to spare
         self._rel = 8 * (scorer.K + scorer.J + 8) * _U
-        self._starts = np.arange(0, scorer.grid_points, _C_SLAB)
+        self._starts = np.arange(0, _C_POINTS, _C_SLAB)
         self.slabs = 0
 
     def _scale(self, block: np.ndarray) -> float:
@@ -492,15 +478,6 @@ class _Level:
         return self._scorer._l2_block(approx, self._outside), self._c_block(approx)
 
 
-def _check_margin(quad_nodes: int, data: np.ndarray) -> None:
-    """Refuse quad_nodes short of data's active degrees + 32 (see l2_error)."""
-    kmax, jmax = _effective_degrees(data)
-    if quad_nodes < max(kmax, jmax) + 32:
-        raise ValueError(
-            f"quad_nodes={quad_nodes} too small for active degrees ({kmax},{jmax})"
-        )
-
-
 def l2_error(
     approx: CoeffGrid,
     exact,
@@ -518,19 +495,20 @@ def l2_error(
     Scoring many grids against one reference is cheaper with ErrorEvaluator.
     """
     if isinstance(exact, CoeffGrid):
-        return ErrorEvaluator(exact, approx.K, approx.J, quad_nodes).l2(approx)
-    _check_margin(quad_nodes, approx.data)
+        return ErrorEvaluator(exact, approx.K, approx.J).l2(approx)
+    kmax, jmax = _effective_degrees(approx.data)
+    if quad_nodes < max(kmax, jmax) + 32:
+        raise ValueError(f"quad_nodes={quad_nodes} too small for active degrees ({kmax},{jmax})")
     t, wt = _composite_rule(quad_nodes, breakpoints_t)
     tau, wtau = _composite_rule(quad_nodes, breakpoints_tau)
     diff = synthesize(approx, t, tau) - np.asarray(exact(t[:, None], tau[None, :]), dtype=float)
     return math.sqrt(max(wt @ np.square(diff, out=diff) @ wtau, 0.0))
 
 
-def c_error(approx: CoeffGrid, exact, grid_points: int = 513) -> float:
-    """Max-norm distance sampled on a uniform inclusive grid (>= 257 per axis)."""
-    return ErrorEvaluator(
-        exact, approx.K, approx.J, quad_nodes=0, grid_points=grid_points
-    ).c(approx)
+def c_error(approx: CoeffGrid, exact) -> float:
+    """Max-norm distance sampled on a uniform inclusive grid of 513 points
+    per axis."""
+    return ErrorEvaluator(exact, approx.K, approx.J).c(approx)
 
 
 def theoretical_slope(sp: SmoothnessParams, r: int, metric: str = "L2", axis: str = "t") -> float:

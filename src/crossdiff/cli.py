@@ -186,6 +186,9 @@ class ExperimentConfig:
             raise ValueError("trapezoid runs need an explicit n list")
         if self.metric not in (None, "L2", "C"):
             raise ValueError(f"metric must be 'L2' or 'C', got {self.metric!r}")
+        if self.axis not in ("t", "tau"):
+            raise ValueError(f"[experiment] axis must be 't' or 'tau', got {self.axis!r}")
+        _check_run_id(self.run_id)
         _get_function(self)
 
     def to_ini(self, path) -> None:
@@ -309,6 +312,12 @@ def _resolve_root(explicit: str | None) -> str:
     return explicit or os.environ.get(_ENV_ROOT) or "results"
 
 
+def _check_run_id(run_id: str | None) -> None:
+    """Refuse an empty run id, which would name the results root itself."""
+    if run_id == "":
+        raise ValueError("[output] run_id must not be empty")
+
+
 def cmd_table(cfg: ExperimentConfig) -> ResultsTable:
     """Run one error table (PRESETS holds the paper's three) and write its
     run directory. A row without noise (an h row, or delta 0) has the
@@ -384,7 +393,8 @@ def cmd_rate_study(cfg: ExperimentConfig) -> RateStudyResult:
     noise is drawn in the class norm index [experiment] p."""
     if cfg.n_list:
         raise ValueError("rate-study takes n from choose_n, not [method] n")
-    cfg = replace(cfg, noise_p=None, run_id=cfg.run_id or f"rate-{cfg.metric}")
+    cfg = replace(cfg, noise_p=None,
+                  run_id=f"rate-{cfg.metric}" if cfg.run_id is None else cfg.run_id)
     cfg.validate()
     if cfg.h_list:
         raise ValueError("rate-study needs [noise] deltas, not hs")
@@ -411,6 +421,7 @@ def cmd_cross_card(gammas, r: int, ns, out: str | None = None,
     """Cardinality growth tables with band-check verdicts."""
     # before any cross (~n ln n indices) is enumerated; the verdicts divide
     # by n ln n, 0 at n = 1, and by the cardinality, 0 when r exceeds a level
+    _check_run_id(run_id)
     if not gammas or not ns:
         raise ValueError(f"--{'n' if gammas else 'gamma'} needs at least one value")
     for n in ns:

@@ -174,7 +174,7 @@ def test_evaluator_matches_per_call_quadrature_on_class_function(axis):
     grid = CoeffGrid(data=np.array(fn.coeff_data))
     exact = fn.exact_deriv(2, axis)
     quad = grid.K + 40
-    scorer = ErrorEvaluator(exact, grid.K, grid.J, quad)
+    scorer = ErrorEvaluator(exact, grid.K, grid.J)
     params = MethodParams(n=24, gamma=2.25, r=2, axis=axis)
     for approx in noisy_trials(grid, params, (1e-5, 1e-8)):
         assert scorer.l2(approx) == pytest.approx(oracle_l2(approx, exact, quad), rel=1e-12)
@@ -189,7 +189,7 @@ def test_evaluator_matches_per_call_quadrature_across_kinks(make):
     exact = F.exact_deriv(2, "t")
     bt, btau = F.breakpoints_t, F.breakpoints_tau
     assert bt == (0.0,)
-    scorer = ErrorEvaluator(exact, 48, 48, 88, bt, btau)
+    scorer = ErrorEvaluator(exact, 48, 48, bt, btau)
     params = MethodParams(n=20, gamma=1.0, r=2)
     for approx in noisy_trials(grid, params, (1e-7, 1e-9)):
         expect = oracle_l2(approx, exact, 88, bt, btau)
@@ -202,7 +202,7 @@ def test_evaluator_scores_all_zero_grid_as_reference_norm():
     F = example1_F()
     exact = F.exact_deriv(2, "t")
     zero = CoeffGrid(data=np.zeros((33, 33)))
-    scorer = ErrorEvaluator(exact, 32, 32, 72, F.breakpoints_t, F.breakpoints_tau)
+    scorer = ErrorEvaluator(exact, 32, 32, F.breakpoints_t, F.breakpoints_tau)
     expect = oracle_l2(zero, exact, 72, F.breakpoints_t, F.breakpoints_tau)
     assert expect > 0
     assert scorer.l2(zero) == pytest.approx(expect, rel=1e-12)
@@ -210,8 +210,8 @@ def test_evaluator_scores_all_zero_grid_as_reference_norm():
 
 
 def test_error_metric_preconditions():
-    # the same checks and messages through the one-shot functions and the
-    # evaluator
+    # l2_error refuses a rule too small for approx's active degrees, the
+    # evaluator a grid beyond its own degrees
     data = np.zeros((11, 11))
     data[10, 10] = 1.0
     grid = CoeffGrid(data=data)
@@ -219,31 +219,8 @@ def test_error_metric_preconditions():
     margin = r"quad_nodes=41 too small for active degrees \(10,10\)"
     with pytest.raises(ValueError, match=margin):
         l2_error(grid, exact, 41)
-    with pytest.raises(ValueError, match=margin):
-        ErrorEvaluator(exact, 10, 10, 41).l2(grid)
-    points = r"grid_points=256 must be >= 257"
-    with pytest.raises(ValueError, match=points):
-        c_error(grid, exact, grid_points=256)
-    with pytest.raises(ValueError, match=points):
-        ErrorEvaluator(exact, 10, 10, 48, grid_points=256)
-    # the margin is checked per trial, against that trial's active degrees
-    scorer = ErrorEvaluator(exact, 10, 10, 41)
-    assert scorer.l2(CoeffGrid(data=np.zeros((11, 11)))) == 0.0
-    with pytest.raises(ValueError, match=margin):
-        scorer.l2(grid)
     with pytest.raises(ValueError, match="exceed the evaluator's degrees"):
-        ErrorEvaluator(exact, 8, 8, 48).c(grid)
-
-
-def test_evaluator_projects_only_onto_the_degrees_its_rule_resolves():
-    # the 40-node rule keeps phi_0..phi_39 orthonormal, not the evaluator's
-    # degrees up to 80, where this reference holds as much as below
-    rng = np.random.default_rng(7)
-    ref = rng.standard_normal((81, 81))
-    exact = lambda t, tau: synthesize(ref, np.ravel(t), np.ravel(tau))
-    approx = CoeffGrid(data=rng.standard_normal((9, 9)))
-    expect = oracle_l2(approx, exact, 40)
-    assert ErrorEvaluator(exact, 80, 80, 40).l2(approx) == pytest.approx(expect, rel=1e-12)
+        ErrorEvaluator(exact, 8, 8).c(grid)
 
 
 def test_l2_bounded_by_twice_sup_norm():
@@ -438,13 +415,14 @@ def whole_array_c(scorer, approx):
 def test_blocked_c_error_matches_the_whole_array_form(monkeypatch, points, slab):
     # block+1 leaves a one-row last slab, block-1 and ragged a slab that
     # does not divide the grid
+    monkeypatch.setattr(analysis, "_C_POINTS", points)
     if slab is not None:
         monkeypatch.setattr(analysis, "_C_SLAB", slab)
     fn = make_class_function()
     grid = CoeffGrid(data=np.array(fn.coeff_data))
     for axis in ("t", "tau"):
-        scorer = ErrorEvaluator(fn.deriv_coeffs(2, axis), grid.K, grid.J, grid.K + 40,
-                                grid_points=points)
+        scorer = ErrorEvaluator(fn.deriv_coeffs(2, axis), grid.K, grid.J)
+        assert scorer._grid_tables[1].shape == (points, points)
         params = MethodParams(n=36, gamma=2.25, r=2, axis=axis)
         trials = list(noisy_trials(grid, params, (1e-5, 1e-9)))
         level = _Level(scorer, grid.data, 36, 2.25, 2, axis, None)
@@ -483,7 +461,7 @@ def rate_trials(fn, axis, seeds=3):
 def test_parseval_l2_matches_quadrature_on_rate_trials(axis):
     fn = make_class_function()
     quad = fn.coeff_data.shape[0] + 40
-    scorer = ErrorEvaluator(fn.deriv_coeffs(2, axis), 128, 128, quad)
+    scorer = ErrorEvaluator(fn.deriv_coeffs(2, axis), 128, 128)
     exact = fn.exact_deriv(2, axis)
     for approx in rate_trials(fn, axis):
         assert scorer.l2(approx) == pytest.approx(l2_error(approx, exact, quad), rel=1e-12)
@@ -514,12 +492,12 @@ def assert_parseval(ref, approx_data):
     approx = CoeffGrid(data=approx_data)
     exact = lambda t, tau: synthesize(ref, np.ravel(t), np.ravel(tau))
     quad = l2_error(approx, exact, max(K, J) + 32)
-    parseval = ErrorEvaluator(CoeffGrid(data=ref), K, J, 0).l2(approx)
+    parseval = ErrorEvaluator(CoeffGrid(data=ref), K, J).l2(approx)
     floor = max(1e-12 * (np.abs(ref).sum() + np.abs(approx_data).sum()), UNDERFLOW)
     assert parseval == pytest.approx(quad, rel=1e-9, abs=floor)
     # the evaluator on the callable, of approx's degrees: its projection is
     # ref's top-left block, its tail the squares of ref outside that block
-    projected = ErrorEvaluator(exact, approx.K, approx.J, max(K, J) + 32).l2(approx)
+    projected = ErrorEvaluator(exact, approx.K, approx.J).l2(approx)
     assert projected == pytest.approx(parseval, rel=1e-12, abs=floor)
     # the block form against the whole difference: the reference's squares
     # outside approx's block are summed apart from the block's residual
@@ -592,7 +570,7 @@ def slab_maxima(scorer, approx):
     step = analysis._C_SLAB
     return np.array([
         np.abs(left[lo:lo + step] @ phi[: block.shape[1]] - ref[lo:lo + step]).max()
-        for lo in range(0, scorer.grid_points, step)])
+        for lo in range(0, analysis._C_POINTS, step)])
 
 
 def assert_same_float(got, want):
@@ -607,11 +585,12 @@ LEVELS = {"bias": (6, 1e-12), "even": (16, 1e-4), "noise": (40, 1e-2)}
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("axis", ["t", "tau"])
 @pytest.mark.parametrize("points", [257, 513, 1025])
-def test_bounded_c_equals_the_exhaustive_slab_pass(points, axis, r):
+def test_bounded_c_equals_the_exhaustive_slab_pass(monkeypatch, points, axis, r):
+    monkeypatch.setattr(analysis, "_C_POINTS", points)
     fn = make_class_function()
     grid = CoeffGrid(data=np.array(fn.coeff_data))
-    scorer = ErrorEvaluator(fn.deriv_coeffs(r, axis), grid.K, grid.J, 0,
-                            grid_points=points)
+    scorer = ErrorEvaluator(fn.deriv_coeffs(r, axis), grid.K, grid.J)
+    assert scorer._grid_tables[1].shape == (points, points)
     g = np.linspace(-1.0, 1.0, points)
     trials = 0
     for level, (n, delta) in LEVELS.items():
@@ -661,7 +640,7 @@ def test_bounded_c_keeps_a_nan_of_the_reference():
 
     grid = exact_coeffs(F, 32, 32, 96)
     params = MethodParams(n=16, gamma=2.0, r=2)
-    scorer = ErrorEvaluator(exact, 32, 32, 72)
+    scorer = ErrorEvaluator(exact, 32, 32)
     level = _Level(scorer, grid.data, 16, 2.0, 2, "t", None)
     assert np.isnan(level.bias_max).sum() == 1
     noisy = add_noise(grid, NoiseSpec(1e-7, 2.0, "rescaled", 3))
@@ -674,7 +653,7 @@ def test_bounded_c_prunes_rate_trials(axis):
     # exhaustive pass from a small share of the slabs
     fn = make_class_function()
     grid = CoeffGrid(data=np.array(fn.coeff_data))
-    scorer = ErrorEvaluator(fn.deriv_coeffs(2, axis), grid.K, grid.J, 0)
+    scorer = ErrorEvaluator(fn.deriv_coeffs(2, axis), grid.K, grid.J)
     slabs = []
     for i, delta in enumerate((1e-5, 1e-6, 1e-7, 1e-8, 1e-9)):
         sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
@@ -701,10 +680,10 @@ def test_block_trials_score_like_the_full_grid(axis, make):
     bt, btau = fn.breakpoints_t, fn.breakpoints_tau
     if fn.coeff_data is not None:
         grid = CoeffGrid(data=np.array(fn.coeff_data))
-        scorer = ErrorEvaluator(fn.deriv_coeffs(2, axis), grid.K, grid.J, 0)
+        scorer = ErrorEvaluator(fn.deriv_coeffs(2, axis), grid.K, grid.J)
     else:  # as rate_study builds it
         grid = exact_coeffs(fn, 64, 64, 104)
-        scorer = ErrorEvaluator(fn.exact_deriv(2, axis), 64, 64, 104, bt, btau)
+        scorer = ErrorEvaluator(fn.exact_deriv(2, axis), 64, 64, bt, btau)
     ref, tail = scorer._reference
     for i, delta in enumerate((1e-5, 1e-7, 1e-9)):
         sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
@@ -739,7 +718,7 @@ def test_noise_free_level_errors_match_the_exhaustive_oracle(h, axis):
     # for bit, and the whole-grid L2 error
     fn = example1_F()
     grid = exact_coeffs(fn, 24, 24, 88) if h is None else coeffs.trapezoid_coeffs(fn, 24, 24, h)
-    oracle = ErrorEvaluator(fn.exact_deriv(2, axis), 24, 24, 64, fn.breakpoints_t,
+    oracle = ErrorEvaluator(fn.exact_deriv(2, axis), 24, 24, fn.breakpoints_t,
                             fn.breakpoints_tau)
     for n in (8, 16, 24):
         level = _Level(analysis._scorer(fn, 2, axis, 24, 24), grid.data, n, 1.0, 2, axis, None)

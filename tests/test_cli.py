@@ -308,7 +308,7 @@ def test_forked_table_seeds_match_a_serial_run_and_the_whole_grid_oracle(tmp_pat
         assert forked == serial, name
     fn = example1_F()
     exact = coeffs.exact_coeffs(fn, 16, 16, 80)
-    scorer = analysis.ErrorEvaluator(fn.exact_deriv(2, "t"), 16, 16, 56,
+    scorer = analysis.ErrorEvaluator(fn.exact_deriv(2, "t"), 16, 16,
                                      fn.breakpoints_t, fn.breakpoints_tau)
     for i, (row, delta) in enumerate(zip(read_table(tmp_path, "w2").rows, (1e-7, 1e-8, 1e-9))):
         params = truncation.MethodParams(n=row.n, gamma=1.0, r=2, axis="t")
@@ -730,6 +730,45 @@ def test_truncation_level_beyond_grid_degree_is_reported(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert err.startswith("error: truncation level n=") and err.count("\n") == 1
     assert err.endswith(f" exceeds grid degree {degree}\n")
+
+
+@pytest.mark.parametrize("argv, ini", [
+    (["example1", "--seeds", 1, "--run-id", ""], None),
+    (["example2"], "[output]\nrun_id =\n"),
+    (["rate-study", "--run-id", ""], "[experiment]\nfunction = class\n"),
+    (["cross-card", "--gamma", "1", "--n", "4,8", "--run-id", ""], None)],
+    ids=["example1", "example2", "rate-study", "cross-card"])
+def test_an_empty_run_id_is_refused(tmp_path, capsys, monkeypatch, argv, ini):
+    # it would name the results root itself: one refusal, before any grid,
+    # study or cross is built, and nothing written
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+
+    for module, name in ((cli, "exact_coeffs"), (cli, "trapezoid_coeffs"),
+                         (cli, "rate_study"), (truncation, "_limit")):
+        monkeypatch.setattr(module, name, refuse)
+    if ini is not None:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(ini)
+        argv = argv + ["--config", cfg]
+    assert run_cli(*argv, "--out", tmp_path / "res") == 2
+    assert capsys.readouterr().err == "error: [output] run_id must not be empty\n"
+    assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("command", ["example1", "rate-study"])
+def test_an_unknown_axis_is_refused_before_any_grid(tmp_path, capsys, monkeypatch, command):
+    def refuse(*args):
+        raise AssertionError("a grid was computed")
+
+    for module, name in ((cli, "exact_coeffs"), (cli, "trapezoid_coeffs"),
+                         (analysis, "exact_coeffs")):
+        monkeypatch.setattr(module, name, refuse)
+    cfg = tmp_path / "axis.ini"
+    cfg.write_text("[experiment]\nfunction = example1\naxis = x\n")
+    assert run_cli(command, "--config", cfg, "--out", tmp_path) == 2
+    assert capsys.readouterr().err == "error: [experiment] axis must be 't' or 'tau', got 'x'\n"
+    assert os.listdir(tmp_path) == ["axis.ini"]
 
 
 @pytest.mark.parametrize("degree", [0, cli.MAX_GRID_DEGREE + 1, 100000])

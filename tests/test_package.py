@@ -7,6 +7,7 @@ import pathlib
 import re
 
 import crossdiff
+from crossdiff import analysis
 
 MODULES = ("legendre", "coeffs", "truncation", "analysis", "cli")
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -51,6 +52,18 @@ def test_package_exports_exactly_the_documented_names():
     ]
     for name in crossdiff.__all__:
         assert hasattr(crossdiff, name), name
+
+
+def test_error_layer_takes_only_what_varies():
+    # the Gauss rule's size, the C grid's points and the class member's
+    # degree and eps are fixed inside analysis
+    def names(obj):
+        return list(inspect.signature(obj).parameters)
+
+    assert names(analysis.ErrorEvaluator) == ["exact", "K", "J", "breakpoints_t",
+                                              "breakpoints_tau"]
+    assert names(crossdiff.c_error) == ["approx", "exact"]
+    assert names(crossdiff.make_class_function) == ["s", "mu1", "mu2"]
 
 
 def test_every_public_name_is_defined_in_its_module():
