@@ -61,12 +61,24 @@ class PiecewisePoly:
     pieces: tuple
 
     def eval(self, t):
+        """The factor at t: piece i where edge_i <= t < edge_i+1, the edges
+        being -inf, the breakpoints and +inf; 0 at NaN and +inf. Nodes
+        ascending in one dimension, below +inf at the top, are cut into one
+        slice per piece and evaluated in place; any other input selects
+        each piece by a mask. Both give the same values, bit for bit."""
         t = np.asarray(t, dtype=float)
-        edges = (-np.inf, *self.breakpoints, np.inf)
         out = np.zeros_like(t)
-        for lo, hi, cs in zip(edges[:-1], edges[1:], self.pieces):
+        pieces = [np.asarray(cs, dtype=float) for cs in self.pieces]
+        if t.ndim == 1 and t.size and t[-1] < np.inf and np.all(t[1:] >= t[:-1]):
+            # a NaN fails >=, so no node lies outside every piece
+            cuts = (0, *np.searchsorted(t, self.breakpoints), t.size)
+            for lo, hi, cs in zip(cuts[:-1], cuts[1:], pieces):
+                _horner(t[lo:hi], cs, out[lo:hi])
+            return out
+        edges = (-np.inf, *self.breakpoints, np.inf)
+        for lo, hi, cs in zip(edges[:-1], edges[1:], pieces):
             sel = (t >= lo) & (t < hi)
-            out[sel] = _horner(t[sel], np.asarray(cs, dtype=float))
+            out[sel] = _horner(t[sel], cs)
         return out
 
     def deriv(self, r: int) -> "PiecewisePoly":
@@ -78,15 +90,16 @@ class PiecewisePoly:
         return PiecewisePoly(self.breakpoints, pieces)
 
 
-def _horner(x: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    """npoly.polyval(x, cs) for a 1-D float x, bit for bit, in one array.
+def _horner(x: np.ndarray, cs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """npoly.polyval(x, cs) for a 1-D float x, bit for bit, in one array:
+    out, of x's shape and not overlapping it, or a new one.
 
     polyval starts from cs[-1] + x*0 and takes cs[i] + acc*x down the
     coefficients, each step into two new arrays; here each step runs in
     place. IEEE addition commutes exactly, signed zeros included, so
     acc += cs[i] gives polyval's values.
     """
-    acc = x * 0.0
+    acc = np.multiply(x, 0.0, out=out)
     acc += cs[-1]
     for c in cs[-2::-1]:
         acc *= x
@@ -277,9 +290,7 @@ class ErrorEvaluator:
         self.breakpoints_tau = tuple(breakpoints_tau)
 
     def _values(self, t, tau) -> np.ndarray:
-        """The reference on the tensor grid t x tau."""
-        if isinstance(self.exact, CoeffGrid):
-            return synthesize(self.exact, t, tau)
+        """The callable reference on the tensor grid t x tau."""
         return np.asarray(self.exact(t[:, None], tau[None, :]), dtype=float)
 
     @cached_property
@@ -302,8 +313,15 @@ class ErrorEvaluator:
 
     @cached_property
     def _grid_tables(self):
+        """(phi, ref): the basis on the C grid, up to the largest degree
+        scored or held by a coefficient reference, and the reference there;
+        a coefficient reference is synthesized from phi itself."""
         g = np.linspace(-1.0, 1.0, _C_POINTS)
-        return phi_matrix(max(self.K, self.J), g), self._values(g, g)
+        if not isinstance(self.exact, CoeffGrid):
+            return phi_matrix(max(self.K, self.J), g), self._values(g, g)
+        data = self.exact.data
+        phi = phi_matrix(max(self.K, self.J, data.shape[0] - 1, data.shape[1] - 1), g)
+        return phi, phi[: data.shape[0]].T @ data @ phi[: data.shape[1]]
 
     @cached_property
     def _phi_max(self) -> np.ndarray:
@@ -635,6 +653,17 @@ def _forked_map(fn, items) -> list:
     return rows
 
 
+def _median(values) -> float:
+    """float(np.median(values)), bit for bit, without the numpy.ma import
+    np.median's NaN check makes on first use: the middle value, or (a + b) / 2
+    of the two middle values; NaN if any value is NaN."""
+    v = np.sort(np.asarray(values, dtype=float))  # NaN sorts last
+    if np.isnan(v[-1]):
+        return math.nan
+    mid = v.size // 2
+    return float(v[mid] if v.size % 2 else (v[mid - 1] + v[mid]) / 2)
+
+
 def rate_study(
     fn: TestFunction,
     sp: SmoothnessParams,
@@ -702,7 +731,7 @@ def rate_study(
     if not all(math.isfinite(e) for row in rows for e in row[3:5]):
         raise ValueError(f"rate study of {fn.id} produced non-finite errors")
     pick = 3 if metric == "L2" else 4
-    medians = [float(np.median([row[pick] for row in rows[i * seeds:(i + 1) * seeds]]))
+    medians = [_median([row[pick] for row in rows[i * seeds:(i + 1) * seeds]])
                for i in range(len(levels))]
 
     slope = float(np.polyfit(np.log(delta_list), np.log(medians), 1)[0])

@@ -26,8 +26,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .analysis import (  # noqa: F401  (l2_error, c_error stay importable from cli)
-    RateStudyResult, _Level, _forked_map, _noise, _plan, _scorer, c_error, example1_F,
-    example2_F, l2_error, make_class_function, rate_study,
+    RateStudyResult, _Level, _forked_map, _median, _noise, _plan, _scorer, c_error,
+    example1_F, example2_F, l2_error, make_class_function, rate_study,
 )
 from .coeffs import CoeffGrid, exact_coeffs, save_grid, load_grid, trapezoid_coeffs
 from .coeffs import _cells, _fmt_float, _trapezoid_steps, _write_csv
@@ -313,9 +313,14 @@ def _resolve_root(explicit: str | None) -> str:
 
 
 def _check_run_id(run_id: str | None) -> None:
-    """Refuse an empty run id, which would name the results root itself."""
+    """Refuse a run id that does not name one directory under the results
+    root: an empty one, ".", "..", or one holding a path separator."""
     if run_id == "":
         raise ValueError("[output] run_id must not be empty")
+    if run_id is not None and (run_id in (".", "..") or os.sep in run_id
+                               or (os.altsep and os.altsep in run_id)):
+        raise ValueError(f"[output] run_id={run_id} must name one directory, "
+                         f"not '.', '..' or a path")
 
 
 def cmd_table(cfg: ExperimentConfig) -> ResultsTable:
@@ -345,7 +350,7 @@ def cmd_table(cfg: ExperimentConfig) -> ResultsTable:
         error_l2, error_c = level.errors
         if noise is not None:
             l2s, cs = zip(*_forked_map(level.trial, range(cfg.seeds)))
-            error_l2, error_c = float(np.median(l2s)), float(np.median(cs))
+            error_l2, error_c = _median(l2s), _median(cs)
         derivs.append(level.approx(None if noise is None else 0))
         rows.append(ResultRow(kind=kind, value=float(val), n=n, gamma=gamma,
                               card=int(level.keep.sum()), error_l2=error_l2, error_c=error_c,

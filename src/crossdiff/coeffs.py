@@ -130,6 +130,23 @@ def _trapezoid_steps(h: float) -> int:
     return n
 
 
+def _weighted(values, h: float, t: np.ndarray) -> np.ndarray:
+    """values at the nodes t times the trapezoid weights of step h: values *
+    h inside and values * (0.5 * h) at both ends, the products w * values
+    forms for w = (h/2, h, ..., h, h/2). An array of t's shape that owns its
+    data apart from t, as a factor's eval returns, is weighted in place and
+    returned, so no second node-sized array is made; other values are
+    weighted in a copy."""
+    v = np.asarray(values, dtype=float)
+    if (v.shape != t.shape or not (v.flags.owndata and v.flags.writeable)
+            or np.may_share_memory(v, t)):
+        v = np.array(np.broadcast_to(v, t.shape))
+    ends = v[0] * (0.5 * h), v[-1] * (0.5 * h)
+    v *= h
+    v[0], v[-1] = ends
+    return v
+
+
 def trapezoid_coeffs(f, K: int, J: int, h: float) -> CoeffGrid:
     """Coefficient grid by the 2D composite trapezoid rule with step h.
 
@@ -137,10 +154,13 @@ def trapezoid_coeffs(f, K: int, J: int, h: float) -> CoeffGrid:
     t_factor / tau_factor) the tensor-product weights factor the double sum
     into two 1D sums, which is what makes the fine steps of the error
     tables affordable; when both axes share one factor object and one
-    degree, its sum is computed once. The generic path evaluates f on the
-    full grid in row blocks. Steps whose basis table would exceed 4 GiB,
-    or whose generic path would exceed 1e8 function evaluations, are
-    refused before anything is allocated.
+    degree, its sum is computed once. Each factor's eval(t) is weighted in
+    place when it returns a new array, before the basis table is built, so
+    beside the table only the nodes and one vector per distinct sum are
+    alive; a value it does not own is weighted in a copy. The generic path
+    evaluates f on the full grid in row blocks. Steps whose basis table
+    would exceed 4 GiB, or whose generic path would exceed 1e8 function
+    evaluations, are refused before anything is allocated.
     """
     if K < 0 or J < 0:
         raise ValueError("grid degrees K, J must be >= 0")
@@ -160,16 +180,22 @@ def trapezoid_coeffs(f, K: int, J: int, h: float) -> CoeffGrid:
             f"non-separable trapezoid sum at h={h} needs {(n + 1) ** 2:.3g} "
             f"function evaluations, over the {_TRAPEZOID_GENERIC_EVALS:.0e} limit"
         )
-    t = -1.0 + h * np.arange(n + 1)
-    w = np.full(n + 1, h)
-    w[0] = w[-1] = 0.5 * h
-    phi = phi_matrix(max(K, J), t)
+    t = np.arange(n + 1, dtype=float)
+    t *= h
+    t += -1.0
     if separable:
+        # the integrands before the table, so no temporary of theirs sits beside it
         scale = getattr(f, "C", 1.0)
-        a = phi[: K + 1] @ (w * gfac.eval(t))
-        b = a if qfac is gfac and K == J else phi[: J + 1] @ (w * qfac.eval(t))
+        shared = qfac is gfac and K == J
+        wg = _weighted(gfac.eval(t), h, t)
+        wq = None if shared else _weighted(qfac.eval(t), h, t)
+        phi = phi_matrix(max(K, J), t)
+        a = phi[: K + 1] @ wg
+        b = a if shared else phi[: J + 1] @ wq
         data = np.outer(a, b) / scale
     else:
+        w = _weighted(1.0, h, t)
+        phi = phi_matrix(max(K, J), t)
         fn = _bivariate(f)
         data = np.zeros((K + 1, J + 1))
         block = max(1, 2 ** 22 // (t.size + 1))
@@ -249,13 +275,27 @@ def _write_csv(path, header: str, *blocks) -> None:
             fh.writelines(line % row for row in rows)
 
 
+def _grid_lines(data: np.ndarray):
+    """For each row k of data, its lines k,j,value as _write_csv writes the
+    cells in kinds "ssf", joined, less the last newline: formatted by one
+    call per row, and a row of +0.0 alone with no float formatted."""
+    cells = [f",{j},{_row_format('f')[:-1]}" for j in range(data.shape[1])]
+    zeros = [cell % 0.0 for cell in cells]
+    plain_zero = ~(data.any(axis=1) | np.signbit(data).any(axis=1))
+    for k, row in enumerate(data):
+        key = str(k)
+        sep = "\n" + key
+        yield (key + sep.join(zeros) if plain_zero[k]
+               else (key + sep.join(cells)) % tuple(row.tolist()),)
+
+
 def save_grid(grid: CoeffGrid, path) -> None:
     """Write a grid as CSV (k,j,value) plus a key=value sidecar at path+'.meta'.
 
     Values carry 17 significant digits so the round-trip is bit exact.
     """
     path = str(path)
-    _write_csv(path, "k,j,value", ("ssf", _cells(range(grid.K + 1), range(grid.J + 1), grid.data)))
+    _write_csv(path, "k,j,value", ("s", _grid_lines(grid.data)))
     meta = {"provenance": grid.provenance, "K": grid.K, "J": grid.J}
     if grid.h is not None:
         meta["h"] = _fmt_float(grid.h)

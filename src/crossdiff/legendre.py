@@ -37,6 +37,13 @@ __all__ = [
 # 0.55 s with 16384 and 1.0 s with 4096; one thread took 0.71-0.82 s with
 # blocks of 16384 to 65536.
 _PHI_BLOCK = 65536
+# nodes from which a table is split over two threads: below it the two
+# threads' contention for the interpreter lock costs more than the second
+# CPU saves. Alternating runs on 2 vCPUs at degree 64: 16384 nodes took
+# 3.6 ms serial and 6.3 ms split, 25001 took 4.5 and 5.8 ms, 32768 took
+# 7.2 and 6.5 ms, and 65536 took 24 and 16 ms. Every table built before a
+# fork is far smaller: exact_coeffs of a degree-1024 grid has 2176 nodes.
+_PHI_SPLIT = 32768
 
 
 def _usable_cpus() -> int:
@@ -48,7 +55,7 @@ def _usable_cpus() -> int:
 def phi_matrix(max_degree: int, t: np.ndarray) -> np.ndarray:
     """Table of orthonormal Legendre values phi_k(t_i).
 
-    A table of two node blocks or more is filled on two threads where two
+    A table of _PHI_SPLIT nodes or more is filled on two threads where two
     CPUs are usable: one helper thread fills the second half of the nodes
     while the calling thread fills the first. The call returns, or raises,
     only after joining the helper, and the table is the same, bit for bit,
@@ -73,7 +80,7 @@ def phi_matrix(max_degree: int, t: np.ndarray) -> np.ndarray:
         return out
     # two threads at most: the most ever measured, as for the forked
     # workers of analysis._forked_map
-    if t.size < 2 * _PHI_BLOCK or _usable_cpus() < 2:
+    if t.size < _PHI_SPLIT or _usable_cpus() < 2:
         _phi_blocks(t, out, scale, 0, t.size)
         return out
     half = t.size // 2

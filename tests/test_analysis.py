@@ -122,6 +122,90 @@ def test_piecewise_eval_is_polyval_per_piece_signed_zeros_included():
     assert negative_zeros > 2
 
 
+def eval_recording_paths(monkeypatch, factor, t):
+    """factor.eval(t), and whether each piece was evaluated in place on a
+    slice (True) or on a masked copy (False)."""
+    paths = []
+
+    def recording(x, cs, out=None):
+        paths.append(out is not None)
+        return horner(x, cs, out)
+
+    horner = analysis._horner
+    monkeypatch.setattr(analysis, "_horner", recording)
+    with np.errstate(invalid="ignore"):  # inf * 0 at an infinite node
+        return factor.eval(t), paths
+
+
+_BREAK_FACTORS = [
+    _kink_factor(), _kink_factor().deriv(8),
+    PiecewisePoly((0.0,), ((1, -2, 3), (0, 0, -1, 4))),
+    # -0.0 on the first piece and at t = -0.0 on the second; each breakpoint
+    # is a node, and the pieces disagree there
+    PiecewisePoly((-0.5, 0.5), ((-0.0,), (-0.0, 1.0), (0.0, -0.0, 2.0))),
+]
+
+
+def test_piecewise_eval_on_ascending_nodes_is_the_mask_form(monkeypatch):
+    grid = np.linspace(-1.0, 1.0, 2001)
+    nodes = [
+        np.sort(np.concatenate([grid, [-0.5, 0.5, 0.0, -0.0, -0.0, 1e-300, -1e-300]])),
+        np.array([-np.inf, -1.0, -0.5, -0.5, 0.0, 0.5, 1.0]),
+        np.array([0.0]), np.array([-0.0, 0.0, 0.0]), np.array([0.5]),
+        np.linspace(-1.0, 1.0, 2 ** 21 + 1)[::1024],  # a strided view
+    ]
+    for factor in _BREAK_FACTORS:
+        for t in nodes:
+            got, paths = eval_recording_paths(monkeypatch, factor, t)
+            with np.errstate(invalid="ignore"):
+                want = where_piecewise_eval(factor, t)
+            assert paths and all(paths)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_piecewise_eval_keeps_the_mask_form_off_ascending_nodes(monkeypatch):
+    grid = np.linspace(-1.0, 1.0, 401)
+    inputs = [
+        np.concatenate([grid, [np.nan]]), np.concatenate([[np.nan], grid]),
+        np.array([np.nan]), np.concatenate([grid, [np.inf]]), np.array([np.inf]),
+        grid[::-1], np.array([0.5, -0.5, 0.0, -0.0]), grid[::20, None] * grid[None, ::40],
+        np.array(0.5), np.array(-0.0), np.empty(0),
+    ]
+    for factor in _BREAK_FACTORS:
+        for t in inputs:
+            got, paths = eval_recording_paths(monkeypatch, factor, t)
+            with np.errstate(invalid="ignore"):
+                want = where_piecewise_eval(factor, t)
+            assert not any(paths)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats().filter(lambda x: x != 0.0 or math.copysign(1.0, x) > 0),
+                       min_size=1, max_size=9))
+def test_median_is_numpys_median_bit_for_bit(values):
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or a sum past the range
+        got = analysis._median(values)
+        want = float(np.median(values))
+    assert type(got) is float
+    assert np.array_equal(np.float64(got).view(np.uint64), np.float64(want).view(np.uint64)) or (
+        math.isnan(got) and math.isnan(want))
+
+
+@pytest.mark.parametrize("shape, K, J", [((9, 7), 8, 6), ((9, 7), 12, 3), ((13, 11), 4, 5)])
+def test_a_coefficient_reference_is_synthesized_from_the_c_grid_table(shape, K, J):
+    # the C grid's own table, at least as deep as the reference, gives
+    # synthesize's values bit for bit
+    exact = CoeffGrid(np.random.default_rng(sum(shape)).standard_normal(shape))
+    phi, ref = ErrorEvaluator(exact, K, J)._grid_tables
+    grid = np.linspace(-1.0, 1.0, analysis._C_POINTS)
+    assert phi.shape == (max(K, J, shape[0] - 1, shape[1] - 1) + 1, grid.size)
+    assert np.array_equal(ref, synthesize(exact, grid, grid))
+
+
 def test_l2_error_of_identical_grids_is_zero():
     rng = np.random.default_rng(3)
     data = rng.standard_normal((6, 6))

@@ -465,6 +465,9 @@ def _reachable_configs():
     values replaced by valid ones. Fields a preset leaves None stay None."""
     floats = st.floats(allow_nan=False, allow_infinity=False)
     names = st.text("abcxyz0189-_./", min_size=1, max_size=12)
+    # a run id names one directory under the root
+    run_ids = st.text("abcxyz0189-_.", min_size=1, max_size=12).filter(
+        lambda name: name not in (".", ".."))
     random_noise = st.fixed_dictionaries({
         "delta_list": st.lists(floats.filter(lambda d: 0 <= d < 1), min_size=1,
                                max_size=4).map(tuple),
@@ -492,7 +495,7 @@ def _reachable_configs():
         "gamma": floats.filter(lambda x: x >= 1),
         "grid_degree": st.integers(1, cli.MAX_GRID_DEGREE),
         "out_dir": names,
-        "run_id": names,
+        "run_id": run_ids,
         "metric": st.sampled_from(("L2", "C")),
     }
 
@@ -732,15 +735,28 @@ def test_truncation_level_beyond_grid_degree_is_reported(tmp_path, capsys, monke
     assert err.endswith(f" exceeds grid degree {degree}\n")
 
 
-@pytest.mark.parametrize("argv, ini", [
-    (["example1", "--seeds", 1, "--run-id", ""], None),
-    (["example2"], "[output]\nrun_id =\n"),
-    (["rate-study", "--run-id", ""], "[experiment]\nfunction = class\n"),
-    (["cross-card", "--gamma", "1", "--n", "4,8", "--run-id", ""], None)],
-    ids=["example1", "example2", "rate-study", "cross-card"])
-def test_an_empty_run_id_is_refused(tmp_path, capsys, monkeypatch, argv, ini):
-    # it would name the results root itself: one refusal, before any grid,
-    # study or cross is built, and nothing written
+_NOT_ONE_DIR = "must name one directory, not '.', '..' or a path"
+
+
+@pytest.mark.parametrize("argv, ini, refusal", [
+    (["example1", "--seeds", 1, "--run-id", ""], None, " must not be empty"),
+    (["example2"], "[output]\nrun_id =\n", " must not be empty"),
+    (["rate-study", "--run-id", ""], "[experiment]\nfunction = class\n", " must not be empty"),
+    (["cross-card", "--gamma", "1", "--n", "4,8", "--run-id", ""], None, " must not be empty"),
+    (["example1", "--seeds", 1, "--run-id", "."], None, "=. " + _NOT_ONE_DIR),
+    (["example2"], "[output]\nrun_id = ..\n", "=.. " + _NOT_ONE_DIR),
+    (["rate-study", "--run-id", "a/b"], "[experiment]\nfunction = class\n",
+     "=a/b " + _NOT_ONE_DIR),
+    (["cross-card", "--gamma", "1", "--n", "4,8", "--run-id", ".."], None,
+     "=.. " + _NOT_ONE_DIR),
+    (["cross-card", "--gamma", "1", "--n", "4,8", "--run-id", "../up"], None,
+     "=../up " + _NOT_ONE_DIR)],
+    ids=["example1", "example2", "rate-study", "cross-card", "example1-dot",
+         "example2-dotdot", "rate-study-slash", "cross-card-dotdot", "cross-card-parent"])
+def test_an_empty_run_id_is_refused(tmp_path, capsys, monkeypatch, argv, ini, refusal):
+    # an empty id would name the results root itself, and ".", ".." or a
+    # path the root, its parent or another directory: one refusal, before
+    # any grid, study or cross is built, and nothing written
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the refusal")
 
@@ -751,8 +767,8 @@ def test_an_empty_run_id_is_refused(tmp_path, capsys, monkeypatch, argv, ini):
         cfg = tmp_path / "run.ini"
         cfg.write_text(ini)
         argv = argv + ["--config", cfg]
-    assert run_cli(*argv, "--out", tmp_path / "res") == 2
-    assert capsys.readouterr().err == "error: [output] run_id must not be empty\n"
+    assert run_cli(*argv, "--out", tmp_path / "res" / "root") == 2
+    assert capsys.readouterr().err == f"error: [output] run_id{refusal}\n"
     assert not (tmp_path / "res").exists()
 
 
@@ -952,3 +968,19 @@ def test_importing_the_package_leaves_the_cli_unloaded(tmp_path):
                           "cross-card", "--gamma", "2", "--n", "64", "--out", str(tmp_path)],
                          env=env, capture_output=True, text=True)
     assert run.returncode == 0 and run.stderr == ""
+
+
+@pytest.mark.parametrize("argv, run_id", [
+    (["rate-study", "--config", "class.ini"], "rate-L2"),
+    (["example1", "--seeds", "3", "--grid-degree", "32"], "example1-random")],
+    ids=["rate-study", "example1-noisy"])
+def test_a_median_leaves_numpy_ma_unloaded(tmp_path, argv, run_id):
+    # np.median imports numpy.ma on its first call; the medians of a rate
+    # study and of a noisy table row need no such import
+    (tmp_path / "class.ini").write_text("[experiment]\nfunction = class\n[noise]\nseeds = 3\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crossdiff.__file__)))
+    code = ("import sys; from crossdiff.cli import main; "
+            "code = main(sys.argv[1:]); print(code, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, *argv, "--out", "res"], cwd=tmp_path,
+                         env=env, check=True, capture_output=True, text=True).stdout
+    assert out.endswith(f"run written to {os.path.join('res', run_id)}\n0 False\n")

@@ -5,6 +5,7 @@ import os
 import re
 import tempfile
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -126,6 +127,61 @@ def test_trapezoid_shared_factor_sum_is_bit_identical(K, J):
     assert np.array_equal(one.data, trapezoid_coeffs(F, K, J, 1e-3).data)
     # the one-dimensional sum is reused only when both axes share it
     assert shared.calls == (1 if K == J else 2)
+
+
+def weighted_sum_trapezoid(f, K, J, h):
+    """The separable trapezoid grid in its reference form: the nodes -1 + h i,
+    the weight vector w, and each factor's sum phi @ (w * factor(t))."""
+    n = int(round(2.0 / h))
+    t = -1.0 + h * np.arange(n + 1)
+    w = np.full(n + 1, h)
+    w[0] = w[-1] = 0.5 * h
+    phi = phi_matrix(max(K, J), t)
+    a = phi[: K + 1] @ (w * f.t_factor.eval(t))
+    b = phi[: J + 1] @ (w * f.tau_factor.eval(t))
+    return np.outer(a, b) / f.C
+
+
+# the table presets' steps at grid degree 64, both shapes of the shared
+# factor's sum, and h = 1e-6 (2M nodes) at a degree whose table stays small
+@pytest.mark.parametrize("fn, h, K, J", [
+    *((example1_F, h, 64, 64) for h in (1e-4, 8e-5, 4e-5)),
+    *((example2_F, h, 64, 64) for h in (8e-5, 2e-5, 8e-6)),
+    (example1_F, 8e-5, 28, 20), (example2_F, 2e-5, 12, 31),
+    (example1_F, 1e-6, 8, 8), (example2_F, 1e-6, 8, 5)])
+def test_trapezoid_grid_is_bit_identical_to_the_weighted_sum_form(fn, h, K, J):
+    # the integrand is weighted before the table is built, the same products
+    # in the same sums
+    got = trapezoid_coeffs(fn(), K, J, h).data
+    assert np.array_equal(got, weighted_sum_trapezoid(fn(), K, J, h))
+
+
+class ValueFactor:
+    """A factor whose eval returns value(t): an array it does not own."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def eval(self, t):
+        return self.value(t)
+
+
+def test_trapezoid_weights_a_factor_value_it_does_not_own_in_a_copy():
+    # the nodes themselves, a view, a read-only array and a scalar are left
+    # as they are; the grid is still the weighted sum form's
+    h = 1e-3
+    t = -1.0 + h * np.arange(int(round(2.0 / h)) + 1)
+    kink = _kink_factor()
+    cached = kink.eval(t)
+    frozen = cached.copy()
+    frozen.flags.writeable = False
+    values = {"nodes": lambda t: t, "view": lambda t: cached[:],
+              "read-only": lambda t: frozen, "scalar": lambda t: 2.0}
+    for name, value in values.items():
+        F = SimpleNamespace(t_factor=ValueFactor(value), tau_factor=kink, C=3.0)
+        grid = trapezoid_coeffs(F, 12, 12, h)
+        assert np.array_equal(grid.data, weighted_sum_trapezoid(F, 12, 12, h)), name
+    assert np.array_equal(cached, kink.eval(t)) and np.array_equal(frozen, cached)
 
 
 def test_trapezoid_second_order_on_linear_function():
@@ -377,6 +433,30 @@ def test_grid_csv_round_trip_keeps_every_bit(tmp_path):
     save_grid(CoeffGrid(data=data), tmp_path / "grid.csv")
     back = load_grid(tmp_path / "grid.csv")
     assert np.array_equal(back.data.view(np.uint64), data.view(np.uint64))
+
+
+def per_cell_grid_csv(data):
+    """The grid lines as one %-format call per cell writes them."""
+    line = coeffs_module._row_format("ssf")
+    return "".join(line % (k, j, data[k, j])
+                   for k in range(data.shape[0]) for j in range(data.shape[1]))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (5, 1), (6, 7)])
+def test_save_grid_writes_the_bytes_of_the_per_cell_writer(tmp_path, shape):
+    # rows of +0.0 come from one string; a row holding -0.0 keeps its "-0"
+    rng = np.random.default_rng(shape[0] * 10 + shape[1])
+    data = np.where(rng.uniform(size=shape) < 0.5, rng.standard_normal(shape), 0.0)
+    data[0] = 0.0
+    specials = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300]
+    for i, value in enumerate(specials):
+        data.flat[(i + shape[1]) % data.size] = value
+    if shape[0] > 2:
+        data[2] = -0.0
+        data[-1] = 0.0
+    save_grid(CoeffGrid(data=data), tmp_path / "grid.csv")
+    text = (tmp_path / "grid.csv").read_text()
+    assert text == "k,j,value\n" + per_cell_grid_csv(data)
 
 
 @settings(max_examples=200, deadline=None)

@@ -13,6 +13,7 @@ from crossdiff import legendre
 from crossdiff.coeffs import _composite_rule
 from crossdiff.legendre import (
     _PHI_BLOCK,
+    _PHI_SPLIT,
     _phi_blocks,
     differentiate,
     gauss_rule,
@@ -77,9 +78,11 @@ def tabulate_on(monkeypatch, cpus, max_degree, t):
     return table, fills, (before, threading.active_count())
 
 
-# node counts around the block edges; from two blocks on, the threaded fill
-# splits the nodes into unequal runs of whole and partial blocks
-SIZES = {"0": 0, "1": 1, "block-1": _PHI_BLOCK - 1, "block": _PHI_BLOCK,
+# node counts around the split size and the block edges; from the split size
+# on, the threaded fill splits the nodes into halves of whole and partial
+# blocks
+SIZES = {"0": 0, "1": 1, "split-1": _PHI_SPLIT - 1, "split": _PHI_SPLIT,
+         "split+1": _PHI_SPLIT + 1, "block-1": _PHI_BLOCK - 1, "block": _PHI_BLOCK,
          "block+1": _PHI_BLOCK + 1, "2blocks-1": 2 * _PHI_BLOCK - 1,
          "2blocks+3": 2 * _PHI_BLOCK + 3, "3blocks+5": 3 * _PHI_BLOCK + 5,
          "4blocks+5": 4 * _PHI_BLOCK + 5}
@@ -93,9 +96,9 @@ def test_blocked_phi_matrix_is_bit_identical_to_whole_array_recurrence(monkeypat
         table, fills, threads = tabulate_on(monkeypatch, 2, deg, t)
         assert table.shape == (deg + 1, size)
         assert np.array_equal(table, whole_array_phi_matrix(deg, t))
-        # two threads from two blocks on, each filling one half of the
+        # two threads from the split size on, each filling one half of the
         # nodes; no thread outlives the call
-        threaded = deg > 0 and size >= 2 * _PHI_BLOCK
+        threaded = deg > 0 and size >= _PHI_SPLIT
         assert len({thread for thread, _, _ in fills}) == (2 if threaded else min(deg, 1))
         if threaded:
             assert sorted((lo, hi) for _, lo, hi in fills) == [(0, size // 2), (size // 2, size)]
