@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .coeffs import (
-    CoeffGrid, NoiseSpec, _composite_rule, _noisy_block, _write_csv, exact_coeffs,
+    CoeffGrid, NoiseSpec, _composite_rule, _noisy_block, _project, _write_csv, exact_coeffs,
 )
 from .legendre import _usable_cpus, differentiate, phi_matrix, synthesize
 from .truncation import (
@@ -118,7 +118,14 @@ class CosFactor:
     breakpoints = ()
 
     def eval(self, t):
-        return self.amplitude * np.cos(self.freq * np.asarray(t, dtype=float) + self.phase)
+        """amplitude * cos(freq * t + phase), bit for bit, in one new array:
+        IEEE products commute, so each step can run in place."""
+        out = np.array(t, dtype=float)
+        out *= self.freq
+        out += self.phase
+        np.cos(out, out=out)
+        out *= self.amplitude
+        return out
 
     def deriv(self, r: int) -> "CosFactor":
         return CosFactor(
@@ -142,7 +149,8 @@ def _synth_eval(data: np.ndarray, t, tau):
 
 @dataclass(eq=False)
 class TestFunction:
-    """A bivariate test function with exact derivatives.
+    """A bivariate test function with exact derivatives, callable as
+    f(t, tau) with broadcasting.
 
     Either separable (t_factor, tau_factor, divided by C) or given
     directly by a coefficient grid (coeff_data). class_info records the
@@ -169,16 +177,19 @@ class TestFunction:
             return _synth_eval(self.coeff_data, t, tau)
         return self.t_factor.eval(t) * self.tau_factor.eval(tau) / self.C
 
-    def exact_deriv(self, r: int, axis: str = "t"):
-        """Callable (t,tau) -> d^r F / d axis^r, exact."""
+    __call__ = eval
+
+    def exact_deriv(self, r: int, axis: str = "t") -> "TestFunction":
+        """d^r F / d axis^r, exact: the function of the differentiated
+        factors, which keep their breakpoints, or of the derivative's
+        coefficient data."""
+        name = f"{self.id}-d{r}{axis}"
         if self.coeff_data is not None:
-            data = self.deriv_coeffs(r, axis).data
-            return lambda t, tau: _synth_eval(data, t, tau)
+            return TestFunction(name, coeff_data=self.deriv_coeffs(r, axis).data)
         _check_deriv(r, axis)
-        gt = self.t_factor.deriv(r) if axis == "t" else self.t_factor
-        qt = self.tau_factor.deriv(r) if axis == "tau" else self.tau_factor
-        scale = self.C
-        return lambda t, tau: gt.eval(t) * qt.eval(tau) / scale
+        gt, qt = self.t_factor, self.tau_factor
+        return TestFunction(name, self.C, gt.deriv(r) if axis == "t" else gt,
+                            qt.deriv(r) if axis == "tau" else qt)
 
     def deriv_coeffs(self, r: int, axis: str = "t") -> CoeffGrid:
         """Coefficient grid of d^r F / d axis^r for a coefficient-defined
@@ -264,15 +275,14 @@ class ErrorEvaluator:
     """L2 and C distances of many coefficient grids to one exact reference.
 
     Built once per study from the reference and the largest degrees (K, J)
-    of the grids it will score; the breakpoints split the Gauss rule where
-    the reference is only piecewise smooth, as in l2_error. The reference
-    is a callable f(t, tau) or, for a function defined by its coefficients,
-    the CoeffGrid of its derivative (TestFunction.deriv_coeffs). Either
-    stands in as coefficients c_Q and a tail, computed on first use: a
-    CoeffGrid is its own c_Q with tail 0; a callable F has its projection
-    c_Q under the composite Gauss rule of max(K, J) + 40 nodes per smooth
-    piece, 40 past every degree it scores (l2_error asks for 32), and
-    tail = ||F - Pi F||_Q^2. The rule keeps the basis up to (K, J)
+    of the grids it will score. The reference is a callable f(t, tau),
+    such as TestFunction.exact_deriv, or, for a function defined by its
+    coefficients, the CoeffGrid of its derivative (TestFunction.deriv_coeffs).
+    Either stands in as coefficients c_Q and a tail, computed on first use:
+    a CoeffGrid is its own c_Q with tail 0; a callable F has its projection
+    c_Q, exact_coeffs(F, K, J) bit for bit (Gauss rule split at F's
+    breakpoints_t / breakpoints_tau), and tail = ||F - Pi F||_Q^2 under that
+    rule. The rule keeps the basis up to (K, J)
     orthonormal, so for every grid a within those degrees
     ||F - a||_Q^2 = tail + ||c_Q - a||_F^2: two sums of squares, nothing to
     cancel, and no quadrature in any trial (Parseval). A C trial
@@ -283,15 +293,9 @@ class ErrorEvaluator:
     trials from a few slabs of the C grid.
     """
 
-    def __init__(self, exact, K: int, J: int, breakpoints_t=(), breakpoints_tau=()):
+    def __init__(self, exact, K: int, J: int):
         self.exact = exact
         self.K, self.J = K, J
-        self.breakpoints_t = tuple(breakpoints_t)
-        self.breakpoints_tau = tuple(breakpoints_tau)
-
-    def _values(self, t, tau) -> np.ndarray:
-        """The callable reference on the tensor grid t x tau."""
-        return np.asarray(self.exact(t[:, None], tau[None, :]), dtype=float)
 
     @cached_property
     def _reference(self) -> tuple[np.ndarray, float]:
@@ -299,15 +303,7 @@ class ErrorEvaluator:
         and the squared quadrature distance they leave."""
         if isinstance(self.exact, CoeffGrid):
             return self.exact.data, 0.0
-        nodes = max(self.K, self.J) + 40
-        t, wt = _composite_rule(nodes, self.breakpoints_t)
-        if self.breakpoints_tau == self.breakpoints_t:
-            tau, wtau = t, wt
-        else:
-            tau, wtau = _composite_rule(nodes, self.breakpoints_tau)
-        pt, ptau = phi_matrix(self.K, t), phi_matrix(self.J, tau)
-        ref = self._values(t, tau)
-        coeffs = (pt * wt) @ ref @ (ptau * wtau).T
+        coeffs, ref, (pt, wt), (ptau, wtau) = _project(self.exact, self.K, self.J)
         resid = ref - pt.T @ coeffs @ ptau
         return coeffs, float(wt @ np.square(resid, out=resid) @ wtau)
 
@@ -318,7 +314,8 @@ class ErrorEvaluator:
         a coefficient reference is synthesized from phi itself."""
         g = np.linspace(-1.0, 1.0, _C_POINTS)
         if not isinstance(self.exact, CoeffGrid):
-            return phi_matrix(max(self.K, self.J), g), self._values(g, g)
+            ref = np.asarray(self.exact(g[:, None], g[None, :]), dtype=float)
+            return phi_matrix(max(self.K, self.J), g), ref
         data = self.exact.data
         phi = phi_matrix(max(self.K, self.J, data.shape[0] - 1, data.shape[1] - 1), g)
         return phi, phi[: data.shape[0]].T @ data @ phi[: data.shape[1]]
@@ -403,7 +400,7 @@ def _scorer(fn: TestFunction, r: int, axis: str, K: int, J: int) -> ErrorEvaluat
     has a finite expansion, which is its own c_Q with tail 0; any other
     reference is fn.exact_deriv, projected by quadrature."""
     exact = fn.deriv_coeffs(r, axis) if fn.coeff_data is not None else fn.exact_deriv(r, axis)
-    return ErrorEvaluator(exact, K, J, fn.breakpoints_t, fn.breakpoints_tau)
+    return ErrorEvaluator(exact, K, J)
 
 
 def _plan(sp: SmoothnessParams, deltas, ns, r: int, c: float, gamma, metric,
@@ -496,18 +493,13 @@ class _Level:
         return self._scorer._l2_block(approx, self._outside), self._c_block(approx)
 
 
-def l2_error(
-    approx: CoeffGrid,
-    exact,
-    quad_nodes: int,
-    breakpoints_t=(),
-    breakpoints_tau=(),
-) -> float:
+def l2_error(approx: CoeffGrid, exact, quad_nodes: int) -> float:
     """L2([-1,1]^2) distance between a synthesized grid and a reference.
 
     quad_nodes (per smooth piece per axis) must exceed the highest active
-    degree of approx by >= 32 so the quadrature resolves the integrand;
-    breakpoints split the rule where the reference is only piecewise smooth.
+    degree of approx by >= 32 so the quadrature resolves the integrand; the
+    rule splits at the reference's breakpoints_t / breakpoints_tau, where it
+    is only piecewise smooth.
     A callable reference is integrated here, on fresh composite Gauss rules:
     the quadrature form ErrorEvaluator's coefficient path is tested against.
     Scoring many grids against one reference is cheaper with ErrorEvaluator.
@@ -517,8 +509,8 @@ def l2_error(
     kmax, jmax = _effective_degrees(approx.data)
     if quad_nodes < max(kmax, jmax) + 32:
         raise ValueError(f"quad_nodes={quad_nodes} too small for active degrees ({kmax},{jmax})")
-    t, wt = _composite_rule(quad_nodes, breakpoints_t)
-    tau, wtau = _composite_rule(quad_nodes, breakpoints_tau)
+    t, wt = _composite_rule(quad_nodes, getattr(exact, "breakpoints_t", ()))
+    tau, wtau = _composite_rule(quad_nodes, getattr(exact, "breakpoints_tau", ()))
     diff = synthesize(approx, t, tau) - np.asarray(exact(t[:, None], tau[None, :]), dtype=float)
     return math.sqrt(max(wt @ np.square(diff, out=diff) @ wtau, 0.0))
 
@@ -712,7 +704,7 @@ def rate_study(
     if len(delta_list) < 2 or max(delta_list) / min(delta_list) < 0.999e3:
         raise ValueError("delta_list must span at least three decades")
 
-    data = exact_coeffs(fn, K, J, K + 40).data if fn.coeff_data is None else fn.coeff_data
+    data = exact_coeffs(fn, K, J).data if fn.coeff_data is None else fn.coeff_data
     if not np.isfinite(data).all():
         raise ValueError(f"coefficients of {fn.id} are not finite")
     scorer = _scorer(fn, r, axis, K, J)

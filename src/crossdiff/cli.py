@@ -333,7 +333,7 @@ def cmd_table(cfg: ExperimentConfig) -> ResultsTable:
     deg, values = cfg.grid_degree, cfg.delta_list or cfg.h_list
     ns, gamma = _plan(SmoothnessParams(cfg.s, cfg.mu1, cfg.mu2, cfg.p), values, cfg.n_list,
                       cfg.r, cfg.c, cfg.gamma, cfg.metric, deg)
-    exact_grid = exact_coeffs(fn, deg, deg, deg + 64)
+    exact_grid = exact_coeffs(fn, deg, deg)
     scorer = _scorer(fn, cfg.r, cfg.axis, deg, deg)
 
     kind = "delta" if cfg.delta_list else "h"

@@ -31,8 +31,9 @@ __all__ = [
 
 
 # nodes per block of the tabulation: each thread's three float64 work rows
-# of this length (512 KB each) stay in its core's 4 MB L2 cache while the
-# recurrence runs up the degrees. On 2 vCPUs, degree 64 over 2M nodes took
+# of this length (512 KB each) and the 512 KB slice of nodes they read fill
+# its core's 2 MB L2 cache while the recurrence runs up the degrees (4 MB is
+# the two cores' total). On 2 vCPUs, degree 64 over 2M nodes took
 # a median 0.43 s on two threads with 65536-node blocks, 0.44 s with 32768,
 # 0.55 s with 16384 and 1.0 s with 4096; one thread took 0.71-0.82 s with
 # blocks of 16384 to 65536.

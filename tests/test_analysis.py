@@ -14,6 +14,7 @@ from numpy.polynomial import polynomial as npoly
 
 from crossdiff import analysis, coeffs, truncation
 from crossdiff.analysis import (
+    CosFactor,
     ErrorEvaluator,
     PiecewisePoly,
     _kink_factor,
@@ -27,7 +28,7 @@ from crossdiff.analysis import (
     theoretical_slope,
 )
 from crossdiff.coeffs import CoeffGrid, NoiseSpec, _composite_rule, add_noise, exact_coeffs
-from crossdiff.legendre import synthesize
+from crossdiff.legendre import gauss_rule, synthesize
 from crossdiff.truncation import (
     MethodParams,
     SmoothnessParams,
@@ -195,6 +196,49 @@ def test_median_is_numpys_median_bit_for_bit(values):
         math.isnan(got) and math.isnan(want))
 
 
+def test_cos_factor_eval_is_the_closed_form_bit_for_bit():
+    # eval runs each step in place; the values are the one-expression form's
+    nodes = np.concatenate([gauss_rule(97).nodes, np.linspace(-1.0, 1.0, 301)])
+    base = CosFactor(2.0, math.pi)
+    for f in (base, base.deriv(1), base.deriv(2), CosFactor(-0.7, 3.3, 0.25)):
+        for t in (nodes, nodes[:, None]):
+            before = t.copy()
+            got = f.eval(t)
+            assert np.array_equal(t, before)
+            assert got.shape == t.shape
+            assert np.array_equal(got, f.amplitude * np.cos(f.freq * t + f.phase))
+
+
+@pytest.mark.parametrize("axis", ["t", "tau"])
+@pytest.mark.parametrize("make", [example1_F, example2_F, make_class_function])
+def test_exact_deriv_carries_its_breakpoints_and_the_closed_form(make, axis):
+    # the derivative is a TestFunction: the factors' derivatives, with
+    # their breakpoints, or the derivative's coefficients; its values are
+    # those of the closure exact_deriv used to return, bit for bit
+    fn = make()
+    d = fn.exact_deriv(2, axis)
+    assert isinstance(d, analysis.TestFunction)
+    assert (d.breakpoints_t, d.breakpoints_tau) == (fn.breakpoints_t, fn.breakpoints_tau)
+    t = np.linspace(-1.0, 1.0, 201)  # holds the kink t = 0
+    if fn.coeff_data is None:
+        gt = fn.t_factor.deriv(2) if axis == "t" else fn.t_factor
+        qt = fn.tau_factor.deriv(2) if axis == "tau" else fn.tau_factor
+        closure = gt.eval(t[:, None]) * qt.eval(t[None, :]) / fn.C
+    else:
+        assert np.array_equal(d.coeff_data, fn.deriv_coeffs(2, axis).data)
+        closure = analysis._synth_eval(fn.deriv_coeffs(2, axis).data, t[:, None], t[None, :])
+    assert np.array_equal(d(t[:, None], t[None, :]), closure)
+
+
+@pytest.mark.parametrize("axis", ["t", "tau"])
+@pytest.mark.parametrize("make", [example1_F, example2_F])
+def test_evaluator_reference_is_the_exact_grid_of_the_derivative(make, axis):
+    # one projection: the evaluator's c_Q of a callable is exact_coeffs of it
+    d = make().exact_deriv(2, axis)
+    ref = ErrorEvaluator(d, 64, 64)._reference[0]
+    assert np.array_equal(ref, exact_coeffs(d, 64, 64).data)
+
+
 @pytest.mark.parametrize("shape, K, J", [((9, 7), 8, 6), ((9, 7), 12, 3), ((13, 11), 4, 5)])
 def test_a_coefficient_reference_is_synthesized_from_the_c_grid_table(shape, K, J):
     # the C grid's own table, at least as deep as the reference, gives
@@ -269,16 +313,16 @@ def test_evaluator_matches_per_call_quadrature_on_class_function(axis):
 def test_evaluator_matches_per_call_quadrature_across_kinks(make):
     # example1 has its kink on both axes, example2 on t only
     F = make()
-    grid = exact_coeffs(F, 48, 48, 112)
+    grid = exact_coeffs(F, 48, 48)
     exact = F.exact_deriv(2, "t")
     bt, btau = F.breakpoints_t, F.breakpoints_tau
-    assert bt == (0.0,)
-    scorer = ErrorEvaluator(exact, 48, 48, bt, btau)
+    assert bt == (0.0,) and (exact.breakpoints_t, exact.breakpoints_tau) == (bt, btau)
+    scorer = ErrorEvaluator(exact, 48, 48)
     params = MethodParams(n=20, gamma=1.0, r=2)
     for approx in noisy_trials(grid, params, (1e-7, 1e-9)):
         expect = oracle_l2(approx, exact, 88, bt, btau)
         assert scorer.l2(approx) == pytest.approx(expect, rel=1e-12)
-        assert l2_error(approx, exact, 88, bt, btau) == pytest.approx(expect, rel=1e-12)
+        assert l2_error(approx, exact, 88) == pytest.approx(expect, rel=1e-12)
         assert scorer.c(approx) == pytest.approx(oracle_c(approx, exact), rel=1e-12)
 
 
@@ -286,7 +330,7 @@ def test_evaluator_scores_all_zero_grid_as_reference_norm():
     F = example1_F()
     exact = F.exact_deriv(2, "t")
     zero = CoeffGrid(data=np.zeros((33, 33)))
-    scorer = ErrorEvaluator(exact, 32, 32, F.breakpoints_t, F.breakpoints_tau)
+    scorer = ErrorEvaluator(exact, 32, 32)
     expect = oracle_l2(zero, exact, 72, F.breakpoints_t, F.breakpoints_tau)
     assert expect > 0
     assert scorer.l2(zero) == pytest.approx(expect, rel=1e-12)
@@ -318,10 +362,10 @@ def test_l2_bounded_by_twice_sup_norm():
     F = example1_F()
     from crossdiff.coeffs import exact_coeffs
 
-    grid = exact_coeffs(F, 32, 32, 72)
+    grid = exact_coeffs(F, 32, 32)
     approx = truncate(grid, MethodParams(n=12, gamma=1.0, r=2))
     d = F.exact_deriv(2, "t")
-    el2 = l2_error(approx, d, 72, F.breakpoints_t, F.breakpoints_tau)
+    el2 = l2_error(approx, d, 72)
     ec = c_error(approx, d)
     assert el2 <= 2.0 * ec * (1 + 1e-6)
 
@@ -722,7 +766,7 @@ def test_bounded_c_keeps_a_nan_of_the_reference():
         vals[(np.abs(t - 0.25) < 1e-12) & (np.abs(tau) < 1e-12)] = np.nan
         return vals
 
-    grid = exact_coeffs(F, 32, 32, 96)
+    grid = exact_coeffs(F, 32, 32)
     params = MethodParams(n=16, gamma=2.0, r=2)
     scorer = ErrorEvaluator(exact, 32, 32)
     level = _Level(scorer, grid.data, 16, 2.0, 2, "t", None)
@@ -766,8 +810,8 @@ def test_block_trials_score_like_the_full_grid(axis, make):
         grid = CoeffGrid(data=np.array(fn.coeff_data))
         scorer = ErrorEvaluator(fn.deriv_coeffs(2, axis), grid.K, grid.J)
     else:  # as rate_study builds it
-        grid = exact_coeffs(fn, 64, 64, 104)
-        scorer = ErrorEvaluator(fn.exact_deriv(2, axis), 64, 64, bt, btau)
+        grid = exact_coeffs(fn, 64, 64)
+        scorer = ErrorEvaluator(fn.exact_deriv(2, axis), 64, 64)
     ref, tail = scorer._reference
     for i, delta in enumerate((1e-5, 1e-7, 1e-9)):
         sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
@@ -801,9 +845,8 @@ def test_noise_free_level_errors_match_the_exhaustive_oracle(h, axis):
     # command builds it: its level's errors are the whole-grid C pass, bit
     # for bit, and the whole-grid L2 error
     fn = example1_F()
-    grid = exact_coeffs(fn, 24, 24, 88) if h is None else coeffs.trapezoid_coeffs(fn, 24, 24, h)
-    oracle = ErrorEvaluator(fn.exact_deriv(2, axis), 24, 24, fn.breakpoints_t,
-                            fn.breakpoints_tau)
+    grid = exact_coeffs(fn, 24, 24) if h is None else coeffs.trapezoid_coeffs(fn, 24, 24, h)
+    oracle = ErrorEvaluator(fn.exact_deriv(2, axis), 24, 24)
     for n in (8, 16, 24):
         level = _Level(analysis._scorer(fn, 2, axis, 24, 24), grid.data, n, 1.0, 2, axis, None)
         approx = truncate(grid, MethodParams(n=n, gamma=1.0, r=2, axis=axis))

@@ -307,9 +307,8 @@ def test_forked_table_seeds_match_a_serial_run_and_the_whole_grid_oracle(tmp_pat
                               for text in (forked, serial))
         assert forked == serial, name
     fn = example1_F()
-    exact = coeffs.exact_coeffs(fn, 16, 16, 80)
-    scorer = analysis.ErrorEvaluator(fn.exact_deriv(2, "t"), 16, 16,
-                                     fn.breakpoints_t, fn.breakpoints_tau)
+    exact = coeffs.exact_coeffs(fn, 16, 16)
+    scorer = analysis.ErrorEvaluator(fn.exact_deriv(2, "t"), 16, 16)
     for i, (row, delta) in enumerate(zip(read_table(tmp_path, "w2").rows, (1e-7, 1e-8, 1e-9))):
         params = truncation.MethodParams(n=row.n, gamma=1.0, r=2, axis="t")
         trials = [truncation.truncate(coeffs.add_noise(exact, coeffs.NoiseSpec(

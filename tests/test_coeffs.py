@@ -32,7 +32,7 @@ from crossdiff.legendre import gauss_rule, phi_matrix, synthesize
 def test_exact_coeffs_orthonormal_product():
     # exact_coeffs evaluates f on a column of t nodes and a row of tau nodes
     f = lambda t, tau: phi_matrix(2, t)[2][:, None] * phi_matrix(3, tau)[3][None, :]
-    grid = exact_coeffs(f, 4, 4, 40)
+    grid = exact_coeffs(f, 4, 4)
     expect = np.zeros((5, 5))
     expect[2, 3] = 1.0
     assert np.abs(grid.data - expect).max() < 1e-12
@@ -41,7 +41,7 @@ def test_exact_coeffs_orthonormal_product():
 
 
 def test_exact_coeffs_linear_function():
-    grid = exact_coeffs(lambda t, tau: t + 0.0 * tau, 3, 3, 40)
+    grid = exact_coeffs(lambda t, tau: t + 0.0 * tau, 3, 3)
     assert grid.data[1, 0] == pytest.approx((2.0 / 3.0) * math.sqrt(3.0), rel=1e-14)
     mask = np.ones((4, 4), dtype=bool)
     mask[1, 0] = False
@@ -50,7 +50,7 @@ def test_exact_coeffs_linear_function():
 
 def test_exact_coeffs_parseval_for_example1():
     F = example1_F()
-    grid = exact_coeffs(F, 64, 64, 96)
+    grid = exact_coeffs(F, 64, 64)
     t, wt = _composite_rule(96, F.breakpoints_t)
     tau, wtau = _composite_rule(96, F.breakpoints_tau)
     fvals = F.eval(t[:, None], tau[None, :])
@@ -58,12 +58,22 @@ def test_exact_coeffs_parseval_for_example1():
     assert np.sum(grid.data**2) == pytest.approx(norm_sq, rel=1e-10)
 
 
+@pytest.mark.parametrize("make", [example1_F, example2_F])
+def test_exact_coeffs_is_the_tensor_gauss_form_at_128_nodes_per_piece(make):
+    # degree 64 plus the margin of 64: the form every table's exact grid
+    # has had, split at the function's breakpoints
+    F = make()
+    t, wt = _composite_rule(128, F.breakpoints_t)
+    tau, wtau = _composite_rule(128, F.breakpoints_tau)
+    fvals = np.asarray(F.eval(t[:, None], tau[None, :]), dtype=float)
+    want = (phi_matrix(64, t) * wt) @ fvals @ (phi_matrix(64, tau) * wtau).T
+    assert np.array_equal(exact_coeffs(F, 64, 64).data, want)
+
+
 def test_exact_coeffs_preconditions():
     f = lambda t, tau: t * tau
     with pytest.raises(ValueError):
-        exact_coeffs(f, -1, 3, 64)
-    with pytest.raises(ValueError):
-        exact_coeffs(f, 10, 10, 41)  # needs >= 42
+        exact_coeffs(f, -1, 3)
 
 
 def test_trapezoid_constant_exact():
@@ -186,7 +196,7 @@ def test_trapezoid_weights_a_factor_value_it_does_not_own_in_a_copy():
 
 def test_trapezoid_second_order_on_linear_function():
     f = lambda t, tau: t + 0.0 * tau
-    exact = exact_coeffs(f, 1, 1, 40)
+    exact = exact_coeffs(f, 1, 1)
     hs = (1e-2, 5e-3, 2.5e-3)
     errs = [
         abs(trapezoid_coeffs(f, 1, 1, h).data[1, 0] - exact.data[1, 0]) for h in hs
@@ -197,7 +207,7 @@ def test_trapezoid_second_order_on_linear_function():
 
 def test_trapezoid_second_order_on_example1():
     F = example1_F()
-    exact = exact_coeffs(F, 32, 32, 96)
+    exact = exact_coeffs(F, 32, 32)
     hs = (4e-3, 2e-3, 1e-3)
     errs = [
         np.abs(trapezoid_coeffs(F, 32, 32, h).data - exact.data).max() for h in hs
@@ -211,7 +221,7 @@ def test_trapezoid_gap_magnitude_at_published_step():
     # coefficients on the 29x29 grid (the kink factor's endpoint
     # derivatives are small and the function carries a 1/947 scale)
     F = example1_F()
-    exact = exact_coeffs(F, 28, 28, 96)
+    exact = exact_coeffs(F, 28, 28)
     gap = np.abs(trapezoid_coeffs(F, 28, 28, 1e-4).data - exact.data).max()
     assert 2e-12 < gap < 3e-11
 
@@ -225,7 +235,7 @@ def test_trapezoid_gap_magnitude_at_published_step():
 )
 def test_trapezoid_gap_matches_nominal_noise_pairing():
     F = example1_F()
-    exact = exact_coeffs(F, 28, 28, 96)
+    exact = exact_coeffs(F, 28, 28)
     gap = np.abs(trapezoid_coeffs(F, 28, 28, 1e-4).data - exact.data).max()
     assert 1e-8 < gap < 1e-6
 
@@ -353,7 +363,7 @@ def test_lp_norm_two_is_the_abs_power_sum_bit_for_bit():
 
 
 def test_noisy_block_is_the_block_of_add_noise():
-    grid = exact_coeffs(example1_F(), 20, 20, 60)
+    grid = exact_coeffs(example1_F(), 20, 20)
     for spec in (NoiseSpec(1e-6, 2.0, "rescaled", 7), NoiseSpec(1e-6, math.inf, "rescaled", 8),
                  NoiseSpec(1e-6, 2.0, "raw_gaussian", 9), NoiseSpec(1e-6, 1.0, "rescaled", 10)):
         full = add_noise(grid, spec).data

@@ -155,7 +155,7 @@ def test_truncate_zero_grid():
 
 def test_truncate_error_decreases_with_n():
     F = example1_F()
-    grid = exact_coeffs(F, 64, 64, 104)
+    grid = exact_coeffs(F, 64, 64)
     exact = F.exact_deriv(2, "t")
     rule = gauss_rule(80)
     target = exact(rule.nodes[:, None], rule.nodes[None, :])
@@ -302,7 +302,7 @@ def test_class_norm_values():
 
 def test_class_norm_example1_is_order_one():
     F = example1_F()
-    grid = exact_coeffs(F, 64, 64, 104)
+    grid = exact_coeffs(F, 64, 64)
     info = F.class_info
     val = class_norm(grid, info.s, info.mu1, info.mu2)
     assert 0.5 < val < 1.5
