@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .coeffs import (
     CoeffGrid, NoiseSpec, _composite_rule, _noisy_block, _project, _write_csv, exact_coeffs,
@@ -84,15 +83,25 @@ class PiecewisePoly:
     def deriv(self, r: int) -> "PiecewisePoly":
         if r == 0:
             return self
-        pieces = tuple(
-            tuple(npoly.polyder(np.asarray(cs, dtype=float), r)) for cs in self.pieces
-        )
+        pieces = tuple(tuple(_polyder(np.asarray(cs, dtype=float), r)) for cs in self.pieces)
         return PiecewisePoly(self.breakpoints, pieces)
 
 
+def _polyder(cs: np.ndarray, r: int) -> np.ndarray:
+    """numpy.polynomial.polynomial.polyder(cs, r) for r >= 1, bit for bit,
+    without importing numpy.polynomial: each order multiplies coefficient j
+    by j and drops the constant; one zero of cs's kind once r >= cs.size."""
+    if r >= cs.size:
+        return cs[:1] * 0
+    for _ in range(r):
+        cs = cs[1:] * np.arange(1, cs.size)
+    return cs
+
+
 def _horner(x: np.ndarray, cs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """npoly.polyval(x, cs) for a 1-D float x, bit for bit, in one array:
-    out, of x's shape and not overlapping it, or a new one.
+    """numpy.polynomial.polynomial.polyval(x, cs) for a 1-D float x, bit
+    for bit, in one array: out, of x's shape and not overlapping it, or a
+    new one.
 
     polyval starts from cs[-1] + x*0 and takes cs[i] + acc*x down the
     coefficients, each step into two new arrays; here each step runs in
@@ -181,31 +190,19 @@ class TestFunction:
 
     def exact_deriv(self, r: int, axis: str = "t") -> "TestFunction":
         """d^r F / d axis^r, exact: the function of the differentiated
-        factors, which keep their breakpoints, or of the derivative's
-        coefficient data."""
+        factors, which keep their breakpoints, or of the derivative operator
+        applied to coeff_data (coeff_data itself at r = 0)."""
+        if axis not in ("t", "tau"):
+            raise ValueError(f"axis must be 't' or 'tau', got {axis!r}")
+        if r < 0:
+            raise ValueError("derivative order r must be >= 0")
         name = f"{self.id}-d{r}{axis}"
         if self.coeff_data is not None:
-            return TestFunction(name, coeff_data=self.deriv_coeffs(r, axis).data)
-        _check_deriv(r, axis)
+            data = differentiate(self.coeff_data, r, axis) if r > 0 else self.coeff_data
+            return TestFunction(name, coeff_data=data)
         gt, qt = self.t_factor, self.tau_factor
         return TestFunction(name, self.C, gt.deriv(r) if axis == "t" else gt,
                             qt.deriv(r) if axis == "tau" else qt)
-
-    def deriv_coeffs(self, r: int, axis: str = "t") -> CoeffGrid:
-        """Coefficient grid of d^r F / d axis^r for a coefficient-defined
-        function: the derivative operator applied to coeff_data."""
-        _check_deriv(r, axis)
-        if self.coeff_data is None:
-            raise ValueError(f"{self.id} is not defined by a coefficient grid")
-        data = differentiate(self.coeff_data, r, axis) if r > 0 else self.coeff_data
-        return CoeffGrid(data=data, provenance="exact")
-
-
-def _check_deriv(r: int, axis: str) -> None:
-    if axis not in ("t", "tau"):
-        raise ValueError(f"axis must be 't' or 'tau', got {axis!r}")
-    if r < 0:
-        raise ValueError("derivative order r must be >= 0")
 
 
 def _kink_factor() -> PiecewisePoly:
@@ -276,13 +273,13 @@ class ErrorEvaluator:
 
     Built once per study from the reference and the largest degrees (K, J)
     of the grids it will score. The reference is a callable f(t, tau),
-    such as TestFunction.exact_deriv, or, for a function defined by its
-    coefficients, the CoeffGrid of its derivative (TestFunction.deriv_coeffs).
-    Either stands in as coefficients c_Q and a tail, computed on first use:
-    a CoeffGrid is its own c_Q with tail 0; a callable F has its projection
-    c_Q, exact_coeffs(F, K, J) bit for bit (Gauss rule split at F's
-    breakpoints_t / breakpoints_tau), and tail = ||F - Pi F||_Q^2 under that
-    rule. The rule keeps the basis up to (K, J)
+    such as TestFunction.exact_deriv. It stands in as coefficients c_Q and
+    a tail, computed on first use: a reference that carries coeff_data, as
+    the derivative of a function defined by its coefficients does, has
+    that as its c_Q, of any degrees, with tail 0; any other F has its
+    projection c_Q, exact_coeffs(F, K, J) bit for bit (Gauss rule split at
+    F's breakpoints_t / breakpoints_tau), and tail = ||F - Pi F||_Q^2 under
+    that rule. The rule keeps the basis up to (K, J)
     orthonormal, so for every grid a within those degrees
     ||F - a||_Q^2 = tail + ||c_Q - a||_F^2: two sums of squares, nothing to
     cancel, and no quadrature in any trial (Parseval). A C trial
@@ -299,26 +296,22 @@ class ErrorEvaluator:
 
     @cached_property
     def _reference(self) -> tuple[np.ndarray, float]:
-        """(c_Q, tail): the reference's coefficients, of degrees up to (K, J),
-        and the squared quadrature distance they leave."""
-        if isinstance(self.exact, CoeffGrid):
-            return self.exact.data, 0.0
+        """(c_Q, tail): the reference's coefficients, its coeff_data or of
+        degrees up to (K, J), and the squared quadrature distance they leave."""
+        data = getattr(self.exact, "coeff_data", None)
+        if data is not None:
+            return data, 0.0
         coeffs, ref, (pt, wt), (ptau, wtau) = _project(self.exact, self.K, self.J)
         resid = ref - pt.T @ coeffs @ ptau
         return coeffs, float(wt @ np.square(resid, out=resid) @ wtau)
 
     @cached_property
     def _grid_tables(self):
-        """(phi, ref): the basis on the C grid, up to the largest degree
-        scored or held by a coefficient reference, and the reference there;
-        a coefficient reference is synthesized from phi itself."""
+        """(phi, ref): the basis on the C grid up to the largest degree
+        scored, and the reference there."""
         g = np.linspace(-1.0, 1.0, _C_POINTS)
-        if not isinstance(self.exact, CoeffGrid):
-            ref = np.asarray(self.exact(g[:, None], g[None, :]), dtype=float)
-            return phi_matrix(max(self.K, self.J), g), ref
-        data = self.exact.data
-        phi = phi_matrix(max(self.K, self.J, data.shape[0] - 1, data.shape[1] - 1), g)
-        return phi, phi[: data.shape[0]].T @ data @ phi[: data.shape[1]]
+        ref = np.asarray(self.exact(g[:, None], g[None, :]), dtype=float)
+        return phi_matrix(max(self.K, self.J), g), ref
 
     @cached_property
     def _phi_max(self) -> np.ndarray:
@@ -337,13 +330,9 @@ class ErrorEvaluator:
         return data[: kmax + 1, : jmax + 1]
 
     def l2(self, approx: CoeffGrid) -> float:
-        """L2([-1,1]^2) distance of approx to the reference. Against a
-        callable, approx's active degrees must lie within (K, J): the
-        identity holds only there."""
-        block = approx.data
-        if not isinstance(self.exact, CoeffGrid):
-            block = self._active(block)
-        return self._l2_block(block)
+        """L2([-1,1]^2) distance of approx to the reference. approx's active
+        degrees must lie within (K, J): the identity holds only there."""
+        return self._l2_block(self._active(approx.data))
 
     def _outside(self, shape) -> float:
         """tail plus the squares of c_Q outside its top-left block of the
@@ -392,15 +381,6 @@ class ErrorEvaluator:
     def c(self, approx: CoeffGrid) -> float:
         """Max-norm distance of approx to the reference on the uniform grid."""
         return float(self._slab_maxima(self._active(approx.data)).max())
-
-
-def _scorer(fn: TestFunction, r: int, axis: str, K: int, J: int) -> ErrorEvaluator:
-    """The evaluator of fn's r-th derivative along axis for grids of degrees
-    up to (K, J). The derivative of a function defined by its coefficients
-    has a finite expansion, which is its own c_Q with tail 0; any other
-    reference is fn.exact_deriv, projected by quadrature."""
-    exact = fn.deriv_coeffs(r, axis) if fn.coeff_data is not None else fn.exact_deriv(r, axis)
-    return ErrorEvaluator(exact, K, J)
 
 
 def _plan(sp: SmoothnessParams, deltas, ns, r: int, c: float, gamma, metric,
@@ -496,17 +476,19 @@ class _Level:
 def l2_error(approx: CoeffGrid, exact, quad_nodes: int) -> float:
     """L2([-1,1]^2) distance between a synthesized grid and a reference.
 
-    quad_nodes (per smooth piece per axis) must exceed the highest active
-    degree of approx by >= 32 so the quadrature resolves the integrand; the
-    rule splits at the reference's breakpoints_t / breakpoints_tau, where it
-    is only piecewise smooth.
-    A callable reference is integrated here, on fresh composite Gauss rules:
-    the quadrature form ErrorEvaluator's coefficient path is tested against.
+    quad_nodes (per smooth piece per axis) must exceed by >= 32 the highest
+    active degree of approx and of the reference's coeff_data, if it
+    carries one, so the quadrature resolves the integrand; the rule splits
+    at the reference's breakpoints_t / breakpoints_tau, where it is only
+    piecewise smooth.
+    Every reference is integrated here, on fresh composite Gauss rules: the
+    quadrature form ErrorEvaluator's coefficient path is tested against.
     Scoring many grids against one reference is cheaper with ErrorEvaluator.
     """
-    if isinstance(exact, CoeffGrid):
-        return ErrorEvaluator(exact, approx.K, approx.J).l2(approx)
     kmax, jmax = _effective_degrees(approx.data)
+    if getattr(exact, "coeff_data", None) is not None:
+        kref, jref = _effective_degrees(exact.coeff_data)
+        kmax, jmax = max(kmax, kref), max(jmax, jref)
     if quad_nodes < max(kmax, jmax) + 32:
         raise ValueError(f"quad_nodes={quad_nodes} too small for active degrees ({kmax},{jmax})")
     t, wt = _composite_rule(quad_nodes, getattr(exact, "breakpoints_t", ()))
@@ -707,7 +689,7 @@ def rate_study(
     data = exact_coeffs(fn, K, J).data if fn.coeff_data is None else fn.coeff_data
     if not np.isfinite(data).all():
         raise ValueError(f"coefficients of {fn.id} are not finite")
-    scorer = _scorer(fn, r, axis, K, J)
+    scorer = ErrorEvaluator(fn.exact_deriv(r, axis), K, J)
     levels = [_Level(scorer, data, n, gamma, r, axis,
                      _noise(delta, sp.p, noise_mode, base_seed, i))
               for i, (delta, n) in enumerate(zip(delta_list, ns))]

@@ -26,7 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .analysis import (  # noqa: F401  (l2_error, c_error stay importable from cli)
-    RateStudyResult, _Level, _forked_map, _median, _noise, _plan, _scorer, c_error,
+    ErrorEvaluator, RateStudyResult, _Level, _forked_map, _median, _noise, _plan, c_error,
     example1_F, example2_F, l2_error, make_class_function, rate_study,
 )
 from .coeffs import CoeffGrid, exact_coeffs, save_grid, load_grid, trapezoid_coeffs
@@ -334,7 +334,7 @@ def cmd_table(cfg: ExperimentConfig) -> ResultsTable:
     ns, gamma = _plan(SmoothnessParams(cfg.s, cfg.mu1, cfg.mu2, cfg.p), values, cfg.n_list,
                       cfg.r, cfg.c, cfg.gamma, cfg.metric, deg)
     exact_grid = exact_coeffs(fn, deg, deg)
-    scorer = _scorer(fn, cfg.r, cfg.axis, deg, deg)
+    scorer = ErrorEvaluator(fn.exact_deriv(cfg.r, cfg.axis), deg, deg)
 
     kind = "delta" if cfg.delta_list else "h"
     rows, derivs = [], []

@@ -30,12 +30,27 @@ HERE = pathlib.Path(__file__).resolve().parent
 GOLDEN = HERE / "golden" / "digests.json"
 SRC = HERE.parent / "src"
 BLAS_THREADS = "2"
-# a class-function rate study of 5 deltas x 5 seeds: 25 trials, no fork
-RATE_INI = "[experiment]\nfunction = class\n\n[noise]\nseeds = 5\n"
+# the config file of each run that reads one, by file name; each rate study
+# has 5 deltas x 5 seeds: 25 trials, no fork
+RATE_INI = {
+    "rate.ini": "[experiment]\nfunction = class\n\n[noise]\nseeds = 5\n",
+    "rate-c-tau.ini": "[experiment]\nfunction = class\naxis = tau\nmetric = C\n\n"
+                      "[noise]\nseeds = 5\n",
+    "rate-example1.ini": "[experiment]\nfunction = example1\n\n[noise]\nseeds = 5\n",
+    "class.ini": "[experiment]\nfunction = class\n",
+}
 RUNS = {
     "example1-trapezoid": ["example1", "--noise", "trapezoid"],
     "example2": ["example2"],
     "rate-class": ["rate-study", "--config", "rate.ini"],
+    # C errors against a coefficient reference, differentiated along tau
+    "rate-class-c-tau": ["rate-study", "--config", "rate-c-tau.ini"],
+    # L2 errors against a callable reference, projected by quadrature
+    "rate-example1": ["rate-study", "--config", "rate-example1.ini"],
+    # a coefficient reference of degree 128 above the grid's degree 64
+    "table-class": ["example1", "--config", "class.ini", "--delta", "1e-6,0",
+                    "--n", "12,20", "--seeds", "3"],
+    "example1-random": ["example1"],
 }
 # columns left out of table.csv's digest: compared by value, or not at all
 UNDIGESTED = ("error_l2", "wall_time")
@@ -45,7 +60,8 @@ def run_all(root: pathlib.Path) -> None:
     """Run every command of RUNS at once, each in a fresh interpreter that
     writes its run directory root/<name>; raise with the stderr of the
     first that fails."""
-    (root / "rate.ini").write_text(RATE_INI)
+    for name, text in RATE_INI.items():
+        (root / name).write_text(text)
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=BLAS_THREADS)
     procs = [subprocess.Popen([sys.executable, "-m", "crossdiff.cli", *argv,
                                "--out", str(root), "--run-id", name],

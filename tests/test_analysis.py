@@ -225,8 +225,8 @@ def test_exact_deriv_carries_its_breakpoints_and_the_closed_form(make, axis):
         qt = fn.tau_factor.deriv(2) if axis == "tau" else fn.tau_factor
         closure = gt.eval(t[:, None]) * qt.eval(t[None, :]) / fn.C
     else:
-        assert np.array_equal(d.coeff_data, fn.deriv_coeffs(2, axis).data)
-        closure = analysis._synth_eval(fn.deriv_coeffs(2, axis).data, t[:, None], t[None, :])
+        assert np.array_equal(d.coeff_data, fn.exact_deriv(2, axis).coeff_data)
+        closure = analysis._synth_eval(fn.exact_deriv(2, axis).coeff_data, t[:, None], t[None, :])
     assert np.array_equal(d(t[:, None], t[None, :]), closure)
 
 
@@ -241,13 +241,14 @@ def test_evaluator_reference_is_the_exact_grid_of_the_derivative(make, axis):
 
 @pytest.mark.parametrize("shape, K, J", [((9, 7), 8, 6), ((9, 7), 12, 3), ((13, 11), 4, 5)])
 def test_a_coefficient_reference_is_synthesized_from_the_c_grid_table(shape, K, J):
-    # the C grid's own table, at least as deep as the reference, gives
-    # synthesize's values bit for bit
-    exact = CoeffGrid(np.random.default_rng(sum(shape)).standard_normal(shape))
+    # the C grid's table reaches the degrees scored only; the reference, of
+    # any degrees, is its own call on the C grid: synthesize's values bit for bit
+    data = np.random.default_rng(sum(shape)).standard_normal(shape)
+    exact = analysis.TestFunction("ref", coeff_data=data)
     phi, ref = ErrorEvaluator(exact, K, J)._grid_tables
     grid = np.linspace(-1.0, 1.0, analysis._C_POINTS)
-    assert phi.shape == (max(K, J, shape[0] - 1, shape[1] - 1) + 1, grid.size)
-    assert np.array_equal(ref, synthesize(exact, grid, grid))
+    assert phi.shape == (max(K, J) + 1, grid.size)
+    assert np.array_equal(ref, synthesize(data, grid, grid))
 
 
 def test_l2_error_of_identical_grids_is_zero():
@@ -349,6 +350,27 @@ def test_error_metric_preconditions():
         l2_error(grid, exact, 41)
     with pytest.raises(ValueError, match="exceed the evaluator's degrees"):
         ErrorEvaluator(exact, 8, 8).c(grid)
+    # a coefficient reference, of any degrees, takes the same check in both
+    # metrics
+    scorer = ErrorEvaluator(analysis.TestFunction("ref", coeff_data=np.ones((13, 13))), 8, 8)
+    for metric in (scorer.l2, scorer.c):
+        with pytest.raises(ValueError, match=r"active degrees \(10,10\) exceed"):
+            metric(grid)
+
+
+def test_l2_error_counts_the_degrees_of_a_coefficient_reference():
+    # approx's active degrees alone would let 56 nodes pass, 2.4e-2 relative
+    # off; the class derivative's own degrees, (126, 128), ask for 160
+    fn = make_class_function()
+    exact = fn.exact_deriv(2, "t")
+    approx = truncate(CoeffGrid(data=np.array(fn.coeff_data)),
+                      MethodParams(n=24, gamma=2.25, r=2))
+    for quad in (56, 159):
+        with pytest.raises(ValueError, match=rf"quad_nodes={quad} too small for active "
+                                             r"degrees \(126,128\)"):
+            l2_error(approx, exact, quad)
+    parseval = ErrorEvaluator(exact, 128, 128).l2(approx)
+    assert l2_error(approx, exact, 160) == pytest.approx(parseval, rel=1e-12)
 
 
 def test_l2_bounded_by_twice_sup_norm():
@@ -549,14 +571,14 @@ def test_blocked_c_error_matches_the_whole_array_form(monkeypatch, points, slab)
     fn = make_class_function()
     grid = CoeffGrid(data=np.array(fn.coeff_data))
     for axis in ("t", "tau"):
-        scorer = ErrorEvaluator(fn.deriv_coeffs(2, axis), grid.K, grid.J)
+        scorer = ErrorEvaluator(fn.exact_deriv(2, axis), grid.K, grid.J)
         assert scorer._grid_tables[1].shape == (points, points)
         params = MethodParams(n=36, gamma=2.25, r=2, axis=axis)
         trials = list(noisy_trials(grid, params, (1e-5, 1e-9)))
         level = _Level(scorer, grid.data, 36, 2.25, 2, axis, None)
         # the reference itself, and the reference plus phi_0(t) + phi_1(t),
         # whose worst points lie in the last row (t = 1) only
-        exact = fn.deriv_coeffs(2, axis).data
+        exact = fn.exact_deriv(2, axis).coeff_data
         trials.append(CoeffGrid(data=exact))
         bumped = exact.copy()
         bumped[:2, 0] += 1.0
@@ -589,23 +611,36 @@ def rate_trials(fn, axis, seeds=3):
 def test_parseval_l2_matches_quadrature_on_rate_trials(axis):
     fn = make_class_function()
     quad = fn.coeff_data.shape[0] + 40
-    scorer = ErrorEvaluator(fn.deriv_coeffs(2, axis), 128, 128)
+    scorer = ErrorEvaluator(fn.exact_deriv(2, axis), 128, 128)
     exact = fn.exact_deriv(2, axis)
     for approx in rate_trials(fn, axis):
         assert scorer.l2(approx) == pytest.approx(l2_error(approx, exact, quad), rel=1e-12)
 
 
+def test_polyder_is_numpys_bit_for_bit():
+    # the kink pieces, a negative leading coefficient, signed zeros, and
+    # magnitudes near both ends of the float range, up to overflow
+    rng = np.random.default_rng(11)
+    cases = [np.asarray(cs, dtype=float) for cs in _kink_factor().pieces]
+    cases += [np.array([0.5, -0.0, 3.0, -7.25]), np.array([-0.0]), np.array([2.0, -1e300])]
+    cases += [rng.standard_normal(size) * scale
+              for size in (1, 2, 5, 9, 16) for scale in (1e-300, 1.0, 1e300)]
+    with np.errstate(over="ignore"):
+        for cs in cases:
+            for r in range(1, 16):
+                got, want = analysis._polyder(cs, r), npoly.polyder(cs, r)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (cs, r)
+
+
 def test_coefficient_reference_is_the_exact_derivative():
     fn = make_class_function()
     for axis in ("t", "tau"):
-        ref = fn.deriv_coeffs(2, axis)
+        ref = fn.exact_deriv(2, axis).coeff_data
         t = np.linspace(-1.0, 1.0, 7)
         assert np.array_equal(synthesize(ref, t, t), fn.exact_deriv(2, axis)(t[:, None], t[None, :]))
-    assert fn.deriv_coeffs(0).data is fn.coeff_data
-    with pytest.raises(ValueError, match="not defined by a coefficient grid"):
-        example1_F().deriv_coeffs(2)
+    assert fn.exact_deriv(0).coeff_data is fn.coeff_data
     with pytest.raises(ValueError, match="axis must be"):
-        fn.deriv_coeffs(2, "x")
+        fn.exact_deriv(2, "x")
 
 
 # Values below sqrt(tiny) ~ 1.5e-154 have subnormal squares, so both the
@@ -620,7 +655,7 @@ def assert_parseval(ref, approx_data):
     approx = CoeffGrid(data=approx_data)
     exact = lambda t, tau: synthesize(ref, np.ravel(t), np.ravel(tau))
     quad = l2_error(approx, exact, max(K, J) + 32)
-    parseval = ErrorEvaluator(CoeffGrid(data=ref), K, J).l2(approx)
+    parseval = ErrorEvaluator(analysis.TestFunction("ref", coeff_data=ref), K, J).l2(approx)
     floor = max(1e-12 * (np.abs(ref).sum() + np.abs(approx_data).sum()), UNDERFLOW)
     assert parseval == pytest.approx(quad, rel=1e-9, abs=floor)
     # the evaluator on the callable, of approx's degrees: its projection is
@@ -717,7 +752,7 @@ def test_bounded_c_equals_the_exhaustive_slab_pass(monkeypatch, points, axis, r)
     monkeypatch.setattr(analysis, "_C_POINTS", points)
     fn = make_class_function()
     grid = CoeffGrid(data=np.array(fn.coeff_data))
-    scorer = ErrorEvaluator(fn.deriv_coeffs(r, axis), grid.K, grid.J)
+    scorer = ErrorEvaluator(fn.exact_deriv(r, axis), grid.K, grid.J)
     assert scorer._grid_tables[1].shape == (points, points)
     g = np.linspace(-1.0, 1.0, points)
     trials = 0
@@ -781,7 +816,7 @@ def test_bounded_c_prunes_rate_trials(axis):
     # exhaustive pass from a small share of the slabs
     fn = make_class_function()
     grid = CoeffGrid(data=np.array(fn.coeff_data))
-    scorer = ErrorEvaluator(fn.deriv_coeffs(2, axis), grid.K, grid.J)
+    scorer = ErrorEvaluator(fn.exact_deriv(2, axis), grid.K, grid.J)
     slabs = []
     for i, delta in enumerate((1e-5, 1e-6, 1e-7, 1e-8, 1e-9)):
         sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
@@ -808,7 +843,7 @@ def test_block_trials_score_like_the_full_grid(axis, make):
     bt, btau = fn.breakpoints_t, fn.breakpoints_tau
     if fn.coeff_data is not None:
         grid = CoeffGrid(data=np.array(fn.coeff_data))
-        scorer = ErrorEvaluator(fn.deriv_coeffs(2, axis), grid.K, grid.J)
+        scorer = ErrorEvaluator(fn.exact_deriv(2, axis), grid.K, grid.J)
     else:  # as rate_study builds it
         grid = exact_coeffs(fn, 64, 64)
         scorer = ErrorEvaluator(fn.exact_deriv(2, axis), 64, 64)
@@ -848,7 +883,8 @@ def test_noise_free_level_errors_match_the_exhaustive_oracle(h, axis):
     grid = exact_coeffs(fn, 24, 24) if h is None else coeffs.trapezoid_coeffs(fn, 24, 24, h)
     oracle = ErrorEvaluator(fn.exact_deriv(2, axis), 24, 24)
     for n in (8, 16, 24):
-        level = _Level(analysis._scorer(fn, 2, axis, 24, 24), grid.data, n, 1.0, 2, axis, None)
+        level = _Level(ErrorEvaluator(fn.exact_deriv(2, axis), 24, 24), grid.data, n, 1.0, 2,
+                       axis, None)
         approx = truncate(grid, MethodParams(n=n, gamma=1.0, r=2, axis=axis))
         assert_same_float(level.errors[1], oracle.c(approx))
         assert level.errors[0] == pytest.approx(oracle.l2(approx), rel=1e-15)

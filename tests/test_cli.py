@@ -283,7 +283,7 @@ def test_class_table_error_l2_is_parseval_on_the_saved_grids(tmp_path, deltas):
     cfg.write_text("[experiment]\nfunction = class\n")
     assert run_cli("example1", "--config", cfg, "--delta", deltas, "--seeds", 1,
                    "--out", tmp_path, "--run-id", "c") == 0
-    exact = analysis.make_class_function().deriv_coeffs(2, "t").data
+    exact = analysis.make_class_function().exact_deriv(2, "t").coeff_data
     for i, row in enumerate(read_table(tmp_path, "c").rows):
         diff = exact.copy()
         saved = load_grid(tmp_path / "c" / f"row_{i}" / "deriv.csv").data
@@ -967,6 +967,15 @@ def test_importing_the_package_leaves_the_cli_unloaded(tmp_path):
                           "cross-card", "--gamma", "2", "--n", "64", "--out", str(tmp_path)],
                          env=env, capture_output=True, text=True)
     assert run.returncode == 0 and run.stderr == ""
+
+
+def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
+    # PiecewisePoly.deriv differentiates its pieces without numpy.polynomial
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crossdiff.__file__)))
+    code = "import sys, crossdiff.cli; print('numpy.polynomial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
 
 
 @pytest.mark.parametrize("argv, run_id", [

@@ -1,6 +1,7 @@
-"""Golden digests: the example1 trapezoid and example2 presets and a class
-rate study give the outputs recorded in tests/golden/digests.json (see
-tests/record_golden.py, which records them and which no test runs)."""
+"""Golden digests: the example1 presets, example2, a class-function table and
+rate studies of the class function and of example1 give the outputs recorded
+in tests/golden/digests.json (see tests/record_golden.py, which records them
+and which no test runs)."""
 
 import json
 import math
