@@ -30,7 +30,6 @@ from .coeffs import (
 )
 from .truncation import (
     CrossSet,
-    MethodParams,
     SmoothnessParams,
     build_cross,
     cardinality_growth,
@@ -70,7 +69,6 @@ __all__ = [
     "save_grid",
     "trapezoid_coeffs",
     "CrossSet",
-    "MethodParams",
     "SmoothnessParams",
     "build_cross",
     "cardinality_growth",

@@ -162,8 +162,7 @@ class TestFunction:
     f(t, tau) with broadcasting.
 
     Either separable (t_factor, tau_factor, divided by C) or given
-    directly by a coefficient grid (coeff_data). class_info records the
-    smoothness class the function is designed to sit in.
+    directly by a coefficient grid (coeff_data).
     """
 
     id: str
@@ -171,7 +170,6 @@ class TestFunction:
     t_factor: object | None = None
     tau_factor: object | None = None
     coeff_data: np.ndarray | None = None
-    class_info: SmoothnessParams | None = None
 
     @property
     def breakpoints_t(self) -> tuple:
@@ -215,24 +213,13 @@ def _kink_factor() -> PiecewisePoly:
 def example1_F() -> TestFunction:
     """First corpus function: product of two kink factors, scaled by 947."""
     f = _kink_factor()
-    return TestFunction(
-        id="example1",
-        C=947.0,
-        t_factor=f,
-        tau_factor=f,
-        class_info=SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0),
-    )
+    return TestFunction(id="example1", C=947.0, t_factor=f, tau_factor=f)
 
 
 def example2_F() -> TestFunction:
     """Second corpus function: kink factor times 2 cos(pi tau), scaled by 26318."""
-    return TestFunction(
-        id="example2",
-        C=26318.0,
-        t_factor=_kink_factor(),
-        tau_factor=CosFactor(2.0, math.pi),
-        class_info=SmoothnessParams(s=2.0, mu1=5.4, mu2=5.4, p=2.0),
-    )
+    return TestFunction(id="example2", C=26318.0, t_factor=_kink_factor(),
+                        tau_factor=CosFactor(2.0, math.pi))
 
 
 def make_class_function(s: float = 2.0, mu1: float = 5.6, mu2: float = 5.6) -> TestFunction:
@@ -243,11 +230,7 @@ def make_class_function(s: float = 2.0, mu1: float = 5.6, mu2: float = 5.6) -> T
     kbar = np.maximum(1.0, np.arange(129, dtype=float))
     data = np.outer(kbar ** (-mu1 - 1.0 / s - eps), kbar ** (-mu2 - 1.0 / s - eps))
     data /= class_norm(data, s, mu1, mu2)
-    return TestFunction(
-        id=f"class-s{s:g}-mu{mu1:g}x{mu2:g}",
-        coeff_data=data,
-        class_info=SmoothnessParams(s=s, mu1=mu1, mu2=mu2, p=2.0),
-    )
+    return TestFunction(id=f"class-s{s:g}-mu{mu1:g}x{mu2:g}", coeff_data=data)
 
 
 def _effective_degrees(data: np.ndarray) -> tuple[int, int]:

@@ -143,9 +143,8 @@ class ExperimentConfig:
                       help="noise realizations per row")
     base_seed: int = _key(2025, "noise", INT, "--base-seed", within="[0, inf)")
     n_list: tuple = _key((), "method", (_parse_n, _fmt_n, "a list of integers or auto"),
-                         "--n", key="n", type=int_list,
-                         within=f"[1, {MAX_GRID_DEGREE}]",
-                         help="comma-separated truncation levels")
+                         "--n", key="n", within=f"[1, {MAX_GRID_DEGREE}]",
+                         help="comma-separated truncation levels, or auto for choose_n")
     c: float = _key(0.9, "method", FLOAT, "--c", within="(0, inf)",
                     help="choose_n calibration constant")
     gamma: float | None = _key(1.0, "method", FLOAT, "--gamma", within="[1, inf)",
@@ -520,9 +519,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for f in FIELDS:
         for name in f.on if f.flag else ():
             cmds[name].add_argument(f.flag, dest=f.attr, **{"type": f.parse, **f.arg})
-    for name in TABLES:
-        cmds[name].add_argument("--choose-n", dest="n_list", action="store_const", const=(),
-                                help="pick n from the noise level instead of the defaults")
     cmds["example1"].add_argument("--noise", choices=("random", "trapezoid"), default="random")
 
     cmds["cross-card"].add_argument("--gamma", required=True, help="comma-separated shapes")

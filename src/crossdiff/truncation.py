@@ -28,7 +28,6 @@ from .legendre import differentiate
 __all__ = [
     "CrossSet",
     "SmoothnessParams",
-    "MethodParams",
     "build_cross",
     "cardinality_growth",
     "truncate",
@@ -80,24 +79,6 @@ class SmoothnessParams:
             raise ValueError(f"norm index p={self.p} must lie in [1, inf]")
 
 
-@dataclass(frozen=True)
-class MethodParams:
-    """Resolved method parameters for one reconstruction."""
-
-    n: int
-    gamma: float
-    r: int
-    axis: str = "t"
-
-    def __post_init__(self):
-        if self.axis not in _AXES:
-            raise ValueError(f"axis must be one of {_AXES}")
-        if self.r < 1:
-            raise ValueError("derivative order r must be >= 1")
-        if not self.gamma >= 1.0:
-            raise ValueError(f"cross shape gamma={self.gamma} must be >= 1")
-
-
 def _limit(n: int, k: int, gamma: float) -> int:
     """Largest j with k * j**gamma <= n, evaluated with the same float test
     a brute-force scan would use so the two enumerations agree exactly. A
@@ -120,7 +101,12 @@ def build_cross(n: int, gamma: float, r: int, axis: str = "t") -> CrossSet:
 
     n < r yields the empty set (a valid degenerate case, not an error).
     """
-    MethodParams(n, gamma, r, axis)  # refuses r, gamma or axis
+    if axis not in _AXES:
+        raise ValueError(f"axis must be one of {_AXES}")
+    if r < 1:
+        raise ValueError("derivative order r must be >= 1")
+    if not gamma >= 1.0:
+        raise ValueError(f"cross shape gamma={gamma} must be >= 1")
     # _limit falls as k grows, so the widest row, k = r, sets the box's width
     limits = np.array([_limit(n, k, gamma) for k in range(r, n + 1)], dtype=int)
     block = np.zeros((n + 1, limits[0] + 1) if limits.size else (0, 0), dtype=bool)
@@ -139,16 +125,16 @@ def cardinality_growth(gamma: float, r: int, n_list) -> list:
     return [(n, build_cross(n, gamma, r).cardinality) for n in n_list]
 
 
-def truncate(coeffs: CoeffGrid, params: MethodParams) -> CoeffGrid:
+def truncate(coeffs: CoeffGrid, cross: CrossSet) -> CoeffGrid:
     """Zero coefficients outside the cross, then differentiate what remains.
 
     The result is the coefficient grid of the stabilized approximation to
     the (r,0) or (0,r) partial derivative, with provenance "derivative".
     """
-    keep = _cross_block(params.n, params.gamma, params.r, params.axis,
+    keep = _cross_block(cross.n, cross.gamma, cross.r, cross.axis,
                         coeffs.K, coeffs.J)  # raises if grid too small
     kb, jb = keep.shape
-    block = _truncate_block(coeffs.data[:kb, :jb], keep, params.r, params.axis)
+    block = _truncate_block(coeffs.data[:kb, :jb], keep, cross.r, cross.axis)
     return CoeffGrid(data=np.pad(block, [(0, coeffs.K + 1 - kb), (0, coeffs.J + 1 - jb)]),
                      provenance="derivative")
 

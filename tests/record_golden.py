@@ -1,14 +1,17 @@
 """Record the golden digests that tests/test_golden.py compares against.
 
 Runs each command of RUNS in a fresh interpreter, with crossdiff imported
-from ./src and OpenBLAS on 2 threads, and writes tests/golden/digests.json:
-for each run the SHA-256 of every row_<i>/deriv.csv, of rate.csv, and of
-table.csv less its error_l2 and wall_time columns, plus the columns of
-table.csv and rate.csv as numbers. error_l2 is compared to 1e-13 relative,
-not by digest, since it is a quadrature sum whose rule may change; the
-other columns are kept to show which column moved when a digest does not
-match. OpenBLAS sums in an order that depends on its thread count, so the
-digests hold at 2 threads only. From the repository root:
+from ./src and OpenBLAS on 2 threads, then each command of READERS on the
+run it reads, and writes tests/golden/digests.json: for each run the
+SHA-256 of its stdout (with the results root written as <root>, and no
+error_l2 values), of every row_<i>/deriv.csv, of rate.csv, card.csv,
+verdicts.txt and surface.csv, and of table.csv less its error_l2 and
+wall_time columns, plus the columns of the CSV files as numbers.
+error_l2 is compared to 1e-13 relative, not by digest, since it is a
+quadrature sum whose rule may change; the other columns are kept to show
+which column moved when a digest does not match. OpenBLAS sums in an
+order that depends on its thread count, so the digests hold at 2 threads
+only. From the repository root:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=2 python tests/record_golden.py
 
@@ -22,6 +25,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -32,12 +36,13 @@ SRC = HERE.parent / "src"
 BLAS_THREADS = "2"
 # the config file of each run that reads one, by file name; each rate study
 # has 5 deltas x 5 seeds: 25 trials, no fork
-RATE_INI = {
+CONFIGS = {
     "rate.ini": "[experiment]\nfunction = class\n\n[noise]\nseeds = 5\n",
     "rate-c-tau.ini": "[experiment]\nfunction = class\naxis = tau\nmetric = C\n\n"
                       "[noise]\nseeds = 5\n",
     "rate-example1.ini": "[experiment]\nfunction = example1\n\n[noise]\nseeds = 5\n",
     "class.ini": "[experiment]\nfunction = class\n",
+    "auto.ini": "[method]\nn = auto\n",
 }
 RUNS = {
     "example1-trapezoid": ["example1", "--noise", "trapezoid"],
@@ -51,27 +56,51 @@ RUNS = {
     "table-class": ["example1", "--config", "class.ini", "--delta", "1e-6,0",
                     "--n", "12,20", "--seeds", "3"],
     "example1-random": ["example1"],
+    # a noisy row of 64 seeds or more forks its trials
+    "table-forked": ["example1", "--seeds", "70", "--delta", "1e-7", "--n", "16"],
+    # each level's n from choose_n of its delta
+    "table-auto": ["example1", "--config", "auto.ini", "--seeds", "3"],
+    "cross-card": ["cross-card", "--gamma", "1,2", "--n", "4,8,16", "--r", "2"],
+    # the table that emit-surface of READERS samples
+    "surface": ["example1", "--delta", "1e-7,1e-8", "--n", "8,12", "--seeds", "2",
+                "--grid-degree", "32"],
 }
+# commands that read a run of RUNS, by its name, and write into its directory;
+# they start once every run of RUNS has ended
+READERS = {
+    "surface": ["emit-surface", "--run", "surface", "--row", "1", "--grid-points", "17"],
+}
+# files digested whole, each with its columns kept if it is a CSV file
+WHOLE = ("rate.csv", "card.csv", "verdicts.txt", "surface.csv")
 # columns left out of table.csv's digest: compared by value, or not at all
 UNDIGESTED = ("error_l2", "wall_time")
 
 
-def run_all(root: pathlib.Path) -> None:
-    """Run every command of RUNS at once, each in a fresh interpreter that
-    writes its run directory root/<name>; raise with the stderr of the
-    first that fails."""
-    for name, text in RATE_INI.items():
+def run_all(root: pathlib.Path, runs: dict = RUNS) -> dict:
+    """Run every command of runs at once, each in a fresh interpreter that
+    writes its run directory root/<name>, then every command of READERS
+    whose run is in runs; raise with the stderr of the first that fails.
+    Return each run's stdout, its commands' in turn, with root written as
+    <root>."""
+    for name, text in CONFIGS.items():
         (root / name).write_text(text)
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=BLAS_THREADS)
-    procs = [subprocess.Popen([sys.executable, "-m", "crossdiff.cli", *argv,
-                               "--out", str(root), "--run-id", name],
-                              cwd=root, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.PIPE, text=True)
-             for name, argv in RUNS.items()]
-    errors = [(proc, proc.communicate()[1]) for proc in procs]
-    for proc, err in errors:
-        if proc.returncode != 0:
-            raise RuntimeError(f"{' '.join(proc.args)} exited {proc.returncode}: {err}")
+    stdout = dict.fromkeys(runs, "")
+    for phase in ({name: [*argv, "--out", str(root), "--run-id", name]
+                   for name, argv in runs.items()},
+                  {name: [*argv, "--out", str(root)]
+                   for name, argv in READERS.items() if name in runs}):
+        procs = {name: subprocess.Popen([sys.executable, "-m", "crossdiff.cli", *argv],
+                                        cwd=root, env=env, stdout=subprocess.PIPE,
+                                        stderr=subprocess.PIPE, text=True)
+                 for name, argv in phase.items()}
+        ends = {name: proc.communicate() for name, proc in procs.items()}
+        for name, proc in procs.items():
+            if proc.returncode != 0:
+                raise RuntimeError(f"{' '.join(proc.args)} exited {proc.returncode}: "
+                                   f"{ends[name][1]}")
+            stdout[name] += ends[name][0].replace(str(root), "<root>")
+    return stdout
 
 
 def _columns(text: str) -> dict:
@@ -88,16 +117,20 @@ def _columns(text: str) -> dict:
     return {name: [value(row[i]) for row in rows] for i, name in enumerate(header)}
 
 
-def summarize(run_dir: pathlib.Path) -> dict:
-    """The digests and columns of one run directory."""
-    sha = {}
+def summarize(run_dir: pathlib.Path, stdout: str) -> dict:
+    """The digests and columns of one run directory and its stdout."""
+    # a table's stdout repeats its error_l2 column, compared by value
+    stdout = re.sub(r"error_l2=\S*", "error_l2=", stdout)
+    sha = {"stdout": hashlib.sha256(stdout.encode()).hexdigest()}
     columns = {}
     for path in sorted(run_dir.glob("row_*/deriv.csv")):
         sha[path.relative_to(run_dir).as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
-    rate = run_dir / "rate.csv"
-    if rate.exists():
-        sha["rate.csv"] = hashlib.sha256(rate.read_bytes()).hexdigest()
-        columns["rate.csv"] = _columns(rate.read_text())
+    for name in WHOLE:
+        path = run_dir / name
+        if path.exists():
+            sha[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+            if name.endswith(".csv"):
+                columns[name] = _columns(path.read_text())
     table = run_dir / "table.csv"
     if table.exists():
         lines = [line.split(",") for line in table.read_text().splitlines()]
@@ -112,9 +145,9 @@ def summarize(run_dir: pathlib.Path) -> dict:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp)
-        run_all(root)
+        stdout = run_all(root)
         golden = {"blas_threads": int(BLAS_THREADS),
-                  "runs": {name: {"argv": RUNS[name], **summarize(root / name)}
+                  "runs": {name: {"argv": RUNS[name], **summarize(root / name, stdout[name])}
                            for name in RUNS}}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")

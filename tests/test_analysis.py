@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.polynomial import legendre as nleg
 from numpy.polynomial import polynomial as npoly
 
 from crossdiff import analysis, coeffs, truncation
@@ -30,13 +31,14 @@ from crossdiff.analysis import (
 from crossdiff.coeffs import CoeffGrid, NoiseSpec, _composite_rule, add_noise, exact_coeffs
 from crossdiff.legendre import gauss_rule, synthesize
 from crossdiff.truncation import (
-    MethodParams,
     SmoothnessParams,
+    build_cross,
     choose_gamma,
     choose_n,
     class_norm,
     truncate,
 )
+from operator_reference import reference_operator
 
 
 def deriv_norm(F, r=2, axis="t", quad=96):
@@ -225,9 +227,23 @@ def test_exact_deriv_carries_its_breakpoints_and_the_closed_form(make, axis):
         qt = fn.tau_factor.deriv(2) if axis == "tau" else fn.tau_factor
         closure = gt.eval(t[:, None]) * qt.eval(t[None, :]) / fn.C
     else:
-        assert np.array_equal(d.coeff_data, fn.exact_deriv(2, axis).coeff_data)
-        closure = analysis._synth_eval(fn.exact_deriv(2, axis).coeff_data, t[:, None], t[None, :])
+        assert_is_the_class_derivative(fn, d, axis)
+        closure = synthesize(d.coeff_data, t, t)
     assert np.array_equal(d(t[:, None], t[None, :]), closure)
+
+
+def assert_is_the_class_derivative(fn, d, axis):
+    """d, the class function's second derivative along axis, against two
+    forms written apart from legendre.differentiate: the entry-by-entry
+    operator, and numpy's Legendre-series derivative on a 9 x 9 grid."""
+    op = reference_operator(128, 2)
+    assert np.array_equal(d.coeff_data, op @ fn.coeff_data if axis == "t"
+                          else fn.coeff_data @ op.T)
+    scale = np.sqrt(np.arange(129) + 0.5)  # phi_k = sqrt(k + 1/2) P_k
+    series = nleg.legder(fn.coeff_data * np.outer(scale, scale), 2, axis=0 if axis == "t" else 1)
+    t = np.linspace(-1.0, 1.0, 9)
+    want = nleg.leggrid2d(t, t, series)
+    assert np.abs(d(t[:, None], t[None, :]) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("axis", ["t", "tau"])
@@ -304,7 +320,7 @@ def test_evaluator_matches_per_call_quadrature_on_class_function(axis):
     exact = fn.exact_deriv(2, axis)
     quad = grid.K + 40
     scorer = ErrorEvaluator(exact, grid.K, grid.J)
-    params = MethodParams(n=24, gamma=2.25, r=2, axis=axis)
+    params = build_cross(n=24, gamma=2.25, r=2, axis=axis)
     for approx in noisy_trials(grid, params, (1e-5, 1e-8)):
         assert scorer.l2(approx) == pytest.approx(oracle_l2(approx, exact, quad), rel=1e-12)
         assert scorer.c(approx) == pytest.approx(oracle_c(approx, exact), rel=1e-12)
@@ -319,7 +335,7 @@ def test_evaluator_matches_per_call_quadrature_across_kinks(make):
     bt, btau = F.breakpoints_t, F.breakpoints_tau
     assert bt == (0.0,) and (exact.breakpoints_t, exact.breakpoints_tau) == (bt, btau)
     scorer = ErrorEvaluator(exact, 48, 48)
-    params = MethodParams(n=20, gamma=1.0, r=2)
+    params = build_cross(n=20, gamma=1.0, r=2)
     for approx in noisy_trials(grid, params, (1e-7, 1e-9)):
         expect = oracle_l2(approx, exact, 88, bt, btau)
         assert scorer.l2(approx) == pytest.approx(expect, rel=1e-12)
@@ -364,7 +380,7 @@ def test_l2_error_counts_the_degrees_of_a_coefficient_reference():
     fn = make_class_function()
     exact = fn.exact_deriv(2, "t")
     approx = truncate(CoeffGrid(data=np.array(fn.coeff_data)),
-                      MethodParams(n=24, gamma=2.25, r=2))
+                      build_cross(n=24, gamma=2.25, r=2))
     for quad in (56, 159):
         with pytest.raises(ValueError, match=rf"quad_nodes={quad} too small for active "
                                              r"degrees \(126,128\)"):
@@ -385,7 +401,7 @@ def test_l2_bounded_by_twice_sup_norm():
     from crossdiff.coeffs import exact_coeffs
 
     grid = exact_coeffs(F, 32, 32)
-    approx = truncate(grid, MethodParams(n=12, gamma=1.0, r=2))
+    approx = truncate(grid, build_cross(n=12, gamma=1.0, r=2))
     d = F.exact_deriv(2, "t")
     el2 = l2_error(approx, d, 72)
     ec = c_error(approx, d)
@@ -508,7 +524,7 @@ def test_noise_free_truncation_decay_rate():
     errs = []
     ns = (8, 16, 32, 64)
     for n in ns:
-        approx = truncate(grid, MethodParams(n=n, gamma=2.25, r=2))
+        approx = truncate(grid, build_cross(n=n, gamma=2.25, r=2))
         errs.append(l2_error(approx, exact_d, grid.K + 40))
     slope = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert slope >= 5.6 - 4 + 0.5 - 0.5 - 0.3
@@ -573,7 +589,7 @@ def test_blocked_c_error_matches_the_whole_array_form(monkeypatch, points, slab)
     for axis in ("t", "tau"):
         scorer = ErrorEvaluator(fn.exact_deriv(2, axis), grid.K, grid.J)
         assert scorer._grid_tables[1].shape == (points, points)
-        params = MethodParams(n=36, gamma=2.25, r=2, axis=axis)
+        params = build_cross(n=36, gamma=2.25, r=2, axis=axis)
         trials = list(noisy_trials(grid, params, (1e-5, 1e-9)))
         level = _Level(scorer, grid.data, 36, 2.25, 2, axis, None)
         # the reference itself, and the reference plus phi_0(t) + phi_1(t),
@@ -600,8 +616,8 @@ def rate_trials(fn, axis, seeds=3):
     grid = CoeffGrid(data=np.array(fn.coeff_data))
     for i, delta in enumerate((1e-5, 1e-6, 1e-7, 1e-8, 1e-9)):
         sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
-        params = MethodParams(n=choose_n(sp, delta, 2), gamma=choose_gamma(sp, 2), r=2,
-                              axis=axis)
+        params = build_cross(n=choose_n(sp, delta, 2), gamma=choose_gamma(sp, 2), r=2,
+                             axis=axis)
         for sd in range(seeds):
             yield truncate(add_noise(grid, NoiseSpec(delta, 2.0, "rescaled", 50 * i + sd)),
                            params)
@@ -635,9 +651,7 @@ def test_polyder_is_numpys_bit_for_bit():
 def test_coefficient_reference_is_the_exact_derivative():
     fn = make_class_function()
     for axis in ("t", "tau"):
-        ref = fn.exact_deriv(2, axis).coeff_data
-        t = np.linspace(-1.0, 1.0, 7)
-        assert np.array_equal(synthesize(ref, t, t), fn.exact_deriv(2, axis)(t[:, None], t[None, :]))
+        assert_is_the_class_derivative(fn, fn.exact_deriv(2, axis), axis)
     assert fn.exact_deriv(0).coeff_data is fn.coeff_data
     with pytest.raises(ValueError, match="axis must be"):
         fn.exact_deriv(2, "x")
@@ -757,7 +771,7 @@ def test_bounded_c_equals_the_exhaustive_slab_pass(monkeypatch, points, axis, r)
     g = np.linspace(-1.0, 1.0, points)
     trials = 0
     for level, (n, delta) in LEVELS.items():
-        params = MethodParams(n=n, gamma=2.0, r=r, axis=axis)
+        params = build_cross(n=n, gamma=2.0, r=r, axis=axis)
         bias = truncate(grid, params)
         noise_level = _Level(scorer, grid.data, n, 2.0, r, axis, None)
         noisy = [truncate(add_noise(grid, NoiseSpec(delta, 2.0, "rescaled", sd)), params)
@@ -802,7 +816,7 @@ def test_bounded_c_keeps_a_nan_of_the_reference():
         return vals
 
     grid = exact_coeffs(F, 32, 32)
-    params = MethodParams(n=16, gamma=2.0, r=2)
+    params = build_cross(n=16, gamma=2.0, r=2)
     scorer = ErrorEvaluator(exact, 32, 32)
     level = _Level(scorer, grid.data, 16, 2.0, 2, "t", None)
     assert np.isnan(level.bias_max).sum() == 1
@@ -820,8 +834,8 @@ def test_bounded_c_prunes_rate_trials(axis):
     slabs = []
     for i, delta in enumerate((1e-5, 1e-6, 1e-7, 1e-8, 1e-9)):
         sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
-        params = MethodParams(n=choose_n(sp, delta, 2), gamma=choose_gamma(sp, 2), r=2,
-                              axis=axis)
+        params = build_cross(n=choose_n(sp, delta, 2), gamma=choose_gamma(sp, 2), r=2,
+                             axis=axis)
         level = _Level(scorer, grid.data, params.n, params.gamma, 2, axis, None)
         for sd in range(20):
             noisy = add_noise(grid, NoiseSpec(delta, 2.0, "rescaled", 50 * i + sd))
@@ -850,8 +864,8 @@ def test_block_trials_score_like_the_full_grid(axis, make):
     ref, tail = scorer._reference
     for i, delta in enumerate((1e-5, 1e-7, 1e-9)):
         sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
-        params = MethodParams(n=choose_n(sp, delta, 2), gamma=choose_gamma(sp, 2), r=2,
-                              axis=axis)
+        params = build_cross(n=choose_n(sp, delta, 2), gamma=choose_gamma(sp, 2), r=2,
+                             axis=axis)
         keep = truncation._cross_block(params.n, params.gamma, 2, axis, grid.K, grid.J)
         kb, jb = keep.shape
         outside = scorer._outside(keep.shape)
@@ -885,7 +899,7 @@ def test_noise_free_level_errors_match_the_exhaustive_oracle(h, axis):
     for n in (8, 16, 24):
         level = _Level(ErrorEvaluator(fn.exact_deriv(2, axis), 24, 24), grid.data, n, 1.0, 2,
                        axis, None)
-        approx = truncate(grid, MethodParams(n=n, gamma=1.0, r=2, axis=axis))
+        approx = truncate(grid, build_cross(n=n, gamma=1.0, r=2, axis=axis))
         assert_same_float(level.errors[1], oracle.c(approx))
         assert level.errors[0] == pytest.approx(oracle.l2(approx), rel=1e-15)
 
@@ -941,7 +955,7 @@ def test_shares_may_be_empty(monkeypatch):
     (example1_F(), "C", "t"), (example1_F(), "L2", "tau")],
     ids=["class-L2", "class-C-tau", "example1-C", "example1-L2-tau"])
 def test_rate_csv_is_the_same_for_any_worker_count(tmp_path, monkeypatch, fn, metric, axis):
-    sp = fn.class_info
+    sp = SmoothnessParams(2.0, 5.6, 5.6, 2.0)
     written = set()
     for workers in (1, 2, 3, 5):
         force_workers(monkeypatch, workers)

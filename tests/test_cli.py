@@ -310,7 +310,7 @@ def test_forked_table_seeds_match_a_serial_run_and_the_whole_grid_oracle(tmp_pat
     exact = coeffs.exact_coeffs(fn, 16, 16)
     scorer = analysis.ErrorEvaluator(fn.exact_deriv(2, "t"), 16, 16)
     for i, (row, delta) in enumerate(zip(read_table(tmp_path, "w2").rows, (1e-7, 1e-8, 1e-9))):
-        params = truncation.MethodParams(n=row.n, gamma=1.0, r=2, axis="t")
+        params = truncation.build_cross(n=row.n, gamma=1.0, r=2, axis="t")
         trials = [truncation.truncate(coeffs.add_noise(exact, coeffs.NoiseSpec(
             delta, math.inf, "rescaled", 2025 + 997 * i + sd)), params) for sd in range(70)]
         assert row.error_c == np.median([scorer.c(a) for a in trials])
@@ -667,7 +667,7 @@ def test_validate_rejects_non_finite_numbers(f, bad):
 
 @pytest.mark.parametrize("c", ["nan", "inf"])
 def test_non_finite_calibration_constant_is_reported(tmp_path, capsys, c):
-    rc = run_cli("example1", "--choose-n", "--c", c, "--seeds", 1,
+    rc = run_cli("example1", "--n", "auto", "--c", c, "--seeds", 1,
                  "--out", tmp_path, "--run-id", "bad")
     assert rc == 2
     assert capsys.readouterr().err == f"error: [method] c={c} must lie in (0, inf)\n"
@@ -680,7 +680,7 @@ def test_non_finite_calibration_constant_is_reported(tmp_path, capsys, c):
 
 def test_a_chosen_level_that_is_not_finite_is_reported(tmp_path, capsys):
     # c * delta**(-1/5.6) overflows to inf for c = 1e308
-    rc = run_cli("example1", "--choose-n", "--c", "1e308", "--seeds", 1, "--out", tmp_path)
+    rc = run_cli("example1", "--n", "auto", "--c", "1e308", "--seeds", 1, "--out", tmp_path)
     assert rc == 2
     assert capsys.readouterr().err == (
         "error: truncation level for delta=1e-07 and c=1e+308 is not finite\n")
@@ -690,6 +690,13 @@ def test_a_chosen_level_that_is_not_finite_is_reported(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: truncation level for delta=1e-05 and c=1e+308 is not finite\n")
     assert os.listdir(tmp_path) == ["rate.ini"]
+
+
+def test_n_auto_with_trapezoid_steps_is_refused(tmp_path, capsys):
+    # choose_n reads a noise level, and a trapezoid step is none
+    assert run_cli("example1", "--h", "1e-4", "--n", "auto", "--out", tmp_path) == 2
+    assert capsys.readouterr().err == "error: trapezoid runs need an explicit n list\n"
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("gamma", ["1024", "1e308"])
@@ -707,7 +714,7 @@ def test_a_shape_whose_powers_overflow_runs(tmp_path, capsys, gamma):
 
 @pytest.mark.parametrize("argv,degree", [
     (["example1", "--n", "16,25,65", "--seeds", 1], 64),
-    (["example1", "--choose-n", "--c", "1e300", "--seeds", 1], 64),
+    (["example1", "--n", "auto", "--c", "1e300", "--seeds", 1], 64),
     (["rate-study"], 16),
     (["example1", "--noise", "trapezoid", "--h", "1e-3,1e-3", "--n", "16,65"], 64),
     (["example1", "--delta", "1e-7,1e-8", "--n", "16,65", "--seeds", 1], 64)],

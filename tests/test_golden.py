@@ -1,6 +1,7 @@
-"""Golden digests: the example1 presets, example2, a class-function table and
-rate studies of the class function and of example1 give the outputs recorded
-in tests/golden/digests.json (see tests/record_golden.py, which records them
+"""Golden digests: the example1 presets, example2, class-function, forked and
+choose_n tables, rate studies of the class function and of example1,
+cross-card and emit-surface give the outputs recorded in
+tests/golden/digests.json (see tests/record_golden.py, which records them
 and which no test runs)."""
 
 import json
@@ -11,11 +12,16 @@ import pytest
 from record_golden import GOLDEN, RUNS, run_all, summarize
 
 
+# the flag form of table-auto's [method] n = auto
+AUTO_FLAG = ["example1", "--n", "auto", "--seeds", "3"]
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
-    run_all(root)
-    return {name: summarize(root / name) for name in RUNS}
+    runs = {**RUNS, "table-auto-flag": AUTO_FLAG}
+    stdout = run_all(root, runs)
+    return {name: summarize(root / name, stdout[name]) for name in runs}
 
 
 def _deviations(got: dict, want: dict) -> dict:
@@ -48,3 +54,12 @@ def test_outputs_match_the_golden_digests(outputs, name):
         l2_want = want["columns"]["table.csv"]["error_l2"]
         assert l2_got == pytest.approx(l2_want, rel=1e-13, abs=0), (
             f"largest relative deviations: {deviations}")
+
+
+def test_n_auto_flag_writes_what_the_ini_key_writes(outputs):
+    # every run file; stdout names the run directory, which differs
+    want = json.loads(GOLDEN.read_text())["runs"]["table-auto"]["sha256"]
+    got = outputs["table-auto-flag"]["sha256"]
+    assert got.keys() == want.keys()
+    assert {k: v for k, v in got.items() if k != "stdout"} == {
+        k: v for k, v in want.items() if k != "stdout"}

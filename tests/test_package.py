@@ -29,7 +29,6 @@ def test_package_exports_exactly_the_documented_names():
         "save_grid",
         "trapezoid_coeffs",
         "CrossSet",
-        "MethodParams",
         "SmoothnessParams",
         "build_cross",
         "cardinality_growth",

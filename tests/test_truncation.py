@@ -14,7 +14,6 @@ from crossdiff.analysis import example1_F
 from crossdiff.coeffs import CoeffGrid, exact_coeffs, lp_norm
 from crossdiff.legendre import gauss_rule, iterate_derivative, synthesize
 from crossdiff.truncation import (
-    MethodParams,
     SmoothnessParams,
     build_cross,
     cardinality_growth,
@@ -131,7 +130,7 @@ def test_truncate_single_mode_against_difference_quotient():
     data = np.zeros((8, 8))
     data[3, 0] = 1.0
     grid = CoeffGrid(data=data)
-    out = truncate(grid, MethodParams(n=3, gamma=1.0, r=2))
+    out = truncate(grid, build_cross(n=3, gamma=1.0, r=2))
     ts = np.array([-0.7, -0.2, 0.4, 0.8])
     approx = synthesize(out.data, ts, np.array([0.3]))[:, 0]
     h = 1e-4
@@ -149,7 +148,7 @@ def test_truncate_single_mode_against_difference_quotient():
 
 def test_truncate_zero_grid():
     grid = CoeffGrid(data=np.zeros((12, 12)))
-    out = truncate(grid, MethodParams(n=6, gamma=1.0, r=2))
+    out = truncate(grid, build_cross(n=6, gamma=1.0, r=2))
     assert np.all(out.data == 0.0)
 
 
@@ -161,7 +160,7 @@ def test_truncate_error_decreases_with_n():
     target = exact(rule.nodes[:, None], rule.nodes[None, :])
     errs = []
     for n in (8, 12, 16, 24):
-        out = truncate(grid, MethodParams(n=n, gamma=2.0, r=2))
+        out = truncate(grid, build_cross(n=n, gamma=2.0, r=2))
         vals = synthesize(out.data, rule.nodes, rule.nodes)
         diff = vals - target
         errs.append(math.sqrt(rule.weights @ (diff * diff) @ rule.weights))
@@ -171,7 +170,7 @@ def test_truncate_error_decreases_with_n():
 def test_truncate_idempotent_on_masked_grid():
     rng = np.random.default_rng(5)
     data = rng.standard_normal((20, 20))
-    params = MethodParams(n=10, gamma=1.5, r=2)
+    params = build_cross(n=10, gamma=1.5, r=2)
     masked = data * grid_mask(build_cross(10, 1.5, 2), 19, 19)
     a = truncate(CoeffGrid(data=masked), params)
     b = truncate(CoeffGrid(data=data), params)
@@ -182,7 +181,7 @@ def test_truncate_is_linear():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((16, 16))
     y = rng.standard_normal((16, 16))
-    params = MethodParams(n=8, gamma=1.0, r=2)
+    params = build_cross(n=8, gamma=1.0, r=2)
     combined = truncate(CoeffGrid(data=2.0 * x - 3.0 * y), params)
     parts = (
         2.0 * truncate(CoeffGrid(data=x), params).data
@@ -195,9 +194,9 @@ def test_truncate_axis_symmetry():
     rng = np.random.default_rng(7)
     data = rng.standard_normal((18, 18))
     out_t = truncate(CoeffGrid(data=data),
-                     MethodParams(n=9, gamma=1.5, r=2, axis="t"))
+                     build_cross(n=9, gamma=1.5, r=2, axis="t"))
     out_tau = truncate(CoeffGrid(data=data.T),
-                       MethodParams(n=9, gamma=1.5, r=2, axis="tau"))
+                       build_cross(n=9, gamma=1.5, r=2, axis="tau"))
     assert np.array_equal(out_t.data, out_tau.data.T)
 
 
@@ -213,7 +212,7 @@ def test_truncate_noise_amplification_shape():
         xi = np.random.default_rng(n).standard_normal((n + 1, n + 1))
         xi[~grid_mask(build_cross(n, 1.0, r), n, n)] = 0.0
         noisy = CoeffGrid(data=xi * (delta / lp_norm(xi, math.inf)))
-        out = truncate(noisy, MethodParams(n=n, gamma=1.0, r=r))
+        out = truncate(noisy, build_cross(n=n, gamma=1.0, r=r))
         ratios.append(np.linalg.norm(out.data) / (delta * n ** (2 * r + 0.5)))
     assert max(ratios) < 1.0
 
@@ -221,7 +220,7 @@ def test_truncate_noise_amplification_shape():
 def test_truncate_validation():
     small = CoeffGrid(data=np.zeros((3, 3)))
     with pytest.raises(ValueError):
-        truncate(small, MethodParams(n=8, gamma=1.0, r=2))
+        truncate(small, build_cross(n=8, gamma=1.0, r=2))
 
 
 def test_choose_n_reference_values():
@@ -303,7 +302,7 @@ def test_class_norm_values():
 def test_class_norm_example1_is_order_one():
     F = example1_F()
     grid = exact_coeffs(F, 64, 64)
-    info = F.class_info
+    info = SmoothnessParams(2.0, 5.6, 5.6, 2.0)
     val = class_norm(grid, info.s, info.mu1, info.mu2)
     assert 0.5 < val < 1.5
     assert val == pytest.approx(0.8660465661515082, rel=1e-6)
@@ -321,13 +320,13 @@ def test_smoothness_params_validation():
 
 
 def test_method_params_validation():
-    MethodParams(n=8, gamma=1.0, r=1, axis="tau")
+    build_cross(n=8, gamma=1.0, r=1, axis="tau")
     with pytest.raises(ValueError):
-        MethodParams(n=8, gamma=1.0, r=0, axis="t")
+        build_cross(n=8, gamma=1.0, r=0, axis="t")
     with pytest.raises(ValueError):
-        MethodParams(n=8, gamma=0.5, r=1, axis="t")
+        build_cross(n=8, gamma=0.5, r=1, axis="t")
     with pytest.raises(ValueError):
-        MethodParams(n=8, gamma=1.0, r=1, axis="x")
+        build_cross(n=8, gamma=1.0, r=1, axis="x")
 
 
 def dense_truncate(grid, params, op):
@@ -348,7 +347,7 @@ def test_block_truncate_matches_the_dense_form():
             for axis in ("t", "tau"):
                 for n in (r - 1, r, 7, min(K, J)):  # n < r is the empty cross
                     for gamma in (1.0, 2.25):
-                        params = MethodParams(n=n, gamma=gamma, r=r, axis=axis)
+                        params = build_cross(n=n, gamma=gamma, r=r, axis=axis)
                         got = truncate(CoeffGrid(data=data), params).data
                         expect = dense_truncate(CoeffGrid(data=data), params, op)
                         assert got.shape == expect.shape
@@ -363,7 +362,7 @@ def test_truncate_reuses_one_read_only_mask_per_cross(monkeypatch):
     monkeypatch.setattr(truncation, "build_cross",
                         lambda *a: calls.append(a) or build_cross(*a))
     grid = CoeffGrid(data=np.ones((20, 20)))
-    params = MethodParams(n=10, gamma=1.5, r=2)
+    params = build_cross(n=10, gamma=1.5, r=2)
     first = truncate(grid, params)
     assert np.array_equal(truncate(grid, params).data, first.data)
     assert calls == [(10, 1.5, 2, "t")]
@@ -384,9 +383,9 @@ def test_truncate_reuses_one_read_only_operator_per_size_and_order(monkeypatch):
     # every cross below has an 11-wide block along its axis, whatever the grid
     for K, gamma, axis in ((19, 1.5, "t"), (19, 1.5, "tau"), (19, 2.5, "t"), (30, 1.5, "t")):
         grid = CoeffGrid(data=np.ones((K + 1, K + 1)))
-        truncate(grid, MethodParams(n=10, gamma=gamma, r=2, axis=axis))
+        truncate(grid, build_cross(n=10, gamma=gamma, r=2, axis=axis))
     assert calls == [(10, 2)]
-    truncate(grid, MethodParams(n=10, gamma=1.5, r=3))
+    truncate(grid, build_cross(n=10, gamma=1.5, r=3))
     assert calls == [(10, 2), (10, 3)]
     op = legendre._deriv_matrix(11, 2)
     assert not op.flags.writeable
@@ -400,7 +399,7 @@ def test_truncate_is_linear_property(data, a, b, r, gamma, axis):
     K, J = data.draw(st.integers(1, 24)), data.draw(st.integers(1, 24))
     x, y = (data.draw(hnp.arrays(float, (K + 1, J + 1), elements=st.floats(-1e3, 1e3)))
             for _ in range(2))
-    params = MethodParams(n=data.draw(st.integers(0, min(K, J))), gamma=gamma, r=r, axis=axis)
+    params = build_cross(n=data.draw(st.integers(0, min(K, J))), gamma=gamma, r=r, axis=axis)
     tx, ty, both = (truncate(CoeffGrid(data=g), params).data
                     for g in (x, y, a * x + b * y))
     scale = 1.0 + np.abs(tx).max() * abs(a) + np.abs(ty).max() * abs(b) + np.abs(both).max()
