@@ -24,9 +24,11 @@ from .coeffs import (
 )
 from .legendre import _usable_cpus, differentiate, phi_matrix, synthesize
 from .truncation import (
+    CrossSet,
     SmoothnessParams,
-    _cross_block,
+    _fit,
     _truncate_block,
+    build_cross,
     choose_gamma,
     choose_n,
     class_norm,
@@ -366,17 +368,19 @@ class ErrorEvaluator:
         return float(self._slab_maxima(self._active(approx.data)).max())
 
 
-def _plan(sp: SmoothnessParams, deltas, ns, r: int, c: float, gamma, metric,
-          degree: int) -> tuple[list, float]:
-    """(n of every noise level, the run's gamma): ns, or else choose_n of
-    each delta, and gamma, or else choose_gamma, which does not depend on
-    delta. Refuses the first n beyond degree, the grids' degree along the
-    derivative's axis, before any grid, cross or trial is built."""
+def _plan(sp: SmoothnessParams, deltas, ns, r: int, c: float, gamma, metric, axis: str,
+          degree: int) -> list[CrossSet]:
+    """The cross of every noise level for the r-th derivative along axis: its
+    n from ns, or else choose_n of each delta, and the run's one gamma, or
+    else choose_gamma, which does not depend on delta. Refuses the first n
+    beyond degree, the grids' degree along axis, before any grid, cross or
+    trial is built."""
     levels = list(ns) or [choose_n(sp, delta, r, c) for delta in deltas]
     for n in levels:
         if n > degree:
             raise ValueError(f"truncation level n={n} exceeds grid degree {degree}")
-    return levels, choose_gamma(sp, r, metric) if gamma is None else float(gamma)
+    gamma = choose_gamma(sp, r, metric) if gamma is None else float(gamma)
+    return [build_cross(n, gamma, r, axis) for n in levels]
 
 
 def _noise(delta: float, p: float, mode: str, base_seed: int, level: int) -> NoiseSpec:
@@ -387,12 +391,12 @@ def _noise(delta: float, p: float, mode: str, base_seed: int, level: int) -> Noi
 
 class _Level:
     """One noise level of an error table or a rate study: data cut to the
-    cross of (n, gamma), differentiated r times along axis and scored by
-    scorer. Built before any worker forks: the cross's mask keep, the
-    noise-free truncation B, the L2 error's outside sum (_outside) and
-    bias_max, the maximum b_s of |synthesis(B) - reference| over each slab
-    s of the C grid. errors holds B's (L2, C) errors: the bias of every
-    trial, and the whole error of a row without noise (noise None).
+    cross, differentiated along its axis and scored by scorer. Built before
+    any worker forks: the noise-free truncation B, the L2 error's outside
+    sum (_outside) and bias_max, the maximum b_s of |synthesis(B) -
+    reference| over each slab s of the C grid. errors holds B's (L2, C)
+    errors: the bias of every trial, and the whole error of a row without
+    noise (noise None).
 
     A trial A = B + N errs by at most b_s + n_s on slab s, the synthesis
     being linear, where n_s = max over x in s of
@@ -404,13 +408,11 @@ class _Level:
     the last call). A trial or reference that is not finite is evaluated
     on every slab."""
 
-    def __init__(self, scorer: ErrorEvaluator, data: np.ndarray, n: int, gamma: float,
-                 r: int, axis: str, noise: NoiseSpec | None):
-        self.n, self.gamma, self.noise = n, gamma, noise
-        self._scorer, self._data, self._r, self._axis = scorer, data, r, axis
-        self.keep = keep = _cross_block(n, gamma, r, axis, scorer.K, scorer.J)
+    def __init__(self, scorer: ErrorEvaluator, data: np.ndarray, cross: CrossSet,
+                 noise: NoiseSpec | None):
+        self._scorer, self._data, self.cross, self.noise = scorer, data, cross, noise
+        self._outside = scorer._outside(_fit(cross, scorer.K, scorer.J).shape)
         bias = self.approx()
-        self._outside = scorer._outside(keep.shape)
         self._bias = scorer._active(bias)
         self.bias_max = scorer._slab_maxima(self._bias)
         self.errors = scorer._l2_block(bias, self._outside), float(self.bias_max.max())
@@ -443,11 +445,11 @@ class _Level:
         return float(maxima.max())
 
     def approx(self, sd: int | None = None) -> np.ndarray:
-        """The truncated mask's block of noise draw sd's grid, or of data (B)."""
-        kb, jb = self.keep.shape
+        """The truncated cross's block of noise draw sd's grid, or of data (B)."""
+        kb, jb = self.cross.block.shape
         block = self._data[:kb, :jb] if sd is None else _noisy_block(
             self._data, replace(self.noise, seed=self.noise.seed + sd), (kb, jb))
-        return _truncate_block(block, self.keep, self._r, self._axis)
+        return _truncate_block(block, self.cross)
 
     def trial(self, sd: int) -> tuple[float, float]:
         """(error_l2, error_c) of noise draw sd, all a forked worker sends
@@ -665,7 +667,7 @@ def rate_study(
             raise ValueError(f"grid_degree={grid_degree} differs from the degree {deg} of "
                              f"{fn.id}'s coefficient data; omit grid_degree")
     # refuses a delta outside (0,1) before the span, which divides by the smallest
-    ns, gamma = _plan(sp, delta_list, (), r, c, gamma, metric, K if axis == "t" else J)
+    crosses = _plan(sp, delta_list, (), r, c, gamma, metric, axis, K if axis == "t" else J)
     if len(delta_list) < 2 or max(delta_list) / min(delta_list) < 0.999e3:
         raise ValueError("delta_list must span at least three decades")
 
@@ -673,9 +675,8 @@ def rate_study(
     if not np.isfinite(data).all():
         raise ValueError(f"coefficients of {fn.id} are not finite")
     scorer = ErrorEvaluator(fn.exact_deriv(r, axis), K, J)
-    levels = [_Level(scorer, data, n, gamma, r, axis,
-                     _noise(delta, sp.p, noise_mode, base_seed, i))
-              for i, (delta, n) in enumerate(zip(delta_list, ns))]
+    levels = [_Level(scorer, data, cross, _noise(delta, sp.p, noise_mode, base_seed, i))
+              for i, (delta, cross) in enumerate(zip(delta_list, crosses))]
 
     def trial(index):
         return levels[index // seeds].trial(index % seeds)
@@ -683,7 +684,7 @@ def rate_study(
     rows = _forked_map(trial, range(len(levels) * seeds))
     for index, (error_l2, error_c) in enumerate(rows):  # each pair freed as its row is made
         level = levels[index // seeds]
-        rows[index] = (level.noise.delta, level.n, level.gamma, error_l2, error_c,
+        rows[index] = (level.noise.delta, level.cross.n, level.cross.gamma, error_l2, error_c,
                        level.noise.seed + index % seeds)
     if not all(math.isfinite(e) for row in rows for e in row[3:5]):
         raise ValueError(f"rate study of {fn.id} produced non-finite errors")

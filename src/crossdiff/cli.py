@@ -330,14 +330,14 @@ def cmd_table(cfg: ExperimentConfig) -> ResultsTable:
     cfg.validate()
     fn = _get_function(cfg)
     deg, values = cfg.grid_degree, cfg.delta_list or cfg.h_list
-    ns, gamma = _plan(SmoothnessParams(cfg.s, cfg.mu1, cfg.mu2, cfg.p), values, cfg.n_list,
-                      cfg.r, cfg.c, cfg.gamma, cfg.metric, deg)
+    crosses = _plan(SmoothnessParams(cfg.s, cfg.mu1, cfg.mu2, cfg.p), values, cfg.n_list,
+                    cfg.r, cfg.c, cfg.gamma, cfg.metric, cfg.axis, deg)
     exact_grid = exact_coeffs(fn, deg, deg)
     scorer = ErrorEvaluator(fn.exact_deriv(cfg.r, cfg.axis), deg, deg)
 
     kind = "delta" if cfg.delta_list else "h"
     rows, derivs = [], []
-    for i, (val, n) in enumerate(zip(values, ns)):
+    for i, (val, cross) in enumerate(zip(values, crosses)):
         start = time.perf_counter()
         grid, gap, noise = exact_grid, None, None
         if kind == "h":
@@ -345,14 +345,14 @@ def cmd_table(cfg: ExperimentConfig) -> ResultsTable:
             gap = float(np.abs(grid.data - exact_grid.data).max())
         elif val != 0.0:
             noise = _noise(val, cfg.noise_p, cfg.noise_mode, cfg.base_seed, i)
-        level = _Level(scorer, grid.data, n, gamma, cfg.r, cfg.axis, noise)
+        level = _Level(scorer, grid.data, cross, noise)
         error_l2, error_c = level.errors
         if noise is not None:
             l2s, cs = zip(*_forked_map(level.trial, range(cfg.seeds)))
             error_l2, error_c = _median(l2s), _median(cs)
         derivs.append(level.approx(None if noise is None else 0))
-        rows.append(ResultRow(kind=kind, value=float(val), n=n, gamma=gamma,
-                              card=int(level.keep.sum()), error_l2=error_l2, error_c=error_c,
+        rows.append(ResultRow(kind=kind, value=float(val), n=cross.n, gamma=cross.gamma,
+                              card=cross.cardinality, error_l2=error_l2, error_c=error_c,
                               coeff_linf=gap, wall_time=time.perf_counter() - start))
     table = ResultsTable(rows=tuple(rows))
     run_dir = _open_run(cfg)
@@ -395,13 +395,13 @@ def cmd_rate_study(cfg: ExperimentConfig) -> RateStudyResult:
     gamma is set, and the function's own grid degree unless grid_degree
     is set. A given [noise] p is ignored and not written back, since the
     noise is drawn in the class norm index [experiment] p."""
+    if cfg.h_list:  # before validate(), which asks a trapezoid run for an n list
+        raise ValueError("rate-study needs [noise] deltas, not hs")
     if cfg.n_list:
         raise ValueError("rate-study takes n from choose_n, not [method] n")
     cfg = replace(cfg, noise_p=None,
                   run_id=f"rate-{cfg.metric}" if cfg.run_id is None else cfg.run_id)
     cfg.validate()
-    if cfg.h_list:
-        raise ValueError("rate-study needs [noise] deltas, not hs")
     result = rate_study(
         _get_function(cfg), SmoothnessParams(cfg.s, cfg.mu1, cfg.mu2, cfg.p), cfg.r,
         cfg.metric, cfg.delta_list, cfg.seeds,
@@ -500,6 +500,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+def _flag_type(parse, what: str):
+    """parse as an argparse type: a value it refuses is named with what it
+    must be, as in an INI file."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text} is not {what}") from None
+    return convert
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="crossdiff",
@@ -518,11 +529,14 @@ def _build_parser() -> argparse.ArgumentParser:
                                 help="INI file overriding the defaults")
     for f in FIELDS:
         for name in f.on if f.flag else ():
-            cmds[name].add_argument(f.flag, dest=f.attr, **{"type": f.parse, **f.arg})
+            cmds[name].add_argument(f.flag, dest=f.attr,
+                                    **{"type": _flag_type(f.parse, f.what), **f.arg})
     cmds["example1"].add_argument("--noise", choices=("random", "trapezoid"), default="random")
 
-    cmds["cross-card"].add_argument("--gamma", required=True, help="comma-separated shapes")
-    cmds["cross-card"].add_argument("--n", required=True, help="comma-separated levels")
+    cmds["cross-card"].add_argument("--gamma", required=True, help="comma-separated shapes",
+                                    type=_flag_type(float_list, "a list of floats"))
+    cmds["cross-card"].add_argument("--n", required=True, help="comma-separated levels",
+                                    type=_flag_type(int_list, "a list of integers"))
     cmds["cross-card"].add_argument("--r", type=int, default=1)
 
     ps = cmds["emit-surface"]
@@ -542,8 +556,7 @@ def main(argv=None) -> int:
             preset = "example1-" + args.noise if args.command == "example1" else "example2"
             cmd_table(_resolve_config(preset, args))
         elif args.command == "cross-card":
-            cmd_cross_card(float_list(args.gamma), args.r, int_list(args.n),
-                           args.out_dir, args.run_id)
+            cmd_cross_card(args.gamma, args.r, args.n, args.out_dir, args.run_id)
         elif args.command == "emit-surface":
             cmd_emit_surface(args.run, args.function, args.grid_points,
                              args.row, args.out_dir)

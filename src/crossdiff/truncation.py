@@ -16,7 +16,6 @@ implement that selection together with its admissibility hypotheses.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -131,26 +130,20 @@ def truncate(coeffs: CoeffGrid, cross: CrossSet) -> CoeffGrid:
     The result is the coefficient grid of the stabilized approximation to
     the (r,0) or (0,r) partial derivative, with provenance "derivative".
     """
-    keep = _cross_block(cross.n, cross.gamma, cross.r, cross.axis,
-                        coeffs.K, coeffs.J)  # raises if grid too small
-    kb, jb = keep.shape
-    block = _truncate_block(coeffs.data[:kb, :jb], keep, cross.r, cross.axis)
+    kb, jb = _fit(cross, coeffs.K, coeffs.J).shape
+    block = _truncate_block(coeffs.data[:kb, :jb], cross)
     return CoeffGrid(data=np.pad(block, [(0, coeffs.K + 1 - kb), (0, coeffs.J + 1 - jb)]),
                      provenance="derivative")
 
 
-def _truncate_block(block: np.ndarray, keep: np.ndarray, r: int, axis: str) -> np.ndarray:
-    """truncate on the cross's bounding block: block, of the shape of the
-    mask keep from _cross_block, zeroed outside the cross and differentiated."""
-    return differentiate(np.where(keep, block, 0.0), r, axis)
+def _truncate_block(block: np.ndarray, cross: CrossSet) -> np.ndarray:
+    """truncate on the cross's bounding block: block, of the shape of
+    cross.block, zeroed outside the cross and differentiated."""
+    return differentiate(np.where(cross.block, block, 0.0), cross.r, cross.axis)
 
 
-@functools.lru_cache(maxsize=64)
-def _cross_block(n: int, gamma: float, r: int, axis: str, K: int, J: int) -> np.ndarray:
-    """The cross's block, refused unless it fits a grid of degrees (K, J).
-    Memoised, since a rate study truncates every seed of a noise level with
-    the same cross."""
-    cross = build_cross(n, gamma, r, axis)
+def _fit(cross: CrossSet, K: int, J: int) -> np.ndarray:
+    """The cross's block, refused unless it fits a grid of degrees (K, J)."""
     if cross.block.shape[0] > K + 1 or cross.block.shape[1] > J + 1:
         k, j = next((k, j) for k, j in cross.indices if k > K or j > J)
         raise ValueError(f"cross index ({k},{j}) outside grid of degrees ({K},{J})")

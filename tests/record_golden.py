@@ -5,8 +5,9 @@ from ./src and OpenBLAS on 2 threads, then each command of READERS on the
 run it reads, and writes tests/golden/digests.json: for each run the
 SHA-256 of its stdout (with the results root written as <root>, and no
 error_l2 values), of every row_<i>/deriv.csv, of rate.csv, card.csv,
-verdicts.txt and surface.csv, and of table.csv less its error_l2 and
-wall_time columns, plus the columns of the CSV files as numbers.
+verdicts.txt and surface.csv, of config.ini less its [output] dir line,
+and of table.csv less its error_l2 and wall_time columns, plus the
+columns of the CSV files as numbers.
 error_l2 is compared to 1e-13 relative, not by digest, since it is a
 quadrature sum whose rule may change; the other columns are kept to show
 which column moved when a digest does not match. OpenBLAS sums in an
@@ -35,12 +36,15 @@ GOLDEN = HERE / "golden" / "digests.json"
 SRC = HERE.parent / "src"
 BLAS_THREADS = "2"
 # the config file of each run that reads one, by file name; each rate study
-# has 5 deltas x 5 seeds: 25 trials, no fork
+# but rate-c-forked has 5 deltas x 5 seeds: 25 trials, no fork
 CONFIGS = {
     "rate.ini": "[experiment]\nfunction = class\n\n[noise]\nseeds = 5\n",
     "rate-c-tau.ini": "[experiment]\nfunction = class\naxis = tau\nmetric = C\n\n"
                       "[noise]\nseeds = 5\n",
     "rate-example1.ini": "[experiment]\nfunction = example1\n\n[noise]\nseeds = 5\n",
+    "rate-tau.ini": "[experiment]\nfunction = class\naxis = tau\n\n[noise]\nseeds = 5\n",
+    # 5 deltas x 13 seeds = 65 trials, which fork
+    "rate-c-forked.ini": "[experiment]\nfunction = class\nmetric = C\n\n[noise]\nseeds = 13\n",
     "class.ini": "[experiment]\nfunction = class\n",
     "auto.ini": "[method]\nn = auto\n",
 }
@@ -52,6 +56,10 @@ RUNS = {
     "rate-class-c-tau": ["rate-study", "--config", "rate-c-tau.ini"],
     # L2 errors against a callable reference, projected by quadrature
     "rate-example1": ["rate-study", "--config", "rate-example1.ini"],
+    # L2 errors of the class function differentiated along tau
+    "rate-class-tau": ["rate-study", "--config", "rate-tau.ini"],
+    # C errors of 65 trials, split across forked workers
+    "rate-class-c-forked": ["rate-study", "--config", "rate-c-forked.ini"],
     # a coefficient reference of degree 128 above the grid's degree 64
     "table-class": ["example1", "--config", "class.ini", "--delta", "1e-6,0",
                     "--n", "12,20", "--seeds", "3"],
@@ -131,6 +139,10 @@ def summarize(run_dir: pathlib.Path, stdout: str) -> dict:
             sha[name] = hashlib.sha256(path.read_bytes()).hexdigest()
             if name.endswith(".csv"):
                 columns[name] = _columns(path.read_text())
+    config = run_dir / "config.ini"
+    if config.exists():  # its [output] dir names the results root
+        kept = re.sub(r"(?m)^dir = .*\n", "", config.read_text())
+        sha["config.ini"] = hashlib.sha256(kept.encode()).hexdigest()
     table = run_dir / "table.csv"
     if table.exists():
         lines = [line.split(",") for line in table.read_text().splitlines()]

@@ -591,7 +591,7 @@ def test_blocked_c_error_matches_the_whole_array_form(monkeypatch, points, slab)
         assert scorer._grid_tables[1].shape == (points, points)
         params = build_cross(n=36, gamma=2.25, r=2, axis=axis)
         trials = list(noisy_trials(grid, params, (1e-5, 1e-9)))
-        level = _Level(scorer, grid.data, 36, 2.25, 2, axis, None)
+        level = _Level(scorer, grid.data, params, None)
         # the reference itself, and the reference plus phi_0(t) + phi_1(t),
         # whose worst points lie in the last row (t = 1) only
         exact = fn.exact_deriv(2, axis).coeff_data
@@ -773,7 +773,7 @@ def test_bounded_c_equals_the_exhaustive_slab_pass(monkeypatch, points, axis, r)
     for level, (n, delta) in LEVELS.items():
         params = build_cross(n=n, gamma=2.0, r=r, axis=axis)
         bias = truncate(grid, params)
-        noise_level = _Level(scorer, grid.data, n, 2.0, r, axis, None)
+        noise_level = _Level(scorer, grid.data, params, None)
         noisy = [truncate(add_noise(grid, NoiseSpec(delta, 2.0, "rescaled", sd)), params)
                  for sd in range(20)]
         noise = np.abs(synthesize(noisy[0].data - bias.data, g, g)).max()
@@ -818,7 +818,7 @@ def test_bounded_c_keeps_a_nan_of_the_reference():
     grid = exact_coeffs(F, 32, 32)
     params = build_cross(n=16, gamma=2.0, r=2)
     scorer = ErrorEvaluator(exact, 32, 32)
-    level = _Level(scorer, grid.data, 16, 2.0, 2, "t", None)
+    level = _Level(scorer, grid.data, params, None)
     assert np.isnan(level.bias_max).sum() == 1
     noisy = add_noise(grid, NoiseSpec(1e-7, 2.0, "rescaled", 3))
     assert math.isnan(level._c_block(truncate(noisy, params).data))
@@ -836,7 +836,7 @@ def test_bounded_c_prunes_rate_trials(axis):
         sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
         params = build_cross(n=choose_n(sp, delta, 2), gamma=choose_gamma(sp, 2), r=2,
                              axis=axis)
-        level = _Level(scorer, grid.data, params.n, params.gamma, 2, axis, None)
+        level = _Level(scorer, grid.data, params, None)
         for sd in range(20):
             noisy = add_noise(grid, NoiseSpec(delta, 2.0, "rescaled", 50 * i + sd))
             approx = truncate(noisy, params)
@@ -866,18 +866,17 @@ def test_block_trials_score_like_the_full_grid(axis, make):
         sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
         params = build_cross(n=choose_n(sp, delta, 2), gamma=choose_gamma(sp, 2), r=2,
                              axis=axis)
-        keep = truncation._cross_block(params.n, params.gamma, 2, axis, grid.K, grid.J)
-        kb, jb = keep.shape
-        outside = scorer._outside(keep.shape)
+        kb, jb = truncation._fit(params, grid.K, grid.J).shape
+        outside = scorer._outside((kb, jb))
         inside = np.zeros(ref.shape, dtype=bool)
         inside[:kb, :jb] = True
         assert outside == pytest.approx(tail + math.fsum(ref[~inside] ** 2), rel=1e-14)
-        level = _Level(scorer, grid.data, params.n, params.gamma, 2, axis, None)
+        level = _Level(scorer, grid.data, params, None)
         for sd in range(5):
             spec = NoiseSpec(delta, 2.0, "rescaled", 50 * i + sd)
             full = truncate(add_noise(grid, spec), params).data
             block = truncation._truncate_block(
-                coeffs._noisy_block(grid.data, spec, keep.shape), keep, 2, axis)
+                coeffs._noisy_block(grid.data, spec, (kb, jb)), params)
             assert np.array_equal(block, full[:kb, :jb]) and not full[~inside].any()
             assert_same_float(level._c_block(block), level._c_block(full))
             if fn.coeff_data is None:
@@ -897,9 +896,9 @@ def test_noise_free_level_errors_match_the_exhaustive_oracle(h, axis):
     grid = exact_coeffs(fn, 24, 24) if h is None else coeffs.trapezoid_coeffs(fn, 24, 24, h)
     oracle = ErrorEvaluator(fn.exact_deriv(2, axis), 24, 24)
     for n in (8, 16, 24):
-        level = _Level(ErrorEvaluator(fn.exact_deriv(2, axis), 24, 24), grid.data, n, 1.0, 2,
-                       axis, None)
-        approx = truncate(grid, build_cross(n=n, gamma=1.0, r=2, axis=axis))
+        cross = build_cross(n=n, gamma=1.0, r=2, axis=axis)
+        level = _Level(ErrorEvaluator(fn.exact_deriv(2, axis), 24, 24), grid.data, cross, None)
+        approx = truncate(grid, cross)
         assert_same_float(level.errors[1], oracle.c(approx))
         assert level.errors[0] == pytest.approx(oracle.l2(approx), rel=1e-15)
 

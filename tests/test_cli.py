@@ -165,6 +165,16 @@ def test_rate_study_refuses_a_given_n(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["n.ini"]
 
 
+@pytest.mark.parametrize("method", ["", "\n[method]\nn = 8\n"], ids=["hs", "hs-and-n"])
+def test_rate_study_refuses_trapezoid_steps(tmp_path, capsys, method):
+    # the steps are named first, whatever else the file asks
+    cfg = tmp_path / "hs.ini"
+    cfg.write_text("[experiment]\nfunction = class\n\n[noise]\nhs = 0.01\n" + method)
+    assert run_cli("rate-study", "--config", cfg, "--out", tmp_path) == 2
+    assert capsys.readouterr().err == "error: rate-study needs [noise] deltas, not hs\n"
+    assert os.listdir(tmp_path) == ["hs.ini"]
+
+
 def test_rate_study_class_function_with_large_weights_is_finite(tmp_path):
     # s * (mu1 + mu2) = 400 used to overflow the class norm into NaN errors
     cfg = tmp_path / "heavy.ini"
@@ -255,15 +265,15 @@ def test_rate_study_worker_failure_is_one_error_line(tmp_path, capsys, monkeypat
     ("example1-trapezoid", ["example1", "--noise", "trapezoid", "--h", "0.01,0.01,0.01"]),
     ("example2", ["example2", "--h", "0.01,0.01,0.01"])])
 def test_table_card_counts_each_cross_once(tmp_path, monkeypatch, preset, argv):
-    # card is read off the mask truncate() uses, so each row's cross is
+    # card is read off the cross the plan built, so each row's cross is
     # enumerated once, and the count is the cross's cardinality
-    truncation._cross_block.cache_clear()
     calls, enumerate_cross = [], truncation.build_cross
 
     def counted(*args):
         calls.append(args)
         return enumerate_cross(*args)
 
+    monkeypatch.setattr(analysis, "build_cross", counted)  # where _plan builds them
     monkeypatch.setattr(truncation, "build_cross", counted)
     monkeypatch.setattr(cli, "build_cross", counted, raising=False)  # any direct use
     assert run_cli(*argv, "--out", tmp_path, "--run-id", "t") == 0
@@ -647,6 +657,24 @@ def test_usage_errors_are_one_line(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["example1", "--n", "x"], "--n: x is not a list of integers or auto"),
+    (["example1", "--delta", "x"], "--delta: x is not a list of floats"),
+    (["example1", "--seeds", "1.5"], "--seeds: 1.5 is not an integer"),
+    (["example1", "--gamma", "x"], "--gamma: x is not a float"),
+    (["cross-card", "--gamma", "x", "--n", "4,8"], "--gamma: x is not a list of floats"),
+    (["cross-card", "--gamma", "1", "--n", "4,x"], "--n: 4,x is not a list of integers")],
+    ids=["n", "delta", "seeds", "gamma", "cross-card-gamma", "cross-card-n"])
+def test_a_flag_value_that_does_not_parse_says_what_it_must_be(tmp_path, capsys,
+                                                               monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", tmp_path)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: argument {message}\n"
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("f", [f for f in FIELDS if f.parse in (float, cli.float_list)],
                          ids=lambda f: f.attr)
@@ -727,11 +755,10 @@ def test_truncation_level_beyond_grid_degree_is_reported(tmp_path, capsys, monke
     def refuse(*args):
         raise AssertionError("work started before the refusal")
 
-    for module, name in ((truncation, "build_cross"), (cli, "exact_coeffs"),
-                         (cli, "trapezoid_coeffs"), (analysis, "exact_coeffs"),
-                         (analysis._Level, "trial")):
+    for module, name in ((truncation, "build_cross"), (analysis, "build_cross"),
+                         (cli, "exact_coeffs"), (cli, "trapezoid_coeffs"),
+                         (analysis, "exact_coeffs"), (analysis._Level, "trial")):
         monkeypatch.setattr(module, name, refuse)
-    truncation._cross_block.cache_clear()
     cfg = tmp_path / "e1.ini"
     cfg.write_text(f"[experiment]\nfunction = example1\n\n[method]\ngrid_degree = {degree}\n")
     rc = run_cli(*argv, "--config", cfg, "--out", tmp_path)

@@ -1,6 +1,6 @@
 """Golden digests: the example1 presets, example2, class-function, forked and
-choose_n tables, rate studies of the class function and of example1,
-cross-card and emit-surface give the outputs recorded in
+choose_n tables, rate studies of the class function (one of them forked)
+and of example1, cross-card and emit-surface give the outputs recorded in
 tests/golden/digests.json (see tests/record_golden.py, which records them
 and which no test runs)."""
 
@@ -57,9 +57,10 @@ def test_outputs_match_the_golden_digests(outputs, name):
 
 
 def test_n_auto_flag_writes_what_the_ini_key_writes(outputs):
-    # every run file; stdout names the run directory, which differs
+    # every run file; stdout and config.ini name the run, which differs
     want = json.loads(GOLDEN.read_text())["runs"]["table-auto"]["sha256"]
     got = outputs["table-auto-flag"]["sha256"]
     assert got.keys() == want.keys()
-    assert {k: v for k, v in got.items() if k != "stdout"} == {
-        k: v for k, v in want.items() if k != "stdout"}
+    named = ("stdout", "config.ini")
+    assert {k: v for k, v in got.items() if k not in named} == {
+        k: v for k, v in want.items() if k not in named}

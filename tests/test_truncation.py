@@ -107,10 +107,10 @@ def test_cross_mask_shape_guard():
         with pytest.raises(ValueError):
             cross.block[r, 0] = False
     # a grid the cross sticks out of is refused, naming the first index outside it
-    assert np.array_equal(truncation._cross_block(10, 1.0, 2, "t", 10, 5),
-                          build_cross(10, 1.0, 2).block)
+    cross = build_cross(10, 1.0, 2)
+    assert truncation._fit(cross, 10, 5) is cross.block
     with pytest.raises(ValueError, match=r"cross index \(6,0\) outside grid of degrees \(5,5\)"):
-        truncation._cross_block(10, 1.0, 2, "t", 5, 5)
+        truncation._fit(cross, 5, 5)
 
 
 def test_cardinality_growth_rates():
@@ -356,20 +356,20 @@ def test_block_truncate_matches_the_dense_form():
                             assert not got.any()
 
 
-def test_truncate_reuses_one_read_only_mask_per_cross(monkeypatch):
-    truncation._cross_block.cache_clear()
-    calls = []
-    monkeypatch.setattr(truncation, "build_cross",
-                        lambda *a: calls.append(a) or build_cross(*a))
-    grid = CoeffGrid(data=np.ones((20, 20)))
+def test_truncate_builds_no_cross(monkeypatch):
     params = build_cross(n=10, gamma=1.5, r=2)
+    # k runs over 2..10 and j up to (10/2)^(1/1.5) ~ 2.9 at k = 2
+    assert params.block.shape == (11, 3) and not params.block.flags.writeable
+
+    def refuse(*args):
+        raise AssertionError("truncate built a cross")
+
+    monkeypatch.setattr(truncation, "build_cross", refuse)
+    grid = CoeffGrid(data=np.ones((20, 20)))
     first = truncate(grid, params)
     assert np.array_equal(truncate(grid, params).data, first.data)
-    assert calls == [(10, 1.5, 2, "t")]
-    keep = truncation._cross_block(10, 1.5, 2, "t", 19, 19)
-    # k runs over 2..10 and j up to (10/2)^(1/1.5) ~ 2.9 at k = 2
-    assert keep.shape == (11, 3) and not keep.flags.writeable
-    # a grid the cross sticks out of is refused every time, not cached
+    assert not first.data[:, 3:].any() and not first.data[11:].any()
+    # a grid the cross sticks out of is refused on every call
     for _ in range(2):
         with pytest.raises(ValueError, match="outside grid of degrees"):
             truncate(CoeffGrid(data=np.ones((6, 6))), params)
