@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .coeffs import (
-    CoeffGrid, NoiseSpec, _composite_rule, _noisy_block, _project, _write_csv, exact_coeffs,
+    CoeffGrid, NoiseSpec, _noisy_block, _project, _write_csv, exact_coeffs,
 )
 from .legendre import _usable_cpus, differentiate, phi_matrix, synthesize
 from .truncation import (
@@ -85,19 +85,10 @@ class PiecewisePoly:
     def deriv(self, r: int) -> "PiecewisePoly":
         if r == 0:
             return self
-        pieces = tuple(tuple(_polyder(np.asarray(cs, dtype=float), r)) for cs in self.pieces)
+        from numpy.polynomial.polynomial import polyder  # loaded on first use, not by importing the cli
+
+        pieces = tuple(tuple(polyder(np.asarray(cs, dtype=float), r)) for cs in self.pieces)
         return PiecewisePoly(self.breakpoints, pieces)
-
-
-def _polyder(cs: np.ndarray, r: int) -> np.ndarray:
-    """numpy.polynomial.polynomial.polyder(cs, r) for r >= 1, bit for bit,
-    without importing numpy.polynomial: each order multiplies coefficient j
-    by j and drops the constant; one zero of cs's kind once r >= cs.size."""
-    if r >= cs.size:
-        return cs[:1] * 0
-    for _ in range(r):
-        cs = cs[1:] * np.arange(1, cs.size)
-    return cs
 
 
 def _horner(x: np.ndarray, cs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -458,28 +449,10 @@ class _Level:
         return self._scorer._l2_block(approx, self._outside), self._c_block(approx)
 
 
-def l2_error(approx: CoeffGrid, exact, quad_nodes: int) -> float:
-    """L2([-1,1]^2) distance between a synthesized grid and a reference.
-
-    quad_nodes (per smooth piece per axis) must exceed by >= 32 the highest
-    active degree of approx and of the reference's coeff_data, if it
-    carries one, so the quadrature resolves the integrand; the rule splits
-    at the reference's breakpoints_t / breakpoints_tau, where it is only
-    piecewise smooth.
-    Every reference is integrated here, on fresh composite Gauss rules: the
-    quadrature form ErrorEvaluator's coefficient path is tested against.
-    Scoring many grids against one reference is cheaper with ErrorEvaluator.
-    """
-    kmax, jmax = _effective_degrees(approx.data)
-    if getattr(exact, "coeff_data", None) is not None:
-        kref, jref = _effective_degrees(exact.coeff_data)
-        kmax, jmax = max(kmax, kref), max(jmax, jref)
-    if quad_nodes < max(kmax, jmax) + 32:
-        raise ValueError(f"quad_nodes={quad_nodes} too small for active degrees ({kmax},{jmax})")
-    t, wt = _composite_rule(quad_nodes, getattr(exact, "breakpoints_t", ()))
-    tau, wtau = _composite_rule(quad_nodes, getattr(exact, "breakpoints_tau", ()))
-    diff = synthesize(approx, t, tau) - np.asarray(exact(t[:, None], tau[None, :]), dtype=float)
-    return math.sqrt(max(wt @ np.square(diff, out=diff) @ wtau, 0.0))
+def l2_error(approx: CoeffGrid, exact) -> float:
+    """L2([-1,1]^2) distance between a coefficient grid and a reference, by
+    Parseval (see ErrorEvaluator)."""
+    return ErrorEvaluator(exact, approx.K, approx.J).l2(approx)
 
 
 def c_error(approx: CoeffGrid, exact) -> float:

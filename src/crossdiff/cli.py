@@ -537,13 +537,14 @@ def _build_parser() -> argparse.ArgumentParser:
                                     type=_flag_type(float_list, "a list of floats"))
     cmds["cross-card"].add_argument("--n", required=True, help="comma-separated levels",
                                     type=_flag_type(int_list, "a list of integers"))
-    cmds["cross-card"].add_argument("--r", type=int, default=1)
+    integer = _flag_type(int, "an integer")
+    cmds["cross-card"].add_argument("--r", type=integer, default=1)
 
     ps = cmds["emit-surface"]
     ps.add_argument("--run", required=True, help="run id or run directory")
     ps.add_argument("--function", help="check the run used this function id")
-    ps.add_argument("--grid-points", dest="grid_points", type=int, default=101)
-    ps.add_argument("--row", type=int, default=0)
+    ps.add_argument("--grid-points", dest="grid_points", type=integer, default=101)
+    ps.add_argument("--row", type=integer, default=0)
     return parser
 
 

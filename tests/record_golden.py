@@ -1,8 +1,9 @@
 """Record the golden digests that tests/test_golden.py compares against.
 
 Runs each command of RUNS in a fresh interpreter, with crossdiff imported
-from ./src and OpenBLAS on 2 threads, then each command of READERS on the
-run it reads, and writes tests/golden/digests.json: for each run the
+from ./src and OpenBLAS on a given number of threads, then each command of
+READERS on the run it reads, and writes tests/golden/digests-<threads>.json,
+one record per thread count of THREADS: for each run the
 SHA-256 of its stdout (with the results root written as <root>, and no
 error_l2 values), of every row_<i>/deriv.csv, of rate.csv, card.csv,
 verdicts.txt and surface.csv, of config.ini less its [output] dir line,
@@ -11,10 +12,11 @@ columns of the CSV files as numbers.
 error_l2 is compared to 1e-13 relative, not by digest, since it is a
 quadrature sum whose rule may change; the other columns are kept to show
 which column moved when a digest does not match. OpenBLAS sums in an
-order that depends on its thread count, so the digests hold at 2 threads
-only. From the repository root:
+order that depends on its thread count, so each record holds at its own
+thread count only. From the repository root, for every thread count or
+for those named:
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=2 python tests/record_golden.py
+    PYTHONPATH=src python tests/record_golden.py [THREADS ...]
 
 Record again only with a change that is meant to move these outputs, and
 say so in CHANGES.md.
@@ -32,9 +34,9 @@ import sys
 import tempfile
 
 HERE = pathlib.Path(__file__).resolve().parent
-GOLDEN = HERE / "golden" / "digests.json"
 SRC = HERE.parent / "src"
-BLAS_THREADS = "2"
+# the OpenBLAS thread counts recorded, each in a file of its own
+THREADS = (1, 2)
 # the config file of each run that reads one, by file name; each rate study
 # but rate-c-forked has 5 deltas x 5 seeds: 25 trials, no fork
 CONFIGS = {
@@ -84,15 +86,20 @@ WHOLE = ("rate.csv", "card.csv", "verdicts.txt", "surface.csv")
 UNDIGESTED = ("error_l2", "wall_time")
 
 
-def run_all(root: pathlib.Path, runs: dict = RUNS) -> dict:
-    """Run every command of runs at once, each in a fresh interpreter that
-    writes its run directory root/<name>, then every command of READERS
-    whose run is in runs; raise with the stderr of the first that fails.
-    Return each run's stdout, its commands' in turn, with root written as
-    <root>."""
+def golden(threads: int) -> pathlib.Path:
+    """The record of the outputs at this OpenBLAS thread count."""
+    return HERE / "golden" / f"digests-{threads}.json"
+
+
+def run_all(root: pathlib.Path, runs: dict, threads: int) -> dict:
+    """Run every command of runs at once, each in a fresh interpreter on
+    threads OpenBLAS threads that writes its run directory root/<name>, then
+    every command of READERS whose run is in runs; raise with the stderr of
+    the first that fails. Return each run's stdout, its commands' in turn,
+    with root written as <root>."""
     for name, text in CONFIGS.items():
         (root / name).write_text(text)
-    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=BLAS_THREADS)
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=str(threads))
     stdout = dict.fromkeys(runs, "")
     for phase in ({name: [*argv, "--out", str(root), "--run-id", name]
                    for name, argv in runs.items()},
@@ -154,18 +161,20 @@ def summarize(run_dir: pathlib.Path, stdout: str) -> dict:
     return {"sha256": sha, "columns": columns}
 
 
-def main() -> int:
-    with tempfile.TemporaryDirectory() as tmp:
-        root = pathlib.Path(tmp)
-        stdout = run_all(root)
-        golden = {"blas_threads": int(BLAS_THREADS),
-                  "runs": {name: {"argv": RUNS[name], **summarize(root / name, stdout[name])}
-                           for name in RUNS}}
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
+def main(argv: list[str]) -> int:
+    for threads in map(int, argv or THREADS):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = pathlib.Path(tmp)
+            stdout = run_all(root, RUNS, threads)
+            record = {"blas_threads": threads,
+                      "runs": {name: {"argv": RUNS[name], **summarize(root / name, stdout[name])}
+                               for name in RUNS}}
+        path = golden(threads)
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {path}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

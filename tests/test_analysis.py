@@ -272,7 +272,7 @@ def test_l2_error_of_identical_grids_is_zero():
     data = rng.standard_normal((6, 6))
     approx = CoeffGrid(data=data)
     exact = lambda t, tau: synthesize(data, np.ravel(t), np.ravel(tau))
-    assert l2_error(approx, exact, 48) < 1e-10
+    assert l2_error(approx, exact) < 1e-10
 
 
 def test_l2_error_of_zero_grid_vs_unit_mode():
@@ -280,7 +280,7 @@ def test_l2_error_of_zero_grid_vs_unit_mode():
     target[1, 0] = 1.0
     exact = lambda t, tau: synthesize(target, np.ravel(t), np.ravel(tau))
     approx = CoeffGrid(data=np.zeros((2, 2)))
-    assert l2_error(approx, exact, 40) == pytest.approx(1.0, abs=1e-12)
+    assert l2_error(approx, exact) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_c_error_trivial_cases():
@@ -292,8 +292,15 @@ def test_c_error_trivial_cases():
     assert c_error(CoeffGrid(data=np.zeros((3, 3))), half) == 0.5
 
 
-def oracle_l2(approx, exact, quad, breakpoints_t=(), breakpoints_tau=()):
-    # the per-call quadrature form: fresh rules, full synthesis, fresh reference
+def oracle_l2(approx, exact, quad, breakpoints_t=None, breakpoints_tau=None):
+    # the per-call quadrature form: fresh rules of quad nodes per piece, split
+    # at the reference's breakpoints unless others are given, full synthesis,
+    # fresh reference; quad must exceed by 32 the active degrees of approx
+    # and of the reference, so the rule resolves the integrand
+    if breakpoints_t is None:
+        breakpoints_t = getattr(exact, "breakpoints_t", ())
+    if breakpoints_tau is None:
+        breakpoints_tau = getattr(exact, "breakpoints_tau", ())
     t, wt = _composite_rule(quad, breakpoints_t)
     tau, wtau = _composite_rule(quad, breakpoints_tau)
     diff = synthesize(approx, t, tau) - np.asarray(exact(t[:, None], tau[None, :]))
@@ -339,7 +346,6 @@ def test_evaluator_matches_per_call_quadrature_across_kinks(make):
     for approx in noisy_trials(grid, params, (1e-7, 1e-9)):
         expect = oracle_l2(approx, exact, 88, bt, btau)
         assert scorer.l2(approx) == pytest.approx(expect, rel=1e-12)
-        assert l2_error(approx, exact, 88) == pytest.approx(expect, rel=1e-12)
         assert scorer.c(approx) == pytest.approx(oracle_c(approx, exact), rel=1e-12)
 
 
@@ -355,15 +361,11 @@ def test_evaluator_scores_all_zero_grid_as_reference_norm():
 
 
 def test_error_metric_preconditions():
-    # l2_error refuses a rule too small for approx's active degrees, the
-    # evaluator a grid beyond its own degrees
+    # the evaluator refuses a grid beyond its own degrees
     data = np.zeros((11, 11))
     data[10, 10] = 1.0
     grid = CoeffGrid(data=data)
     exact = lambda t, tau: np.zeros(np.broadcast(t, tau).shape)
-    margin = r"quad_nodes=41 too small for active degrees \(10,10\)"
-    with pytest.raises(ValueError, match=margin):
-        l2_error(grid, exact, 41)
     with pytest.raises(ValueError, match="exceed the evaluator's degrees"):
         ErrorEvaluator(exact, 8, 8).c(grid)
     # a coefficient reference, of any degrees, takes the same check in both
@@ -375,18 +377,45 @@ def test_error_metric_preconditions():
 
 
 def test_l2_error_counts_the_degrees_of_a_coefficient_reference():
-    # approx's active degrees alone would let 56 nodes pass, 2.4e-2 relative
-    # off; the class derivative's own degrees, (126, 128), ask for 160
+    # approx's active degrees alone would give the quadrature 56 nodes, 2.4e-2
+    # relative off; the class derivative's own degrees, (126, 128), ask for 160
     fn = make_class_function()
     exact = fn.exact_deriv(2, "t")
     approx = truncate(CoeffGrid(data=np.array(fn.coeff_data)),
                       build_cross(n=24, gamma=2.25, r=2))
-    for quad in (56, 159):
-        with pytest.raises(ValueError, match=rf"quad_nodes={quad} too small for active "
-                                             r"degrees \(126,128\)"):
-            l2_error(approx, exact, quad)
     parseval = ErrorEvaluator(exact, 128, 128).l2(approx)
-    assert l2_error(approx, exact, 160) == pytest.approx(parseval, rel=1e-12)
+    assert oracle_l2(approx, exact, 160) == pytest.approx(parseval, rel=1e-12)
+
+
+def readme_case():
+    # the README's library example: example1, delta 1e-9, n = 28, K = J = 64
+    F = example1_F()
+    noisy = add_noise(exact_coeffs(F, 64, 64), NoiseSpec(delta=1e-9, p=np.inf, seed=0))
+    return truncate(noisy, build_cross(28, 1.0, 2)), F.exact_deriv(2, "t"), 104
+
+
+def class_case(degree):
+    # the class reference, of degrees (126, 128), on a grid of this degree
+    fn = make_class_function()
+    data = np.zeros((degree + 1, degree + 1))
+    kept = min(degree, 128) + 1
+    data[:kept, :kept] = fn.coeff_data[:kept, :kept]
+    approx = truncate(CoeffGrid(data=data), build_cross(24, 2.25, 2))
+    return approx, fn.exact_deriv(2, "t"), max(degree, 128) + 32
+
+
+def example2_tau_case():
+    F = example2_F()
+    noisy = add_noise(exact_coeffs(F, 48, 40), NoiseSpec(1e-7, 2.0, "rescaled", 5))
+    return truncate(noisy, build_cross(20, 1.0, 2, axis="tau")), F.exact_deriv(2, "tau"), 88
+
+
+@pytest.mark.parametrize("case", [readme_case, lambda: class_case(64),
+                                  lambda: class_case(160), example2_tau_case],
+                         ids=["readme", "class-above-grid", "class-below-grid", "example2-tau"])
+def test_l2_error_is_the_quadrature_distance(case):
+    approx, exact, quad = case()
+    assert l2_error(approx, exact) == pytest.approx(oracle_l2(approx, exact, quad), rel=1e-12)
 
 
 def test_l2_bounded_by_twice_sup_norm():
@@ -396,14 +425,14 @@ def test_l2_bounded_by_twice_sup_norm():
     exact = lambda t, tau: np.zeros(np.broadcast(t, tau).shape)
     for _ in range(3):
         grid = CoeffGrid(data=rng.standard_normal((9, 9)))
-        assert l2_error(grid, exact, 48) <= 2.0 * c_error(grid, exact) * (1 + 1e-6)
+        assert l2_error(grid, exact) <= 2.0 * c_error(grid, exact) * (1 + 1e-6)
     F = example1_F()
     from crossdiff.coeffs import exact_coeffs
 
     grid = exact_coeffs(F, 32, 32)
     approx = truncate(grid, build_cross(n=12, gamma=1.0, r=2))
     d = F.exact_deriv(2, "t")
-    el2 = l2_error(approx, d, 72)
+    el2 = l2_error(approx, d)
     ec = c_error(approx, d)
     assert el2 <= 2.0 * ec * (1 + 1e-6)
 
@@ -525,7 +554,7 @@ def test_noise_free_truncation_decay_rate():
     ns = (8, 16, 32, 64)
     for n in ns:
         approx = truncate(grid, build_cross(n=n, gamma=2.25, r=2))
-        errs.append(l2_error(approx, exact_d, grid.K + 40))
+        errs.append(l2_error(approx, exact_d))
     slope = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert slope >= 5.6 - 4 + 0.5 - 0.5 - 0.3
 
@@ -630,22 +659,7 @@ def test_parseval_l2_matches_quadrature_on_rate_trials(axis):
     scorer = ErrorEvaluator(fn.exact_deriv(2, axis), 128, 128)
     exact = fn.exact_deriv(2, axis)
     for approx in rate_trials(fn, axis):
-        assert scorer.l2(approx) == pytest.approx(l2_error(approx, exact, quad), rel=1e-12)
-
-
-def test_polyder_is_numpys_bit_for_bit():
-    # the kink pieces, a negative leading coefficient, signed zeros, and
-    # magnitudes near both ends of the float range, up to overflow
-    rng = np.random.default_rng(11)
-    cases = [np.asarray(cs, dtype=float) for cs in _kink_factor().pieces]
-    cases += [np.array([0.5, -0.0, 3.0, -7.25]), np.array([-0.0]), np.array([2.0, -1e300])]
-    cases += [rng.standard_normal(size) * scale
-              for size in (1, 2, 5, 9, 16) for scale in (1e-300, 1.0, 1e300)]
-    with np.errstate(over="ignore"):
-        for cs in cases:
-            for r in range(1, 16):
-                got, want = analysis._polyder(cs, r), npoly.polyder(cs, r)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (cs, r)
+        assert scorer.l2(approx) == pytest.approx(oracle_l2(approx, exact, quad), rel=1e-12)
 
 
 def test_coefficient_reference_is_the_exact_derivative():
@@ -668,7 +682,7 @@ def assert_parseval(ref, approx_data):
     K, J = ref.shape[0] - 1, ref.shape[1] - 1
     approx = CoeffGrid(data=approx_data)
     exact = lambda t, tau: synthesize(ref, np.ravel(t), np.ravel(tau))
-    quad = l2_error(approx, exact, max(K, J) + 32)
+    quad = oracle_l2(approx, exact, max(K, J) + 32)
     parseval = ErrorEvaluator(analysis.TestFunction("ref", coeff_data=ref), K, J).l2(approx)
     floor = max(1e-12 * (np.abs(ref).sum() + np.abs(approx_data).sum()), UNDERFLOW)
     assert parseval == pytest.approx(quad, rel=1e-9, abs=floor)

@@ -663,8 +663,12 @@ def test_usage_errors_are_one_line(capsys):
     (["example1", "--seeds", "1.5"], "--seeds: 1.5 is not an integer"),
     (["example1", "--gamma", "x"], "--gamma: x is not a float"),
     (["cross-card", "--gamma", "x", "--n", "4,8"], "--gamma: x is not a list of floats"),
-    (["cross-card", "--gamma", "1", "--n", "4,x"], "--n: 4,x is not a list of integers")],
-    ids=["n", "delta", "seeds", "gamma", "cross-card-gamma", "cross-card-n"])
+    (["cross-card", "--gamma", "1", "--n", "4,x"], "--n: 4,x is not a list of integers"),
+    (["cross-card", "--gamma", "1", "--n", "4", "--r", "x"], "--r: x is not an integer"),
+    (["emit-surface", "--run", "r", "--grid-points", "x"], "--grid-points: x is not an integer"),
+    (["emit-surface", "--run", "r", "--row", "x"], "--row: x is not an integer")],
+    ids=["n", "delta", "seeds", "gamma", "cross-card-gamma", "cross-card-n", "cross-card-r",
+         "emit-surface-grid-points", "emit-surface-row"])
 def test_a_flag_value_that_does_not_parse_says_what_it_must_be(tmp_path, capsys,
                                                                monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)

@@ -1,27 +1,35 @@
 """Golden digests: the example1 presets, example2, class-function, forked and
 choose_n tables, rate studies of the class function (one of them forked)
 and of example1, cross-card and emit-surface give the outputs recorded in
-tests/golden/digests.json (see tests/record_golden.py, which records them
-and which no test runs)."""
+tests/golden/digests-<threads>.json at 1 and at 2 OpenBLAS threads (see
+tests/record_golden.py, which records them and which no test runs)."""
 
 import json
 import math
 
 import pytest
 
-from record_golden import GOLDEN, RUNS, run_all, summarize
+from record_golden import RUNS, golden, run_all, summarize
 
 
 # the flag form of table-auto's [method] n = auto
 AUTO_FLAG = ["example1", "--n", "auto", "--seeds", "3"]
 
 
+def _outputs(tmp_path_factory, runs, threads):
+    root = tmp_path_factory.mktemp(f"golden-{threads}")
+    stdout = run_all(root, runs, threads)
+    return {name: summarize(root / name, stdout[name]) for name in runs}
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden")
-    runs = {**RUNS, "table-auto-flag": AUTO_FLAG}
-    stdout = run_all(root, runs)
-    return {name: summarize(root / name, stdout[name]) for name in runs}
+    return _outputs(tmp_path_factory, {**RUNS, "table-auto-flag": AUTO_FLAG}, 2)
+
+
+@pytest.fixture(scope="module")
+def outputs_one_thread(tmp_path_factory):
+    return _outputs(tmp_path_factory, RUNS, 1)
 
 
 def _deviations(got: dict, want: dict) -> dict:
@@ -41,11 +49,10 @@ def _deviations(got: dict, want: dict) -> dict:
     return out
 
 
-@pytest.mark.parametrize("name", list(RUNS))
-def test_outputs_match_the_golden_digests(outputs, name):
-    golden = json.loads(GOLDEN.read_text())
-    assert golden["blas_threads"] == 2
-    want, got = golden["runs"][name], outputs[name]
+def assert_matches_the_record(got: dict, name: str, threads: int):
+    record = json.loads(golden(threads).read_text())
+    assert record["blas_threads"] == threads
+    want = record["runs"][name]
     assert want["argv"] == RUNS[name]
     deviations = _deviations(got["columns"], want["columns"])
     assert got["sha256"] == want["sha256"], f"largest relative deviations: {deviations}"
@@ -56,9 +63,19 @@ def test_outputs_match_the_golden_digests(outputs, name):
             f"largest relative deviations: {deviations}")
 
 
+@pytest.mark.parametrize("name", list(RUNS))
+def test_outputs_match_the_golden_digests(outputs, name):
+    assert_matches_the_record(outputs[name], name, 2)
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_one_thread_outputs_match_their_golden_digests(outputs_one_thread, name):
+    assert_matches_the_record(outputs_one_thread[name], name, 1)
+
+
 def test_n_auto_flag_writes_what_the_ini_key_writes(outputs):
     # every run file; stdout and config.ini name the run, which differs
-    want = json.loads(GOLDEN.read_text())["runs"]["table-auto"]["sha256"]
+    want = json.loads(golden(2).read_text())["runs"]["table-auto"]["sha256"]
     got = outputs["table-auto-flag"]["sha256"]
     assert got.keys() == want.keys()
     named = ("stdout", "config.ini")

@@ -62,7 +62,7 @@ def test_error_layer_takes_only_what_varies():
 
     assert names(analysis.ErrorEvaluator) == ["exact", "K", "J"]
     assert names(crossdiff.exact_coeffs) == ["f", "K", "J"]
-    assert names(crossdiff.l2_error) == ["approx", "exact", "quad_nodes"]
+    assert names(crossdiff.l2_error) == ["approx", "exact"]
     assert names(crossdiff.c_error) == ["approx", "exact"]
     assert names(crossdiff.make_class_function) == ["s", "mu1", "mu2"]
 
