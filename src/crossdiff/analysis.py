@@ -1,11 +1,10 @@
 """Test-function corpus, error metrics, and noise-convergence rate studies.
 
-The corpus functions are separable, F(t,tau) = g(t) q(tau) / C, with
-factors that are either piecewise polynomials (a kink of limited
-smoothness at t = 0) or trigonometric; both carry exact derivative
-closed forms so reconstruction errors can be measured without a
-reference discretization. Synthetic class members are built directly
-from prescribed coefficient decay.
+Every function is separable, F(t,tau) = g(t) q(tau) / C, with factors
+that are piecewise polynomials (a kink of limited smoothness at t = 0),
+trigonometric, or Legendre series of prescribed coefficient decay (the
+class members); each carries its exact derivatives, so reconstruction
+errors are measured without a reference discretization.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ from functools import cached_property
 import numpy as np
 
 from .coeffs import (
-    CoeffGrid, NoiseSpec, _noisy_block, _project, _write_csv, exact_coeffs,
+    CoeffGrid, NoiseSpec, _noisy_block, _project, _series_coeffs, _write_csv, exact_coeffs,
 )
-from .legendre import _usable_cpus, differentiate, phi_matrix, synthesize
+from .legendre import _LegendreSeries, _usable_cpus, phi_matrix
 from .truncation import (
     CrossSet,
     SmoothnessParams,
@@ -135,62 +134,37 @@ class CosFactor:
         )
 
 
-def _synth_eval(data: np.ndarray, t, tau):
-    """Evaluate a coefficient grid at points, exploiting tensor structure
-    when t, tau arrive as a (m,1) column against a (1,n) row."""
-    t = np.asarray(t, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if t.ndim == 2 and tau.ndim == 2 and t.shape[1] == 1 and tau.shape[0] == 1:
-        return synthesize(data, t.ravel(), tau.ravel())
-    tt, tt2 = np.broadcast_arrays(t, tau)
-    pt = phi_matrix(data.shape[0] - 1, tt.ravel())
-    ptau = phi_matrix(data.shape[1] - 1, tt2.ravel())
-    vals = np.einsum("kp,kj,jp->p", pt, data, ptau)
-    return vals.reshape(tt.shape)
-
-
 @dataclass(eq=False)
 class TestFunction:
-    """A bivariate test function with exact derivatives, callable as
-    f(t, tau) with broadcasting.
-
-    Either separable (t_factor, tau_factor, divided by C) or given
-    directly by a coefficient grid (coeff_data).
-    """
+    """F(t, tau) = g(t) q(tau) / C, callable with broadcasting. Each factor, a
+    PiecewisePoly, CosFactor or Legendre series, has eval, deriv and breakpoints."""
 
     id: str
-    C: float = 1.0
-    t_factor: object | None = None
-    tau_factor: object | None = None
-    coeff_data: np.ndarray | None = None
+    C: float
+    t_factor: object
+    tau_factor: object
 
     @property
     def breakpoints_t(self) -> tuple:
-        return getattr(self.t_factor, "breakpoints", ()) if self.t_factor else ()
+        return getattr(self.t_factor, "breakpoints", ())
 
     @property
     def breakpoints_tau(self) -> tuple:
-        return getattr(self.tau_factor, "breakpoints", ()) if self.tau_factor else ()
+        return getattr(self.tau_factor, "breakpoints", ())
 
     def eval(self, t, tau):
-        if self.coeff_data is not None:
-            return _synth_eval(self.coeff_data, t, tau)
         return self.t_factor.eval(t) * self.tau_factor.eval(tau) / self.C
 
     __call__ = eval
 
     def exact_deriv(self, r: int, axis: str = "t") -> "TestFunction":
         """d^r F / d axis^r, exact: the function of the differentiated
-        factors, which keep their breakpoints, or of the derivative operator
-        applied to coeff_data (coeff_data itself at r = 0)."""
+        factors, which keep their breakpoints."""
         if axis not in ("t", "tau"):
             raise ValueError(f"axis must be 't' or 'tau', got {axis!r}")
         if r < 0:
             raise ValueError("derivative order r must be >= 0")
         name = f"{self.id}-d{r}{axis}"
-        if self.coeff_data is not None:
-            data = differentiate(self.coeff_data, r, axis) if r > 0 else self.coeff_data
-            return TestFunction(name, coeff_data=data)
         gt, qt = self.t_factor, self.tau_factor
         return TestFunction(name, self.C, gt.deriv(r) if axis == "t" else gt,
                             qt.deriv(r) if axis == "tau" else qt)
@@ -216,14 +190,15 @@ def example2_F() -> TestFunction:
 
 
 def make_class_function(s: float = 2.0, mu1: float = 5.6, mu2: float = 5.6) -> TestFunction:
-    """Synthetic class member of degree 128 in each variable with coefficients
-    max(1,k)^(-mu1-1/s-eps) * max(1,j)^(-mu2-1/s-eps), eps = 0.01,
-    normalized to class norm exactly 1."""
+    """Synthetic class member of degree 128 in each variable: the Legendre
+    series max(1,k)^(-mu1-1/s-eps) in t times max(1,j)^(-mu2-1/s-eps) in tau,
+    eps = 0.01, over C, their outer product's class norm, so that its
+    coefficients have class norm 1."""
     eps = 0.01
     kbar = np.maximum(1.0, np.arange(129, dtype=float))
-    data = np.outer(kbar ** (-mu1 - 1.0 / s - eps), kbar ** (-mu2 - 1.0 / s - eps))
-    data /= class_norm(data, s, mu1, mu2)
-    return TestFunction(id=f"class-s{s:g}-mu{mu1:g}x{mu2:g}", coeff_data=data)
+    x, y = kbar ** (-mu1 - 1.0 / s - eps), kbar ** (-mu2 - 1.0 / s - eps)
+    return TestFunction(f"class-s{s:g}-mu{mu1:g}x{mu2:g}", class_norm(np.outer(x, y), s, mu1, mu2),
+                        _LegendreSeries(x), _LegendreSeries(y))
 
 
 def _effective_degrees(data: np.ndarray) -> tuple[int, int]:
@@ -250,12 +225,11 @@ class ErrorEvaluator:
     Built once per study from the reference and the largest degrees (K, J)
     of the grids it will score. The reference is a callable f(t, tau),
     such as TestFunction.exact_deriv. It stands in as coefficients c_Q and
-    a tail, computed on first use: a reference that carries coeff_data, as
-    the derivative of a function defined by its coefficients does, has
-    that as its c_Q, of any degrees, with tail 0; any other F has its
-    projection c_Q, exact_coeffs(F, K, J) bit for bit (Gauss rule split at
-    F's breakpoints_t / breakpoints_tau), and tail = ||F - Pi F||_Q^2 under
-    that rule. The rule keeps the basis up to (K, J)
+    a tail, computed on first use: a product of two Legendre series has
+    its exact coefficients (_series_coeffs), of its own degrees, with tail
+    0; any other F its projection c_Q, exact_coeffs(F, K, J) bit for bit
+    (Gauss rule split at F's breakpoints_t / breakpoints_tau), and tail =
+    ||F - Pi F||_Q^2 under that rule. The rule keeps the basis up to (K, J)
     orthonormal, so for every grid a within those degrees
     ||F - a||_Q^2 = tail + ||c_Q - a||_F^2: two sums of squares, nothing to
     cancel, and no quadrature in any trial (Parseval). A C trial
@@ -272,9 +246,9 @@ class ErrorEvaluator:
 
     @cached_property
     def _reference(self) -> tuple[np.ndarray, float]:
-        """(c_Q, tail): the reference's coefficients, its coeff_data or of
-        degrees up to (K, J), and the squared quadrature distance they leave."""
-        data = getattr(self.exact, "coeff_data", None)
+        """(c_Q, tail): the reference's coefficients, exact or of degrees up
+        to (K, J), and the squared quadrature distance they leave."""
+        data = _series_coeffs(self.exact)
         if data is not None:
             return data, 0.0
         coeffs, ref, (pt, wt), (ptau, wtau) = _project(self.exact, self.K, self.J)
@@ -359,13 +333,20 @@ class ErrorEvaluator:
         return float(self._slab_maxima(self._active(approx.data)).max())
 
 
+def _along(sp: SmoothnessParams, axis: str) -> SmoothnessParams:
+    """The class with mu1 the weight of the axis differentiated: mu1 weighs t
+    and mu2 tau, as in class_norm, so along tau the two trade places."""
+    return sp if axis == "t" else replace(sp, mu1=sp.mu2, mu2=sp.mu1)
+
+
 def _plan(sp: SmoothnessParams, deltas, ns, r: int, c: float, gamma, metric, axis: str,
           degree: int) -> list[CrossSet]:
     """The cross of every noise level for the r-th derivative along axis: its
     n from ns, or else choose_n of each delta, and the run's one gamma, or
-    else choose_gamma, which does not depend on delta. Refuses the first n
-    beyond degree, the grids' degree along axis, before any grid, cross or
-    trial is built."""
+    else choose_gamma, which does not depend on delta, both of the class
+    along axis (_along). Refuses the first n beyond degree, the grids'
+    degree along axis, before any grid, cross or trial is built."""
+    sp = _along(sp, axis)
     levels = list(ns) or [choose_n(sp, delta, r, c) for delta in deltas]
     for n in levels:
         if n > degree:
@@ -462,12 +443,13 @@ def c_error(approx: CoeffGrid, exact) -> float:
 
 
 def theoretical_slope(sp: SmoothnessParams, r: int, metric: str = "L2", axis: str = "t") -> float:
-    """Predicted exponent of the error's power-law decay in delta."""
-    mu_a, mu_b = (sp.mu1, sp.mu2) if axis == "t" else (sp.mu2, sp.mu1)
+    """Predicted exponent of the error's power-law decay in delta, for the
+    class along axis (_along)."""
     if metric not in ("L2", "C"):
         raise ValueError(f"metric must be 'L2' or 'C', got {metric!r}")
-    num = mu_a - 2 * r + 1.0 / sp.s - (0.5 if metric == "L2" else 1.5)
-    return num / (mu_a - 1.0 / sp.p + 1.0 / sp.s)  # 1/p = 0 at p = inf
+    sp = _along(sp, axis)
+    num = sp.mu1 - 2 * r + 1.0 / sp.s - (0.5 if metric == "L2" else 1.5)
+    return num / (sp.mu1 - 1.0 / sp.p + 1.0 / sp.s)  # 1/p = 0 at p = inf
 
 
 @dataclass(eq=False)
@@ -631,10 +613,10 @@ def rate_study(
         raise ValueError("seeds must be >= 1")
     if metric not in ("L2", "C"):
         raise ValueError(f"metric must be 'L2' or 'C', got {metric!r}")
-    if fn.coeff_data is None:
-        K = J = 64 if grid_degree is None else grid_degree
-    else:
-        K, J = (d - 1 for d in fn.coeff_data.shape)
+    series = _series_coeffs(fn)
+    K = J = 64 if grid_degree is None else grid_degree
+    if series is not None:
+        K, J = (d - 1 for d in series.shape)
         if grid_degree is not None and (grid_degree, grid_degree) != (K, J):
             deg = K if K == J else f"({K},{J})"
             raise ValueError(f"grid_degree={grid_degree} differs from the degree {deg} of "
@@ -644,7 +626,7 @@ def rate_study(
     if len(delta_list) < 2 or max(delta_list) / min(delta_list) < 0.999e3:
         raise ValueError("delta_list must span at least three decades")
 
-    data = exact_coeffs(fn, K, J).data if fn.coeff_data is None else fn.coeff_data
+    data = exact_coeffs(fn, K, J).data
     if not np.isfinite(data).all():
         raise ValueError(f"coefficients of {fn.id} are not finite")
     scorer = ErrorEvaluator(fn.exact_deriv(r, axis), K, J)

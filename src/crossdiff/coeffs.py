@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .legendre import gauss_rule, phi_matrix
+from .legendre import _LegendreSeries, gauss_rule, phi_matrix
 
 __all__ = [
     "CoeffGrid",
@@ -31,10 +31,8 @@ __all__ = [
 
 _MODES = ("rescaled", "raw_gaussian")
 
-# trapezoid_coeffs refuses work beyond these sizes: a basis table of
-# (max(K,J)+1) x (2/h+1) doubles, and (2/h+1)^2 evaluations on the generic path
+# trapezoid_coeffs refuses a (max(K,J)+1) x (2/h+1) basis table beyond this
 _TRAPEZOID_TABLE_BYTES = 4 * 2 ** 30
-_TRAPEZOID_GENERIC_EVALS = 10 ** 8
 # Gauss nodes per smooth piece per axis past the highest degree projected
 # onto, for every exact grid and error reference. A table's coeff_linf
 # compares its trapezoid grid with this exact grid, so the margin sets its
@@ -116,12 +114,28 @@ def _project(f, K: int, J: int):
     return (pt * wt) @ fvals @ (ptau * wtau).T, fvals, (pt, wt), (ptau, wtau)
 
 
+def _series_coeffs(f) -> np.ndarray | None:
+    """outer(a, b) / C, the exact coefficients of f = g(t) q(tau) / C when
+    both factors are Legendre series, a and b their coefficients; None for
+    any other f."""
+    g, q = getattr(f, "t_factor", None), getattr(f, "tau_factor", None)
+    if isinstance(g, _LegendreSeries) and isinstance(q, _LegendreSeries):
+        return np.outer(g.coeffs, q.coeffs) / f.C
+    return None
+
+
 def exact_coeffs(f, K: int, J: int) -> CoeffGrid:
-    """Coefficient grid of f(t, tau) by tensor Gauss quadrature, under the
+    """Coefficient grid of f(t, tau) of degrees (K, J): its exact coefficients
+    (_series_coeffs), cut or padded with zeros, or else its projection by the
     rule every exact grid and error reference is projected with (_project)."""
     if K < 0 or J < 0:
         raise ValueError("grid degrees K, J must be >= 0")
-    return CoeffGrid(data=_project(f, K, J)[0], provenance="exact")
+    series = _series_coeffs(f)
+    if series is None:
+        return CoeffGrid(data=_project(f, K, J)[0], provenance="exact")
+    data, block = np.zeros((K + 1, J + 1)), series[: K + 1, : J + 1]
+    data[: block.shape[0], : block.shape[1]] = block
+    return CoeffGrid(data=data, provenance="exact")
 
 
 def _trapezoid_steps(h: float) -> int:
@@ -153,20 +167,14 @@ def _weighted(values, h: float, t: np.ndarray) -> np.ndarray:
 
 
 def trapezoid_coeffs(f, K: int, J: int, h: float) -> CoeffGrid:
-    """Coefficient grid by the 2D composite trapezoid rule with step h.
-
-    For separable f(t,tau) = g(t) q(tau) / C (corpus functions expose
-    t_factor / tau_factor) the tensor-product weights factor the double sum
-    into two 1D sums, which is what makes the fine steps of the error
-    tables affordable; when both axes share one factor object and one
-    degree, its sum is computed once. Each factor's eval(t) is weighted in
-    place when it returns a new array, before the basis table is built, so
-    beside the table only the nodes and one vector per distinct sum are
-    alive; a value it does not own is weighted in a copy. The generic path
-    evaluates f on the full grid in row blocks. Steps whose basis table
-    would exceed 4 GiB, or whose generic path would exceed 1e8 function
-    evaluations, are refused before anything is allocated.
-    """
+    """Coefficient grid of f(t, tau) = g(t) q(tau) / C, given as its
+    t_factor, tau_factor and C (default 1), by the 2D composite trapezoid
+    rule with step h: two 1D sums, since the tensor weights factor; one when
+    both axes share one factor object and one degree. Each factor's eval(t)
+    is weighted in place when it returns a new array, and in a copy
+    otherwise, before the basis table is built, so beside the table only the
+    nodes and one vector per sum are alive. A basis table over 4 GiB, and an
+    f without both factors, are refused before anything is allocated."""
     if K < 0 or J < 0:
         raise ValueError("grid degrees K, J must be >= 0")
     n = _trapezoid_steps(h)
@@ -177,37 +185,21 @@ def trapezoid_coeffs(f, K: int, J: int, h: float) -> CoeffGrid:
             f"{table_bytes / 2 ** 30:.1f} GiB, over the "
             f"{_TRAPEZOID_TABLE_BYTES / 2 ** 30:g} GiB limit"
         )
-    gfac = getattr(f, "t_factor", None)
-    qfac = getattr(f, "tau_factor", None)
-    separable = gfac is not None and qfac is not None
-    if not separable and (n + 1) ** 2 > _TRAPEZOID_GENERIC_EVALS:
-        raise ValueError(
-            f"non-separable trapezoid sum at h={h} needs {(n + 1) ** 2:.3g} "
-            f"function evaluations, over the {_TRAPEZOID_GENERIC_EVALS:.0e} limit"
-        )
+    gfac, qfac = getattr(f, "t_factor", None), getattr(f, "tau_factor", None)
+    if gfac is None or qfac is None:
+        raise ValueError("trapezoid_coeffs needs f(t, tau) = g(t) q(tau) / C "
+                         "with its t_factor and tau_factor")
     t = np.arange(n + 1, dtype=float)
     t *= h
     t += -1.0
-    if separable:
-        # the integrands before the table, so no temporary of theirs sits beside it
-        scale = getattr(f, "C", 1.0)
-        shared = qfac is gfac and K == J
-        wg = _weighted(gfac.eval(t), h, t)
-        wq = None if shared else _weighted(qfac.eval(t), h, t)
-        phi = phi_matrix(max(K, J), t)
-        a = phi[: K + 1] @ wg
-        b = a if shared else phi[: J + 1] @ wq
-        data = np.outer(a, b) / scale
-    else:
-        w = _weighted(1.0, h, t)
-        phi = phi_matrix(max(K, J), t)
-        data = np.zeros((K + 1, J + 1))
-        block = max(1, 2 ** 22 // (t.size + 1))
-        for lo in range(0, t.size, block):
-            rows = slice(lo, min(lo + block, t.size))
-            fvals = np.asarray(f(t[rows, None], t[None, :]), dtype=float)
-            data += (phi[: K + 1, rows] * w[rows]) @ (fvals * w) @ phi[: J + 1].T
-    return CoeffGrid(data=data, provenance="trapezoid", h=h)
+    # the integrands before the table, so no temporary of theirs sits beside it
+    shared = qfac is gfac and K == J
+    wg = _weighted(gfac.eval(t), h, t)
+    wq = None if shared else _weighted(qfac.eval(t), h, t)
+    phi = phi_matrix(max(K, J), t)
+    a = phi[: K + 1] @ wg
+    b = a if shared else phi[: J + 1] @ wq
+    return CoeffGrid(data=np.outer(a, b) / getattr(f, "C", 1.0), provenance="trapezoid", h=h)
 
 
 def lp_norm(x, p: float) -> float:

@@ -233,6 +233,30 @@ def _deriv_matrix(size: int, r: int) -> np.ndarray:
     return mat
 
 
+@dataclass(frozen=True, eq=False)
+class _LegendreSeries:
+    """A factor sum_k coeffs[k] phi_k(t) on [-1, 1], held as its coefficients."""
+
+    coeffs: np.ndarray
+
+    breakpoints = ()
+
+    def eval(self, t) -> np.ndarray:
+        """The series at t, of any shape, in a new array, from basis tables of
+        _PHI_BLOCK nodes at a time: O(degree x _PHI_BLOCK) doubles beside t."""
+        t = np.asarray(t, dtype=float)
+        out = np.empty(t.shape)
+        flat, values = t.reshape(-1), out.reshape(-1)
+        for lo in range(0, flat.size, _PHI_BLOCK):
+            block = flat[lo:lo + _PHI_BLOCK]
+            values[lo:lo + _PHI_BLOCK] = self.coeffs @ phi_matrix(self.coeffs.size - 1, block)
+        return out
+
+    def deriv(self, r: int) -> "_LegendreSeries":
+        """The order-r operator applied to coeffs."""
+        return self if r == 0 else type(self)(_deriv_matrix(self.coeffs.size, r) @ self.coeffs)
+
+
 def synthesize(coeffs, t_points, tau_points) -> np.ndarray:
     """Evaluate sum_{k,j} c_{k,j} phi_k(t_i) phi_j(tau_m) on the point grid.
 

@@ -152,7 +152,7 @@ def _fit(cross: CrossSet, K: int, J: int) -> np.ndarray:
 
 def choose_n(sp: SmoothnessParams, delta: float, r: int, c: float = 0.9) -> int:
     """Truncation level n(delta) = c * delta**(-1/(mu1 - 1/p + 1/s)), rounded,
-    for the noise level delta in (0, 1).
+    for the noise level delta in (0, 1), mu1 weighing the axis differentiated.
 
     Requires mu1 > 2r - 1/s + 1/2 (the regime where the reconstruction
     converges) and a finite level; the calibration constant c defaults to 0.9.
@@ -165,8 +165,8 @@ def choose_n(sp: SmoothnessParams, delta: float, r: int, c: float = 0.9) -> int:
         raise ValueError(f"accuracy delta={delta} must lie in (0,1)")
     if not sp.mu1 > 2 * r - 1.0 / sp.s + 0.5:
         raise ValueError(
-            f"smoothness mu1={sp.mu1} too small for order r={r}: "
-            f"need mu1 > {2 * r - 1.0 / sp.s + 0.5:g}"
+            f"smoothness {sp.mu1:g} of the differentiated axis (mu1 along t, mu2 along "
+            f"tau) too small for order r={r}: need more than {2 * r - 1.0 / sp.s + 0.5:g}"
         )
     level = c * delta ** (-1.0 / (sp.mu1 - 1.0 / sp.p + 1.0 / sp.s))  # 1/p = 0 at p = inf
     if not math.isfinite(level):
@@ -188,8 +188,9 @@ def choose_gamma(sp: SmoothnessParams, r: int, metric: str = "L2") -> float:
     den = sp.mu1 - 2 * r + 1.0 / sp.s - shift
     if not den > 0:
         raise ValueError(
-            f"smoothness mu1={sp.mu1} too small for order r={r} in {metric}: "
-            f"need mu1 > {2 * r - 1.0 / sp.s + shift:g}"
+            f"smoothness {sp.mu1:g} of the differentiated axis (mu1 along t, mu2 along "
+            f"tau) too small for order r={r} in {metric}: need more than "
+            f"{2 * r - 1.0 / sp.s + shift:g}"
         )
     if metric == "L2" and sp.s < 2.0:
         gamma_max = sp.mu2 / den

@@ -8,7 +8,9 @@ SHA-256 of its stdout (with the results root written as <root>, and no
 error_l2 values), of every row_<i>/deriv.csv, of rate.csv, card.csv,
 verdicts.txt and surface.csv, of config.ini less its [output] dir line,
 and of table.csv less its error_l2 and wall_time columns, plus the
-columns of the CSV files as numbers.
+columns of the CSV files as numbers. For each run it prints what moved
+against the record it overwrites (_moves): the digests, and the largest
+relative deviation of each column.
 error_l2 is compared to 1e-13 relative, not by digest, since it is a
 quadrature sum whose rule may change; the other columns are kept to show
 which column moved when a digest does not match. OpenBLAS sums in an
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import pathlib
 import re
@@ -54,7 +57,7 @@ RUNS = {
     "example1-trapezoid": ["example1", "--noise", "trapezoid"],
     "example2": ["example2"],
     "rate-class": ["rate-study", "--config", "rate.ini"],
-    # C errors against a coefficient reference, differentiated along tau
+    # C errors against a series reference, differentiated along tau
     "rate-class-c-tau": ["rate-study", "--config", "rate-c-tau.ini"],
     # L2 errors against a callable reference, projected by quadrature
     "rate-example1": ["rate-study", "--config", "rate-example1.ini"],
@@ -62,9 +65,12 @@ RUNS = {
     "rate-class-tau": ["rate-study", "--config", "rate-tau.ini"],
     # C errors of 65 trials, split across forked workers
     "rate-class-c-forked": ["rate-study", "--config", "rate-c-forked.ini"],
-    # a coefficient reference of degree 128 above the grid's degree 64
+    # a series reference of degree 128 above the grid's degree 64
     "table-class": ["example1", "--config", "class.ini", "--delta", "1e-6,0",
                     "--n", "12,20", "--seeds", "3"],
+    # the class function's two series factors, summed by the trapezoid rule
+    "table-class-trapezoid": ["example1", "--config", "class.ini", "--noise", "trapezoid",
+                              "--h", "1e-3,1e-4", "--n", "12,20"],
     "example1-random": ["example1"],
     # a noisy row of 64 seeds or more forks its trials
     "table-forked": ["example1", "--seeds", "70", "--delta", "1e-7", "--n", "16"],
@@ -161,6 +167,38 @@ def summarize(run_dir: pathlib.Path, stdout: str) -> dict:
     return {"sha256": sha, "columns": columns}
 
 
+def _deviations(got: dict, want: dict) -> dict:
+    """The largest relative deviation of each numeric column of each file."""
+    out = {}
+    for path, columns in want.items():
+        for name, values in columns.items():
+            new = got.get(path, {}).get(name, [])
+            pairs = [(a, b) for a, b in zip(new, values)
+                     if isinstance(a, float) and isinstance(b, float)]
+            if len(new) != len(values):
+                out[f"{path}:{name}"] = "missing or of another length"
+            elif pairs:
+                out[f"{path}:{name}"] = max(
+                    (0.0 if a == b else abs(a - b) / max(abs(b), math.ulp(0.0)))
+                    for a, b in pairs)
+    return out
+
+
+def _moves(new: dict, old: dict | None) -> str:
+    """What re-recording a run changes: "new", "unchanged", or the digests
+    that moved and the largest relative deviation of each column that did."""
+    if old is None:
+        return "new"
+    digests = new["sha256"].keys() | old["sha256"].keys()
+    moved = sorted(k for k in digests if new["sha256"].get(k) != old["sha256"].get(k))
+    if not moved:
+        return "unchanged"
+    columns = [f"{column} {dev if isinstance(dev, str) else format(dev, '.2g')}"
+               for column, dev in _deviations(new["columns"], old["columns"]).items()
+               if dev != 0.0]
+    return f"moved {', '.join(moved)}; columns {', '.join(columns) or 'none'}"
+
+
 def main(argv: list[str]) -> int:
     for threads in map(int, argv or THREADS):
         with tempfile.TemporaryDirectory() as tmp:
@@ -170,6 +208,9 @@ def main(argv: list[str]) -> int:
                       "runs": {name: {"argv": RUNS[name], **summarize(root / name, stdout[name])}
                                for name in RUNS}}
         path = golden(threads)
+        old = json.loads(path.read_text())["runs"] if path.exists() else {}
+        for name, run in record["runs"].items():
+            print(f"{threads} thread(s), {name}: {_moves(run, old.get(name))}")
         path.parent.mkdir(exist_ok=True)
         path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path}")

@@ -4,6 +4,7 @@ import atexit
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from crossdiff.analysis import (
     theoretical_slope,
 )
 from crossdiff.coeffs import CoeffGrid, NoiseSpec, _composite_rule, add_noise, exact_coeffs
-from crossdiff.legendre import gauss_rule, synthesize
+from crossdiff.legendre import _LegendreSeries, gauss_rule, phi_matrix, synthesize
 from crossdiff.truncation import (
     SmoothnessParams,
     build_cross,
@@ -39,6 +40,17 @@ from crossdiff.truncation import (
     truncate,
 )
 from operator_reference import reference_operator
+
+
+def class_grid(fn):
+    # a class function's coefficients, of its own degree 128
+    return exact_coeffs(fn, 128, 128)
+
+
+def series_function(a, b, id="ref"):
+    # the rank-one coefficient grid outer(a, b) as a function of two series
+    return analysis.TestFunction(id, 1.0, _LegendreSeries(np.asarray(a, dtype=float)),
+                                 _LegendreSeries(np.asarray(b, dtype=float)))
 
 
 def deriv_norm(F, r=2, axis="t", quad=96):
@@ -214,33 +226,35 @@ def test_cos_factor_eval_is_the_closed_form_bit_for_bit():
 @pytest.mark.parametrize("axis", ["t", "tau"])
 @pytest.mark.parametrize("make", [example1_F, example2_F, make_class_function])
 def test_exact_deriv_carries_its_breakpoints_and_the_closed_form(make, axis):
-    # the derivative is a TestFunction: the factors' derivatives, with
-    # their breakpoints, or the derivative's coefficients; its values are
-    # those of the closure exact_deriv used to return, bit for bit
+    # the derivative is a TestFunction of the factors' derivatives, with
+    # their breakpoints; its values are those of the closure exact_deriv
+    # used to return, bit for bit
     fn = make()
     d = fn.exact_deriv(2, axis)
     assert isinstance(d, analysis.TestFunction)
     assert (d.breakpoints_t, d.breakpoints_tau) == (fn.breakpoints_t, fn.breakpoints_tau)
     t = np.linspace(-1.0, 1.0, 201)  # holds the kink t = 0
-    if fn.coeff_data is None:
-        gt = fn.t_factor.deriv(2) if axis == "t" else fn.t_factor
-        qt = fn.tau_factor.deriv(2) if axis == "tau" else fn.tau_factor
-        closure = gt.eval(t[:, None]) * qt.eval(t[None, :]) / fn.C
-    else:
+    gt = fn.t_factor.deriv(2) if axis == "t" else fn.t_factor
+    qt = fn.tau_factor.deriv(2) if axis == "tau" else fn.tau_factor
+    closure = gt.eval(t[:, None]) * qt.eval(t[None, :]) / fn.C
+    if make is make_class_function:
         assert_is_the_class_derivative(fn, d, axis)
-        closure = synthesize(d.coeff_data, t, t)
     assert np.array_equal(d(t[:, None], t[None, :]), closure)
 
 
 def assert_is_the_class_derivative(fn, d, axis):
     """d, the class function's second derivative along axis, against two
     forms written apart from legendre.differentiate: the entry-by-entry
-    operator, and numpy's Legendre-series derivative on a 9 x 9 grid."""
+    operator on the differentiated factor's coefficients, the other factor
+    kept, and numpy's Legendre-series derivative on a 9 x 9 grid."""
     op = reference_operator(128, 2)
-    assert np.array_equal(d.coeff_data, op @ fn.coeff_data if axis == "t"
-                          else fn.coeff_data @ op.T)
+    moved, kept = (d.t_factor, d.tau_factor) if axis == "t" else (d.tau_factor, d.t_factor)
+    was, same = (fn.t_factor, fn.tau_factor) if axis == "t" else (fn.tau_factor, fn.t_factor)
+    assert np.array_equal(moved.coeffs, op @ was.coeffs) and kept is same
+    assert d.C == fn.C
     scale = np.sqrt(np.arange(129) + 0.5)  # phi_k = sqrt(k + 1/2) P_k
-    series = nleg.legder(fn.coeff_data * np.outer(scale, scale), 2, axis=0 if axis == "t" else 1)
+    series = nleg.legder(class_grid(fn).data * np.outer(scale, scale), 2,
+                         axis=0 if axis == "t" else 1)
     t = np.linspace(-1.0, 1.0, 9)
     want = nleg.leggrid2d(t, t, series)
     assert np.abs(d(t[:, None], t[None, :]) - want).max() <= 1e-12 * np.abs(want).max()
@@ -258,13 +272,15 @@ def test_evaluator_reference_is_the_exact_grid_of_the_derivative(make, axis):
 @pytest.mark.parametrize("shape, K, J", [((9, 7), 8, 6), ((9, 7), 12, 3), ((13, 11), 4, 5)])
 def test_a_coefficient_reference_is_synthesized_from_the_c_grid_table(shape, K, J):
     # the C grid's table reaches the degrees scored only; the reference, of
-    # any degrees, is its own call on the C grid: synthesize's values bit for bit
-    data = np.random.default_rng(sum(shape)).standard_normal(shape)
-    exact = analysis.TestFunction("ref", coeff_data=data)
-    phi, ref = ErrorEvaluator(exact, K, J)._grid_tables
+    # any degrees, is its own call on the C grid: the product of its two
+    # series' values, bit for bit
+    rng = np.random.default_rng(sum(shape))
+    a, b = rng.standard_normal(shape[0]), rng.standard_normal(shape[1])
+    phi, ref = ErrorEvaluator(series_function(a, b), K, J)._grid_tables
     grid = np.linspace(-1.0, 1.0, analysis._C_POINTS)
     assert phi.shape == (max(K, J) + 1, grid.size)
-    assert np.array_equal(ref, synthesize(data, grid, grid))
+    assert np.array_equal(ref, np.outer(a @ phi_matrix(a.size - 1, grid),
+                                        b @ phi_matrix(b.size - 1, grid)))
 
 
 def test_l2_error_of_identical_grids_is_zero():
@@ -323,7 +339,7 @@ def noisy_trials(grid, params, deltas, seeds=2):
 @pytest.mark.parametrize("axis", ["t", "tau"])
 def test_evaluator_matches_per_call_quadrature_on_class_function(axis):
     fn = make_class_function()
-    grid = CoeffGrid(data=np.array(fn.coeff_data))
+    grid = class_grid(fn)
     exact = fn.exact_deriv(2, axis)
     quad = grid.K + 40
     scorer = ErrorEvaluator(exact, grid.K, grid.J)
@@ -370,7 +386,7 @@ def test_error_metric_preconditions():
         ErrorEvaluator(exact, 8, 8).c(grid)
     # a coefficient reference, of any degrees, takes the same check in both
     # metrics
-    scorer = ErrorEvaluator(analysis.TestFunction("ref", coeff_data=np.ones((13, 13))), 8, 8)
+    scorer = ErrorEvaluator(series_function(np.ones(13), np.ones(13)), 8, 8)
     for metric in (scorer.l2, scorer.c):
         with pytest.raises(ValueError, match=r"active degrees \(10,10\) exceed"):
             metric(grid)
@@ -381,8 +397,7 @@ def test_l2_error_counts_the_degrees_of_a_coefficient_reference():
     # relative off; the class derivative's own degrees, (126, 128), ask for 160
     fn = make_class_function()
     exact = fn.exact_deriv(2, "t")
-    approx = truncate(CoeffGrid(data=np.array(fn.coeff_data)),
-                      build_cross(n=24, gamma=2.25, r=2))
+    approx = truncate(class_grid(fn), build_cross(n=24, gamma=2.25, r=2))
     parseval = ErrorEvaluator(exact, 128, 128).l2(approx)
     assert oracle_l2(approx, exact, 160) == pytest.approx(parseval, rel=1e-12)
 
@@ -397,10 +412,7 @@ def readme_case():
 def class_case(degree):
     # the class reference, of degrees (126, 128), on a grid of this degree
     fn = make_class_function()
-    data = np.zeros((degree + 1, degree + 1))
-    kept = min(degree, 128) + 1
-    data[:kept, :kept] = fn.coeff_data[:kept, :kept]
-    approx = truncate(CoeffGrid(data=data), build_cross(24, 2.25, 2))
+    approx = truncate(exact_coeffs(fn, degree, degree), build_cross(24, 2.25, 2))
     return approx, fn.exact_deriv(2, "t"), max(degree, 128) + 32
 
 
@@ -455,10 +467,10 @@ def test_exact_first_derivatives_match_difference_quotients():
 
 def test_class_function_has_unit_class_norm():
     fn = make_class_function()
-    assert class_norm(fn.coeff_data, 2.0, 5.6, 5.6) == pytest.approx(1.0, rel=1e-12)
+    assert class_norm(class_grid(fn), 2.0, 5.6, 5.6) == pytest.approx(1.0, rel=1e-12)
     assert fn.id == "class-s2-mu5.6x5.6"
     other = make_class_function(s=2.0, mu1=6.0, mu2=4.0)
-    assert class_norm(other.coeff_data, 2.0, 6.0, 4.0) == pytest.approx(1.0, rel=1e-12)
+    assert class_norm(class_grid(other), 2.0, 6.0, 4.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_theoretical_slope_values():
@@ -487,6 +499,30 @@ def test_rate_study_recovers_theoretical_slope_c():
     fn = make_class_function()
     sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
     res = rate_study(fn, sp, 2, "C", (1e-5, 1e-6, 1e-7, 1e-8, 1e-9), 3)
+    assert abs(res.fitted_slope - res.theoretical_slope) < 0.1
+
+
+@pytest.mark.parametrize("metric", ["L2", "C"])
+@pytest.mark.parametrize("mu1, mu2", [(5.6, 8.0), (8.0, 5.6)])
+def test_a_class_along_tau_plans_as_its_mirror_along_t(mu1, mu2, metric):
+    # mu1 weighs t and mu2 tau; the planner and the predicted slope read the
+    # weight of the axis differentiated
+    deltas = (1e-5, 1e-6, 1e-7, 1e-8, 1e-9)
+    tau_sp, t_sp = SmoothnessParams(2.0, mu1, mu2, 2.0), SmoothnessParams(2.0, mu2, mu1, 2.0)
+    tau = analysis._plan(tau_sp, deltas, (), 2, 0.9, None, metric, "tau", 128)
+    t = analysis._plan(t_sp, deltas, (), 2, 0.9, None, metric, "t", 128)
+    assert [(c.n, c.gamma, c.axis) for c in tau] == [(c.n, c.gamma, "tau") for c in t]
+    assert [c.n for c in t] == [choose_n(t_sp, delta, 2) for delta in deltas]
+    assert t[0].gamma == choose_gamma(t_sp, 2, metric)
+    assert theoretical_slope(tau_sp, 2, metric, "tau") == theoretical_slope(t_sp, 2, metric)
+
+
+def test_anisotropic_class_rate_along_tau():
+    # mu2 = 8 weighs tau, the axis differentiated: L2 slope 0.5 in theory
+    fn = make_class_function(2.0, 5.6, 8.0)
+    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=8.0, p=2.0)
+    res = rate_study(fn, sp, 2, "L2", (1e-5, 1e-6, 1e-7, 1e-8, 1e-9), 20, axis="tau")
+    assert res.theoretical_slope == pytest.approx(0.5, rel=1e-12)
     assert abs(res.fitted_slope - res.theoretical_slope) < 0.1
 
 
@@ -548,7 +584,7 @@ def test_noise_free_truncation_decay_rate():
     # fast as the class decay exponent mu1 - 2r + 1/s - 1/2 (within a
     # 0.3 preasymptotic allowance)
     fn = make_class_function()
-    grid = CoeffGrid(data=np.array(fn.coeff_data))
+    grid = class_grid(fn)
     exact_d = fn.exact_deriv(2, "t")
     errs = []
     ns = (8, 16, 32, 64)
@@ -614,7 +650,7 @@ def test_blocked_c_error_matches_the_whole_array_form(monkeypatch, points, slab)
     if slab is not None:
         monkeypatch.setattr(analysis, "_C_SLAB", slab)
     fn = make_class_function()
-    grid = CoeffGrid(data=np.array(fn.coeff_data))
+    grid = class_grid(fn)
     for axis in ("t", "tau"):
         scorer = ErrorEvaluator(fn.exact_deriv(2, axis), grid.K, grid.J)
         assert scorer._grid_tables[1].shape == (points, points)
@@ -623,7 +659,7 @@ def test_blocked_c_error_matches_the_whole_array_form(monkeypatch, points, slab)
         level = _Level(scorer, grid.data, params, None)
         # the reference itself, and the reference plus phi_0(t) + phi_1(t),
         # whose worst points lie in the last row (t = 1) only
-        exact = fn.exact_deriv(2, axis).coeff_data
+        exact = class_grid(fn.exact_deriv(2, axis)).data
         trials.append(CoeffGrid(data=exact))
         bumped = exact.copy()
         bumped[:2, 0] += 1.0
@@ -642,7 +678,7 @@ def test_blocked_c_error_matches_the_whole_array_form(monkeypatch, points, slab)
 
 def rate_trials(fn, axis, seeds=3):
     # the trials a default rate study scores, at all five of its deltas
-    grid = CoeffGrid(data=np.array(fn.coeff_data))
+    grid = class_grid(fn)
     for i, delta in enumerate((1e-5, 1e-6, 1e-7, 1e-8, 1e-9)):
         sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
         params = build_cross(n=choose_n(sp, delta, 2), gamma=choose_gamma(sp, 2), r=2,
@@ -655,7 +691,7 @@ def rate_trials(fn, axis, seeds=3):
 @pytest.mark.parametrize("axis", ["t", "tau"])
 def test_parseval_l2_matches_quadrature_on_rate_trials(axis):
     fn = make_class_function()
-    quad = fn.coeff_data.shape[0] + 40
+    quad = class_grid(fn).data.shape[0] + 40
     scorer = ErrorEvaluator(fn.exact_deriv(2, axis), 128, 128)
     exact = fn.exact_deriv(2, axis)
     for approx in rate_trials(fn, axis):
@@ -666,7 +702,8 @@ def test_coefficient_reference_is_the_exact_derivative():
     fn = make_class_function()
     for axis in ("t", "tau"):
         assert_is_the_class_derivative(fn, fn.exact_deriv(2, axis), axis)
-    assert fn.exact_deriv(0).coeff_data is fn.coeff_data
+    d0 = fn.exact_deriv(0)
+    assert d0.t_factor is fn.t_factor and d0.tau_factor is fn.tau_factor
     with pytest.raises(ValueError, match="axis must be"):
         fn.exact_deriv(2, "x")
 
@@ -676,14 +713,17 @@ def test_coefficient_reference_is_the_exact_derivative():
 UNDERFLOW = math.sqrt(np.finfo(float).tiny)
 
 
-def assert_parseval(ref, approx_data):
+def assert_parseval(a, b, approx_data):
     # the Frobenius distance of two coefficient grids is the L2 distance of
-    # the functions they define, which quadrature measures exactly
+    # the functions they define, which quadrature measures exactly; the
+    # reference is outer(a, b), a product of two series
+    ref = np.outer(a, b)
     K, J = ref.shape[0] - 1, ref.shape[1] - 1
+    approx_data = np.asarray(approx_data, dtype=float)
     approx = CoeffGrid(data=approx_data)
     exact = lambda t, tau: synthesize(ref, np.ravel(t), np.ravel(tau))
     quad = oracle_l2(approx, exact, max(K, J) + 32)
-    parseval = ErrorEvaluator(analysis.TestFunction("ref", coeff_data=ref), K, J).l2(approx)
+    parseval = ErrorEvaluator(series_function(a, b), K, J).l2(approx)
     floor = max(1e-12 * (np.abs(ref).sum() + np.abs(approx_data).sum()), UNDERFLOW)
     assert parseval == pytest.approx(quad, rel=1e-9, abs=floor)
     # the evaluator on the callable, of approx's degrees: its projection is
@@ -702,30 +742,32 @@ def assert_parseval(ref, approx_data):
 def test_parseval_holds_for_a_coefficient_reference(data):
     K, J = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 12))
     elems = st.floats(-1e3, 1e3, allow_subnormal=False)
-    ref = data.draw(hnp.arrays(float, (K + 1, J + 1), elements=elems))
+    a = data.draw(hnp.arrays(float, K + 1, elements=elems))
+    b = data.draw(hnp.arrays(float, J + 1, elements=elems))
     kk, jj = data.draw(st.integers(0, K)), data.draw(st.integers(0, J))
     approx = data.draw(hnp.arrays(float, (kk + 1, jj + 1), elements=elems))
     if data.draw(st.booleans()):  # as large as the reference
         approx = np.pad(approx, [(0, K - kk), (0, J - jj)])
-    assert_parseval(ref, approx)
+    assert_parseval(a, b, approx)
 
 
 def test_parseval_holds_below_the_underflow_scale():
     # a draw whose squares are subnormal: quadrature 1.414906331e-158,
     # Parseval 1.414906488e-158, 1.1e-7 apart relative
-    assert_parseval(np.zeros((1, 1)), np.array([[1.4149065e-158]]))
-    assert_parseval(np.array([[3e-160, 0.0], [0.0, -2e-155]]), np.array([[1e-158]]))
+    assert_parseval([0.0], [1.0], [[1.4149065e-158]])
+    assert_parseval([3e-160, -2e-155], [1.0, 0.0], [[1e-158]])
 
 
 def test_rate_study_rejects_non_finite_coefficients_and_errors():
     sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
-    data = np.array(make_class_function().coeff_data)
-    data[3, 4] = np.nan
-    bad = analysis.TestFunction(id="nan-coeffs", coeff_data=data)
+    fn = make_class_function()
+    coeffs = fn.t_factor.coeffs.copy()
+    coeffs[3] = np.nan
+    bad = replace(fn, id="nan-coeffs", t_factor=_LegendreSeries(coeffs))
     with pytest.raises(ValueError, match="^coefficients of nan-coeffs are not finite$"):
         rate_study(bad, sp, 2, "L2", (1e-5, 1e-7, 1e-9), 1)
     # finite coefficients whose derivative's squares overflow
-    huge = analysis.TestFunction(id="huge", coeff_data=np.full((129, 129), 1e200))
+    huge = series_function(np.full(129, 1e100), np.full(129, 1e100), id="huge")
     with np.errstate(over="ignore"), pytest.raises(
             ValueError, match="^rate study of huge produced non-finite errors$"):
         rate_study(huge, sp, 2, "L2", (1e-5, 1e-7, 1e-9), 1)
@@ -747,8 +789,8 @@ def test_class_norm_is_finite_beyond_the_power_form():
         assert class_norm(data, s, mu1, mu2) == pytest.approx(expect, rel=1e-13)
     with np.errstate(over="ignore", invalid="ignore"):
         fn = make_class_function(s=10.0, mu1=20.0, mu2=20.0)
-    assert np.isfinite(fn.coeff_data).all()
-    assert class_norm(fn.coeff_data, 10.0, 20.0, 20.0) == pytest.approx(1.0, rel=1e-12)
+    assert np.isfinite(class_grid(fn).data).all()
+    assert class_norm(class_grid(fn), 10.0, 20.0, 20.0) == pytest.approx(1.0, rel=1e-12)
     assert class_norm(np.zeros((3, 3)), 2.0, 1.0, 1.0) == 0.0
 
 
@@ -779,7 +821,7 @@ LEVELS = {"bias": (6, 1e-12), "even": (16, 1e-4), "noise": (40, 1e-2)}
 def test_bounded_c_equals_the_exhaustive_slab_pass(monkeypatch, points, axis, r):
     monkeypatch.setattr(analysis, "_C_POINTS", points)
     fn = make_class_function()
-    grid = CoeffGrid(data=np.array(fn.coeff_data))
+    grid = class_grid(fn)
     scorer = ErrorEvaluator(fn.exact_deriv(r, axis), grid.K, grid.J)
     assert scorer._grid_tables[1].shape == (points, points)
     g = np.linspace(-1.0, 1.0, points)
@@ -843,7 +885,7 @@ def test_bounded_c_prunes_rate_trials(axis):
     # every trial of a default rate study: the same maximum as the
     # exhaustive pass from a small share of the slabs
     fn = make_class_function()
-    grid = CoeffGrid(data=np.array(fn.coeff_data))
+    grid = class_grid(fn)
     scorer = ErrorEvaluator(fn.exact_deriv(2, axis), grid.K, grid.J)
     slabs = []
     for i, delta in enumerate((1e-5, 1e-6, 1e-7, 1e-8, 1e-9)):
@@ -869,8 +911,8 @@ def test_block_trials_score_like_the_full_grid(axis, make):
     # against a callable reference, the L2 error of per-call quadrature
     fn = make()
     bt, btau = fn.breakpoints_t, fn.breakpoints_tau
-    if fn.coeff_data is not None:
-        grid = CoeffGrid(data=np.array(fn.coeff_data))
+    if make is make_class_function:
+        grid = class_grid(fn)
         scorer = ErrorEvaluator(fn.exact_deriv(2, axis), grid.K, grid.J)
     else:  # as rate_study builds it
         grid = exact_coeffs(fn, 64, 64)
@@ -893,7 +935,7 @@ def test_block_trials_score_like_the_full_grid(axis, make):
                 coeffs._noisy_block(grid.data, spec, (kb, jb)), params)
             assert np.array_equal(block, full[:kb, :jb]) and not full[~inside].any()
             assert_same_float(level._c_block(block), level._c_block(full))
-            if fn.coeff_data is None:
+            if make is not make_class_function:
                 whole, rel = oracle_l2(CoeffGrid(data=full), scorer.exact, 104, bt, btau), 1e-12
             else:
                 whole, rel = float(np.linalg.norm(ref - full)), 1e-15
@@ -974,7 +1016,7 @@ def test_rate_csv_is_the_same_for_any_worker_count(tmp_path, monkeypatch, fn, me
         force_workers(monkeypatch, workers)
         path = tmp_path / f"rate-{workers}.csv"
         rate_study(fn, sp, 2, metric, (1e-5, 1e-7, 1e-9), 4, axis=axis,
-                   grid_degree=None if fn.coeff_data is not None else 40).save(path)
+                   grid_degree=None if fn.id.startswith("class") else 40).save(path)
         written.add(path.read_bytes())
     assert len(written) == 1
     assert_no_child_left()

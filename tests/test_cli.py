@@ -16,7 +16,7 @@ import crossdiff
 from crossdiff import analysis, cli, coeffs, truncation
 from crossdiff.analysis import example1_F
 from crossdiff.cli import FIELDS, PRESETS, ExperimentConfig, ResultRow, ResultsTable, main
-from crossdiff.coeffs import load_grid
+from crossdiff.coeffs import exact_coeffs, load_grid
 from crossdiff.legendre import synthesize
 from crossdiff.truncation import build_cross
 
@@ -186,12 +186,23 @@ def test_rate_study_class_function_with_large_weights_is_finite(tmp_path):
     assert all(math.isfinite(v) for v in values)
 
 
+def test_a_class_too_rough_along_tau_is_refused_by_its_tau_weight(tmp_path, capsys):
+    # mu2 = 3 weighs tau, the axis differentiated, and is too small for r = 2
+    cfg = tmp_path / "rough.ini"
+    cfg.write_text("[experiment]\nfunction = class\nmu1 = 8\nmu2 = 3\naxis = tau\n")
+    assert run_cli("rate-study", "--config", cfg, "--out", tmp_path) == 2
+    assert capsys.readouterr().err == (
+        "error: smoothness 3 of the differentiated axis (mu1 along t, mu2 along tau) "
+        "too small for order r=2: need more than 4\n")
+    assert os.listdir(tmp_path) == ["rough.ini"]
+
+
 def test_non_finite_class_coefficients_are_reported(tmp_path, capsys, monkeypatch):
     make = cli.make_class_function
 
     def nan_class(**kw):
         fn = make(**kw)
-        fn.coeff_data[0, 0] = np.nan
+        fn.t_factor.coeffs[0] = np.nan
         return fn
 
     monkeypatch.setattr(cli, "make_class_function", nan_class)
@@ -284,16 +295,28 @@ def test_table_card_counts_each_cross_once(tmp_path, monkeypatch, preset, argv):
     assert sorted(calls) == sorted({(r.n, r.gamma, 2, "t") for r in rows})
 
 
+def test_class_trapezoid_table_runs(tmp_path, capsys):
+    # the class function's two series factors take the factored trapezoid sum
+    cfg = tmp_path / "class.ini"
+    cfg.write_text("[experiment]\nfunction = class\n")
+    assert run_cli("example1", "--config", cfg, "--noise", "trapezoid", "--h", "1e-4",
+                   "--n", 12, "--out", tmp_path, "--run-id", "ct") == 0
+    (row,) = read_table(tmp_path, "ct").rows
+    assert (row.kind, row.value, row.n) == ("h", 1e-4, 12)
+    assert all(math.isfinite(x) for x in (row.coeff_linf, row.error_l2, row.error_c))
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("deltas", ["1e-7,1e-8,1e-9", "0,1e-8,1e-9"])
 def test_class_table_error_l2_is_parseval_on_the_saved_grids(tmp_path, deltas):
-    # a function defined by its coefficients is scored against its
-    # derivative's exact coefficients: with one seed, each row's L2 error is
-    # the coefficient distance of the grid the row saved
+    # a product of two Legendre series is scored against its derivative's
+    # exact coefficients: with one seed, each row's L2 error is the
+    # coefficient distance of the grid the row saved
     cfg = tmp_path / "class.ini"
     cfg.write_text("[experiment]\nfunction = class\n")
     assert run_cli("example1", "--config", cfg, "--delta", deltas, "--seeds", 1,
                    "--out", tmp_path, "--run-id", "c") == 0
-    exact = analysis.make_class_function().exact_deriv(2, "t").coeff_data
+    exact = exact_coeffs(analysis.make_class_function().exact_deriv(2, "t"), 128, 128).data
     for i, row in enumerate(read_table(tmp_path, "c").rows):
         diff = exact.copy()
         saved = load_grid(tmp_path / "c" / f"row_{i}" / "deriv.csv").data

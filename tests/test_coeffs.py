@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from crossdiff import coeffs as coeffs_module
-from crossdiff.analysis import _kink_factor, example1_F, example2_F
+from crossdiff import analysis
+from crossdiff.analysis import (
+    CosFactor, PiecewisePoly, _kink_factor, example1_F, example2_F, make_class_function,
+)
 from crossdiff.coeffs import (
     CoeffGrid,
     NoiseSpec,
@@ -76,8 +79,13 @@ def test_exact_coeffs_preconditions():
         exact_coeffs(f, -1, 3)
 
 
+# the factor 1 everywhere, and the factor t
+ONE = CosFactor(1.0, 0.0)
+T = PiecewisePoly((), ((0.0, 1.0),))
+
+
 def test_trapezoid_constant_exact():
-    grid = trapezoid_coeffs(lambda t, tau: np.ones(np.broadcast(t, tau).shape), 2, 2, 0.25)
+    grid = trapezoid_coeffs(analysis.TestFunction("one", 1.0, ONE, ONE), 2, 2, 0.25)
     assert grid.data[0, 0] == pytest.approx(2.0, abs=1e-14)
     assert grid.provenance == "trapezoid"
     assert grid.h == 0.25
@@ -105,14 +113,16 @@ def test_trapezoid_refuses_oversized_work_by_message(monkeypatch):
                           (8, 700, 1e-6, "10.4")):
         with pytest.raises(ValueError, match=rf"needs {size} GiB, over the 4 GiB limit"):
             trapezoid_coeffs(F, K, J, h)
+    # a callable without factors, at any step
     generic = lambda t, tau: t * tau
-    with pytest.raises(ValueError, match=r"needs 4e\+08 function evaluations, over the 1e\+08 limit"):
-        trapezoid_coeffs(generic, 8, 8, 1e-4)
-    # sizes inside the limits reach the tabulation: 1.04 GB, 6.4e7 evaluations
+    for h in (1e-4, 2.5e-4, 0.25):
+        with pytest.raises(ValueError, match=r"^trapezoid_coeffs needs f\(t, tau\) = "
+                                             r"g\(t\) q\(tau\) / C with its t_factor "
+                                             r"and tau_factor$"):
+            trapezoid_coeffs(generic, 8, 8, h)
+    # a size inside the limit reaches the tabulation: 1.04 GB
     with pytest.raises(Tabulated):
         trapezoid_coeffs(F, 64, 64, 1e-6)
-    with pytest.raises(Tabulated):
-        trapezoid_coeffs(generic, 8, 8, 2.5e-4)
 
 
 class CountingFactor:
@@ -195,7 +205,7 @@ def test_trapezoid_weights_a_factor_value_it_does_not_own_in_a_copy():
 
 
 def test_trapezoid_second_order_on_linear_function():
-    f = lambda t, tau: t + 0.0 * tau
+    f = analysis.TestFunction("t", 1.0, T, ONE)
     exact = exact_coeffs(f, 1, 1)
     hs = (1e-2, 5e-3, 2.5e-3)
     errs = [
@@ -240,11 +250,36 @@ def test_trapezoid_gap_matches_nominal_noise_pairing():
     assert 1e-8 < gap < 1e-6
 
 
+def oracle_trapezoid(f, K, J, h):
+    """The trapezoid grid as the double sum over the full tensor grid of
+    nodes, f(t, tau) evaluated a block of rows at a time: the form that needs
+    no factors."""
+    n = int(round(2.0 / h))
+    t = -1.0 + h * np.arange(n + 1)
+    w = np.full(n + 1, h)
+    w[0] = w[-1] = 0.5 * h
+    phi = phi_matrix(max(K, J), t)
+    data = np.zeros((K + 1, J + 1))
+    block = max(1, 2 ** 22 // (t.size + 1))
+    for lo in range(0, t.size, block):
+        rows = slice(lo, min(lo + block, t.size))
+        fvals = np.asarray(f(t[rows, None], t[None, :]), dtype=float)
+        data += (phi[: K + 1, rows] * w[rows]) @ (fvals * w) @ phi[: J + 1].T
+    return data
+
+
 def test_trapezoid_generic_path_matches_separable_path():
     F = example2_F()
     fast = trapezoid_coeffs(F, 8, 8, 1e-2)
-    slow = trapezoid_coeffs(lambda t, tau: F.eval(t, tau), 8, 8, 1e-2)
-    assert np.abs(fast.data - slow.data).max() < 1e-13
+    assert np.abs(fast.data - oracle_trapezoid(F, 8, 8, 1e-2)).max() < 1e-13
+
+
+@pytest.mark.parametrize("mu2, K, J", [(5.6, 64, 64), (8.0, 64, 40)])
+def test_class_trapezoid_grid_is_the_double_sum(mu2, K, J):
+    # the class function's two series factors, isotropic or not
+    F = make_class_function(2.0, 5.6, mu2)
+    fast = trapezoid_coeffs(F, K, J, 1e-2)
+    assert np.abs(fast.data - oracle_trapezoid(F, K, J, 1e-2)).max() < 1e-13
 
 
 def test_parseval_identity_random_grid():

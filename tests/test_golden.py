@@ -1,15 +1,14 @@
-"""Golden digests: the example1 presets, example2, class-function, forked and
-choose_n tables, rate studies of the class function (one of them forked)
+"""Golden digests: the example1 presets, example2, class-function (random
+and trapezoid), forked and choose_n tables, rate studies of the class function (one of them forked)
 and of example1, cross-card and emit-surface give the outputs recorded in
 tests/golden/digests-<threads>.json at 1 and at 2 OpenBLAS threads (see
 tests/record_golden.py, which records them and which no test runs)."""
 
 import json
-import math
 
 import pytest
 
-from record_golden import RUNS, golden, run_all, summarize
+from record_golden import RUNS, _deviations, golden, run_all, summarize
 
 
 # the flag form of table-auto's [method] n = auto
@@ -30,23 +29,6 @@ def outputs(tmp_path_factory):
 @pytest.fixture(scope="module")
 def outputs_one_thread(tmp_path_factory):
     return _outputs(tmp_path_factory, RUNS, 1)
-
-
-def _deviations(got: dict, want: dict) -> dict:
-    """The largest relative deviation of each numeric column of each file."""
-    out = {}
-    for path, columns in want.items():
-        for name, values in columns.items():
-            new = got.get(path, {}).get(name, [])
-            pairs = [(a, b) for a, b in zip(new, values)
-                     if isinstance(a, float) and isinstance(b, float)]
-            if len(new) != len(values):
-                out[f"{path}:{name}"] = "missing or of another length"
-            elif pairs:
-                out[f"{path}:{name}"] = max(
-                    (0.0 if a == b else abs(a - b) / max(abs(b), math.ulp(0.0)))
-                    for a, b in pairs)
-    return out
 
 
 def assert_matches_the_record(got: dict, name: str, threads: int):

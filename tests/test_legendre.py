@@ -14,6 +14,7 @@ from crossdiff.coeffs import _composite_rule
 from crossdiff.legendre import (
     _PHI_BLOCK,
     _PHI_SPLIT,
+    _LegendreSeries,
     _phi_blocks,
     differentiate,
     gauss_rule,
@@ -142,6 +143,25 @@ def test_blocked_phi_matrix_flattens_2d_input():
     assert table.shape == (65, t.size)
     assert np.array_equal(table, whole_array_phi_matrix(64, t))
     assert np.array_equal(table, phi_matrix(64, t.ravel()))
+
+
+def test_blocked_series_eval_matches_the_whole_table_form():
+    # over two blocks of nodes and a ragged third, the values from one basis
+    # table per block agree with the one-table form to rounding; a new array
+    # of t's shape, which owns its data, for any shape of t
+    coeffs = np.random.default_rng(7).standard_normal(129) / (1.0 + np.arange(129)) ** 2
+    series = _LegendreSeries(coeffs)
+    t = np.random.default_rng(8).uniform(-1.0, 1.0, 2 * _PHI_BLOCK + 3)
+    got = series.eval(t)
+    want = coeffs @ phi_matrix(128, t)
+    assert got.shape == t.shape and got.flags.owndata
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    grid = t.reshape(5, -1)
+    assert np.array_equal(series.eval(grid), got.reshape(grid.shape))
+    assert series.eval(np.float64(0.5)).shape == ()
+    # the derivative is the operator applied to the coefficients
+    assert np.array_equal(series.deriv(2).coeffs, reference_operator(128, 2) @ coeffs)
+    assert series.deriv(0) is series
 
 
 def test_orthonormality_to_degree_40():
