@@ -143,6 +143,7 @@ class TestFunction:
     C: float
     t_factor: object
     tau_factor: object
+    __test__ = False  # a function under study, not a pytest test class
 
     @property
     def breakpoints_t(self) -> tuple:
@@ -419,8 +420,8 @@ class _Level:
     def approx(self, sd: int | None = None) -> np.ndarray:
         """The truncated cross's block of noise draw sd's grid, or of data (B)."""
         kb, jb = self.cross.block.shape
-        block = self._data[:kb, :jb] if sd is None else _noisy_block(
-            self._data, replace(self.noise, seed=self.noise.seed + sd), (kb, jb))
+        block = (self._data[:kb, :jb] if sd is None
+                 else _noisy_block(self._data, self.noise, (kb, jb), sd))
         return _truncate_block(block, self.cross)
 
     def trial(self, sd: int) -> tuple[float, float]:

@@ -30,7 +30,7 @@ from .analysis import (  # noqa: F401  (l2_error, c_error stay importable from c
     example1_F, example2_F, l2_error, make_class_function, rate_study,
 )
 from .coeffs import CoeffGrid, exact_coeffs, save_grid, load_grid, trapezoid_coeffs
-from .coeffs import _cells, _fmt_float, _trapezoid_steps, _write_csv
+from .coeffs import FLOAT, INT, STR, _cells, _fmt_float, _trapezoid_steps, _write_csv
 from .legendre import synthesize
 from .truncation import SmoothnessParams, cardinality_growth
 
@@ -61,8 +61,8 @@ TABLES = ("example1", "example2")
 _RUNS = TABLES + ("rate-study", "cross-card")  # the commands that write a run directory
 
 
-def _fmt_list(xs) -> str:
-    return ",".join(_fmt_float(x) for x in xs)
+def _fmt_list(xs, fmt=_fmt_float) -> str:
+    return ",".join(fmt(x) for x in xs)
 
 
 def float_list(text: str) -> tuple:
@@ -78,7 +78,7 @@ def _parse_n(text: str) -> tuple:
 
 
 def _fmt_n(ns) -> str:
-    return ",".join(str(n) for n in ns) or "auto"
+    return _fmt_list(ns, str) or "auto"
 
 
 def _within(x, interval: str) -> bool:
@@ -88,8 +88,9 @@ def _within(x, interval: str) -> bool:
         (x < hi) if interval[-1] == ")" else (x <= hi))
 
 
-STR, INT = (str, str, "text"), (int, str, "an integer")
-FLOAT, FLOATS = (float, _fmt_float, "a float"), (float_list, _fmt_list, "a list of floats")
+# list kinds beside coeffs' STR, INT and FLOAT
+FLOATS = (float_list, _fmt_list, "a list of floats")
+INTS = (int_list, lambda ns: _fmt_list(ns, str), "a list of integers")
 
 
 def _key(default, section, kind, flag=None, *, key=None, on=TABLES, also=None,
@@ -100,10 +101,9 @@ def _key(default, section, kind, flag=None, *, key=None, on=TABLES, also=None,
     sets it on the commands in ``on``, with extra argparse options ``arg``.
     ``also`` returns the further changes that setting it implies; ``within``
     is the interval validate() holds each of its numbers to."""
-    parse, fmt, what = kind
     return field(default=default, metadata=dict(
-        section=section, key=key, parse=parse, fmt=fmt, what=what, flag=flag, on=on, arg=arg,
-        also=also, within=within))
+        section=section, key=key, kind=kind, flag=flag, on=on, arg=arg, also=also,
+        within=within))
 
 
 @dataclass
@@ -195,7 +195,7 @@ class ExperimentConfig:
         sections = {}
         for f in FIELDS:
             value = getattr(self, f.attr)
-            text = "" if value is None else f.fmt(value)
+            text = "" if value is None else f.kind[1](value)
             if text:
                 sections.setdefault(f.section, {})[f.key] = text
         cp = configparser.ConfigParser()
@@ -214,11 +214,12 @@ class ExperimentConfig:
             raise ValueError(f"{path}: " + " ".join(str(exc).split())) from None
         settings = []
         for f, text in texts:
+            parse, _, name = f.kind
             try:
-                settings.append((f, f.parse(text)))
+                settings.append((f, parse(text)))
             except ValueError:  # a value continued over lines is shown on one
                 text = " ".join(text.split())
-                raise ValueError(f"{path}: [{f.section}] {f.key}={text} is not {f.what}") from None
+                raise ValueError(f"{path}: [{f.section}] {f.key}={text} is not {name}") from None
         return self._with(settings)
 
     def _with(self, settings) -> "ExperimentConfig":
@@ -500,14 +501,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def _flag_type(parse, what: str):
-    """parse as an argparse type: a value it refuses is named with what it
-    must be, as in an INI file."""
+def _flag_type(kind):
+    """kind's parse as an argparse type: a value it refuses is named with
+    what it must be, as in an INI file."""
+    parse, _, name = kind
+
     def convert(text):
         try:
             return parse(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{text} is not {what}") from None
+            raise argparse.ArgumentTypeError(f"{text} is not {name}") from None
     return convert
 
 
@@ -530,14 +533,14 @@ def _build_parser() -> argparse.ArgumentParser:
     for f in FIELDS:
         for name in f.on if f.flag else ():
             cmds[name].add_argument(f.flag, dest=f.attr,
-                                    **{"type": _flag_type(f.parse, f.what), **f.arg})
+                                    **{"type": _flag_type(f.kind), **f.arg})
     cmds["example1"].add_argument("--noise", choices=("random", "trapezoid"), default="random")
 
     cmds["cross-card"].add_argument("--gamma", required=True, help="comma-separated shapes",
-                                    type=_flag_type(float_list, "a list of floats"))
+                                    type=_flag_type(FLOATS))
     cmds["cross-card"].add_argument("--n", required=True, help="comma-separated levels",
-                                    type=_flag_type(int_list, "a list of integers"))
-    integer = _flag_type(int, "an integer")
+                                    type=_flag_type(INTS))
+    integer = _flag_type(INT)
     cmds["cross-card"].add_argument("--r", type=integer, default=1)
 
     ps = cmds["emit-surface"]

@@ -229,11 +229,11 @@ def add_noise(grid: CoeffGrid, spec: NoiseSpec) -> CoeffGrid:
     )
 
 
-def _noisy_block(data: np.ndarray, spec: NoiseSpec, shape) -> np.ndarray:
-    """The top-left block of the given shape of data plus the noise of spec:
-    that block of add_noise's grid, bit for bit, since the Gaussian stream is
-    drawn, and in mode "rescaled" normalised, over all of data."""
-    xi = np.random.default_rng(spec.seed).standard_normal(data.shape)
+def _noisy_block(data: np.ndarray, spec: NoiseSpec, shape, sd: int = 0) -> np.ndarray:
+    """data's top-left block of the given shape plus spec's noise from seed
+    spec.seed + sd: add_noise's grid of that seed there, bit for bit, as the
+    stream is drawn, and in mode "rescaled" normalised, over all of data."""
+    xi = np.random.default_rng(spec.seed + sd).standard_normal(data.shape)
     scale = spec.delta / lp_norm(xi, spec.p) if spec.mode == "rescaled" else spec.delta
     kb, jb = shape
     block = xi[:kb, :jb]
@@ -313,18 +313,24 @@ def _degree(text: str) -> int:
     return value
 
 
-_KIND_NAMES = {float: "a float", int: "an integer", _degree: "an integer >= 0"}
+# The kinds of value in run files, INI keys and flags, each a (parse, format,
+# name) triple: a text that parse refuses "is not" name.
+STR = (str, str, "text")
+FLOAT = (float, _fmt_float, "a float")
+INT = (int, str, "an integer")
+DEGREE = (_degree, str, "an integer >= 0")
 
 
-def _meta_field(path: str, meta: dict, key: str, kind=str):
-    """kind(meta[key]); a missing key or a value kind refuses raises one
-    ValueError naming the sidecar and the key."""
+def _meta_field(path: str, meta: dict, key: str, kind=STR):
+    """meta[key] parsed as kind; a missing key or a value kind refuses
+    raises one ValueError naming the sidecar and the key."""
     if key not in meta:
         raise ValueError(f"{path}.meta: no {key}= line")
+    parse, _, name = kind
     try:
-        return kind(meta[key])
+        return parse(meta[key])
     except ValueError:
-        raise ValueError(f"{path}.meta: {key}={meta[key]} is not {_KIND_NAMES[kind]}") from None
+        raise ValueError(f"{path}.meta: {key}={meta[key]} is not {name}") from None
 
 
 def load_grid(path) -> CoeffGrid:
@@ -337,7 +343,7 @@ def load_grid(path) -> CoeffGrid:
     with open(path + ".meta") as fh:
         meta = dict(line.strip().partition("=")[::2] for line in fh if line.strip())
     provenance = _meta_field(path, meta, "provenance")
-    K, J = (_meta_field(path, meta, key, _degree) for key in ("K", "J"))
+    K, J = (_meta_field(path, meta, key, DEGREE) for key in ("K", "J"))
     try:
         with warnings.catch_warnings():  # on a file without rows; counted below
             warnings.simplefilter("ignore", UserWarning)
@@ -361,14 +367,14 @@ def load_grid(path) -> CoeffGrid:
     data[cells["k"], cells["j"]] = cells["value"]
     noise = None
     if provenance == "noisy":
-        noise = NoiseSpec(delta=_meta_field(path, meta, "delta", float),
-                          p=_meta_field(path, meta, "p", float),
+        noise = NoiseSpec(delta=_meta_field(path, meta, "delta", FLOAT),
+                          p=_meta_field(path, meta, "p", FLOAT),
                           mode=_meta_field(path, meta, "mode"),
-                          seed=_meta_field(path, meta, "seed", int))
+                          seed=_meta_field(path, meta, "seed", INT))
     return CoeffGrid(
         data=data,
         provenance=provenance,
-        h=_meta_field(path, meta, "h", float) if "h" in meta else None,
+        h=_meta_field(path, meta, "h", FLOAT) if "h" in meta else None,
         noise=noise,
         base_provenance=meta.get("base_provenance"),
     )

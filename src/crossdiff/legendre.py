@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +56,10 @@ def phi_matrix(max_degree: int, t: np.ndarray) -> np.ndarray:
     """Table of orthonormal Legendre values phi_k(t_i).
 
     A table of _PHI_SPLIT nodes or more is filled on two threads where two
-    CPUs are usable: one helper thread fills the second half of the nodes
-    while the calling thread fills the first. The call returns, or raises,
-    only after joining the helper, and the table is the same, bit for bit,
-    as on one thread.
+    CPUs are usable: a one-worker executor fills the second half of the
+    nodes, as one future, while the calling thread fills the first. The
+    call returns, or raises, only after joining the helper, and the table
+    is the same, bit for bit, as on one thread.
 
     Parameters
     ----------
@@ -84,23 +83,12 @@ def phi_matrix(max_degree: int, t: np.ndarray) -> np.ndarray:
     if t.size < _PHI_SPLIT or _usable_cpus() < 2:
         _phi_blocks(t, out, scale, 0, t.size)
         return out
+    from concurrent.futures import ThreadPoolExecutor  # loads logging: here, not on import
     half = t.size // 2
-    failure = []
-
-    def fill_second_half():
-        try:
-            _phi_blocks(t, out, scale, half, t.size)
-        except BaseException as exc:  # re-raised by the caller below
-            failure.append(exc)
-
-    helper = threading.Thread(target=fill_second_half, name="phi_matrix")
-    helper.start()
-    try:
+    with ThreadPoolExecutor(1, "phi_matrix") as helper:
+        second = helper.submit(_phi_blocks, t, out, scale, half, t.size)
         _phi_blocks(t, out, scale, 0, half)
-    finally:
-        helper.join()
-    if failure:
-        raise failure[0]
+    second.result()
     return out
 
 

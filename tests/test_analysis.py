@@ -3,7 +3,9 @@
 import atexit
 import math
 import os
+import signal
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -972,10 +974,10 @@ def fail_draws(monkeypatch, seeds, fail):
     # fail(seed, pid of the caller) runs in place of the draws of these seeds
     caller, draw = os.getpid(), analysis._noisy_block
 
-    def noisy_block(data, spec, shape):
-        if spec.seed in seeds:
-            fail(spec.seed, caller)
-        return draw(data, spec, shape)
+    def noisy_block(data, spec, shape, sd=0):
+        if spec.seed + sd in seeds:
+            fail(spec.seed + sd, caller)
+        return draw(data, spec, shape, sd)
 
     monkeypatch.setattr(analysis, "_noisy_block", noisy_block)
 
@@ -1002,6 +1004,32 @@ def test_shares_may_be_empty(monkeypatch):
     force_workers(monkeypatch, 3)
     assert analysis._forked_map(abs, []) == []
     assert analysis._forked_map(abs, [-1, -2]) == [1, 2]
+    assert_no_child_left()
+
+
+def test_an_interrupt_in_the_callers_share_kills_and_reaps_the_worker(monkeypatch):
+    # KeyboardInterrupt is no Exception, so the caller's share does not catch
+    # it: the worker, still busy with its own share, is killed and reaped
+    # before the interrupt reaches the caller
+    force_workers(monkeypatch, 2)
+    caller, waitpid, statuses = os.getpid(), os.waitpid, []
+
+    def recording_waitpid(pid, options):
+        reaped = waitpid(pid, options)
+        statuses.append(reaped[1])
+        return reaped
+
+    def fn(item):
+        if os.getpid() != caller:
+            time.sleep(30)  # far longer than the caller takes to be interrupted
+        elif item == 0:
+            raise KeyboardInterrupt
+        return item
+
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
+    with pytest.raises(KeyboardInterrupt):
+        analysis._forked_map(fn, range(4))
+    assert [os.WIFSIGNALED(s) and os.WTERMSIG(s) for s in statuses] == [signal.SIGKILL]
     assert_no_child_left()
 
 

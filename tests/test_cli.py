@@ -197,6 +197,25 @@ def test_a_class_too_rough_along_tau_is_refused_by_its_tau_weight(tmp_path, caps
     assert os.listdir(tmp_path) == ["rough.ini"]
 
 
+@pytest.mark.parametrize("command, ini, flags, message", [
+    ("example1", None, [], "config file missing.ini not found or unreadable"),
+    ("example1", "[noise]\nmode = foo\n", [], "unknown noise mode 'foo'"),
+    ("rate-study", "[experiment]\nmetric = X\n", [], "metric must be 'L2' or 'C', got 'X'"),
+    ("rate-study", "[experiment]\nfunction = class\nmu1 = 4.5\nmu2 = 4.5\n", ["--metric", "C"],
+     "smoothness 4.5 of the differentiated axis (mu1 along t, mu2 along tau) too small for "
+     "order r=2 in C: need more than 5")],
+    ids=["missing-config", "noise-mode", "metric", "class-too-rough-for-c"])
+def test_a_refused_config_is_one_error_line_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                               command, ini, flags, message):
+    monkeypatch.chdir(tmp_path)
+    name = "missing.ini" if ini is None else "run.ini"
+    if ini is not None:
+        (tmp_path / name).write_text(ini)
+    assert run_cli(command, "--config", name, *flags, "--out", "res") == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert os.listdir(tmp_path) == ([] if ini is None else [name])
+
+
 def test_non_finite_class_coefficients_are_reported(tmp_path, capsys, monkeypatch):
     make = cli.make_class_function
 
@@ -252,10 +271,10 @@ def test_rate_study_worker_failure_is_one_error_line(tmp_path, capsys, monkeypat
     monkeypatch.setattr(analysis, "_worker_count", lambda items: 2)
     caller, draw = os.getpid(), analysis._noisy_block
 
-    def noisy_block(data, spec, shape):
-        if spec.seed == 1001 and os.getpid() != caller:
-            fail(spec.seed)
-        return draw(data, spec, shape)
+    def noisy_block(data, spec, shape, sd=0):
+        if spec.seed + sd == 1001 and os.getpid() != caller:
+            fail(spec.seed + sd)
+        return draw(data, spec, shape, sd)
 
     monkeypatch.setattr(analysis, "_noisy_block", noisy_block)
     cfg = tmp_path / "rate.ini"
@@ -400,6 +419,16 @@ def test_emit_surface_missing_run(tmp_path, capsys):
     rc = run_cli("emit-surface", "--run", "nope", "--out", tmp_path)
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_emit_surface_refuses_a_row_the_run_does_not_have(tmp_path, capsys):
+    assert run_cli("example1", "--grid-degree", 4, "--n", "2,3,4", "--seeds", 1,
+                   "--out", tmp_path, "--run-id", "e1") == 0
+    capsys.readouterr()
+    written = sorted(os.listdir(tmp_path / "e1"))
+    assert run_cli("emit-surface", "--run", "e1", "--row", 5, "--out", tmp_path) == 2
+    assert capsys.readouterr() == ("", "error: run 'e1' has no saved row 5\n")
+    assert sorted(os.listdir(tmp_path / "e1")) == written
 
 
 def test_emit_surface_function_mismatch(tmp_path, capsys):
@@ -648,7 +677,8 @@ def test_every_schema_flag_is_accepted_by_every_table_command(command, f, monkey
     monkeypatch.setattr(cli, "cmd_table", resolved.append)
     assert run_cli(command, f.flag, FLAG_VALUES[f.flag]) == 0
     (cfg,) = resolved
-    assert getattr(cfg, f.attr) == f.parse(FLAG_VALUES[f.flag])
+    parse, _, _ = f.kind
+    assert getattr(cfg, f.attr) == parse(FLAG_VALUES[f.flag])
     cfg.validate()  # --delta and --h also switch the noise mode
 
 
@@ -703,7 +733,7 @@ def test_a_flag_value_that_does_not_parse_says_what_it_must_be(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("f", [f for f in FIELDS if f.parse in (float, cli.float_list)],
+@pytest.mark.parametrize("f", [f for f in FIELDS if f.kind in (cli.FLOAT, cli.FLOATS)],
                          ids=lambda f: f.attr)
 def test_validate_rejects_non_finite_numbers(f, bad):
     # inf is a valid norm index (p, noise_p); NaN is valid nowhere

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from crossdiff import coeffs as coeffs_module
-from crossdiff import analysis
 from crossdiff.analysis import (
-    CosFactor, PiecewisePoly, _kink_factor, example1_F, example2_F, make_class_function,
+    CosFactor, PiecewisePoly, TestFunction, _kink_factor, example1_F, example2_F,
+    make_class_function,
 )
 from crossdiff.coeffs import (
     CoeffGrid,
@@ -85,7 +85,7 @@ T = PiecewisePoly((), ((0.0, 1.0),))
 
 
 def test_trapezoid_constant_exact():
-    grid = trapezoid_coeffs(analysis.TestFunction("one", 1.0, ONE, ONE), 2, 2, 0.25)
+    grid = trapezoid_coeffs(TestFunction("one", 1.0, ONE, ONE), 2, 2, 0.25)
     assert grid.data[0, 0] == pytest.approx(2.0, abs=1e-14)
     assert grid.provenance == "trapezoid"
     assert grid.h == 0.25
@@ -205,7 +205,7 @@ def test_trapezoid_weights_a_factor_value_it_does_not_own_in_a_copy():
 
 
 def test_trapezoid_second_order_on_linear_function():
-    f = analysis.TestFunction("t", 1.0, T, ONE)
+    f = TestFunction("t", 1.0, T, ONE)
     exact = exact_coeffs(f, 1, 1)
     hs = (1e-2, 5e-3, 2.5e-3)
     errs = [

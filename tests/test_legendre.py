@@ -116,15 +116,17 @@ def test_blocked_phi_matrix_is_bit_identical_to_whole_array_recurrence(monkeypat
             assert np.all(np.abs(table[k] - expect) <= 1e-13 * (k + 1))
 
 
-@pytest.mark.parametrize("failing", ["caller's half", "helper's half"])
+@pytest.mark.parametrize("failing", ["caller's half", "helper's half", "both halves"])
 def test_a_failed_half_raises_and_leaves_no_thread(monkeypatch, failing):
     # the exception of the failing half reaches the caller after the helper
-    # is joined, so no half-filled table is returned and no thread lives on
-    error = RuntimeError("half failed")
+    # is joined, so no half-filled table is returned and no thread lives on;
+    # where both fail, the caller's own is raised
+    errors = {False: RuntimeError("caller's half failed"),
+              True: RuntimeError("helper's half failed")}
 
     def fill_or_fail(t, out, scale, lo, hi):
-        if (lo > 0) == (failing == "helper's half"):
-            raise error
+        if failing in ("both halves", "helper's half" if lo > 0 else "caller's half"):
+            raise errors[lo > 0]
         _phi_blocks(t, out, scale, lo, hi)
 
     monkeypatch.setattr(legendre, "_usable_cpus", lambda: 2)
@@ -132,9 +134,9 @@ def test_a_failed_half_raises_and_leaves_no_thread(monkeypatch, failing):
     before = threading.active_count()
     with pytest.raises(RuntimeError) as info:
         phi_matrix(8, np.linspace(-1.0, 1.0, 2 * _PHI_BLOCK + 3))
-    assert info.value is error
+    assert info.value is errors[failing == "helper's half"]
     assert threading.active_count() == before
-    assert not any(thread.name == "phi_matrix" for thread in threading.enumerate())
+    assert not any(thread.name.startswith("phi_matrix") for thread in threading.enumerate())
 
 
 def test_blocked_phi_matrix_flattens_2d_input():
