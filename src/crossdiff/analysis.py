@@ -13,7 +13,7 @@ import math
 import os
 import pickle
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -424,6 +424,17 @@ class _Level:
                  else _noisy_block(self._data, self.noise, (kb, jb), sd))
         return _truncate_block(block, self.cross)
 
+    @staticmethod
+    def finite(values, fn_id: str, study: str | None = None):
+        """values, unless one of them is not finite: then a ValueError naming
+        fn_id's coefficients or, given study ("rate study", "error table"),
+        the errors it produced. Rate studies and error tables check their
+        coefficients, noise-free errors and trial arrays here."""
+        if not np.isfinite(values).all():
+            raise ValueError(f"coefficients of {fn_id} are not finite" if study is None
+                             else f"{study} of {fn_id} produced non-finite errors")
+        return values
+
     def trial(self, sd: int) -> tuple[float, float]:
         """(error_l2, error_c) of noise draw sd, all a forked worker sends
         back: approx(sd), scored."""
@@ -457,8 +468,10 @@ def theoretical_slope(sp: SmoothnessParams, r: int, metric: str = "L2", axis: st
 class RateStudyResult:
     """Outcome of a noise-convergence study over a list of noise levels.
 
-    rows holds one (delta, n, gamma, error_l2, error_c, seed) record per
-    trial; errors holds the per-delta medians in the study metric.
+    trials holds the (error_l2, error_c) of every trial, a float64 array of
+    shape (noise levels, seeds, 2); errors holds the per-delta medians in
+    the study metric. A level's trials drew seeds first_seeds[i] + 0, 1, ...
+    after truncation at ns[i], with the run's one cross shape gamma.
     """
 
     metric: str
@@ -466,12 +479,20 @@ class RateStudyResult:
     errors: list
     fitted_slope: float
     theoretical_slope: float
-    rows: list = field(default_factory=list)
+    ns: list
+    gamma: float
+    first_seeds: list
+    trials: np.ndarray
 
     def save(self, path) -> None:
-        """CSV of all trial rows, then a summary row whose first field is
-        'slope' carrying (fitted, theoretical) in the two error columns."""
-        _write_csv(path, "delta,n,gamma,error_l2,error_c,seed", ("fsfffs", self.rows),
+        """CSV of one (delta, n, gamma, error_l2, error_c, seed) row per trial,
+        then a summary row whose first field is 'slope' carrying (fitted,
+        theoretical) in the two error columns."""
+        rows = ((delta, n, self.gamma, l2, c, seed + sd)
+                for delta, n, seed, level in zip(self.delta_list, self.ns, self.first_seeds,
+                                                 self.trials)
+                for sd, (l2, c) in enumerate(level.tolist()))
+        _write_csv(path, "delta,n,gamma,error_l2,error_c,seed", ("fsfffs", rows),
                    ("s--ff-", [("slope", self.fitted_slope, self.theoretical_slope)]))
 
 
@@ -492,35 +513,37 @@ def _worker_count(items: int) -> int:
     return max(1, min(_usable_cpus(), _MAX_WORKERS, items // _MIN_SHARE))
 
 
-def _run_share(fn, items, first: int, step: int):
-    """fn over items[first::step]: (results, None), or the results before
-    the first failure and (index of the failing item, its exception)."""
-    out = []
-    for index in range(first, len(items), step):
+def _run_share(fn, count: int, first: int, step: int):
+    """fn(i), a pair of floats, for i in range(first, count, step), as the
+    rows of one float64 array: (the array, None), or the rows before the
+    first failure and (index of the failing item, its exception)."""
+    indices = range(first, count, step)
+    out = np.empty((len(indices), 2))
+    for row, index in enumerate(indices):
         try:
-            out.append(fn(items[index]))
+            out[row] = fn(index)
         except Exception as exc:
-            return out, (index, exc)
+            return out[:row], (index, exc)
     return out, None
 
 
-def _forked_map(fn, items) -> list:
-    """[fn(x) for x in items], the items (a list or range) dealt in turn
-    to _worker_count processes. The caller runs the first share and forks
-    one worker per other share (none for a single share); a worker sends
-    its results back through a pipe (pickle), prints nothing and leaves by
-    os._exit. The result does not depend on the number of workers. A
-    failure raises the exception of the first failing item, as the serial
-    loop would; a worker that ends without sending its results raises
-    ChildProcessError. Every worker is reaped before this returns or
-    raises.
+def _forked_map(fn, count: int) -> np.ndarray:
+    """The pairs fn(0), ..., fn(count - 1) as a (count, 2) float64 array, the
+    indices dealt in turn to _worker_count processes. The caller runs the
+    first share and forks one worker per other share (none for a single
+    share); a worker sends its share's array back through a pipe (pickle),
+    prints nothing and leaves by os._exit. The result does not depend on the
+    number of workers. A failure raises the exception of the first failing
+    index, as the serial loop would; a worker that ends without sending its
+    results raises ChildProcessError. Every worker is reaped before this
+    returns or raises.
 
     A forked worker shares the tables the caller built, which a spawned
     one would build again. Fork copies only the calling thread; OpenBLAS,
     NumPy's BLAS, stops its thread pool before a fork and restarts it
     after, through its own fork handlers. Python 3.12 and later warn
     (DeprecationWarning) on a fork while such threads exist."""
-    workers = _worker_count(len(items))
+    workers = _worker_count(count)
     pids, reads, payloads, done = [], [], [], False
     try:
         for w in range(1, workers):
@@ -531,14 +554,14 @@ def _forked_map(fn, items) -> list:
                 try:
                     os.close(read)
                     with os.fdopen(write, "wb") as fh:
-                        pickle.dump(_run_share(fn, items, w, workers), fh)
+                        pickle.dump(_run_share(fn, count, w, workers), fh)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(write)
             pids.append(pid)
             reads.append(read)
-        shares = [_run_share(fn, items, 0, workers)]
+        shares = [_run_share(fn, count, 0, workers)]
         for i, read in enumerate(reads):
             reads[i] = None
             with os.fdopen(read, "rb") as fh:
@@ -562,10 +585,10 @@ def _forked_map(fn, items) -> list:
     failures = [failure for _, failure in shares if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    rows = [None] * len(items)
-    for w, (out, _) in enumerate(shares):
-        rows[w::workers] = out
-    return rows
+    out = np.empty((count, 2))
+    for w, (share, _) in enumerate(shares):
+        out[w::workers] = share
+    return out
 
 
 def _median(values) -> float:
@@ -601,7 +624,9 @@ def rate_study(
     overrides it), all planned before any grid is built. `seeds`
     independent perturbations are reconstructed and the per-delta median
     error in the requested metric enters a log-log least-squares fit.
-    Requires every delta in (0, 1), spanning at least three decades.
+    Requires every delta in (0, 1), spanning at least three decades. The
+    grids have degree grid_degree in each variable; None means the degrees
+    of a Legendre-series function's own coefficients, or else 64.
 
     A trial works on the cross's bounding block only. So this call may
     fork: on Linux, a study of 64 or more trials splits them across two
@@ -614,22 +639,16 @@ def rate_study(
         raise ValueError("seeds must be >= 1")
     if metric not in ("L2", "C"):
         raise ValueError(f"metric must be 'L2' or 'C', got {metric!r}")
-    series = _series_coeffs(fn)
-    K = J = 64 if grid_degree is None else grid_degree
-    if series is not None:
-        K, J = (d - 1 for d in series.shape)
-        if grid_degree is not None and (grid_degree, grid_degree) != (K, J):
-            deg = K if K == J else f"({K},{J})"
-            raise ValueError(f"grid_degree={grid_degree} differs from the degree {deg} of "
-                             f"{fn.id}'s coefficient data; omit grid_degree")
+    K = J = grid_degree
+    if grid_degree is None:
+        series = _series_coeffs(fn)
+        K, J = (64, 64) if series is None else (d - 1 for d in series.shape)
     # refuses a delta outside (0,1) before the span, which divides by the smallest
     crosses = _plan(sp, delta_list, (), r, c, gamma, metric, axis, K if axis == "t" else J)
     if len(delta_list) < 2 or max(delta_list) / min(delta_list) < 0.999e3:
         raise ValueError("delta_list must span at least three decades")
 
-    data = exact_coeffs(fn, K, J).data
-    if not np.isfinite(data).all():
-        raise ValueError(f"coefficients of {fn.id} are not finite")
+    data = _Level.finite(exact_coeffs(fn, K, J).data, fn.id)
     scorer = ErrorEvaluator(fn.exact_deriv(r, axis), K, J)
     levels = [_Level(scorer, data, cross, _noise(delta, sp.p, noise_mode, base_seed, i))
               for i, (delta, cross) in enumerate(zip(delta_list, crosses))]
@@ -637,16 +656,9 @@ def rate_study(
     def trial(index):
         return levels[index // seeds].trial(index % seeds)
 
-    rows = _forked_map(trial, range(len(levels) * seeds))
-    for index, (error_l2, error_c) in enumerate(rows):  # each pair freed as its row is made
-        level = levels[index // seeds]
-        rows[index] = (level.noise.delta, level.cross.n, level.cross.gamma, error_l2, error_c,
-                       level.noise.seed + index % seeds)
-    if not all(math.isfinite(e) for row in rows for e in row[3:5]):
-        raise ValueError(f"rate study of {fn.id} produced non-finite errors")
-    pick = 3 if metric == "L2" else 4
-    medians = [_median([row[pick] for row in rows[i * seeds:(i + 1) * seeds]])
-               for i in range(len(levels))]
+    trials = _Level.finite(_forked_map(trial, len(levels) * seeds), fn.id, "rate study")
+    trials = trials.reshape(len(levels), seeds, 2)
+    medians = [_median(level[:, int(metric == "C")]) for level in trials]
 
     slope = float(np.polyfit(np.log(delta_list), np.log(medians), 1)[0])
     return RateStudyResult(
@@ -655,5 +667,8 @@ def rate_study(
         errors=medians,
         fitted_slope=slope,
         theoretical_slope=theoretical_slope(sp, r, metric, axis),
-        rows=rows,
+        ns=[cross.n for cross in crosses],
+        gamma=crosses[0].gamma,
+        first_seeds=[level.noise.seed for level in levels],
+        trials=trials,
     )

@@ -50,10 +50,12 @@ __all__ = [
 _ENV_ROOT = "CROSSDIFF_RESULTS"
 MAX_GRID_DEGREE = 1024  # the high-degree regime; gauss_rule's cost grows as m^2
 # Noise realizations per row or noise level, and noisy trials per run (noise
-# levels x seeds). A rate study keeps a ~220-byte row per trial, so at the
-# trial limit it holds ~1.1 GB and takes ~25 min on 2 CPUs. A noisy table row
-# keeps an (error_l2, error_c) pair per seed until it takes their medians:
-# at MAX_SEEDS ~180 MB and ~3 min at grid degree 64 on 2 CPUs.
+# levels x seeds). A run keeps each trial's (error_l2, error_c) in one float64
+# array, 16 bytes a trial; gathering it from the forked worker raised the
+# caller's peak by ~40 bytes a trial and the worker's by ~15 (measured from
+# 100 000 to 300 000 trials on 2 CPUs). So at the trial limit a rate study
+# peaks near 200 MB and takes ~25 min on 2 CPUs, and a noisy table row at
+# MAX_SEEDS near 40 MB and ~3 min at grid degree 64.
 MAX_SEEDS = 10 ** 6
 MAX_TRIALS = 5 * MAX_SEEDS
 MAX_GRID_POINTS = 1025  # emit-surface writes points^2 rows, ~100 MB at the limit
@@ -346,11 +348,12 @@ def cmd_table(cfg: ExperimentConfig) -> ResultsTable:
             gap = float(np.abs(grid.data - exact_grid.data).max())
         elif val != 0.0:
             noise = _noise(val, cfg.noise_p, cfg.noise_mode, cfg.base_seed, i)
-        level = _Level(scorer, grid.data, cross, noise)
-        error_l2, error_c = level.errors
-        if noise is not None:
-            l2s, cs = zip(*_forked_map(level.trial, range(cfg.seeds)))
-            error_l2, error_c = _median(l2s), _median(cs)
+        level = _Level(scorer, _Level.finite(grid.data, fn.id), cross, noise)
+        if noise is None:
+            error_l2, error_c = _Level.finite(level.errors, fn.id, "error table")
+        else:
+            trials = _Level.finite(_forked_map(level.trial, cfg.seeds), fn.id, "error table")
+            error_l2, error_c = _median(trials[:, 0]), _median(trials[:, 1])
         derivs.append(level.approx(None if noise is None else 0))
         rows.append(ResultRow(kind=kind, value=float(val), n=cross.n, gamma=cross.gamma,
                               card=cross.cardinality, error_l2=error_l2, error_c=error_c,

@@ -212,11 +212,15 @@ def class_norm(coeffs, s: float, mu1: float, mu2: float) -> float:
     kbar = np.maximum(1.0, np.arange(data.shape[0], dtype=float))
     jbar = np.maximum(1.0, np.arange(data.shape[1], dtype=float))
     # The weights kbar^(s mu1) overflow once s*mu1 passes ~146 at degree
-    # 128, so sum the terms in log form, scaled by the largest one.
-    with np.errstate(divide="ignore"):
-        log_w = (mu1 * np.log(kbar)[:, None] + mu2 * np.log(jbar)[None, :]
-                 + np.log(np.abs(data)))
+    # 128, so sum the terms in log form, scaled by the largest one. A zero
+    # coefficient's term stays -inf: its log 0 is never formed, nor added to
+    # a weight past the float range (mu near 1e308) as inf - inf.
+    with np.errstate(over="ignore"):
+        log_weight = mu1 * np.log(kbar)[:, None] + mu2 * np.log(jbar)[None, :]
+    nonzero = data != 0
+    log_w = np.log(np.abs(data), out=np.full(data.shape, -np.inf), where=nonzero)
+    np.add(log_weight, log_w, out=log_w, where=nonzero)
     top = float(log_w.max(initial=-np.inf))
-    if not math.isfinite(top):  # all zero (-inf), or a NaN or inf coefficient
+    if not math.isfinite(top):  # all zero (-inf), or a NaN or inf coefficient or weight
         return 0.0 if top == -math.inf else top
     return float(math.exp(top) * np.sum(np.exp(s * (log_w - top))) ** (1.0 / s))

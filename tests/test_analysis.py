@@ -494,7 +494,7 @@ def test_rate_study_recovers_theoretical_slope_l2():
     res = rate_study(fn, sp, 2, "L2", (1e-5, 1e-6, 1e-7, 1e-8, 1e-9), 3)
     assert abs(res.fitted_slope - res.theoretical_slope) < 0.1
     assert res.errors == sorted(res.errors, reverse=True)
-    assert len(res.rows) == 5 * 3
+    assert res.trials.shape == (5, 3, 2)
 
 
 def test_rate_study_recovers_theoretical_slope_c():
@@ -542,7 +542,7 @@ def test_rate_study_is_reproducible():
     args = (fn, sp, 2, "L2", (1e-5, 1e-7, 1e-9), 2)
     a = rate_study(*args)
     b = rate_study(*args)
-    assert a.rows == b.rows
+    assert np.array_equal(a.trials, b.trials)
     assert a.fitted_slope == b.fitted_slope
 
 
@@ -560,11 +560,17 @@ def test_rate_study_validation():
         rate_study(fn, sp, 2, "L2", (0.0, 1e-5, 1e-9), 2)
     with pytest.raises(ValueError, match=r"^accuracy delta=-0\.001 must lie in \(0,1\)$"):
         rate_study(fn, sp, 2, "L2", (-1e-3, 1e-5, 1e-9), 2)
-    # a coefficient-defined function fixes the grid degree
-    with pytest.raises(ValueError, match="grid_degree=64 differs from the degree 128"):
-        rate_study(fn, sp, 2, "L2", (1e-5, 1e-7, 1e-9), 1, grid_degree=64)
+
+
+def test_rate_study_cuts_a_series_function_to_its_grid_degree():
+    # None is the series' own degree; another degree cuts or pads the series
+    # (test_cli: a class study at 64), and each n must lie within it
+    fn = make_class_function()
+    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
     same = rate_study(fn, sp, 2, "L2", (1e-5, 1e-7, 1e-9), 1, grid_degree=128)
-    assert same.rows == rate_study(fn, sp, 2, "L2", (1e-5, 1e-7, 1e-9), 1).rows
+    assert np.array_equal(same.trials, rate_study(fn, sp, 2, "L2", (1e-5, 1e-7, 1e-9), 1).trials)
+    with pytest.raises(ValueError, match="^truncation level n=36 exceeds grid degree 32$"):
+        rate_study(fn, sp, 2, "L2", (1e-5, 1e-7, 1e-9), 1, grid_degree=32)
 
 
 def test_rate_study_result_save(tmp_path):
@@ -1000,10 +1006,15 @@ def test_worker_count_follows_the_usable_cpus(monkeypatch):
         assert analysis._worker_count(10 ** 6) == 1
 
 
+def pair(index):
+    return float(index), -0.5 * index
+
+
 def test_shares_may_be_empty(monkeypatch):
     force_workers(monkeypatch, 3)
-    assert analysis._forked_map(abs, []) == []
-    assert analysis._forked_map(abs, [-1, -2]) == [1, 2]
+    empty = analysis._forked_map(pair, 0)
+    assert empty.dtype == np.float64 and empty.shape == (0, 2)
+    assert analysis._forked_map(pair, 2).tolist() == [[0.0, -0.0], [1.0, -0.5]]
     assert_no_child_left()
 
 
@@ -1019,16 +1030,16 @@ def test_an_interrupt_in_the_callers_share_kills_and_reaps_the_worker(monkeypatc
         statuses.append(reaped[1])
         return reaped
 
-    def fn(item):
+    def fn(index):
         if os.getpid() != caller:
             time.sleep(30)  # far longer than the caller takes to be interrupted
-        elif item == 0:
+        elif index == 0:
             raise KeyboardInterrupt
-        return item
+        return pair(index)
 
     monkeypatch.setattr(os, "waitpid", recording_waitpid)
     with pytest.raises(KeyboardInterrupt):
-        analysis._forked_map(fn, range(4))
+        analysis._forked_map(fn, 4)
     assert [os.WIFSIGNALED(s) and os.WTERMSIG(s) for s in statuses] == [signal.SIGKILL]
     assert_no_child_left()
 
@@ -1050,23 +1061,35 @@ def test_rate_csv_is_the_same_for_any_worker_count(tmp_path, monkeypatch, fn, me
     assert_no_child_left()
 
 
-def test_a_trial_sends_back_two_floats(monkeypatch):
-    # a worker pickles (error_l2, error_c) per trial; the caller rebuilds
-    # each row's delta, n, gamma and seed from the trial's index
-    forked_map, sent = analysis._forked_map, []
+def test_a_trial_sends_back_two_floats(monkeypatch, tmp_path):
+    # a share is one float64 array of (error_l2, error_c) rows, which a
+    # worker pickles whole; save rebuilds each row's delta, n, gamma and
+    # seed from the trial's level and draw
+    force_workers(monkeypatch, 2)
+    run_share, sent = analysis._run_share, []
 
-    def recording(fn, items):
-        results = forked_map(fn, items)
-        sent.extend(results)
-        return results
+    def recording(*args):
+        share = run_share(*args)
+        sent.append(share)  # the caller's share; a worker's stays in the worker
+        return share
 
-    monkeypatch.setattr(analysis, "_forked_map", recording)
+    monkeypatch.setattr(analysis, "_run_share", recording)
     result = rate_study(make_class_function(), *RATE_ARGS)
-    assert all(type(pair) is tuple and list(map(type, pair)) == [float, float]
-               for pair in sent)
-    assert [row[3:5] for row in result.rows] == sent
-    assert [row[5] for row in result.rows] == [1000 + 997 * i + sd
-                                              for i in range(3) for sd in range(4)]
+    ((share, failure),) = sent
+    assert failure is None and share.dtype == np.float64 and share.shape == (6, 2)
+    trials = result.trials
+    assert trials.dtype == np.float64 and trials.shape == (3, 4, 2)
+    assert np.array_equal(trials.reshape(-1, 2)[0::2], share)
+    deltas = RATE_ARGS[3]
+    crosses = analysis._plan(RATE_SP, deltas, (), 2, 0.9, None, "L2", "t", 128)
+    path = tmp_path / "rate.csv"
+    result.save(path)
+    lines = path.read_text().splitlines()[1:-1]
+    written = [tuple(kind(x) for kind, x in zip((float, int, float, float, float, int),
+                                                line.split(",")))
+               for line in lines]
+    assert written == [(deltas[i], crosses[i].n, crosses[i].gamma, *trials[i, sd].tolist(),
+                        1000 + 997 * i + sd) for i in range(3) for sd in range(4)]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -125,17 +125,18 @@ def test_rate_study_rejects_bad_class(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_rate_study_rejects_grid_degree_of_coefficient_function(tmp_path, capsys):
-    # the class function is defined by its degree-128 coefficients, so a
-    # different grid_degree cannot be honoured and must not be ignored
+def test_rate_study_honours_grid_degree_of_a_series_function(tmp_path, capsys):
+    # the class function's degree-128 series is cut to grid_degree, as in an
+    # error table; choose_n's levels lie within it
     cfg = tmp_path / "deg.ini"
-    cfg.write_text("[experiment]\nfunction = class\n\n[method]\ngrid_degree = 64\n")
-    rc = run_cli("rate-study", "--config", cfg, "--out", tmp_path, "--run-id", "deg")
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "grid_degree=64" in err and "128" in err
-    assert not (tmp_path / "deg").exists()
+    cfg.write_text("[experiment]\nfunction = class\n\n[method]\ngrid_degree = 64\n\n"
+                   "[noise]\ndeltas = 1e-5,1e-7,1e-9\nseeds = 2\n")
+    assert run_cli("rate-study", "--config", cfg, "--out", tmp_path, "--run-id", "deg") == 0
+    assert capsys.readouterr().err == ""
+    lines = (tmp_path / "deg" / "rate.csv").read_text().splitlines()[1:-1]
+    assert [int(line.split(",")[1]) for line in lines] == [7, 7, 16, 16, 36, 36]
+    assert all(math.isfinite(float(x)) for line in lines for x in line.split(",")[3:5])
+    assert "grid_degree = 64" in (tmp_path / "deg" / "config.ini").read_text()
 
 
 def test_rate_study_ignores_and_omits_noise_p(tmp_path):
@@ -227,10 +228,48 @@ def test_non_finite_class_coefficients_are_reported(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(cli, "make_class_function", nan_class)
     cfg = tmp_path / "rate.ini"
     cfg.write_text("[experiment]\nfunction = class\n")
-    assert run_cli("rate-study", "--config", cfg, "--out", tmp_path) == 2
-    assert capsys.readouterr().err == (
-        "error: coefficients of class-s2-mu5.6x5.6 are not finite\n")
-    assert os.listdir(tmp_path) == ["rate.ini"]
+    for argv in (["rate-study"], ["example1", "--seeds", 1]):  # a study and a table
+        assert run_cli(*argv, "--config", cfg, "--out", tmp_path) == 2
+        assert capsys.readouterr() == (
+            "", "error: coefficients of class-s2-mu5.6x5.6 are not finite\n")
+        assert os.listdir(tmp_path) == ["rate.ini"]
+
+
+def test_overflowing_table_errors_are_reported(tmp_path, capsys):
+    # finite coefficients whose order-45 derivative's squares overflow
+    cfg = tmp_path / "r.ini"
+    cfg.write_text("[experiment]\nr = 45\n[method]\ngrid_degree = 512\nn = 512,512,512\n")
+    with np.errstate(over="ignore"):
+        assert run_cli("example1", "--config", cfg, "--seeds", 1, "--out", tmp_path) == 2
+    assert capsys.readouterr() == (
+        "", "error: error table of example1 produced non-finite errors\n")
+    assert os.listdir(tmp_path) == ["r.ini"]
+
+
+def test_one_non_finite_trial_of_a_table_row_is_reported(tmp_path, capsys, monkeypatch):
+    # the median of five seeds would hide one infinite trial
+    trial = analysis._Level.trial
+
+    def one_inf(level, sd):
+        l2, c = trial(level, sd)
+        return (math.inf if sd == 3 else l2), c
+
+    monkeypatch.setattr(analysis._Level, "trial", one_inf)
+    assert run_cli("example1", "--grid-degree", 32, "--seeds", 5, "--out", tmp_path) == 2
+    assert capsys.readouterr() == (
+        "", "error: error table of example1 produced non-finite errors\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_class_of_huge_smoothness_runs_finitely(tmp_path, capsys):
+    # every weight past the float range meets a zero coefficient
+    cfg = tmp_path / "mu.ini"
+    cfg.write_text("[experiment]\nfunction = class\nmu1 = 1.7e308\nmu2 = 1.7e308\n")
+    assert run_cli("example1", "--config", cfg, "--seeds", 1, "--out", tmp_path,
+                   "--run-id", "mu") == 0
+    assert capsys.readouterr().err == ""
+    rows = read_table(tmp_path, "mu").rows
+    assert all(math.isfinite(r.error_l2) and math.isfinite(r.error_c) for r in rows)
 
 
 def test_rate_study_small_run(tmp_path, capsys):

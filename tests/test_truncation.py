@@ -299,6 +299,17 @@ def test_class_norm_values():
         class_norm(data, 0.5, 5.6, 5.6)
 
 
+def test_class_norm_of_huge_smoothness_skips_zero_coefficients():
+    # mu * log k overflows for k >= 2, where every coefficient is zero: the
+    # norm is that of the four ones at k, j <= 1
+    kbar = np.maximum(1.0, np.arange(129, dtype=float))
+    norms = []
+    for mu in (1e300, 1e308):
+        x = kbar ** (-mu - 0.51)
+        norms.append(class_norm(np.outer(x, x), 2.0, mu, mu))
+    assert norms == [2.0, 2.0]
+
+
 def test_class_norm_example1_is_order_one():
     F = example1_F()
     grid = exact_coeffs(F, 64, 64)
