@@ -10,6 +10,7 @@ errors are measured without a reference discretization.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import pickle
 import sys
@@ -218,6 +219,8 @@ _C_POINTS = 513
 _C_SLAB = 16
 # unit roundoff of float64
 _U = 2.0 ** -53
+# trials of a level that RateStudyResult.save turns into Python floats at a time
+_SAVE_ROWS = 4096
 
 
 class ErrorEvaluator:
@@ -486,12 +489,13 @@ class RateStudyResult:
 
     def save(self, path) -> None:
         """CSV of one (delta, n, gamma, error_l2, error_c, seed) row per trial,
-        then a summary row whose first field is 'slope' carrying (fitted,
-        theoretical) in the two error columns."""
-        rows = ((delta, n, self.gamma, l2, c, seed + sd)
-                for delta, n, seed, level in zip(self.delta_list, self.ns, self.first_seeds,
-                                                 self.trials)
-                for sd, (l2, c) in enumerate(level.tolist()))
+        formatted _SAVE_ROWS trials of a level at a time, then a summary row
+        'slope', (fitted, theoretical) in the two error columns."""
+        rows = ((delta, n, self.gamma, l2, c, seed)
+                for delta, n, first, level in zip(self.delta_list, self.ns, self.first_seeds,
+                                                  self.trials)
+                for lo in range(0, len(level), _SAVE_ROWS)
+                for seed, (l2, c) in enumerate(level[lo:lo + _SAVE_ROWS].tolist(), first + lo))
         _write_csv(path, "delta,n,gamma,error_l2,error_c,seed", ("fsfffs", rows),
                    ("s--ff-", [("slope", self.fitted_slope, self.theoretical_slope)]))
 
@@ -513,30 +517,28 @@ def _worker_count(items: int) -> int:
     return max(1, min(_usable_cpus(), _MAX_WORKERS, items // _MIN_SHARE))
 
 
-def _run_share(fn, count: int, first: int, step: int):
-    """fn(i), a pair of floats, for i in range(first, count, step), as the
-    rows of one float64 array: (the array, None), or the rows before the
-    first failure and (index of the failing item, its exception)."""
-    indices = range(first, count, step)
-    out = np.empty((len(indices), 2))
-    for row, index in enumerate(indices):
+def _run_share(fn, out: np.ndarray, first: int, step: int):
+    """Rows first, first + step, ... of out, filled in place with fn(i), a
+    pair of floats: None, or at the first failure (index of the failing
+    item, its exception), the rows before it filled."""
+    for index in range(first, len(out), step):
         try:
-            out[row] = fn(index)
+            out[index] = fn(index)
         except Exception as exc:
-            return out[:row], (index, exc)
-    return out, None
+            return index, exc
+    return None
 
 
 def _forked_map(fn, count: int) -> np.ndarray:
-    """The pairs fn(0), ..., fn(count - 1) as a (count, 2) float64 array, the
-    indices dealt in turn to _worker_count processes. The caller runs the
-    first share and forks one worker per other share (none for a single
-    share); a worker sends its share's array back through a pipe (pickle),
-    prints nothing and leaves by os._exit. The result does not depend on the
-    number of workers. A failure raises the exception of the first failing
-    index, as the serial loop would; a worker that ends without sending its
-    results raises ChildProcessError. Every worker is reaped before this
-    returns or raises.
+    """The pairs fn(0), ..., fn(count - 1) as a (count, 2) float64 array in
+    one shared anonymous mapping, the indices dealt in turn to _worker_count
+    processes. The caller forks one worker per share but the first, which it
+    runs itself; each fills its rows in place (_run_share). A worker pipes
+    back only its failure or None (pickle), prints nothing and leaves by
+    os._exit. The result does not depend on the number of workers. A failure
+    raises the exception of the first failing index, as the serial loop
+    would; a worker that ends without sending raises ChildProcessError.
+    Every worker is reaped before this returns or raises.
 
     A forked worker shares the tables the caller built, which a spawned
     one would build again. Fork copies only the calling thread; OpenBLAS,
@@ -544,6 +546,7 @@ def _forked_map(fn, count: int) -> np.ndarray:
     after, through its own fork handlers. Python 3.12 and later warn
     (DeprecationWarning) on a fork while such threads exist."""
     workers = _worker_count(count)
+    out = np.frombuffer(mmap.mmap(-1, 16 * max(count, 1)), count=2 * count).reshape(count, 2)
     pids, reads, payloads, done = [], [], [], False
     try:
         for w in range(1, workers):
@@ -554,14 +557,14 @@ def _forked_map(fn, count: int) -> np.ndarray:
                 try:
                     os.close(read)
                     with os.fdopen(write, "wb") as fh:
-                        pickle.dump(_run_share(fn, count, w, workers), fh)
+                        pickle.dump(_run_share(fn, out, w, workers), fh)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(write)
             pids.append(pid)
             reads.append(read)
-        shares = [_run_share(fn, count, 0, workers)]
+        failures = [_run_share(fn, out, 0, workers)]
         for i, read in enumerate(reads):
             reads[i] = None
             with os.fdopen(read, "rb") as fh:
@@ -581,13 +584,10 @@ def _forked_map(fn, count: int) -> np.ndarray:
         if code != 0 or not payload:
             raise ChildProcessError(
                 f"forked worker {pid} ended with exit code {code} and no results")
-        shares.append(pickle.loads(payload))
-    failures = [failure for _, failure in shares if failure is not None]
+        failures.append(pickle.loads(payload))
+    failures = [failure for failure in failures if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    out = np.empty((count, 2))
-    for w, (share, _) in enumerate(shares):
-        out[w::workers] = share
     return out
 
 
@@ -650,14 +650,17 @@ def rate_study(
 
     data = _Level.finite(exact_coeffs(fn, K, J).data, fn.id)
     scorer = ErrorEvaluator(fn.exact_deriv(r, axis), K, J)
-    levels = [_Level(scorer, data, cross, _noise(delta, sp.p, noise_mode, base_seed, i))
-              for i, (delta, cross) in enumerate(zip(delta_list, crosses))]
 
     def trial(index):
         return levels[index // seeds].trial(index % seeds)
 
-    trials = _Level.finite(_forked_map(trial, len(levels) * seeds), fn.id, "rate study")
-    trials = trials.reshape(len(levels), seeds, 2)
+    # an overflow in scoring reads as a non-finite error, refused below;
+    # the forked workers inherit this state
+    with np.errstate(over="ignore"):
+        levels = [_Level(scorer, data, cross, _noise(delta, sp.p, noise_mode, base_seed, i))
+                  for i, (delta, cross) in enumerate(zip(delta_list, crosses))]
+        trials = _forked_map(trial, len(levels) * seeds)
+    trials = _Level.finite(trials, fn.id, "rate study").reshape(len(levels), seeds, 2)
     medians = [_median(level[:, int(metric == "C")]) for level in trials]
 
     slope = float(np.polyfit(np.log(delta_list), np.log(medians), 1)[0])

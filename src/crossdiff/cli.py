@@ -51,11 +51,11 @@ _ENV_ROOT = "CROSSDIFF_RESULTS"
 MAX_GRID_DEGREE = 1024  # the high-degree regime; gauss_rule's cost grows as m^2
 # Noise realizations per row or noise level, and noisy trials per run (noise
 # levels x seeds). A run keeps each trial's (error_l2, error_c) in one float64
-# array, 16 bytes a trial; gathering it from the forked worker raised the
-# caller's peak by ~40 bytes a trial and the worker's by ~15 (measured from
-# 100 000 to 300 000 trials on 2 CPUs). So at the trial limit a rate study
-# peaks near 200 MB and takes ~25 min on 2 CPUs, and a noisy table row at
-# MAX_SEEDS near 40 MB and ~3 min at grid degree 64.
+# array, 16 bytes a trial, shared by the caller and its forked worker: a
+# class rate study of 1 000 000 trials peaked 16-17 bytes a trial above one of
+# 250 trials in each of them (2 CPUs). So the trial limit bounds time, ~25 min
+# on 2 CPUs, more than memory, and a noisy table row at MAX_SEEDS takes ~3 min
+# at grid degree 64.
 MAX_SEEDS = 10 ** 6
 MAX_TRIALS = 5 * MAX_SEEDS
 MAX_GRID_POINTS = 1025  # emit-surface writes points^2 rows, ~100 MB at the limit
@@ -348,12 +348,16 @@ def cmd_table(cfg: ExperimentConfig) -> ResultsTable:
             gap = float(np.abs(grid.data - exact_grid.data).max())
         elif val != 0.0:
             noise = _noise(val, cfg.noise_p, cfg.noise_mode, cfg.base_seed, i)
-        level = _Level(scorer, _Level.finite(grid.data, fn.id), cross, noise)
+        # an overflow in scoring reads as a non-finite error, refused here;
+        # the forked workers inherit this state
+        with np.errstate(over="ignore"):
+            level = _Level(scorer, _Level.finite(grid.data, fn.id), cross, noise)
+            errors = level.errors if noise is None else _forked_map(level.trial, cfg.seeds)
+        errors = _Level.finite(errors, fn.id, "error table")
         if noise is None:
-            error_l2, error_c = _Level.finite(level.errors, fn.id, "error table")
+            error_l2, error_c = errors
         else:
-            trials = _Level.finite(_forked_map(level.trial, cfg.seeds), fn.id, "error table")
-            error_l2, error_c = _median(trials[:, 0]), _median(trials[:, 1])
+            error_l2, error_c = _median(errors[:, 0]), _median(errors[:, 1])
         derivs.append(level.approx(None if noise is None else 0))
         rows.append(ResultRow(kind=kind, value=float(val), n=cross.n, gamma=cross.gamma,
                               card=cross.cardinality, error_l2=error_l2, error_c=error_c,

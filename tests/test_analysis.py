@@ -1,6 +1,7 @@
 """Test-function corpus, error metrics, and noise-convergence studies."""
 
 import atexit
+import io
 import math
 import os
 import signal
@@ -1010,6 +1011,49 @@ def pair(index):
     return float(index), -0.5 * index
 
 
+def test_a_share_fills_its_rows_in_place():
+    # rows first, first + step, ...; a failure stops the share, the rows
+    # before it filled and the rest untouched
+    out = np.full((7, 2), -9.0)
+    assert analysis._run_share(pair, out, 1, 3) is None
+    assert out.tolist() == [[-9.0, -9.0], [1.0, -0.5], [-9.0, -9.0], [-9.0, -9.0],
+                            [4.0, -2.0], [-9.0, -9.0], [-9.0, -9.0]]
+
+    def fail_at_4(index):
+        if index == 4:
+            raise ValueError("bad item")
+        return pair(index)
+
+    out = np.full((7, 2), -9.0)
+    index, exc = analysis._run_share(fail_at_4, out, 0, 2)
+    assert index == 4 and isinstance(exc, ValueError) and str(exc) == "bad item"
+    assert out[0::2].tolist() == [[0.0, -0.0], [2.0, -1.0], [-9.0, -9.0], [-9.0, -9.0]]
+    assert (out[1::2] == -9.0).all()
+
+
+@pytest.mark.parametrize("workers", [2, 5])
+def test_a_worker_pipes_back_only_its_failure(monkeypatch, workers):
+    # each worker writes its rows into the shared result, more workers than
+    # CPUs among them; its pipe carries None, a few bytes, where a pickled
+    # share of 1000 rows would be ~16 KB
+    force_workers(monkeypatch, workers)
+    fdopen, payloads = os.fdopen, []
+
+    def recording(fd, mode="r", *args, **kwargs):
+        fh = fdopen(fd, mode, *args, **kwargs)
+        if mode != "rb":  # a worker's write end
+            return fh
+        with fh:
+            payloads.append(fh.read())
+        return io.BytesIO(payloads[-1])
+
+    monkeypatch.setattr(analysis.os, "fdopen", recording)
+    out = analysis._forked_map(pair, 2000)
+    assert out.tolist() == [list(pair(i)) for i in range(2000)]
+    assert len(payloads) == workers - 1 and all(len(payload) < 100 for payload in payloads)
+    assert_no_child_left()
+
+
 def test_shares_may_be_empty(monkeypatch):
     force_workers(monkeypatch, 3)
     empty = analysis._forked_map(pair, 0)
@@ -1062,24 +1106,25 @@ def test_rate_csv_is_the_same_for_any_worker_count(tmp_path, monkeypatch, fn, me
 
 
 def test_a_trial_sends_back_two_floats(monkeypatch, tmp_path):
-    # a share is one float64 array of (error_l2, error_c) rows, which a
-    # worker pickles whole; save rebuilds each row's delta, n, gamma and
-    # seed from the trial's level and draw
+    # every share fills its rows of one float64 array of (error_l2, error_c)
+    # in place, which becomes the result's trials; save rebuilds each row's
+    # delta, n, gamma and seed from the trial's level and draw
     force_workers(monkeypatch, 2)
     run_share, sent = analysis._run_share, []
 
-    def recording(*args):
-        share = run_share(*args)
-        sent.append(share)  # the caller's share; a worker's stays in the worker
-        return share
+    def recording(fn, out, first, step):
+        failure = run_share(fn, out, first, step)
+        sent.append((out, first, step, failure))  # the caller's; a worker's stays there
+        return failure
 
     monkeypatch.setattr(analysis, "_run_share", recording)
     result = rate_study(make_class_function(), *RATE_ARGS)
-    ((share, failure),) = sent
-    assert failure is None and share.dtype == np.float64 and share.shape == (6, 2)
+    ((out, first, step, failure),) = sent
+    assert (first, step, failure) == (0, 2, None)
+    assert out.dtype == np.float64 and out.shape == (12, 2)
     trials = result.trials
     assert trials.dtype == np.float64 and trials.shape == (3, 4, 2)
-    assert np.array_equal(trials.reshape(-1, 2)[0::2], share)
+    assert np.shares_memory(trials, out)
     deltas = RATE_ARGS[3]
     crosses = analysis._plan(RATE_SP, deltas, (), 2, 0.9, None, "L2", "t", 128)
     path = tmp_path / "rate.csv"
@@ -1090,6 +1135,35 @@ def test_a_trial_sends_back_two_floats(monkeypatch, tmp_path):
                for line in lines]
     assert written == [(deltas[i], crosses[i].n, crosses[i].gamma, *trials[i, sd].tolist(),
                         1000 + 997 * i + sd) for i in range(3) for sd in range(4)]
+
+
+def test_rate_csv_is_the_same_for_any_save_slice(monkeypatch, tmp_path):
+    # seven seeds a level cross slices of three at 3 and 6, which no study
+    # of the default slice of 4096 rows reaches
+    result = rate_study(make_class_function(), *RATE_ARGS[:-1], 7)
+    whole, sliced = tmp_path / "whole.csv", tmp_path / "sliced.csv"
+    result.save(whole)
+    monkeypatch.setattr(analysis, "_SAVE_ROWS", 3)
+    result.save(sliced)
+    assert sliced.read_bytes() == whole.read_bytes()
+    assert len(whole.read_text().splitlines()) == 1 + 3 * 7 + 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_trial_is_reported_without_a_warning(monkeypatch):
+    # the forked worker's trials overflow too, and inherit the study's
+    # ignored overflow
+    force_workers(monkeypatch, 2)
+    trial = _Level.trial
+
+    def overflowing(level, sd):
+        l2, c = trial(level, sd)
+        return float(np.square(np.float64(1e200))), c
+
+    monkeypatch.setattr(_Level, "trial", overflowing)
+    with pytest.raises(ValueError, match="^rate study of .* produced non-finite errors$"):
+        rate_study(make_class_function(), *RATE_ARGS)
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

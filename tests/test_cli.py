@@ -235,12 +235,13 @@ def test_non_finite_class_coefficients_are_reported(tmp_path, capsys, monkeypatc
         assert os.listdir(tmp_path) == ["rate.ini"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_table_errors_are_reported(tmp_path, capsys):
-    # finite coefficients whose order-45 derivative's squares overflow
+    # finite coefficients whose order-45 derivative's squares overflow: one
+    # error line, and no numpy overflow warning before it
     cfg = tmp_path / "r.ini"
     cfg.write_text("[experiment]\nr = 45\n[method]\ngrid_degree = 512\nn = 512,512,512\n")
-    with np.errstate(over="ignore"):
-        assert run_cli("example1", "--config", cfg, "--seeds", 1, "--out", tmp_path) == 2
+    assert run_cli("example1", "--config", cfg, "--seeds", 1, "--out", tmp_path) == 2
     assert capsys.readouterr() == (
         "", "error: error table of example1 produced non-finite errors\n")
     assert os.listdir(tmp_path) == ["r.ini"]
