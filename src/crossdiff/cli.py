@@ -53,7 +53,8 @@ MAX_GRID_DEGREE = 1024  # the high-degree regime; gauss_rule's cost grows as m^2
 # levels x seeds). A run keeps each trial's (error_l2, error_c) in one float64
 # array, 16 bytes a trial, shared by the caller and its forked worker: a
 # class rate study of 1 000 000 trials peaked 16-17 bytes a trial above one of
-# 250 trials in each of them (2 CPUs). So the trial limit bounds time, ~25 min
+# 250 trials in the caller, which reads every row, and 7-8 in the worker,
+# which writes its own half (2 CPUs). So the trial limit bounds time, ~25 min
 # on 2 CPUs, more than memory, and a noisy table row at MAX_SEEDS takes ~3 min
 # at grid degree 64.
 MAX_SEEDS = 10 ** 6
@@ -352,13 +353,13 @@ def cmd_table(cfg: ExperimentConfig) -> ResultsTable:
         # the forked workers inherit this state
         with np.errstate(over="ignore"):
             level = _Level(scorer, _Level.finite(grid.data, fn.id), cross, noise)
-            errors = level.errors if noise is None else _forked_map(level.trial, cfg.seeds)
+            errors = level.errors if noise is None else _forked_map([level.trials], cfg.seeds)[0]
         errors = _Level.finite(errors, fn.id, "error table")
         if noise is None:
             error_l2, error_c = errors
         else:
             error_l2, error_c = _median(errors[:, 0]), _median(errors[:, 1])
-        derivs.append(level.approx(None if noise is None else 0))
+        derivs.append(level.approx() if noise is None else level.approx([0])[0])
         rows.append(ResultRow(kind=kind, value=float(val), n=cross.n, gamma=cross.gamma,
                               card=cross.cardinality, error_l2=error_l2, error_c=error_c,
                               coeff_linf=gap, wall_time=time.perf_counter() - start))

@@ -221,7 +221,7 @@ def lp_norm(x, p: float) -> float:
 def add_noise(grid: CoeffGrid, spec: NoiseSpec) -> CoeffGrid:
     """Add the perturbation defined by spec to the whole grid."""
     return CoeffGrid(
-        data=_noisy_block(grid.data, spec, grid.data.shape),
+        data=_noisy_blocks(grid.data, spec, grid.data.shape, (0,))[0],
         provenance="noisy",
         h=grid.h,
         noise=spec,
@@ -229,17 +229,21 @@ def add_noise(grid: CoeffGrid, spec: NoiseSpec) -> CoeffGrid:
     )
 
 
-def _noisy_block(data: np.ndarray, spec: NoiseSpec, shape, sd: int = 0) -> np.ndarray:
-    """data's top-left block of the given shape plus spec's noise from seed
-    spec.seed + sd: add_noise's grid of that seed there, bit for bit, as the
-    stream is drawn, and in mode "rescaled" normalised, over all of data."""
-    xi = np.random.default_rng(spec.seed + sd).standard_normal(data.shape)
-    scale = spec.delta / lp_norm(xi, spec.p) if spec.mode == "rescaled" else spec.delta
+def _noisy_blocks(data: np.ndarray, spec: NoiseSpec, shape, sds) -> np.ndarray:
+    """One block of the given shape per draw sd of sds, stacked: data's
+    top-left block plus spec's noise from seed spec.seed + sd, which is
+    add_noise's grid of that seed there, bit for bit. Each stream is drawn
+    whole into one buffer of data's shape, reused, and in mode "rescaled"
+    normalised over all of it."""
     kb, jb = shape
-    block = xi[:kb, :jb]
-    block *= scale
-    block += data[:kb, :jb]
-    return block
+    out = np.empty((len(sds), kb, jb))
+    buf = np.empty(data.shape)
+    for block, sd in zip(out, sds):
+        xi = np.random.default_rng(spec.seed + sd).standard_normal(out=buf)
+        scale = spec.delta / lp_norm(xi, spec.p) if spec.mode == "rescaled" else spec.delta
+        np.multiply(xi[:kb, :jb], scale, out=block)
+        block += data[:kb, :jb]
+    return out
 
 
 def _row_format(kinds: str) -> str:

@@ -204,12 +204,13 @@ def iterate_derivative(max_degree: int, r: int) -> np.ndarray:
 
 
 def differentiate(data: np.ndarray, r: int, axis: str = "t") -> np.ndarray:
-    """Order-r derivative of a 2-D coefficient block along t (rows) or tau
-    (columns), by the order-r operator of the block's size on that axis."""
+    """Order-r derivative of a 2-D coefficient block, or of each block of a
+    stack of them, along t (rows) or tau (columns), by the order-r operator
+    of the block's size on that axis."""
     if axis == "t":
-        return _deriv_matrix(data.shape[0], r) @ data
+        return _deriv_matrix(data.shape[-2], r) @ data
     if axis == "tau":
-        return data @ _deriv_matrix(data.shape[1], r).T
+        return data @ _deriv_matrix(data.shape[-1], r).T
     raise ValueError(f"axis must be 't' or 'tau', got {axis!r}")
 
 

@@ -138,7 +138,8 @@ def truncate(coeffs: CoeffGrid, cross: CrossSet) -> CoeffGrid:
 
 def _truncate_block(block: np.ndarray, cross: CrossSet) -> np.ndarray:
     """truncate on the cross's bounding block: block, of the shape of
-    cross.block, zeroed outside the cross and differentiated."""
+    cross.block or a stack of such blocks, zeroed outside the cross and
+    differentiated."""
     return differentiate(np.where(cross.block, block, 0.0), cross.r, cross.axis)
 
 

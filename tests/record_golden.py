@@ -41,7 +41,7 @@ SRC = HERE.parent / "src"
 # the OpenBLAS thread counts recorded, each in a file of its own
 THREADS = (1, 2)
 # the config file of each run that reads one, by file name; each rate study
-# but rate-c-forked has 5 deltas x 5 seeds: 25 trials, no fork
+# but the two forked ones has 5 deltas x 5 seeds: 25 trials, no fork
 CONFIGS = {
     "rate.ini": "[experiment]\nfunction = class\n\n[noise]\nseeds = 5\n",
     "rate-c-tau.ini": "[experiment]\nfunction = class\naxis = tau\nmetric = C\n\n"
@@ -50,6 +50,8 @@ CONFIGS = {
     "rate-tau.ini": "[experiment]\nfunction = class\naxis = tau\n\n[noise]\nseeds = 5\n",
     # 5 deltas x 13 seeds = 65 trials, which fork
     "rate-c-forked.ini": "[experiment]\nfunction = class\nmetric = C\n\n[noise]\nseeds = 13\n",
+    "rate-c-tau-forked.ini": "[experiment]\nfunction = class\naxis = tau\nmetric = C\n\n"
+                             "[noise]\nseeds = 13\n",
     "class.ini": "[experiment]\nfunction = class\n",
     "auto.ini": "[method]\nn = auto\n",
 }
@@ -65,6 +67,8 @@ RUNS = {
     "rate-class-tau": ["rate-study", "--config", "rate-tau.ini"],
     # C errors of 65 trials, split across forked workers
     "rate-class-c-forked": ["rate-study", "--config", "rate-c-forked.ini"],
+    # the same along tau, where the C bounds of a trial span the most columns
+    "rate-class-tau-forked": ["rate-study", "--config", "rate-c-tau-forked.ini"],
     # a series reference of degree 128 above the grid's degree 64
     "table-class": ["example1", "--config", "class.ini", "--delta", "1e-6,0",
                     "--n", "12,20", "--seeds", "3"],

@@ -1,6 +1,7 @@
 """Test-function corpus, error metrics, and noise-convergence studies."""
 
 import atexit
+import functools
 import io
 import math
 import os
@@ -891,22 +892,32 @@ def test_bounded_c_keeps_a_nan_of_the_reference():
 
 @pytest.mark.parametrize("axis", ["t", "tau"])
 def test_bounded_c_prunes_rate_trials(axis):
-    # every trial of a default rate study: the same maximum as the
-    # exhaustive pass from a small share of the slabs
+    # every trial of a default rate study, scored as one batch a level: the
+    # same maximum as the exhaustive pass from a small share of the slabs
     fn = make_class_function()
     grid = class_grid(fn)
     scorer = ErrorEvaluator(fn.exact_deriv(2, axis), grid.K, grid.J)
-    slabs = []
+    slab_pass, slabs = scorer._slab_maxima, []
+
+    def counting(block, bounds=None):
+        maxima = slab_pass(block, bounds)
+        if bounds is not None:
+            slabs.append(int(np.count_nonzero(maxima != -np.inf)))
+        return maxima
+
     for i, delta in enumerate((1e-5, 1e-6, 1e-7, 1e-8, 1e-9)):
         sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
         params = build_cross(n=choose_n(sp, delta, 2), gamma=choose_gamma(sp, 2), r=2,
                              axis=axis)
-        level = _Level(scorer, grid.data, params, None)
+        spec = NoiseSpec(delta, 2.0, "rescaled", 50 * i)
+        level = _Level(scorer, grid.data, params, spec)
+        scorer._slab_maxima = counting
+        got = level.trials(range(20))[:, 1]
+        scorer._slab_maxima = slab_pass
         for sd in range(20):
-            noisy = add_noise(grid, NoiseSpec(delta, 2.0, "rescaled", 50 * i + sd))
-            approx = truncate(noisy, params)
-            assert_same_float(level._c_block(approx.data), slab_maxima(scorer, approx).max())
-            slabs.append(level.slabs)
+            approx = truncate(add_noise(grid, replace(spec, seed=50 * i + sd)), params)
+            assert_same_float(got[sd], slab_maxima(scorer, approx).max())
+    assert len(slabs) == 5 * 20
     assert np.mean(slabs) <= 3 and max(slabs) < len(level.bias_max) // 2, slabs
 
 
@@ -941,7 +952,7 @@ def test_block_trials_score_like_the_full_grid(axis, make):
             spec = NoiseSpec(delta, 2.0, "rescaled", 50 * i + sd)
             full = truncate(add_noise(grid, spec), params).data
             block = truncation._truncate_block(
-                coeffs._noisy_block(grid.data, spec, (kb, jb)), params)
+                coeffs._noisy_blocks(grid.data, spec, (kb, jb), (0,))[0], params)
             assert np.array_equal(block, full[:kb, :jb]) and not full[~inside].any()
             assert_same_float(level._c_block(block), level._c_block(full))
             if make is not make_class_function:
@@ -949,6 +960,70 @@ def test_block_trials_score_like_the_full_grid(axis, make):
             else:
                 whole, rel = float(np.linalg.norm(ref - full)), 1e-15
             assert scorer._l2_block(block, outside) == pytest.approx(whole, rel=rel)
+
+
+def public_trial(scorer, grid, cross, spec):
+    # one trial by the public path, add_noise then truncate: the evaluator's
+    # C error, and its L2 error on the cross's bounding block as a trial
+    # sums it, beside ErrorEvaluator.l2, which splits the sum at the grid's
+    # active degrees and so agrees to rounding only
+    approx = truncate(add_noise(grid, spec), cross)
+    kb, jb = cross.block.shape
+    l2 = float(scorer._l2_block(approx.data[:kb, :jb], scorer._outside((kb, jb))))
+    return np.array([l2, scorer.c(approx)]), scorer.l2(approx)
+
+
+NOISES = {"rescaled-2": (2.0, "rescaled"), "rescaled-inf": (math.inf, "rescaled"),
+          "raw-gaussian": (2.0, "raw_gaussian")}
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 4], ids=["chunk-default", "chunk-1", "chunk-4"])
+@pytest.mark.parametrize("noise", list(NOISES))
+@pytest.mark.parametrize("axis", ["t", "tau"])
+def test_level_trials_are_the_public_path_bit_for_bit(axis, noise, chunk):
+    # every draw of a batch, whatever the chunks it is scored in, and a
+    # batch of one or one that starts inside the level gives the same rows
+    p, mode = NOISES[noise]
+    fn = make_class_function()
+    grid = class_grid(fn)
+    scorer = ErrorEvaluator(fn.exact_deriv(2, axis), grid.K, grid.J)
+    sp = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=p)
+    for i, delta in enumerate((1e-5, 1e-7, 1e-9)):
+        cross = build_cross(n=choose_n(sp, delta, 2), gamma=choose_gamma(sp, 2), r=2, axis=axis)
+        spec = NoiseSpec(delta, p, mode, 1000 + 997 * i)
+        level = _Level(scorer, grid.data, cross, spec)
+        if chunk is not None:
+            level._chunk = chunk
+        got = level.trials(range(7))
+        assert got.dtype == np.float64 and got.shape == (7, 2)
+        for sd in range(7):
+            want, l2 = public_trial(scorer, grid, cross, replace(spec, seed=spec.seed + sd))
+            assert got[sd].tobytes() == want.tobytes(), (delta, sd, got[sd], want)
+            assert got[sd, 0] == pytest.approx(l2, rel=1e-14)
+        assert level.trials(range(3, 4)).tobytes() == got[3:4].tobytes()
+        assert level.trials(range(2, 7)).tobytes() == got[2:].tobytes()
+        assert level.trials(range(0)).shape == (0, 2)
+        # in place, into rows of a larger array, as a forked share writes
+        rows = np.full((9, 2), -9.0)
+        assert level.trials(range(7), rows[1:8]).base is rows
+        assert rows[1:8].tobytes() == got.tobytes() and (rows[[0, 8]] == -9.0).all()
+
+
+@pytest.mark.parametrize("axis", ["t", "tau"])
+def test_an_empty_cross_scores_every_draw_as_the_zero_grid(axis):
+    # n = 1 < r = 2: every trial truncates to nothing, and errs as the
+    # noise-free level does and as the public path does
+    fn = example1_F()
+    grid = exact_coeffs(fn, 24, 24)
+    scorer = ErrorEvaluator(fn.exact_deriv(2, axis), 24, 24)
+    cross = build_cross(n=1, gamma=2.0, r=2, axis=axis)
+    assert cross.block.shape == (0, 0)
+    spec = NoiseSpec(1e-7, 2.0, "rescaled", 5)
+    level = _Level(scorer, grid.data, cross, spec)
+    got = level.trials(range(3))
+    for sd, row in enumerate(got):
+        want, _ = public_trial(scorer, grid, cross, replace(spec, seed=5 + sd))
+        assert row.tobytes() == want.tobytes() == np.array(level.errors).tobytes()
 
 
 @pytest.mark.parametrize("axis", ["t", "tau"])
@@ -978,15 +1053,17 @@ def force_workers(monkeypatch, count):
 
 
 def fail_draws(monkeypatch, seeds, fail):
-    # fail(seed, pid of the caller) runs in place of the draws of these seeds
-    caller, draw = os.getpid(), analysis._noisy_block
+    # fail(seed, pid of the caller) runs in place of the draws of a batch
+    # that holds one of these seeds, for the first of them in the batch
+    caller, draw = os.getpid(), analysis._noisy_blocks
 
-    def noisy_block(data, spec, shape, sd=0):
-        if spec.seed + sd in seeds:
-            fail(spec.seed + sd, caller)
-        return draw(data, spec, shape, sd)
+    def noisy_blocks(data, spec, shape, sds):
+        for sd in sds:
+            if spec.seed + sd in seeds:
+                fail(spec.seed + sd, caller)
+        return draw(data, spec, shape, sds)
 
-    monkeypatch.setattr(analysis, "_noisy_block", noisy_block)
+    monkeypatch.setattr(analysis, "_noisy_blocks", noisy_blocks)
 
 
 def assert_no_child_left():
@@ -1011,24 +1088,34 @@ def pair(index):
     return float(index), -0.5 * index
 
 
+def pair_batches(levels, count):
+    # one batch a level: writes the pairs of its draws sds into out, draw sd
+    # of level i being trial i * count + sd
+    def batch(i, sds, out):
+        out[:] = np.reshape([pair(i * count + sd) for sd in sds], (-1, 2))
+
+    return [functools.partial(batch, i) for i in range(levels)]
+
+
 def test_a_share_fills_its_rows_in_place():
-    # rows first, first + step, ...; a failure stops the share, the rows
-    # before it filled and the rest untouched
-    out = np.full((7, 2), -9.0)
-    assert analysis._run_share(pair, out, 1, 3) is None
-    assert out.tolist() == [[-9.0, -9.0], [1.0, -0.5], [-9.0, -9.0], [-9.0, -9.0],
-                            [4.0, -2.0], [-9.0, -9.0], [-9.0, -9.0]]
+    # the run lo..hi-1 of every level, level by level; a failure stops the
+    # share at its level, the earlier levels' runs filled and the rest untouched
+    out = np.full((3, 7, 2), -9.0)
+    assert analysis._run_share(pair_batches(3, 7), out, 2, 5) is None
+    assert out[:, 2:5].reshape(-1, 2).tolist() == [
+        list(pair(7 * i + sd)) for i in range(3) for sd in range(2, 5)]
+    assert (out[:, :2] == -9.0).all() and (out[:, 5:] == -9.0).all()
 
-    def fail_at_4(index):
-        if index == 4:
-            raise ValueError("bad item")
-        return pair(index)
+    def fail(sds, out):
+        raise ValueError("bad run")
 
-    out = np.full((7, 2), -9.0)
-    index, exc = analysis._run_share(fail_at_4, out, 0, 2)
-    assert index == 4 and isinstance(exc, ValueError) and str(exc) == "bad item"
-    assert out[0::2].tolist() == [[0.0, -0.0], [2.0, -1.0], [-9.0, -9.0], [-9.0, -9.0]]
-    assert (out[1::2] == -9.0).all()
+    batches = pair_batches(3, 7)
+    batches[1] = fail
+    out = np.full((3, 7, 2), -9.0)
+    index, exc = analysis._run_share(batches, out, 2, 5)
+    assert index == 7 + 2 and isinstance(exc, ValueError) and str(exc) == "bad run"
+    assert out[0, 2:5].tolist() == [list(pair(sd)) for sd in range(2, 5)]
+    assert (out[0, :2] == -9.0).all() and (out[0, 5:] == -9.0).all() and (out[1:] == -9.0).all()
 
 
 @pytest.mark.parametrize("workers", [2, 5])
@@ -1048,17 +1135,19 @@ def test_a_worker_pipes_back_only_its_failure(monkeypatch, workers):
         return io.BytesIO(payloads[-1])
 
     monkeypatch.setattr(analysis.os, "fdopen", recording)
-    out = analysis._forked_map(pair, 2000)
-    assert out.tolist() == [list(pair(i)) for i in range(2000)]
+    out = analysis._forked_map(pair_batches(5, 400), 400)
+    assert out.shape == (5, 400, 2)
+    assert out.reshape(-1, 2).tolist() == [list(pair(i)) for i in range(2000)]
     assert len(payloads) == workers - 1 and all(len(payload) < 100 for payload in payloads)
     assert_no_child_left()
 
 
 def test_shares_may_be_empty(monkeypatch):
+    # three processes on no draws, and on two: the caller's run is empty
     force_workers(monkeypatch, 3)
-    empty = analysis._forked_map(pair, 0)
-    assert empty.dtype == np.float64 and empty.shape == (0, 2)
-    assert analysis._forked_map(pair, 2).tolist() == [[0.0, -0.0], [1.0, -0.5]]
+    empty = analysis._forked_map(pair_batches(2, 0), 0)
+    assert empty.dtype == np.float64 and empty.shape == (2, 0, 2)
+    assert analysis._forked_map(pair_batches(1, 2), 2).tolist() == [[[0.0, -0.0], [1.0, -0.5]]]
     assert_no_child_left()
 
 
@@ -1074,16 +1163,16 @@ def test_an_interrupt_in_the_callers_share_kills_and_reaps_the_worker(monkeypatc
         statuses.append(reaped[1])
         return reaped
 
-    def fn(index):
+    def batch(sds, out):
         if os.getpid() != caller:
             time.sleep(30)  # far longer than the caller takes to be interrupted
-        elif index == 0:
+        elif sds[0] == 0:
             raise KeyboardInterrupt
-        return pair(index)
+        pair_batches(1, 4)[0](sds, out)
 
     monkeypatch.setattr(os, "waitpid", recording_waitpid)
     with pytest.raises(KeyboardInterrupt):
-        analysis._forked_map(fn, 4)
+        analysis._forked_map([batch], 4)
     assert [os.WIFSIGNALED(s) and os.WTERMSIG(s) for s in statuses] == [signal.SIGKILL]
     assert_no_child_left()
 
@@ -1105,23 +1194,44 @@ def test_rate_csv_is_the_same_for_any_worker_count(tmp_path, monkeypatch, fn, me
     assert_no_child_left()
 
 
+def test_uneven_runs_score_as_one_process_does(monkeypatch):
+    # 13 draws a level on two processes: the caller scores draws 0-5 of
+    # every level and the forked worker draws 6-12, the trials of one process
+    run_share, runs = analysis._run_share, []
+
+    def recording(batches, out, lo, hi):
+        runs.append((lo, hi))  # the caller's; a worker's stays there
+        return run_share(batches, out, lo, hi)
+
+    monkeypatch.setattr(analysis, "_run_share", recording)
+    trials = []
+    for workers in (1, 2):
+        force_workers(monkeypatch, workers)
+        trials.append(rate_study(make_class_function(), RATE_SP, 2, "C", (1e-5, 1e-7, 1e-9), 13,
+                                 axis="tau").trials)
+    assert runs == [(0, 13), (0, 6)]
+    assert trials[0].shape == (3, 13, 2) and trials[0].tobytes() == trials[1].tobytes()
+    assert_no_child_left()
+
+
 def test_a_trial_sends_back_two_floats(monkeypatch, tmp_path):
-    # every share fills its rows of one float64 array of (error_l2, error_c)
-    # in place, which becomes the result's trials; save rebuilds each row's
-    # delta, n, gamma and seed from the trial's level and draw
+    # every share fills its run of every level of one float64 array of
+    # (error_l2, error_c) in place, which becomes the result's trials; save
+    # rebuilds each row's delta, n, gamma and seed from the trial's level
+    # and draw
     force_workers(monkeypatch, 2)
     run_share, sent = analysis._run_share, []
 
-    def recording(fn, out, first, step):
-        failure = run_share(fn, out, first, step)
-        sent.append((out, first, step, failure))  # the caller's; a worker's stays there
+    def recording(batches, out, lo, hi):
+        failure = run_share(batches, out, lo, hi)
+        sent.append((out, lo, hi, failure))  # the caller's; a worker's stays there
         return failure
 
     monkeypatch.setattr(analysis, "_run_share", recording)
     result = rate_study(make_class_function(), *RATE_ARGS)
-    ((out, first, step, failure),) = sent
-    assert (first, step, failure) == (0, 2, None)
-    assert out.dtype == np.float64 and out.shape == (12, 2)
+    ((out, lo, hi, failure),) = sent
+    assert (lo, hi, failure) == (0, 2, None)
+    assert out.dtype == np.float64 and out.shape == (3, 4, 2)
     trials = result.trials
     assert trials.dtype == np.float64 and trials.shape == (3, 4, 2)
     assert np.shares_memory(trials, out)
@@ -1154,13 +1264,14 @@ def test_an_overflowing_trial_is_reported_without_a_warning(monkeypatch):
     # the forked worker's trials overflow too, and inherit the study's
     # ignored overflow
     force_workers(monkeypatch, 2)
-    trial = _Level.trial
+    trials = _Level.trials
 
-    def overflowing(level, sd):
-        l2, c = trial(level, sd)
-        return float(np.square(np.float64(1e200))), c
+    def overflowing(level, sds, out=None):
+        out = trials(level, sds, out)
+        out[:, 0] = np.square(np.float64(1e200))
+        return out
 
-    monkeypatch.setattr(_Level, "trial", overflowing)
+    monkeypatch.setattr(_Level, "trials", overflowing)
     with pytest.raises(ValueError, match="^rate study of .* produced non-finite errors$"):
         rate_study(make_class_function(), *RATE_ARGS)
     assert_no_child_left()
@@ -1168,8 +1279,10 @@ def test_an_overflowing_trial_is_reported_without_a_warning(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_first_failing_trial_raises_for_any_worker_count(monkeypatch, workers):
-    # trials 5 and 6 fail; trial 5 is the first, whichever worker runs it
-    # (a forked one for two and three workers, where the caller runs 6)
+    # trials 5 and 6, draws 1 and 2 of level 1, fail; trial 5's run comes
+    # first, whichever process scores it (the caller for one and two
+    # processes, where 6 is in the caller's run or the worker's, and a
+    # forked one for three, where another worker runs 6)
     force_workers(monkeypatch, workers)
 
     def fail(seed, caller):
@@ -1188,7 +1301,7 @@ def test_worker_ending_without_results_is_reported(monkeypatch):
         if os.getpid() != caller:
             os._exit(3)
 
-    fail_draws(monkeypatch, {1998}, die)  # trial 5, in the forked worker's share
+    fail_draws(monkeypatch, {1999}, die)  # trial 6, in the forked worker's run of draws 2, 3
     with pytest.raises(ChildProcessError,
                        match=r"^forked worker \d+ ended with exit code 3 and no results$"):
         rate_study(make_class_function(), *RATE_ARGS)

@@ -249,17 +249,28 @@ def test_overflowing_table_errors_are_reported(tmp_path, capsys):
 
 def test_one_non_finite_trial_of_a_table_row_is_reported(tmp_path, capsys, monkeypatch):
     # the median of five seeds would hide one infinite trial
-    trial = analysis._Level.trial
+    trials = analysis._Level.trials
 
-    def one_inf(level, sd):
-        l2, c = trial(level, sd)
-        return (math.inf if sd == 3 else l2), c
+    def one_inf(level, sds, out=None):
+        out = trials(level, sds, out)
+        out[[sd == 3 for sd in sds], 0] = math.inf
+        return out
 
-    monkeypatch.setattr(analysis._Level, "trial", one_inf)
+    monkeypatch.setattr(analysis._Level, "trials", one_inf)
     assert run_cli("example1", "--grid-degree", 32, "--seeds", 5, "--out", tmp_path) == 2
     assert capsys.readouterr() == (
         "", "error: error table of example1 produced non-finite errors\n")
     assert os.listdir(tmp_path) == []
+
+
+def test_a_noisy_row_of_an_empty_cross_errs_as_its_noise_free_row(tmp_path, capsys):
+    # n = 1 < r = 2 leaves the cross empty: every trial of the noisy row
+    # truncates to nothing, so its medians are the noise-free row's errors
+    assert run_cli("example1", "--delta", "1e-7,0", "--n", "1,1", "--seeds", 3,
+                   "--grid-degree", 24, "--out", tmp_path, "--run-id", "empty") == 0
+    noisy, clean = read_table(tmp_path, "empty").rows
+    assert noisy.card == clean.card == 0
+    assert (noisy.error_l2, noisy.error_c) == (clean.error_l2, clean.error_c)
 
 
 def test_class_of_huge_smoothness_runs_finitely(tmp_path, capsys):
@@ -307,16 +318,17 @@ def _refuse(seed):
     ids=["raise", "die", "raise-example1", "die-example1"])
 def test_rate_study_worker_failure_is_one_error_line(tmp_path, capsys, monkeypatch,
                                                      fail, message, function):
-    # seed 1001 is trial 1 of 6, in the forked worker's share of two
+    # seed 1001 is trial 1 of 6, draw 1 of level 0: the forked worker's run
+    # of each level is draw 1 of two
     monkeypatch.setattr(analysis, "_worker_count", lambda items: 2)
-    caller, draw = os.getpid(), analysis._noisy_block
+    caller, draw = os.getpid(), analysis._noisy_blocks
 
-    def noisy_block(data, spec, shape, sd=0):
-        if spec.seed + sd == 1001 and os.getpid() != caller:
-            fail(spec.seed + sd)
-        return draw(data, spec, shape, sd)
+    def noisy_blocks(data, spec, shape, sds):
+        if 1001 - spec.seed in sds and os.getpid() != caller:
+            fail(1001)
+        return draw(data, spec, shape, sds)
 
-    monkeypatch.setattr(analysis, "_noisy_block", noisy_block)
+    monkeypatch.setattr(analysis, "_noisy_blocks", noisy_blocks)
     cfg = tmp_path / "rate.ini"
     cfg.write_text(f"[experiment]\nfunction = {function}\n\n"
                    "[noise]\ndeltas = 1e-5,1e-7,1e-9\nseeds = 2\n")
@@ -854,7 +866,7 @@ def test_truncation_level_beyond_grid_degree_is_reported(tmp_path, capsys, monke
 
     for module, name in ((truncation, "build_cross"), (analysis, "build_cross"),
                          (cli, "exact_coeffs"), (cli, "trapezoid_coeffs"),
-                         (analysis, "exact_coeffs"), (analysis._Level, "trial")):
+                         (analysis, "exact_coeffs"), (analysis._Level, "trials")):
         monkeypatch.setattr(module, name, refuse)
     cfg = tmp_path / "e1.ini"
     cfg.write_text(f"[experiment]\nfunction = example1\n\n[method]\ngrid_degree = {degree}\n")

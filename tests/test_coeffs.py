@@ -398,13 +398,19 @@ def test_lp_norm_two_is_the_abs_power_sum_bit_for_bit():
 
 
 def test_noisy_block_is_the_block_of_add_noise():
+    # each block of the stack is the block of add_noise's grid of its seed,
+    # in any order of the draws, each drawn into the one reused buffer
     grid = exact_coeffs(example1_F(), 20, 20)
     for spec in (NoiseSpec(1e-6, 2.0, "rescaled", 7), NoiseSpec(1e-6, math.inf, "rescaled", 8),
                  NoiseSpec(1e-6, 2.0, "raw_gaussian", 9), NoiseSpec(1e-6, 1.0, "rescaled", 10)):
-        full = add_noise(grid, spec).data
+        sds = (0, 5, 2, 5)
+        full = [add_noise(grid, replace(spec, seed=spec.seed + sd)).data for sd in sds]
         for shape in ((21, 21), (10, 4), (1, 1), (0, 0)):
-            block = coeffs_module._noisy_block(grid.data, spec, shape)
-            assert np.array_equal(block, full[: shape[0], : shape[1]])
+            blocks = coeffs_module._noisy_blocks(grid.data, spec, shape, sds)
+            assert blocks.shape == (len(sds), *shape)
+            for block, whole in zip(blocks, full):
+                assert np.array_equal(block, whole[: shape[0], : shape[1]])
+            assert coeffs_module._noisy_blocks(grid.data, spec, shape, ()).shape == (0, *shape)
 
 
 def test_grid_csv_round_trip_is_bit_exact(tmp_path):

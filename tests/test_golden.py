@@ -1,6 +1,6 @@
 """Golden digests: the example1 presets, example2, class-function (random
-and trapezoid), forked and choose_n tables, rate studies of the class function (one of them forked)
-and of example1, cross-card and emit-surface give the outputs recorded in
+and trapezoid), forked and choose_n tables, rate studies of the class
+function (two of them forked) and of example1, cross-card and emit-surface give the outputs recorded in
 tests/golden/digests-<threads>.json at 1 and at 2 OpenBLAS threads (see
 tests/record_golden.py, which records them and which no test runs)."""
 
