@@ -12,7 +12,6 @@ not load.
 """
 
 from .legendre import (
-    QuadRule,
     gauss_rule,
     iterate_derivative,
     phi_matrix,
@@ -55,7 +54,6 @@ from .analysis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QuadRule",
     "gauss_rule",
     "iterate_derivative",
     "phi_matrix",

@@ -439,10 +439,6 @@ class _Level:
         return np.array([s._slab_maxima(s._active(block), limit).max()
                          for block, limit in zip(blocks, self._limits(blocks))])
 
-    def _c_block(self, data: np.ndarray) -> float:
-        """ErrorEvaluator.c of the grid that is data padded with zeros."""
-        return float(self._c_blocks(self._scorer._active(data)[None])[0])
-
     def approx(self, sds=None) -> np.ndarray:
         """The truncated cross's block of data (B), or a stack of those of the
         noise draws sds."""

@@ -70,9 +70,6 @@ class CoeffGrid:
 
     data: np.ndarray
     provenance: str = "exact"
-    h: float | None = None
-    noise: NoiseSpec | None = None
-    base_provenance: str | None = None
 
     @property
     def K(self) -> int:
@@ -90,12 +87,12 @@ def _composite_rule(nodes_per_piece: int, breakpoints=()) -> tuple[np.ndarray, n
     whose pieces meet at the breakpoints.
     """
     edges = [-1.0, *sorted(breakpoints), 1.0]
-    rule = gauss_rule(nodes_per_piece)
+    nodes, weights = gauss_rule(nodes_per_piece)
     xs, ws = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         half = 0.5 * (hi - lo)
-        xs.append(half * rule.nodes + 0.5 * (hi + lo))
-        ws.append(half * rule.weights)
+        xs.append(half * nodes + 0.5 * (hi + lo))
+        ws.append(half * weights)
     return np.concatenate(xs), np.concatenate(ws)
 
 
@@ -199,7 +196,7 @@ def trapezoid_coeffs(f, K: int, J: int, h: float) -> CoeffGrid:
     phi = phi_matrix(max(K, J), t)
     a = phi[: K + 1] @ wg
     b = a if shared else phi[: J + 1] @ wq
-    return CoeffGrid(data=np.outer(a, b) / getattr(f, "C", 1.0), provenance="trapezoid", h=h)
+    return CoeffGrid(data=np.outer(a, b) / getattr(f, "C", 1.0), provenance="trapezoid")
 
 
 def lp_norm(x, p: float) -> float:
@@ -220,13 +217,7 @@ def lp_norm(x, p: float) -> float:
 
 def add_noise(grid: CoeffGrid, spec: NoiseSpec) -> CoeffGrid:
     """Add the perturbation defined by spec to the whole grid."""
-    return CoeffGrid(
-        data=_noisy_blocks(grid.data, spec, grid.data.shape, (0,))[0],
-        provenance="noisy",
-        h=grid.h,
-        noise=spec,
-        base_provenance=grid.provenance,
-    )
+    return CoeffGrid(_noisy_blocks(grid.data, spec, grid.data.shape, (0,))[0], "noisy")
 
 
 def _noisy_blocks(data: np.ndarray, spec: NoiseSpec, shape, sds) -> np.ndarray:
@@ -290,23 +281,15 @@ def _grid_lines(data: np.ndarray):
 
 
 def save_grid(grid: CoeffGrid, path) -> None:
-    """Write a grid as CSV (k,j,value) plus a key=value sidecar at path+'.meta'.
+    """Write a grid as CSV (k,j,value) plus a key=value sidecar at path+'.meta'
+    of its provenance, K and J.
 
     Values carry 17 significant digits so the round-trip is bit exact.
     """
     path = str(path)
     _write_csv(path, "k,j,value", ("s", _grid_lines(grid.data)))
-    meta = {"provenance": grid.provenance, "K": grid.K, "J": grid.J}
-    if grid.h is not None:
-        meta["h"] = _fmt_float(grid.h)
-    if grid.base_provenance is not None:
-        meta["base_provenance"] = grid.base_provenance
-    if grid.noise is not None:
-        spec = grid.noise
-        meta.update(delta=_fmt_float(spec.delta), p=_fmt_float(spec.p), mode=spec.mode,
-                    seed=spec.seed)
     with open(path + ".meta", "w") as fh:
-        fh.writelines(f"{key}={val}\n" for key, val in meta.items())
+        fh.write(f"provenance={grid.provenance}\nK={grid.K}\nJ={grid.J}\n")
 
 
 def _degree(text: str) -> int:
@@ -338,11 +321,12 @@ def _meta_field(path: str, meta: dict, key: str, kind=STR):
 
 
 def load_grid(path) -> CoeffGrid:
-    """Inverse of save_grid. A sidecar without provenance, K or J, a field
-    of the wrong kind, a row without three numeric fields, an index outside
-    the grid's degrees, a cell given twice, or a row count other than the
-    grid's cell count raises ValueError. Rows are counted before the grid is
-    allocated."""
+    """Inverse of save_grid: the grid and its provenance; any sidecar key
+    other than provenance, K and J is ignored. A sidecar without provenance,
+    K or J, a field of the wrong kind, a row without three numeric fields,
+    an index outside the grid's degrees, a cell given twice, or a row count
+    other than the grid's cell count raises ValueError. Rows are counted
+    before the grid is allocated."""
     path = str(path)
     with open(path + ".meta") as fh:
         meta = dict(line.strip().partition("=")[::2] for line in fh if line.strip())
@@ -369,16 +353,4 @@ def load_grid(path) -> CoeffGrid:
         raise ValueError(f"{path}: cell ({k},{j}) given {counts.max()} times")
     data = np.zeros((K + 1, J + 1))
     data[cells["k"], cells["j"]] = cells["value"]
-    noise = None
-    if provenance == "noisy":
-        noise = NoiseSpec(delta=_meta_field(path, meta, "delta", FLOAT),
-                          p=_meta_field(path, meta, "p", FLOAT),
-                          mode=_meta_field(path, meta, "mode"),
-                          seed=_meta_field(path, meta, "seed", INT))
-    return CoeffGrid(
-        data=data,
-        provenance=provenance,
-        h=_meta_field(path, meta, "h", FLOAT) if "h" in meta else None,
-        noise=noise,
-        base_provenance=meta.get("base_provenance"),
-    )
+    return CoeffGrid(data, provenance)

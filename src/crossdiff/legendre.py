@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "QuadRule",
     "phi_matrix",
     "gauss_rule",
     "iterate_derivative",
@@ -122,14 +121,6 @@ def _phi_blocks(t: np.ndarray, out: np.ndarray, scale: np.ndarray, lo: int, hi: 
             p_prev_b, p_b, nxt_b = p_b, nxt_b, p_prev_b
 
 
-@dataclass(frozen=True)
-class QuadRule:
-    """Gauss-Legendre nodes and weights on [-1, 1]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
 def _legendre_and_derivative(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P_m(x) and P_m'(x) for interior points |x| < 1."""
     p_prev = np.ones_like(x)
@@ -140,13 +131,13 @@ def _legendre_and_derivative(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     return p, dp
 
 
-def gauss_rule(m: int) -> QuadRule:
+def gauss_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     """m-point Gauss-Legendre rule by Newton iteration.
 
     Initial guesses are the Chebyshev-style estimates
     cos(pi (4i + 3) / (4m + 2)); iteration is run to |dx| < 1e-14.
     Rules are memoised: repeated calls with the same m return the same
-    QuadRule, whose arrays are read-only.
+    (nodes, weights) tuple, whose arrays are read-only.
     """
     if m < 1:
         raise ValueError("need at least one quadrature node")
@@ -154,7 +145,7 @@ def gauss_rule(m: int) -> QuadRule:
 
 
 @functools.lru_cache(maxsize=64)
-def _gauss_rule(m: int) -> QuadRule:
+def _gauss_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     i = np.arange(m)
     x = np.cos(np.pi * (4 * i + 3) / (4 * m + 2))
     if m == 1:
@@ -173,7 +164,7 @@ def _gauss_rule(m: int) -> QuadRule:
     nodes, weights = x[order], w[order]
     nodes.flags.writeable = False
     weights.flags.writeable = False
-    return QuadRule(nodes=nodes, weights=weights)
+    return nodes, weights
 
 
 def iterate_derivative(max_degree: int, r: int) -> np.ndarray:

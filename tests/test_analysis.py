@@ -51,6 +51,11 @@ def class_grid(fn):
     return exact_coeffs(fn, 128, 128)
 
 
+def c_block(level, data):
+    # ErrorEvaluator.c of the grid that is data padded with zeros, by level's bounded pass
+    return float(level._c_blocks(level._scorer._active(data)[None])[0])
+
+
 def series_function(a, b, id="ref"):
     # the rank-one coefficient grid outer(a, b) as a function of two series
     return analysis.TestFunction(id, 1.0, _LegendreSeries(np.asarray(a, dtype=float)),
@@ -216,7 +221,7 @@ def test_median_is_numpys_median_bit_for_bit(values):
 
 def test_cos_factor_eval_is_the_closed_form_bit_for_bit():
     # eval runs each step in place; the values are the one-expression form's
-    nodes = np.concatenate([gauss_rule(97).nodes, np.linspace(-1.0, 1.0, 301)])
+    nodes = np.concatenate([gauss_rule(97)[0], np.linspace(-1.0, 1.0, 301)])
     base = CosFactor(2.0, math.pi)
     for f in (base, base.deriv(1), base.deriv(2), CosFactor(-0.7, 3.3, 0.25)):
         for t in (nodes, nodes[:, None]):
@@ -679,7 +684,7 @@ def test_blocked_c_error_matches_the_whole_array_form(monkeypatch, points, slab)
             got = scorer.c(approx)
             assert abs(got - whole) <= bound, (axis, got, whole)
             # the bounded pass multiplies the same slabs
-            assert_same_float(level._c_block(approx.data), got)
+            assert_same_float(c_block(level, approx.data), got)
     # a NaN anywhere is the result, as in the one-product form
     data = np.zeros((3, 3))
     data[1, 1] = np.nan
@@ -854,7 +859,7 @@ def test_bounded_c_equals_the_exhaustive_slab_pass(monkeypatch, points, axis, r)
                 == len(noise_level.bias_max) - 1)
         for approx in [bias, CoeffGrid(data=bumped), *noisy]:
             want = slab_maxima(scorer, approx).max()
-            assert_same_float(noise_level._c_block(approx.data), want)
+            assert_same_float(c_block(noise_level, approx.data), want)
             assert_same_float(scorer.c(approx), want)
             trials += 1
         # a NaN or an inf in the trial
@@ -862,7 +867,7 @@ def test_bounded_c_equals_the_exhaustive_slab_pass(monkeypatch, points, axis, r)
             data = noisy[0].data.copy()
             data[k, 1] = value
             with np.errstate(invalid="ignore"):  # inf * 0 in the synthesis
-                got = noise_level._c_block(data)
+                got = c_block(noise_level, data)
                 assert_same_float(got, slab_maxima(scorer, CoeffGrid(data=data)).max())
                 assert_same_float(scorer.c(CoeffGrid(data=data)), got)
             assert not math.isfinite(got)
@@ -887,7 +892,7 @@ def test_bounded_c_keeps_a_nan_of_the_reference():
     level = _Level(scorer, grid.data, params, None)
     assert np.isnan(level.bias_max).sum() == 1
     noisy = add_noise(grid, NoiseSpec(1e-7, 2.0, "rescaled", 3))
-    assert math.isnan(level._c_block(truncate(noisy, params).data))
+    assert math.isnan(c_block(level, truncate(noisy, params).data))
 
 
 @pytest.mark.parametrize("axis", ["t", "tau"])
@@ -954,7 +959,7 @@ def test_block_trials_score_like_the_full_grid(axis, make):
             block = truncation._truncate_block(
                 coeffs._noisy_blocks(grid.data, spec, (kb, jb), (0,))[0], params)
             assert np.array_equal(block, full[:kb, :jb]) and not full[~inside].any()
-            assert_same_float(level._c_block(block), level._c_block(full))
+            assert_same_float(c_block(level, block), c_block(level, full))
             if make is not make_class_function:
                 whole, rel = oracle_l2(CoeffGrid(data=full), scorer.exact, 104, bt, btau), 1e-12
             else:

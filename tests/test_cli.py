@@ -525,9 +525,6 @@ def test_emit_surface_reports_a_bad_grid_row(tmp_path, capsys, edit, reason):
     ("provenance=derivative\nK=four\nJ=4\n", ".meta: K=four is not an integer >= 0"),
     ("provenance=derivative\nK=4\nJ=4.0\n", ".meta: J=4.0 is not an integer >= 0"),
     ("provenance=derivative\nK=-1\nJ=4\n", ".meta: K=-1 is not an integer >= 0"),
-    ("provenance=derivative\nK=4\nJ=4\nh=x\n", ".meta: h=x is not a float"),
-    ("provenance=noisy\nK=4\nJ=4\ndelta=1e-7\np=inf\nmode=rescaled\n",
-     ".meta: no seed= line"),
     # counted, not allocated: 10**9 x 5 cells would need 40 GB
     ("provenance=derivative\nK=1000000000\nJ=4\n",
      ": 25 rows, not the 5000000005 of a grid of degrees (1000000000,4)"),

@@ -30,6 +30,7 @@ from crossdiff.coeffs import (
     trapezoid_coeffs,
 )
 from crossdiff.legendre import gauss_rule, phi_matrix, synthesize
+from crossdiff.truncation import build_cross, truncate
 
 
 def test_exact_coeffs_orthonormal_product():
@@ -88,7 +89,6 @@ def test_trapezoid_constant_exact():
     grid = trapezoid_coeffs(TestFunction("one", 1.0, ONE, ONE), 2, 2, 0.25)
     assert grid.data[0, 0] == pytest.approx(2.0, abs=1e-14)
     assert grid.provenance == "trapezoid"
-    assert grid.h == 0.25
 
 
 def test_trapezoid_step_validation():
@@ -285,9 +285,9 @@ def test_class_trapezoid_grid_is_the_double_sum(mu2, K, J):
 def test_parseval_identity_random_grid():
     rng = np.random.default_rng(11)
     data = rng.standard_normal((13, 13))
-    rule = gauss_rule(54)
-    vals = synthesize(data, rule.nodes, rule.nodes)
-    quad = rule.weights @ (vals * vals) @ rule.weights
+    nodes, weights = gauss_rule(54)
+    vals = synthesize(data, nodes, nodes)
+    quad = weights @ (vals * vals) @ weights
     assert quad == pytest.approx(np.sum(data**2), rel=1e-9)
 
 
@@ -307,7 +307,6 @@ def test_add_noise_vanishing_delta():
     out = add_noise(grid, NoiseSpec(delta=1e-300, p=math.inf, seed=3))
     assert np.abs(out.data - grid.data).max() < 1e-299
     assert out.provenance == "noisy"
-    assert out.base_provenance == "exact"
 
 
 def test_add_noise_linf_rescale_hits_bound():
@@ -421,20 +420,29 @@ def test_grid_csv_round_trip_is_bit_exact(tmp_path):
     save_grid(noisy, path)
     back = load_grid(path)
     assert np.array_equal(back.data, noisy.data)
-    assert back.provenance == "noisy"
-    assert back.base_provenance == "exact"
-    assert back.noise == noisy.noise
+    assert (back.provenance, back.K, back.J) == ("noisy", 6, 4)
 
 
-def test_trapezoid_grid_round_trip_keeps_step(tmp_path):
+def test_sidecar_holds_provenance_and_degrees_and_old_sidecars_load(tmp_path):
+    # every grid's sidecar is its provenance, K and J; a sidecar that also
+    # carries the step, base provenance and noise fields loads the same grid
     F = example1_F()
-    grid = trapezoid_coeffs(F, 4, 4, 0.125)
-    path = tmp_path / "trap.csv"
-    save_grid(grid, path)
+    exact, trap = exact_coeffs(F, 6, 4), trapezoid_coeffs(F, 6, 4, 0.125)
+    noisy = add_noise(trap, NoiseSpec(delta=1e-7, p=math.inf, seed=21))
+    grids = [exact, trap, truncate(exact, build_cross(n=4, gamma=2.0, r=2)), noisy]
+    assert [g.provenance for g in grids] == ["exact", "trapezoid", "derivative", "noisy"]
+    path = tmp_path / "grid.csv"
+    for grid in grids:
+        save_grid(grid, path)
+        with open(f"{path}.meta") as fh:
+            assert fh.read() == f"provenance={grid.provenance}\nK=6\nJ=4\n"
+    # the noisy grid's sidecar as older versions wrote it
+    with open(f"{path}.meta", "w") as fh:
+        fh.write("provenance=noisy\nK=6\nJ=4\nh=0.125\nbase_provenance=trapezoid\n"
+                 "delta=9.9999999999999995e-08\np=inf\nmode=rescaled\nseed=21\n")
     back = load_grid(path)
-    assert np.array_equal(back.data, grid.data)
-    assert back.h == 0.125
-    assert back.provenance == "trapezoid"
+    assert np.array_equal(back.data.view(np.uint64), noisy.data.view(np.uint64))
+    assert (back.provenance, back.K, back.J) == ("noisy", 6, 4)
 
 
 # values a CSV round trip could lose: signed zeros, subnormals, the ends of
@@ -451,18 +459,10 @@ _EDGE_VALUES = st.one_of(
 @given(
     data=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=40),
                     elements=_EDGE_VALUES),
-    kind=st.sampled_from(["exact", "trapezoid", "noisy"]),
-    h=st.floats(1e-9, 1.0),
-    noise=st.builds(NoiseSpec, delta=st.floats(1e-300, 0.999999),
-                    p=st.one_of(st.floats(1.0, 1e300), st.just(math.inf)),
-                    mode=st.sampled_from(["rescaled", "raw_gaussian"]),
-                    seed=st.integers(0, 2 ** 63 - 1)),
+    kind=st.sampled_from(["exact", "trapezoid", "noisy", "derivative"]),
 )
-def test_grid_csv_round_trip_property(data, kind, h, noise):
-    grid = {"exact": CoeffGrid(data=data),
-            "trapezoid": CoeffGrid(data=data, provenance="trapezoid", h=h),
-            "noisy": CoeffGrid(data=data, provenance="noisy", noise=noise,
-                               base_provenance="exact")}[kind]
+def test_grid_csv_round_trip_property(data, kind):
+    grid = CoeffGrid(data=data, provenance=kind)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "grid.csv")
         save_grid(grid, path)
@@ -471,8 +471,7 @@ def test_grid_csv_round_trip_property(data, kind, h, noise):
     assert np.array_equal(back.data, data)
     assert np.array_equal(np.signbit(back.data), np.signbit(data))
     assert np.array_equal(back.data.view(np.uint64), data.view(np.uint64))
-    assert (back.provenance, back.h, back.noise, back.base_provenance) == (
-        grid.provenance, grid.h, grid.noise, grid.base_provenance)
+    assert (back.provenance, back.K, back.J) == (grid.provenance, grid.K, grid.J)
 
 
 def test_grid_csv_round_trip_keeps_every_bit(tmp_path):

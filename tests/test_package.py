@@ -1,5 +1,6 @@
 """The package's public surface, and the README's library example."""
 
+import dataclasses
 import importlib
 import inspect
 import math
@@ -15,7 +16,6 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 def test_package_exports_exactly_the_documented_names():
     assert crossdiff.__all__ == [
-        "QuadRule",
         "gauss_rule",
         "iterate_derivative",
         "phi_matrix",
@@ -51,6 +51,8 @@ def test_package_exports_exactly_the_documented_names():
     ]
     for name in crossdiff.__all__:
         assert hasattr(crossdiff, name), name
+    # a grid is its coefficients and their provenance, nothing more
+    assert [f.name for f in dataclasses.fields(crossdiff.CoeffGrid)] == ["data", "provenance"]
 
 
 def test_error_layer_takes_only_what_varies():
