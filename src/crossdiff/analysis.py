@@ -155,7 +155,9 @@ class TestFunction:
         return getattr(self.tau_factor, "breakpoints", ())
 
     def eval(self, t, tau):
-        return self.t_factor.eval(t) * self.tau_factor.eval(tau) / self.C
+        out = self.t_factor.eval(t) * self.tau_factor.eval(tau)
+        out /= self.C  # in place: no second array of the grid
+        return out
 
     __call__ = eval
 

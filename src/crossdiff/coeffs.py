@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .legendre import _LegendreSeries, gauss_rule, phi_matrix
+from .legendre import _PHI_BLOCK, _LegendreSeries, _phi_table, gauss_rule, phi_matrix
 
 __all__ = [
     "CoeffGrid",
@@ -146,17 +146,14 @@ def _trapezoid_steps(h: float) -> int:
     return n
 
 
-def _weighted(values, h: float, t: np.ndarray) -> np.ndarray:
-    """values at the nodes t times the trapezoid weights of step h: values *
-    h inside and values * (0.5 * h) at both ends, the products w * values
-    forms for w = (h/2, h, ..., h, h/2). An array of t's shape that owns its
-    data apart from t, as a factor's eval returns, is weighted in place and
-    returned, so no second node-sized array is made; other values are
-    weighted in a copy."""
-    v = np.asarray(values, dtype=float)
-    if (v.shape != t.shape or not (v.flags.owndata and v.flags.writeable)
-            or np.may_share_memory(v, t)):
-        v = np.array(np.broadcast_to(v, t.shape))
+def _integrand(factor, nodes, size: int, h: float) -> np.ndarray:
+    """factor's values at the size nodes times the trapezoid weights w = (h/2,
+    h, ..., h, h/2), in one new vector weighted in place. eval is called on
+    consecutive _PHI_BLOCK-aligned blocks of nodes(lo, hi), so a Legendre
+    series forms the products its eval forms on the whole node array."""
+    v = np.empty(size)
+    for lo in range(0, size, _PHI_BLOCK):
+        v[lo:lo + _PHI_BLOCK] = factor.eval(nodes(lo, min(lo + _PHI_BLOCK, size)))
     ends = v[0] * (0.5 * h), v[-1] * (0.5 * h)
     v *= h
     v[0], v[-1] = ends
@@ -167,11 +164,11 @@ def trapezoid_coeffs(f, K: int, J: int, h: float) -> CoeffGrid:
     """Coefficient grid of f(t, tau) = g(t) q(tau) / C, given as its
     t_factor, tau_factor and C (default 1), by the 2D composite trapezoid
     rule with step h: two 1D sums, since the tensor weights factor; one when
-    both axes share one factor object and one degree. Each factor's eval(t)
-    is weighted in place when it returns a new array, and in a copy
-    otherwise, before the basis table is built, so beside the table only the
-    nodes and one vector per sum are alive. A basis table over 4 GiB, and an
-    f without both factors, are refused before anything is allocated."""
+    both axes share one factor object and one degree. The 2/h + 1 nodes are
+    made a block at a time: each sum's factor values, weighted, fill one
+    vector before the basis table is filled, so the table and those vectors
+    are the only arrays of every node. A basis table over 4 GiB, and an f
+    without both factors, are refused before anything is allocated."""
     if K < 0 or J < 0:
         raise ValueError("grid degrees K, J must be >= 0")
     n = _trapezoid_steps(h)
@@ -186,14 +183,15 @@ def trapezoid_coeffs(f, K: int, J: int, h: float) -> CoeffGrid:
     if gfac is None or qfac is None:
         raise ValueError("trapezoid_coeffs needs f(t, tau) = g(t) q(tau) / C "
                          "with its t_factor and tau_factor")
-    t = np.arange(n + 1, dtype=float)
-    t *= h
-    t += -1.0
+
+    def nodes(lo, hi):  # node i is i * h + -1.0, the same bits in any block
+        return np.arange(lo, hi, dtype=float) * h + -1.0
+
     # the integrands before the table, so no temporary of theirs sits beside it
     shared = qfac is gfac and K == J
-    wg = _weighted(gfac.eval(t), h, t)
-    wq = None if shared else _weighted(qfac.eval(t), h, t)
-    phi = phi_matrix(max(K, J), t)
+    wg = _integrand(gfac, nodes, n + 1, h)
+    wq = None if shared else _integrand(qfac, nodes, n + 1, h)
+    phi = _phi_table(max(K, J), n + 1, nodes)
     a = phi[: K + 1] @ wg
     b = a if shared else phi[: J + 1] @ wq
     return CoeffGrid(data=np.outer(a, b) / getattr(f, "C", 1.0), provenance="trapezoid")

@@ -58,7 +58,8 @@ def phi_matrix(max_degree: int, t: np.ndarray) -> np.ndarray:
     CPUs are usable: a one-worker executor fills the second half of the
     nodes, as one future, while the calling thread fills the first. The
     call returns, or raises, only after joining the helper, and the table
-    is the same, bit for bit, as on one thread.
+    is the same, bit for bit, as on one thread. trapezoid_coeffs fills the
+    same table by _phi_table, from nodes it makes a block at a time.
 
     Parameters
     ----------
@@ -72,27 +73,33 @@ def phi_matrix(max_degree: int, t: np.ndarray) -> np.ndarray:
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     t = np.asarray(t, dtype=float).ravel()
-    out = np.empty((max_degree + 1, t.size))
+    return _phi_table(max_degree, t.size, lambda lo, hi: t[lo:hi])
+
+
+def _phi_table(max_degree: int, size: int, nodes) -> np.ndarray:
+    """phi_matrix's table of the size nodes that nodes(lo, hi) returns a
+    block lo..hi-1 at a time; the table is the one array of every node."""
+    out = np.empty((max_degree + 1, size))
     scale = np.sqrt(np.arange(max_degree + 1) + 0.5)
     out[0] = scale[0]
     if max_degree == 0:
         return out
     # two threads at most: the most ever measured, as for the forked
     # workers of analysis._forked_map
-    if t.size < _PHI_SPLIT or _usable_cpus() < 2:
-        _phi_blocks(t, out, scale, 0, t.size)
+    if size < _PHI_SPLIT or _usable_cpus() < 2:
+        _phi_blocks(nodes, out, scale, 0, size)
         return out
     from concurrent.futures import ThreadPoolExecutor  # loads logging: here, not on import
-    half = t.size // 2
+    half = size // 2
     with ThreadPoolExecutor(1, "phi_matrix") as helper:
-        second = helper.submit(_phi_blocks, t, out, scale, half, t.size)
-        _phi_blocks(t, out, scale, 0, half)
+        second = helper.submit(_phi_blocks, nodes, out, scale, half, size)
+        _phi_blocks(nodes, out, scale, 0, half)
     second.result()
     return out
 
 
-def _phi_blocks(t: np.ndarray, out: np.ndarray, scale: np.ndarray, lo: int, hi: int) -> None:
-    """Fill rows 1.. of out at the nodes lo..hi-1, block by block.
+def _phi_blocks(nodes, out: np.ndarray, scale: np.ndarray, lo: int, hi: int) -> None:
+    """Fill rows 1.. of out at the nodes lo..hi-1, nodes(start, end) a block.
 
     Unnormalized three-term recurrence over cache-sized node blocks, each
     row scaled on its way into the table. Every element sees the same
@@ -105,7 +112,7 @@ def _phi_blocks(t: np.ndarray, out: np.ndarray, scale: np.ndarray, lo: int, hi: 
     width = min(_PHI_BLOCK, hi - lo)
     p_prev, p, nxt = (np.empty(width) for _ in range(3))
     for start in range(lo, hi, _PHI_BLOCK):
-        tb = t[start:min(start + _PHI_BLOCK, hi)]
+        tb = nodes(start, min(start + _PHI_BLOCK, hi))
         m = tb.size
         p_prev_b, p_b, nxt_b = p_prev[:m], p[:m], nxt[:m]
         p_prev_b.fill(1.0)

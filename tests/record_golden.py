@@ -75,6 +75,10 @@ RUNS = {
     # the class function's two series factors, summed by the trapezoid rule
     "table-class-trapezoid": ["example1", "--config", "class.ini", "--noise", "trapezoid",
                               "--h", "1e-3,1e-4", "--n", "12,20"],
+    # 100 001 nodes: a series factor evaluated over more than one node block,
+    # and a basis table filled on two threads
+    "table-class-trapezoid-blocks": ["example1", "--config", "class.ini", "--noise",
+                                     "trapezoid", "--h", "2e-5", "--n", "12"],
     "example1-random": ["example1"],
     # a noisy row of 64 seeds or more forks its trials
     "table-forked": ["example1", "--seeds", "70", "--delta", "1e-7", "--n", "16"],

@@ -232,6 +232,22 @@ def test_cos_factor_eval_is_the_closed_form_bit_for_bit():
             assert np.array_equal(got, f.amplitude * np.cos(f.freq * t + f.phase))
 
 
+@pytest.mark.parametrize("make", [example1_F, example2_F, make_class_function])
+def test_function_eval_divides_in_place_bit_for_bit(make):
+    # g(t) * q(tau) divided by C in place gives g * q / C: on a grid of
+    # broadcast arrays, on 0-d arrays and on Python scalars
+    fn = make()
+    t = np.linspace(-1.0, 1.0, 201)  # holds the kink t = 0
+    tau = gauss_rule(37)[0]
+    for x, y in ((t[:, None], tau[None, :]), (np.array(0.3), np.array(-0.7)), (0.3, -0.7),
+                 (1.0, -1.0)):
+        got = fn.eval(x, y)
+        want = fn.t_factor.eval(x) * fn.tau_factor.eval(y) / fn.C
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("axis", ["t", "tau"])
 @pytest.mark.parametrize("make", [example1_F, example2_F, make_class_function])
 def test_exact_deriv_carries_its_breakpoints_and_the_closed_form(make, axis):

@@ -102,13 +102,13 @@ def test_non_finite_trapezoid_step_is_reported(tmp_path, capsys):
 
 
 def test_oversized_trapezoid_step_is_reported(tmp_path, capsys, monkeypatch):
-    tabulate = coeffs.phi_matrix
+    tabulate = coeffs._phi_table
 
-    def small_tables_only(max_degree, t):
-        assert np.size(t) < 10 ** 6, "the refused table was tabulated"
-        return tabulate(max_degree, t)
+    def small_tables_only(max_degree, size, nodes):
+        assert size < 10 ** 6, "the refused table was tabulated"
+        return tabulate(max_degree, size, nodes)
 
-    monkeypatch.setattr(coeffs, "phi_matrix", small_tables_only)
+    monkeypatch.setattr(coeffs, "_phi_table", small_tables_only)
     rc = run_cli("example1", "--noise", "trapezoid", "--h", "1e-7",
                  "--n", "28", "--out", tmp_path, "--run-id", "huge")
     assert rc == 2

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -29,7 +30,7 @@ from crossdiff.coeffs import (
     save_grid,
     trapezoid_coeffs,
 )
-from crossdiff.legendre import gauss_rule, phi_matrix, synthesize
+from crossdiff.legendre import _PHI_BLOCK, gauss_rule, phi_matrix, synthesize
 from crossdiff.truncation import build_cross, truncate
 
 
@@ -107,7 +108,7 @@ def test_trapezoid_refuses_oversized_work_by_message(monkeypatch):
     def tabulate(*args):
         raise Tabulated  # stands in for the basis table: nothing is allocated
 
-    monkeypatch.setattr(coeffs_module, "phi_matrix", tabulate)
+    monkeypatch.setattr(coeffs_module, "_phi_table", tabulate)
     F = example1_F()
     for K, J, h, size in ((64, 64, 1e-7, "9.7"), (1024, 1024, 1e-6, "15.3"),
                           (8, 700, 1e-6, "10.4")):
@@ -162,18 +163,54 @@ def weighted_sum_trapezoid(f, K, J, h):
     return np.outer(a, b) / f.C
 
 
+# node counts around the node blocks of the integrands and the table, and
+# the step h = 2 / (N - 1) of N nodes
+EDGES = (_PHI_BLOCK - 1, _PHI_BLOCK + 1, 2 * _PHI_BLOCK + 3)
+EDGE_STEPS = tuple(2.0 / (N - 1) for N in EDGES)
+
+
 # the table presets' steps at grid degree 64, both shapes of the shared
-# factor's sum, and h = 1e-6 (2M nodes) at a degree whose table stays small
+# factor's sum, h = 1e-6 (2M nodes) at a degree whose table stays small, and
+# node counts at the block edges for series factors, unshared factors and
+# K != J
 @pytest.mark.parametrize("fn, h, K, J", [
     *((example1_F, h, 64, 64) for h in (1e-4, 8e-5, 4e-5)),
     *((example2_F, h, 64, 64) for h in (8e-5, 2e-5, 8e-6)),
     (example1_F, 8e-5, 28, 20), (example2_F, 2e-5, 12, 31),
-    (example1_F, 1e-6, 8, 8), (example2_F, 1e-6, 8, 5)])
+    (example1_F, 1e-6, 8, 8), (example2_F, 1e-6, 8, 5),
+    *((make_class_function, h, 64, 64) for h in EDGE_STEPS),
+    *((example2_F, h, 64, 64) for h in EDGE_STEPS),
+    (make_class_function, EDGE_STEPS[2], 20, 12)])
 def test_trapezoid_grid_is_bit_identical_to_the_weighted_sum_form(fn, h, K, J):
-    # the integrand is weighted before the table is built, the same products
-    # in the same sums
+    # the nodes and weighted integrands are built block by block, the same
+    # products in the same sums as over the whole node array
     got = trapezoid_coeffs(fn(), K, J, h).data
     assert np.array_equal(got, weighted_sum_trapezoid(fn(), K, J, h))
+
+
+def traced_peak(call) -> int:
+    """Bytes of the traced peak of call() above what was traced before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fn, K, J, sums", [(example1_F, 4, 4, 1), (example2_F, 4, 2, 2),
+                                            (example1_F, 2, 3, 2)])
+def test_trapezoid_footprint_grows_by_the_table_and_one_vector_per_sum(fn, K, J, sums):
+    # from 1M to 2M nodes the peak grows by the table's rows and one weighted
+    # integrand per distinct factor sum, 8 bytes each per node, and by no
+    # array of the nodes: node blocks and a block's temporaries are the same
+    # at both counts. A byte per node is left for the two threads' timing.
+    f = fn()
+    small, large = (traced_peak(lambda: trapezoid_coeffs(f, K, J, 2.0 / (nodes - 1)))
+                    for nodes in (1_000_001, 2_000_001))
+    assert (large - small) / 1_000_000 <= 8 * (max(K, J) + 1 + sums) + 1
 
 
 class ValueFactor:
