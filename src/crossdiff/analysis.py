@@ -206,11 +206,13 @@ def make_class_function(s: float = 2.0, mu1: float = 5.6, mu2: float = 5.6) -> T
 
 
 def _effective_degrees(data: np.ndarray) -> tuple[int, int]:
-    """Highest row and column holding a nonzero; (0, 0) for an all-zero grid."""
-    rows = np.flatnonzero(data.any(axis=1))
+    """Highest row and column nonzero in any block of data, a grid or a stack;
+    (-1, -1) if none, so that a grid of zeros has an empty active block."""
+    nonzero = data.any(axis=0) if data.ndim == 3 else data
+    rows = np.flatnonzero(nonzero.any(axis=1))
     if rows.size == 0:
-        return 0, 0
-    return int(rows[-1]), int(np.flatnonzero(data.any(axis=0))[-1])
+        return -1, -1
+    return int(rows[-1]), int(np.flatnonzero(nonzero.any(axis=0))[-1])
 
 
 # points per axis of the uniform inclusive grid that samples the C error
@@ -250,12 +252,12 @@ class ErrorEvaluator:
     ||F - Pi F||_Q^2 under that rule. The rule keeps the basis up to (K, J)
     orthonormal, so for every grid a within those degrees
     ||F - a||_Q^2 = tail + ||c_Q - a||_F^2: two sums of squares, nothing to
-    cancel, and no quadrature in any trial (Parseval). A C trial
-    synthesizes only its active block [0..kmax] x [0..jmax], since
-    truncation to the cross leaves every coefficient outside it zero, on the
-    uniform C grid of 513 points per axis (_C_POINTS), whose tables are
-    shared the same way. _Level finds the C distance of a noise level's
-    trials from a few slabs of the C grid.
+    cancel, and no quadrature in any trial (Parseval). Both errors take
+    the active block [0..kmax] x [0..jmax] alone, since truncation to the
+    cross leaves every coefficient outside it zero: the L2 sum splits
+    there, and C synthesizes it on the uniform C grid of 513 points per
+    axis (_C_POINTS), whose tables are shared the same way. _Level scores
+    trials on the same blocks, the C error from a few slabs of the grid.
     """
 
     def __init__(self, exact, K: int, J: int):
@@ -288,14 +290,14 @@ class ErrorEvaluator:
         return np.maximum(phi.max(axis=1), -phi.min(axis=1))
 
     def _active(self, data: np.ndarray) -> np.ndarray:
-        """data up to its highest nonzero row and column."""
+        """data, a grid or a stack, up to its highest nonzero row and column in any block."""
         kmax, jmax = _effective_degrees(data)
         if kmax > self.K or jmax > self.J:
             raise ValueError(
                 f"active degrees ({kmax},{jmax}) exceed the evaluator's "
                 f"degrees ({self.K},{self.J})"
             )
-        return data[: kmax + 1, : jmax + 1]
+        return data[..., : kmax + 1, : jmax + 1]
 
     def l2(self, approx: CoeffGrid) -> float:
         """L2([-1,1]^2) distance of approx to the reference. approx's active
@@ -309,17 +311,16 @@ class ErrorEvaluator:
         (ref, tail), (kb, jb) = self._reference, shape
         return float(tail + np.sum(np.square(ref[kb:])) + np.sum(np.square(ref[:kb, jb:])))
 
-    def _l2_block(self, block: np.ndarray, outside: float | None = None):
-        """L2 distance of the grid that is block in its top-left corner and
-        zero elsewhere, or of each such grid of a stack of blocks: the root
-        of outside (default: _outside of the block's shape) plus the squared
-        distance to the reference's coefficients on the block."""
-        if outside is None:
-            outside = self._outside(block.shape[-2:])
+    def _l2_block(self, block: np.ndarray):
+        """L2 distance of the grid that is block in its top-left corner and zero
+        elsewhere, or of each grid of a stack of blocks: the root of _outside of
+        the block's shape plus the squared distance to the reference's
+        coefficients on the block. l2 and trials pass active blocks (_active)."""
         ref = self._reference[0][: block.shape[-2], : block.shape[-1]]
         diff = np.negative(block)
         diff[..., : ref.shape[0], : ref.shape[1]] += ref
-        return np.sqrt(outside + np.sum(np.square(diff, out=diff), axis=(-2, -1)))
+        squares = np.sum(np.square(diff, out=diff), axis=(-2, -1))
+        return np.sqrt(self._outside(block.shape[-2:]) + squares)
 
     def _slab_maxima(self, block: np.ndarray, bounds=None) -> np.ndarray:
         """max |synthesis(block) - reference| over each slab of _C_SLAB rows
@@ -381,12 +382,12 @@ def _noise(delta: float, p: float, mode: str, base_seed: int, level: int) -> Noi
 
 class _Level:
     """One noise level of an error table or a rate study: data cut to the
-    cross, differentiated along its axis and scored by scorer. Built before
-    any worker forks: the noise-free truncation B, the L2 error's outside
-    sum (_outside) and bias_max, the maximum b_s of |synthesis(B) -
-    reference| over each slab s of the C grid. errors holds B's (L2, C)
-    errors: the bias of every trial, and the whole error of a row without
-    noise (noise None).
+    cross, differentiated along its axis and scored by scorer as its l2 and
+    c score the public path (add_noise, truncate), bit for bit. Built before
+    any worker forks: B, the noise-free truncation's active block, and
+    bias_max, the maximum b_s of |synthesis(B) - reference| over each slab
+    s of the C grid. errors holds B's (L2, C) errors: the bias of every
+    trial, and the whole error of a row without noise (noise None).
 
     A trial A = B + N errs by at most b_s + n_s on slab s, the synthesis
     being linear, where n_s = max over x in s of
@@ -400,11 +401,10 @@ class _Level:
     def __init__(self, scorer: ErrorEvaluator, data: np.ndarray, cross: CrossSet,
                  noise: NoiseSpec | None):
         self._scorer, self._data, self.cross, self.noise = scorer, data, cross, noise
-        self._outside = scorer._outside(_fit(cross, scorer.K, scorer.J).shape)
-        bias = self.approx()
-        self._bias = scorer._active(bias)
+        _fit(cross, scorer.K, scorer.J)  # refuses a cross outside the grid first
+        self._bias = scorer._active(self.approx())
         self.bias_max = scorer._slab_maxima(self._bias)
-        self.errors = float(scorer._l2_block(bias, self._outside)), float(self.bias_max.max())
+        self.errors = float(scorer._l2_block(self._bias)), float(self.bias_max.max())
         self._bias_scale = float(self._scale(self._bias))
         # rounding of (K+1)- and (J+1)-term sums, with room to spare
         self._rel = 8 * (scorer.K + scorer.J + 8) * _U
@@ -468,7 +468,7 @@ class _Level:
         out = np.empty((len(sds), 2)) if out is None else out
         for lo in range(0, len(sds), self._chunk):
             blocks = self.approx(sds[lo:lo + self._chunk])
-            out[lo:lo + len(blocks), 0] = self._scorer._l2_block(blocks, self._outside)
+            out[lo:lo + len(blocks), 0] = self._scorer._l2_block(self._scorer._active(blocks))
             out[lo:lo + len(blocks), 1] = self._c_blocks(blocks)
         return out
 

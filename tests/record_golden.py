@@ -4,19 +4,16 @@ Runs each command of RUNS in a fresh interpreter, with crossdiff imported
 from ./src and OpenBLAS on a given number of threads, then each command of
 READERS on the run it reads, and writes tests/golden/digests-<threads>.json,
 one record per thread count of THREADS: for each run the
-SHA-256 of its stdout (with the results root written as <root>, and no
-error_l2 values), of every row_<i>/deriv.csv, of rate.csv, card.csv,
-verdicts.txt and surface.csv, of config.ini less its [output] dir line,
-and of table.csv less its error_l2 and wall_time columns, plus the
-columns of the CSV files as numbers. For each run it prints what moved
-against the record it overwrites (_moves): the digests, and the largest
-relative deviation of each column.
-error_l2 is compared to 1e-13 relative, not by digest, since it is a
-quadrature sum whose rule may change; the other columns are kept to show
-which column moved when a digest does not match. OpenBLAS sums in an
-order that depends on its thread count, so each record holds at its own
-thread count only. From the repository root, for every thread count or
-for those named:
+SHA-256 of its stdout (with the results root written as <root>), of every
+row_<i>/deriv.csv, of rate.csv, card.csv, verdicts.txt and surface.csv,
+of config.ini less its [output] dir line, and of table.csv less its
+wall_time column, plus the columns of the CSV files as numbers. For each
+run it prints what moved against the record it overwrites (_moves): the
+digests, and the largest relative deviation of each column.
+The columns are kept to show which column moved when a digest does not
+match. OpenBLAS sums in an order that depends on its thread count, so
+each record holds at its own thread count only. From the repository
+root, for every thread count or for those named:
 
     PYTHONPATH=src python tests/record_golden.py [THREADS ...]
 
@@ -96,8 +93,8 @@ READERS = {
 }
 # files digested whole, each with its columns kept if it is a CSV file
 WHOLE = ("rate.csv", "card.csv", "verdicts.txt", "surface.csv")
-# columns left out of table.csv's digest: compared by value, or not at all
-UNDIGESTED = ("error_l2", "wall_time")
+# columns left out of table.csv's digest and columns, compared not at all
+UNDIGESTED = ("wall_time",)
 
 
 def golden(threads: int) -> pathlib.Path:
@@ -148,8 +145,6 @@ def _columns(text: str) -> dict:
 
 def summarize(run_dir: pathlib.Path, stdout: str) -> dict:
     """The digests and columns of one run directory and its stdout."""
-    # a table's stdout repeats its error_l2 column, compared by value
-    stdout = re.sub(r"error_l2=\S*", "error_l2=", stdout)
     sha = {"stdout": hashlib.sha256(stdout.encode()).hexdigest()}
     columns = {}
     for path in sorted(run_dir.glob("row_*/deriv.csv")):
@@ -171,7 +166,7 @@ def summarize(run_dir: pathlib.Path, stdout: str) -> dict:
         kept = "".join(",".join(line[i] for i in keep) + "\n" for line in lines)
         sha["table.csv"] = hashlib.sha256(kept.encode()).hexdigest()
         columns["table.csv"] = {name: col for name, col in _columns(table.read_text()).items()
-                                if name != "wall_time"}
+                                if name not in UNDIGESTED}
     return {"sha256": sha, "columns": columns}
 
 

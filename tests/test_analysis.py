@@ -627,10 +627,11 @@ def test_noise_free_truncation_decay_rate():
 
 
 def nonzero_degrees(data):
-    # the np.nonzero form the evaluator used before
-    rows, cols = np.nonzero(data)
+    # the np.nonzero form, over every block of a stack; an all-zero grid's
+    # active block is empty
+    rows, cols = np.nonzero(data)[-2:]
     if rows.size == 0:
-        return 0, 0
+        return -1, -1
     return int(rows.max()), int(cols.max())
 
 
@@ -649,6 +650,13 @@ def test_effective_degrees_match_the_nonzero_form():
     grids.append(zeros)
     for data in grids:
         assert analysis._effective_degrees(data) == nonzero_degrees(data), data
+    # a stack of blocks: the degrees nonzero in any of its blocks
+    for count in (1, 2, 5):
+        for shape in ((0, 0), (1, 1), (7, 3), (12, 12)):
+            for density in (0.0, 0.05, 0.5):
+                stack = rng.standard_normal((count, *shape)) * (
+                    rng.random((count, *shape)) < density)
+                assert analysis._effective_degrees(stack) == nonzero_degrees(stack), stack
 
 
 def rounding_bound(scorer, approx):
@@ -947,9 +955,10 @@ def test_bounded_c_prunes_rate_trials(axis):
     ("t", example1_F), ("tau", example1_F)], ids=["t", "tau", "example1-t", "example1-tau"])
 def test_block_trials_score_like_the_full_grid(axis, make):
     # a rate-study trial on the cross's bounding block: the block of the
-    # full-grid trial, the same C error bit for bit, the same L2 error to
-    # rounding, and the reference's squares outside it summed directly;
-    # against a callable reference, the L2 error of per-call quadrature
+    # full-grid trial, the same C error bit for bit, the L2 error of its
+    # active block the same to rounding, with the reference's squares
+    # outside that block summed directly; against a callable reference, the
+    # L2 error of per-call quadrature
     fn = make()
     bt, btau = fn.breakpoints_t, fn.breakpoints_tau
     if make is make_class_function:
@@ -964,10 +973,8 @@ def test_block_trials_score_like_the_full_grid(axis, make):
         params = build_cross(n=choose_n(sp, delta, 2), gamma=choose_gamma(sp, 2), r=2,
                              axis=axis)
         kb, jb = truncation._fit(params, grid.K, grid.J).shape
-        outside = scorer._outside((kb, jb))
         inside = np.zeros(ref.shape, dtype=bool)
         inside[:kb, :jb] = True
-        assert outside == pytest.approx(tail + math.fsum(ref[~inside] ** 2), rel=1e-14)
         level = _Level(scorer, grid.data, params, None)
         for sd in range(5):
             spec = NoiseSpec(delta, 2.0, "rescaled", 50 * i + sd)
@@ -976,22 +983,24 @@ def test_block_trials_score_like_the_full_grid(axis, make):
                 coeffs._noisy_blocks(grid.data, spec, (kb, jb), (0,))[0], params)
             assert np.array_equal(block, full[:kb, :jb]) and not full[~inside].any()
             assert_same_float(c_block(level, block), c_block(level, full))
+            active = scorer._active(block)
+            assert active.shape == scorer._active(full).shape
+            kept = np.zeros(ref.shape, dtype=bool)
+            kept[: active.shape[0], : active.shape[1]] = True
+            assert scorer._outside(active.shape) == pytest.approx(
+                tail + math.fsum(ref[~kept] ** 2), rel=1e-14)
             if make is not make_class_function:
                 whole, rel = oracle_l2(CoeffGrid(data=full), scorer.exact, 104, bt, btau), 1e-12
             else:
                 whole, rel = float(np.linalg.norm(ref - full)), 1e-15
-            assert scorer._l2_block(block, outside) == pytest.approx(whole, rel=rel)
+            assert scorer._l2_block(active) == pytest.approx(whole, rel=rel)
 
 
 def public_trial(scorer, grid, cross, spec):
-    # one trial by the public path, add_noise then truncate: the evaluator's
-    # C error, and its L2 error on the cross's bounding block as a trial
-    # sums it, beside ErrorEvaluator.l2, which splits the sum at the grid's
-    # active degrees and so agrees to rounding only
+    # one trial by the public path, add_noise then truncate, scored by the
+    # evaluator's public l2 and c
     approx = truncate(add_noise(grid, spec), cross)
-    kb, jb = cross.block.shape
-    l2 = float(scorer._l2_block(approx.data[:kb, :jb], scorer._outside((kb, jb))))
-    return np.array([l2, scorer.c(approx)]), scorer.l2(approx)
+    return np.array([scorer.l2(approx), scorer.c(approx)])
 
 
 NOISES = {"rescaled-2": (2.0, "rescaled"), "rescaled-inf": (math.inf, "rescaled"),
@@ -1018,9 +1027,8 @@ def test_level_trials_are_the_public_path_bit_for_bit(axis, noise, chunk):
         got = level.trials(range(7))
         assert got.dtype == np.float64 and got.shape == (7, 2)
         for sd in range(7):
-            want, l2 = public_trial(scorer, grid, cross, replace(spec, seed=spec.seed + sd))
+            want = public_trial(scorer, grid, cross, replace(spec, seed=spec.seed + sd))
             assert got[sd].tobytes() == want.tobytes(), (delta, sd, got[sd], want)
-            assert got[sd, 0] == pytest.approx(l2, rel=1e-14)
         assert level.trials(range(3, 4)).tobytes() == got[3:4].tobytes()
         assert level.trials(range(2, 7)).tobytes() == got[2:].tobytes()
         assert level.trials(range(0)).shape == (0, 2)
@@ -1043,7 +1051,7 @@ def test_an_empty_cross_scores_every_draw_as_the_zero_grid(axis):
     level = _Level(scorer, grid.data, cross, spec)
     got = level.trials(range(3))
     for sd, row in enumerate(got):
-        want, _ = public_trial(scorer, grid, cross, replace(spec, seed=5 + sd))
+        want = public_trial(scorer, grid, cross, replace(spec, seed=5 + sd))
         assert row.tobytes() == want.tobytes() == np.array(level.errors).tobytes()
 
 
@@ -1051,8 +1059,8 @@ def test_an_empty_cross_scores_every_draw_as_the_zero_grid(axis):
 @pytest.mark.parametrize("h", [1e-4, None], ids=["h", "delta0"])
 def test_noise_free_level_errors_match_the_exhaustive_oracle(h, axis):
     # a table row without noise, an h row or delta = 0, built as the table
-    # command builds it: its level's errors are the whole-grid C pass, bit
-    # for bit, and the whole-grid L2 error
+    # command builds it: its level's errors are the whole-grid C pass and
+    # the whole-grid L2 error, bit for bit
     fn = example1_F()
     grid = exact_coeffs(fn, 24, 24) if h is None else coeffs.trapezoid_coeffs(fn, 24, 24, h)
     oracle = ErrorEvaluator(fn.exact_deriv(2, axis), 24, 24)
@@ -1061,7 +1069,7 @@ def test_noise_free_level_errors_match_the_exhaustive_oracle(h, axis):
         level = _Level(ErrorEvaluator(fn.exact_deriv(2, axis), 24, 24), grid.data, cross, None)
         approx = truncate(grid, cross)
         assert_same_float(level.errors[1], oracle.c(approx))
-        assert level.errors[0] == pytest.approx(oracle.l2(approx), rel=1e-15)
+        assert_same_float(level.errors[0], oracle.l2(approx))
 
 
 RATE_SP = SmoothnessParams(s=2.0, mu1=5.6, mu2=5.6, p=2.0)
