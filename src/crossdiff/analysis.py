@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import mmap
 import os
-import pickle
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -550,7 +549,7 @@ def _run_share(batches, out: np.ndarray, lo: int, hi: int):
     filled in place level by level, level i's by batches[i](range(lo, hi),
     out[i, lo:hi]): None, or at the first failure (index of the failing
     run's first trial in level-major order, its exception), the earlier
-    levels' runs filled."""
+    levels' runs filled. A forked worker's exit status is 0 for None."""
     for i, batch in enumerate(batches):
         try:
             batch(range(lo, hi), out[i, lo:hi])
@@ -567,12 +566,14 @@ def _forked_map(batches, count: int) -> np.ndarray:
     The draws are cut into one contiguous run per process, each process
     taking its run of every level, so it writes only its own pages. The
     caller forks one worker per run but the first, which it scores itself
-    (_run_share). A worker pipes back only its failure or None (pickle),
-    prints nothing and leaves by os._exit. The result does not depend on the
+    (_run_share). A worker writes only its rows, prints nothing and leaves
+    by os._exit, with status 0 once its whole run is filled. Every worker
+    is reaped before this returns or raises. The caller then scores again
+    the run of each worker that did not exit 0: it raised, exited early or
+    was killed. A trial is fixed by its seed, so that writes the same rows,
+    or raises the same exception, and the result does not depend on the
     number of processes (_worker_count). A failure raises the exception of
-    the failing run that comes first in level-major order; a worker that
-    ends without sending raises ChildProcessError. Every worker is reaped
-    before this returns or raises.
+    the failing run that comes first in level-major order.
 
     A forked worker shares the tables the caller built, which a spawned
     one would build again. Fork copies only the calling thread; OpenBLAS,
@@ -584,44 +585,28 @@ def _forked_map(batches, count: int) -> np.ndarray:
     out = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), count=size)
     out = out.reshape(len(batches), count, 2)
     cuts = [w * count // workers for w in range(workers + 1)]
-    pids, reads, payloads, done = [], [], [], False
+    pids, done = [], False
     try:
         for w in range(1, workers):
-            read, write = os.pipe()
             pid = os.fork()
             if pid == 0:  # the worker
                 code = 1
                 try:
-                    os.close(read)
-                    with os.fdopen(write, "wb") as fh:
-                        pickle.dump(_run_share(batches, out, cuts[w], cuts[w + 1]), fh)
-                    code = 0
+                    code = int(_run_share(batches, out, cuts[w], cuts[w + 1]) is not None)
                 finally:
                     os._exit(code)
-            os.close(write)
             pids.append(pid)
-            reads.append(read)
         failures = [_run_share(batches, out, 0, cuts[1])]
-        for i, read in enumerate(reads):
-            reads[i] = None
-            with os.fdopen(read, "rb") as fh:
-                payloads.append(fh.read())
         done = True
     finally:
-        for read in reads:
-            if read is not None:
-                os.close(read)
         if not done:
             import signal  # only this path needs it
 
             for pid in pids:
                 os.kill(pid, signal.SIGKILL)
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    for pid, code, payload in zip(pids, codes, payloads):
-        if code != 0 or not payload:
-            raise ChildProcessError(
-                f"forked worker {pid} ended with exit code {code} and no results")
-        failures.append(pickle.loads(payload))
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    failures += [_run_share(batches, out, cuts[w], cuts[w + 1])
+                 for w, status in enumerate(statuses, 1) if status != 0]
     failures = [failure for failure in failures if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]

@@ -572,8 +572,8 @@ def main(argv=None) -> int:
         elif args.command == "emit-surface":
             cmd_emit_surface(args.run, args.function, args.grid_points,
                              args.row, args.out_dir)
-    except (ValueError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     return 0
 

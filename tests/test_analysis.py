@@ -2,7 +2,6 @@
 
 import atexit
 import functools
-import io
 import math
 import os
 import signal
@@ -1095,9 +1094,30 @@ def fail_draws(monkeypatch, seeds, fail):
     monkeypatch.setattr(analysis, "_noisy_blocks", noisy_blocks)
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def record_statuses(monkeypatch):
+    # the wait statuses of the workers the caller reaps, in order
+    waitpid, statuses = os.waitpid, []
+
+    def recording(pid, options):
+        reaped = waitpid(pid, options)
+        statuses.append(reaped[1])
+        return reaped
+
+    monkeypatch.setattr(os, "waitpid", recording)
+    return statuses
+
+
+def record_runs(monkeypatch):
+    # the (lo, hi) of every run the caller scores, in order; a worker's
+    # record stays in the worker
+    run_share, runs = analysis._run_share, []
+
+    def recording(batches, out, lo, hi):
+        runs.append((lo, hi))
+        return run_share(batches, out, lo, hi)
+
+    monkeypatch.setattr(analysis, "_run_share", recording)
+    return runs
 
 
 def test_worker_count_follows_the_usable_cpus(monkeypatch):
@@ -1148,27 +1168,21 @@ def test_a_share_fills_its_rows_in_place():
 
 
 @pytest.mark.parametrize("workers", [2, 5])
-def test_a_worker_pipes_back_only_its_failure(monkeypatch, workers):
+def test_a_worker_writes_only_its_rows(monkeypatch, workers):
     # each worker writes its rows into the shared result, more workers than
-    # CPUs among them; its pipe carries None, a few bytes, where a pickled
-    # share of 1000 rows would be ~16 KB
+    # CPUs among them, opens no pipe and exits 0, so the caller scores only
+    # its own run
     force_workers(monkeypatch, workers)
-    fdopen, payloads = os.fdopen, []
 
-    def recording(fd, mode="r", *args, **kwargs):
-        fh = fdopen(fd, mode, *args, **kwargs)
-        if mode != "rb":  # a worker's write end
-            return fh
-        with fh:
-            payloads.append(fh.read())
-        return io.BytesIO(payloads[-1])
+    def no_pipe():
+        raise AssertionError("os.pipe called")
 
-    monkeypatch.setattr(analysis.os, "fdopen", recording)
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    runs, statuses = record_runs(monkeypatch), record_statuses(monkeypatch)
     out = analysis._forked_map(pair_batches(5, 400), 400)
     assert out.shape == (5, 400, 2)
     assert out.reshape(-1, 2).tolist() == [list(pair(i)) for i in range(2000)]
-    assert len(payloads) == workers - 1 and all(len(payload) < 100 for payload in payloads)
-    assert_no_child_left()
+    assert statuses == [0] * (workers - 1) and runs == [(0, 400 // workers)]
 
 
 def test_shares_may_be_empty(monkeypatch):
@@ -1177,7 +1191,6 @@ def test_shares_may_be_empty(monkeypatch):
     empty = analysis._forked_map(pair_batches(2, 0), 0)
     assert empty.dtype == np.float64 and empty.shape == (2, 0, 2)
     assert analysis._forked_map(pair_batches(1, 2), 2).tolist() == [[[0.0, -0.0], [1.0, -0.5]]]
-    assert_no_child_left()
 
 
 def test_an_interrupt_in_the_callers_share_kills_and_reaps_the_worker(monkeypatch):
@@ -1185,12 +1198,7 @@ def test_an_interrupt_in_the_callers_share_kills_and_reaps_the_worker(monkeypatc
     # it: the worker, still busy with its own share, is killed and reaped
     # before the interrupt reaches the caller
     force_workers(monkeypatch, 2)
-    caller, waitpid, statuses = os.getpid(), os.waitpid, []
-
-    def recording_waitpid(pid, options):
-        reaped = waitpid(pid, options)
-        statuses.append(reaped[1])
-        return reaped
+    caller, statuses = os.getpid(), record_statuses(monkeypatch)
 
     def batch(sds, out):
         if os.getpid() != caller:
@@ -1199,11 +1207,9 @@ def test_an_interrupt_in_the_callers_share_kills_and_reaps_the_worker(monkeypatc
             raise KeyboardInterrupt
         pair_batches(1, 4)[0](sds, out)
 
-    monkeypatch.setattr(os, "waitpid", recording_waitpid)
     with pytest.raises(KeyboardInterrupt):
         analysis._forked_map([batch], 4)
     assert [os.WIFSIGNALED(s) and os.WTERMSIG(s) for s in statuses] == [signal.SIGKILL]
-    assert_no_child_left()
 
 
 @pytest.mark.parametrize("fn,metric,axis", [
@@ -1220,27 +1226,18 @@ def test_rate_csv_is_the_same_for_any_worker_count(tmp_path, monkeypatch, fn, me
                    grid_degree=None if fn.id.startswith("class") else 40).save(path)
         written.add(path.read_bytes())
     assert len(written) == 1
-    assert_no_child_left()
 
 
 def test_uneven_runs_score_as_one_process_does(monkeypatch):
     # 13 draws a level on two processes: the caller scores draws 0-5 of
     # every level and the forked worker draws 6-12, the trials of one process
-    run_share, runs = analysis._run_share, []
-
-    def recording(batches, out, lo, hi):
-        runs.append((lo, hi))  # the caller's; a worker's stays there
-        return run_share(batches, out, lo, hi)
-
-    monkeypatch.setattr(analysis, "_run_share", recording)
-    trials = []
+    runs, trials = record_runs(monkeypatch), []
     for workers in (1, 2):
         force_workers(monkeypatch, workers)
         trials.append(rate_study(make_class_function(), RATE_SP, 2, "C", (1e-5, 1e-7, 1e-9), 13,
                                  axis="tau").trials)
     assert runs == [(0, 13), (0, 6)]
     assert trials[0].shape == (3, 13, 2) and trials[0].tobytes() == trials[1].tobytes()
-    assert_no_child_left()
 
 
 def test_a_trial_sends_back_two_floats(monkeypatch, tmp_path):
@@ -1303,15 +1300,15 @@ def test_an_overflowing_trial_is_reported_without_a_warning(monkeypatch):
     monkeypatch.setattr(_Level, "trials", overflowing)
     with pytest.raises(ValueError, match="^rate study of .* produced non-finite errors$"):
         rate_study(make_class_function(), *RATE_ARGS)
-    assert_no_child_left()
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
 def test_first_failing_trial_raises_for_any_worker_count(monkeypatch, workers):
-    # trials 5 and 6, draws 1 and 2 of level 1, fail; trial 5's run comes
-    # first, whichever process scores it (the caller for one and two
-    # processes, where 6 is in the caller's run or the worker's, and a
-    # forked one for three, where another worker runs 6)
+    # trials 5 and 6, draws 1 and 2 of level 1, fail in every process;
+    # trial 5's run comes first, whichever process scores it first (the
+    # caller for one and two processes, where 6 is in the caller's run or
+    # the worker's; a forked one for three and five, which exits 1, and
+    # the caller again, where another worker runs 6)
     force_workers(monkeypatch, workers)
 
     def fail(seed, caller):
@@ -1320,21 +1317,32 @@ def test_first_failing_trial_raises_for_any_worker_count(monkeypatch, workers):
     fail_draws(monkeypatch, {1998, 1999}, fail)
     with pytest.raises(ValueError, match="^bad draw 1998$"):
         rate_study(make_class_function(), *RATE_ARGS)
-    assert_no_child_left()
 
 
-def test_worker_ending_without_results_is_reported(monkeypatch):
-    force_workers(monkeypatch, 2)
+@pytest.mark.parametrize("workers", [2, 5])
+@pytest.mark.parametrize("end,code", [("raise", 1), ("exit", 3), ("kill", -signal.SIGKILL)])
+def test_a_worker_that_ends_early_is_scored_by_the_caller(monkeypatch, end, code, workers):
+    # every forked worker fails at level 1 of its run of ten draws a level,
+    # after writing level 0's rows; the caller, which does not fail, scores
+    # each such run again, to the serial trials bit for bit
+    study = (make_class_function(), *RATE_ARGS[:-1], 10)
+    force_workers(monkeypatch, 1)
+    serial = rate_study(*study).trials
 
-    def die(seed, caller):
-        if os.getpid() != caller:
+    def fail(seed, caller):
+        if os.getpid() == caller:
+            return
+        if end == "raise":
+            raise ValueError(f"bad draw {seed}")
+        if end == "exit":
             os._exit(3)
+        os.kill(os.getpid(), signal.SIGKILL)
 
-    fail_draws(monkeypatch, {1999}, die)  # trial 6, in the forked worker's run of draws 2, 3
-    with pytest.raises(ChildProcessError,
-                       match=r"^forked worker \d+ ended with exit code 3 and no results$"):
-        rate_study(make_class_function(), *RATE_ARGS)
-    assert_no_child_left()
+    fail_draws(monkeypatch, set(range(1997, 2007)), fail)  # level 1's seeds
+    force_workers(monkeypatch, workers)
+    statuses = record_statuses(monkeypatch)
+    assert rate_study(*study).trials.tobytes() == serial.tobytes()
+    assert [os.waitstatus_to_exitcode(s) for s in statuses] == [code] * (workers - 1)
 
 
 def test_workers_print_nothing_and_leave_by_os_exit(tmp_path, monkeypatch, capfd):
@@ -1355,4 +1363,3 @@ def test_workers_print_nothing_and_leave_by_os_exit(tmp_path, monkeypatch, capfd
         atexit.unregister(at_exit)
     assert capfd.readouterr() == ("before after\n", "")
     assert not marker.exists()
-    assert_no_child_left()

@@ -2,7 +2,6 @@
 
 import math
 import os
-import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -310,36 +309,82 @@ def _refuse(seed):
     raise ValueError(f"bad draw {seed}")
 
 
-@pytest.mark.parametrize("fail,message,function", [
-    (_refuse, "bad draw 1001", "class"),
-    (_die, r"forked worker \d+ ended with exit code 3 and no results", "class"),
-    (_refuse, "bad draw 1001", "example1"),
-    (_die, r"forked worker \d+ ended with exit code 3 and no results", "example1")],
-    ids=["raise", "die", "raise-example1", "die-example1"])
-def test_rate_study_worker_failure_is_one_error_line(tmp_path, capsys, monkeypatch,
-                                                     fail, message, function):
+def _fail_draw_1001(monkeypatch, worker_fail, caller_fail):
     # seed 1001 is trial 1 of 6, draw 1 of level 0: the forked worker's run
-    # of each level is draw 1 of two
+    # of each level is draw 1 of two; caller_fail runs where the caller
+    # draws it, worker_fail where a worker does
     monkeypatch.setattr(analysis, "_worker_count", lambda items: 2)
     caller, draw = os.getpid(), analysis._noisy_blocks
 
     def noisy_blocks(data, spec, shape, sds):
-        if 1001 - spec.seed in sds and os.getpid() != caller:
-            fail(1001)
+        if 1001 - spec.seed in sds:
+            (caller_fail if os.getpid() == caller else worker_fail)(1001)
         return draw(data, spec, shape, sds)
 
     monkeypatch.setattr(analysis, "_noisy_blocks", noisy_blocks)
+
+
+def _rate_ini(tmp_path, function):
     cfg = tmp_path / "rate.ini"
     cfg.write_text(f"[experiment]\nfunction = {function}\n\n"
                    "[noise]\ndeltas = 1e-5,1e-7,1e-9\nseeds = 2\n")
-    rc = run_cli("rate-study", "--config", cfg, "--metric", "L2",
+    return cfg
+
+
+@pytest.mark.parametrize("fail,function", [
+    (_refuse, "class"), (_die, "class"), (_refuse, "example1"), (_die, "example1")],
+    ids=["raise", "die", "raise-example1", "die-example1"])
+def test_rate_study_worker_failure_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                                     fail, function):
+    # the draw fails in every process: the worker raises or dies, and the
+    # caller, scoring the worker's run again, raises
+    _fail_draw_1001(monkeypatch, fail, _refuse)
+    rc = run_cli("rate-study", "--config", _rate_ini(tmp_path, function), "--metric", "L2",
                  "--out", tmp_path, "--run-id", "failed")
     assert rc == 2
     out, err = capsys.readouterr()
-    assert out == "" and re.fullmatch(f"error: {message}\n", err), err
+    assert out == "" and err == "error: bad draw 1001\n", err
     assert not (tmp_path / "failed").exists()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("function", ["class", "example1"])
+def test_rate_study_worker_that_dies_leaves_the_serial_rate_csv(tmp_path, capsys, monkeypatch,
+                                                                function):
+    # only the forked worker dies; the caller scores its run again
+    cfg = _rate_ini(tmp_path, function)
+    monkeypatch.setattr(analysis, "_worker_count", lambda items: 1)
+    assert run_cli("rate-study", "--config", cfg, "--out", tmp_path, "--run-id", "serial") == 0
+    _fail_draw_1001(monkeypatch, _die, lambda seed: None)
+    assert run_cli("rate-study", "--config", cfg, "--out", tmp_path, "--run-id", "died") == 0
+    assert capsys.readouterr().err == ""
+    serial, died = ((tmp_path / run / "rate.csv").read_bytes() for run in ("serial", "died"))
+    assert died == serial
+
+
+@pytest.mark.parametrize("bare", [False, True], ids=["numpy", "bare"])
+def test_a_refused_allocation_is_one_error_line(tmp_path, capsys, monkeypatch, bare):
+    # a 3.87 GiB trapezoid basis table (h=2.5e-7 at degree 64), under the
+    # 4 GiB limit, on a host that refuses it; nothing that size is allocated.
+    # A MemoryError without a message is named by its type.
+    try:
+        from numpy._core._exceptions import _ArrayMemoryError
+    except ImportError:  # numpy < 2
+        from numpy.core._exceptions import _ArrayMemoryError
+
+    def refuse(fn, K, J, h):
+        if bare:
+            raise MemoryError
+        raise _ArrayMemoryError((K + 1, round(2 / h) + 1), np.dtype(np.float64))
+
+    monkeypatch.setattr(cli, "trapezoid_coeffs", refuse)
+    rc = run_cli("example1", "--noise", "trapezoid", "--h", "2.5e-7", "--n", 16,
+                 "--out", tmp_path, "--run-id", "refused")
+    assert rc == 2
+    out, err = capsys.readouterr()
+    message = "MemoryError" if bare else ("Unable to allocate 3.87 GiB for an array with "
+                                          "shape (65, 8000001) and data type float64")
+    assert out == "" and err == f"error: {message}\n", err
+    assert not (tmp_path / "refused").exists()
 
 
 @pytest.mark.parametrize("preset,argv", [
