@@ -62,23 +62,14 @@ class PiecewisePoly:
 
     def eval(self, t):
         """The factor at t: piece i where edge_i <= t < edge_i+1, the edges
-        being -inf, the breakpoints and +inf; 0 at NaN and +inf. Nodes
-        ascending in one dimension, below +inf at the top, are cut into one
-        slice per piece and evaluated in place; any other input selects
-        each piece by a mask. Both give the same values, bit for bit."""
+        being -inf, the breakpoints and +inf; 0 at NaN and +inf. Each piece
+        is evaluated on the inputs its mask selects."""
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
-        pieces = [np.asarray(cs, dtype=float) for cs in self.pieces]
-        if t.ndim == 1 and t.size and t[-1] < np.inf and np.all(t[1:] >= t[:-1]):
-            # a NaN fails >=, so no node lies outside every piece
-            cuts = (0, *np.searchsorted(t, self.breakpoints), t.size)
-            for lo, hi, cs in zip(cuts[:-1], cuts[1:], pieces):
-                _horner(t[lo:hi], cs, out[lo:hi])
-            return out
         edges = (-np.inf, *self.breakpoints, np.inf)
-        for lo, hi, cs in zip(edges[:-1], edges[1:], pieces):
+        for lo, hi, cs in zip(edges[:-1], edges[1:], self.pieces):
             sel = (t >= lo) & (t < hi)
-            out[sel] = _horner(t[sel], cs)
+            out[sel] = _horner(t[sel], np.asarray(cs, dtype=float))
         return out
 
     def deriv(self, r: int) -> "PiecewisePoly":
@@ -90,17 +81,16 @@ class PiecewisePoly:
         return PiecewisePoly(self.breakpoints, pieces)
 
 
-def _horner(x: np.ndarray, cs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _horner(x: np.ndarray, cs: np.ndarray) -> np.ndarray:
     """numpy.polynomial.polynomial.polyval(x, cs) for a 1-D float x, bit
-    for bit, in one array: out, of x's shape and not overlapping it, or a
-    new one.
+    for bit, in one new array.
 
     polyval starts from cs[-1] + x*0 and takes cs[i] + acc*x down the
     coefficients, each step into two new arrays; here each step runs in
     place. IEEE addition commutes exactly, signed zeros included, so
     acc += cs[i] gives polyval's values.
     """
-    acc = np.multiply(x, 0.0, out=out)
+    acc = x * 0.0
     acc += cs[-1]
     for c in cs[-2::-1]:
         acc *= x
@@ -119,14 +109,7 @@ class CosFactor:
     breakpoints = ()
 
     def eval(self, t):
-        """amplitude * cos(freq * t + phase), bit for bit, in one new array:
-        IEEE products commute, so each step can run in place."""
-        out = np.array(t, dtype=float)
-        out *= self.freq
-        out += self.phase
-        np.cos(out, out=out)
-        out *= self.amplitude
-        return out
+        return self.amplitude * np.cos(self.freq * t + self.phase)
 
     def deriv(self, r: int) -> "CosFactor":
         return CosFactor(

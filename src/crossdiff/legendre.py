@@ -155,8 +155,6 @@ def gauss_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
 def _gauss_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     i = np.arange(m)
     x = np.cos(np.pi * (4 * i + 3) / (4 * m + 2))
-    if m == 1:
-        x = np.zeros(1)
     for _ in range(100):
         p, dp = _legendre_and_derivative(m, x)
         dx = p / dp

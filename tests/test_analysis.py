@@ -145,21 +145,6 @@ def test_piecewise_eval_is_polyval_per_piece_signed_zeros_included():
     assert negative_zeros > 2
 
 
-def eval_recording_paths(monkeypatch, factor, t):
-    """factor.eval(t), and whether each piece was evaluated in place on a
-    slice (True) or on a masked copy (False)."""
-    paths = []
-
-    def recording(x, cs, out=None):
-        paths.append(out is not None)
-        return horner(x, cs, out)
-
-    horner = analysis._horner
-    monkeypatch.setattr(analysis, "_horner", recording)
-    with np.errstate(invalid="ignore"):  # inf * 0 at an infinite node
-        return factor.eval(t), paths
-
-
 _BREAK_FACTORS = [
     _kink_factor(), _kink_factor().deriv(8),
     PiecewisePoly((0.0,), ((1, -2, 3), (0, 0, -1, 4))),
@@ -169,27 +154,13 @@ _BREAK_FACTORS = [
 ]
 
 
-def test_piecewise_eval_on_ascending_nodes_is_the_mask_form(monkeypatch):
+def test_piecewise_eval_is_the_where_form_with_signed_zeros():
     grid = np.linspace(-1.0, 1.0, 2001)
-    nodes = [
+    inputs = [
         np.sort(np.concatenate([grid, [-0.5, 0.5, 0.0, -0.0, -0.0, 1e-300, -1e-300]])),
         np.array([-np.inf, -1.0, -0.5, -0.5, 0.0, 0.5, 1.0]),
         np.array([0.0]), np.array([-0.0, 0.0, 0.0]), np.array([0.5]),
         np.linspace(-1.0, 1.0, 2 ** 21 + 1)[::1024],  # a strided view
-    ]
-    for factor in _BREAK_FACTORS:
-        for t in nodes:
-            got, paths = eval_recording_paths(monkeypatch, factor, t)
-            with np.errstate(invalid="ignore"):
-                want = where_piecewise_eval(factor, t)
-            assert paths and all(paths)
-            assert np.array_equal(got, want, equal_nan=True)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
-def test_piecewise_eval_keeps_the_mask_form_off_ascending_nodes(monkeypatch):
-    grid = np.linspace(-1.0, 1.0, 401)
-    inputs = [
         np.concatenate([grid, [np.nan]]), np.concatenate([[np.nan], grid]),
         np.array([np.nan]), np.concatenate([grid, [np.inf]]), np.array([np.inf]),
         grid[::-1], np.array([0.5, -0.5, 0.0, -0.0]), grid[::20, None] * grid[None, ::40],
@@ -197,10 +168,8 @@ def test_piecewise_eval_keeps_the_mask_form_off_ascending_nodes(monkeypatch):
     ]
     for factor in _BREAK_FACTORS:
         for t in inputs:
-            got, paths = eval_recording_paths(monkeypatch, factor, t)
-            with np.errstate(invalid="ignore"):
-                want = where_piecewise_eval(factor, t)
-            assert not any(paths)
+            with np.errstate(invalid="ignore"):  # inf * 0 at an infinite node
+                got, want = factor.eval(t), where_piecewise_eval(factor, t)
             assert got.shape == want.shape
             assert np.array_equal(got, want, equal_nan=True)
             assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -219,7 +188,7 @@ def test_median_is_numpys_median_bit_for_bit(values):
 
 
 def test_cos_factor_eval_is_the_closed_form_bit_for_bit():
-    # eval runs each step in place; the values are the one-expression form's
+    # eval leaves its input untouched and gives the closed form's values
     nodes = np.concatenate([gauss_rule(97)[0], np.linspace(-1.0, 1.0, 301)])
     base = CosFactor(2.0, math.pi)
     for f in (base, base.deriv(1), base.deriv(2), CosFactor(-0.7, 3.3, 0.25)):
