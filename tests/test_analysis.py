@@ -154,18 +154,9 @@ _BREAK_FACTORS = [
 ]
 
 
-def test_piecewise_eval_is_the_where_form_with_signed_zeros():
-    grid = np.linspace(-1.0, 1.0, 2001)
-    inputs = [
-        np.sort(np.concatenate([grid, [-0.5, 0.5, 0.0, -0.0, -0.0, 1e-300, -1e-300]])),
-        np.array([-np.inf, -1.0, -0.5, -0.5, 0.0, 0.5, 1.0]),
-        np.array([0.0]), np.array([-0.0, 0.0, 0.0]), np.array([0.5]),
-        np.linspace(-1.0, 1.0, 2 ** 21 + 1)[::1024],  # a strided view
-        np.concatenate([grid, [np.nan]]), np.concatenate([[np.nan], grid]),
-        np.array([np.nan]), np.concatenate([grid, [np.inf]]), np.array([np.inf]),
-        grid[::-1], np.array([0.5, -0.5, 0.0, -0.0]), grid[::20, None] * grid[None, ::40],
-        np.array(0.5), np.array(-0.0), np.empty(0),
-    ]
+def assert_where_form(inputs):
+    """Each factor of _BREAK_FACTORS evaluates every input to the where
+    form's values, shape and signs of zero."""
     for factor in _BREAK_FACTORS:
         for t in inputs:
             with np.errstate(invalid="ignore"):  # inf * 0 at an infinite node
@@ -173,6 +164,26 @@ def test_piecewise_eval_is_the_where_form_with_signed_zeros():
             assert got.shape == want.shape
             assert np.array_equal(got, want, equal_nan=True)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_piecewise_eval_on_ascending_nodes_is_the_mask_form():
+    grid = np.linspace(-1.0, 1.0, 2001)
+    assert_where_form([
+        np.sort(np.concatenate([grid, [-0.5, 0.5, 0.0, -0.0, -0.0, 1e-300, -1e-300]])),
+        np.array([-np.inf, -1.0, -0.5, -0.5, 0.0, 0.5, 1.0]),
+        np.array([0.0]), np.array([-0.0, 0.0, 0.0]), np.array([0.5]),
+        np.linspace(-1.0, 1.0, 2 ** 21 + 1)[::1024],  # a strided view
+    ])
+
+
+def test_piecewise_eval_keeps_the_mask_form_off_ascending_nodes():
+    grid = np.linspace(-1.0, 1.0, 401)
+    assert_where_form([
+        np.concatenate([grid, [np.nan]]), np.concatenate([[np.nan], grid]),
+        np.array([np.nan]), np.concatenate([grid, [np.inf]]), np.array([np.inf]),
+        grid[::-1], np.array([0.5, -0.5, 0.0, -0.0]), grid[::20, None] * grid[None, ::40],
+        np.array(0.5), np.array(-0.0), np.empty(0),
+    ])
 
 
 @settings(max_examples=300, deadline=None)
