@@ -64,12 +64,14 @@ class PiecewisePoly:
         """The factor at t: piece i where edge_i <= t < edge_i+1, the edges
         being -inf, the breakpoints and +inf; 0 at NaN and +inf. Each piece
         is evaluated on the inputs its mask selects."""
+        from numpy.polynomial.polynomial import polyval  # loaded on first use, not by importing the cli
+
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
         edges = (-np.inf, *self.breakpoints, np.inf)
         for lo, hi, cs in zip(edges[:-1], edges[1:], self.pieces):
             sel = (t >= lo) & (t < hi)
-            out[sel] = _horner(t[sel], np.asarray(cs, dtype=float))
+            out[sel] = polyval(t[sel], cs)
         return out
 
     def deriv(self, r: int) -> "PiecewisePoly":
@@ -79,23 +81,6 @@ class PiecewisePoly:
 
         pieces = tuple(tuple(polyder(np.asarray(cs, dtype=float), r)) for cs in self.pieces)
         return PiecewisePoly(self.breakpoints, pieces)
-
-
-def _horner(x: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    """numpy.polynomial.polynomial.polyval(x, cs) for a 1-D float x, bit
-    for bit, in one new array.
-
-    polyval starts from cs[-1] + x*0 and takes cs[i] + acc*x down the
-    coefficients, each step into two new arrays; here each step runs in
-    place. IEEE addition commutes exactly, signed zeros included, so
-    acc += cs[i] gives polyval's values.
-    """
-    acc = x * 0.0
-    acc += cs[-1]
-    for c in cs[-2::-1]:
-        acc *= x
-        acc += c
-    return acc
 
 
 @dataclass(frozen=True)
@@ -527,18 +512,12 @@ def _worker_count(items: int) -> int:
     return max(1, min(_usable_cpus(), _MAX_WORKERS, items // _MIN_SHARE))
 
 
-def _run_share(batches, out: np.ndarray, lo: int, hi: int):
+def _run_share(batches, out: np.ndarray, lo: int, hi: int) -> None:
     """Rows lo..hi-1 of every level of out, a (levels, draws, 2) array,
     filled in place level by level, level i's by batches[i](range(lo, hi),
-    out[i, lo:hi]): None, or at the first failure (index of the failing
-    run's first trial in level-major order, its exception), the earlier
-    levels' runs filled. A forked worker's exit status is 0 for None."""
+    out[i, lo:hi]). A failure propagates, the earlier levels' runs filled."""
     for i, batch in enumerate(batches):
-        try:
-            batch(range(lo, hi), out[i, lo:hi])
-        except Exception as exc:
-            return i * out.shape[1] + lo, exc
-    return None
+        batch(range(lo, hi), out[i, lo:hi])
 
 
 def _forked_map(batches, count: int) -> np.ndarray:
@@ -546,17 +525,18 @@ def _forked_map(batches, count: int) -> np.ndarray:
     count, 2) float64 array in one shared anonymous mapping: level i's run
     of draws lo..hi-1 is written by batches[i](range(lo, hi), rows), rows
     being its (hi - lo, 2) view of the result.
-    The draws are cut into one contiguous run per process, each process
-    taking its run of every level, so it writes only its own pages. The
-    caller forks one worker per run but the first, which it scores itself
-    (_run_share). A worker writes only its rows, prints nothing and leaves
-    by os._exit, with status 0 once its whole run is filled. Every worker
-    is reaped before this returns or raises. The caller then scores again
-    the run of each worker that did not exit 0: it raised, exited early or
-    was killed. A trial is fixed by its seed, so that writes the same rows,
-    or raises the same exception, and the result does not depend on the
-    number of processes (_worker_count). A failure raises the exception of
-    the failing run that comes first in level-major order.
+    The result is that of the serial call _run_share(batches, out, 0,
+    count), rows or exception; forking only splits the work. The draws are
+    cut into one contiguous run per process, each process taking its run
+    of every level, so it writes only its own pages. The caller forks one
+    worker per run but the first, which it scores itself. A worker writes
+    only its rows, prints nothing and leaves by os._exit, with status 0
+    once its whole run is filled. Every worker is reaped before this
+    returns or raises. If any worker did not exit 0 (it raised, exited
+    early or was killed), or the caller's run raised while there were
+    workers, the caller scores the whole study again serially, so a
+    failure raises what a serial call raises, whatever the number of
+    processes (_worker_count).
 
     A forked worker shares the tables the caller built, which a spawned
     one would build again. Fork copies only the calling thread; OpenBLAS,
@@ -568,18 +548,24 @@ def _forked_map(batches, count: int) -> np.ndarray:
     out = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), count=size)
     out = out.reshape(len(batches), count, 2)
     cuts = [w * count // workers for w in range(workers + 1)]
-    pids, done = [], False
+    pids, done, failed = [], False, False
     try:
         for w in range(1, workers):
             pid = os.fork()
             if pid == 0:  # the worker
                 code = 1
                 try:
-                    code = int(_run_share(batches, out, cuts[w], cuts[w + 1]) is not None)
+                    _run_share(batches, out, cuts[w], cuts[w + 1])
+                    code = 0
                 finally:
                     os._exit(code)
             pids.append(pid)
-        failures = [_run_share(batches, out, 0, cuts[1])]
+        try:
+            _run_share(batches, out, 0, cuts[1])
+        except Exception:
+            if workers == 1:  # the caller's run was the serial call
+                raise
+            failed = True
         done = True
     finally:
         if not done:
@@ -588,11 +574,8 @@ def _forked_map(batches, count: int) -> np.ndarray:
             for pid in pids:
                 os.kill(pid, signal.SIGKILL)
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    failures += [_run_share(batches, out, cuts[w], cuts[w + 1])
-                 for w, status in enumerate(statuses, 1) if status != 0]
-    failures = [failure for failure in failures if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+    if failed or any(statuses):
+        _run_share(batches, out, 0, count)
     return out
 
 

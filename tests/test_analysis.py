@@ -123,7 +123,7 @@ def test_piecewise_eval_is_bit_identical_to_where_form():
 
 
 def test_piecewise_eval_is_polyval_per_piece_signed_zeros_included():
-    # the in-place Horner loop gives npoly.polyval's values, signs of zero
+    # each piece is npoly.polyval on its masked inputs, signs of zero
     # included, for integer coefficients too
     grid = np.concatenate([np.linspace(-1.0, 1.0, 2001), [-0.0, 0.0, -1e-300, 1e-300]])
     factors = [
@@ -1127,8 +1127,8 @@ def pair_batches(levels, count):
 
 
 def test_a_share_fills_its_rows_in_place():
-    # the run lo..hi-1 of every level, level by level; a failure stops the
-    # share at its level, the earlier levels' runs filled and the rest untouched
+    # the run lo..hi-1 of every level, level by level; a failure propagates
+    # from its level, the earlier levels' runs filled and the rest untouched
     out = np.full((3, 7, 2), -9.0)
     assert analysis._run_share(pair_batches(3, 7), out, 2, 5) is None
     assert out[:, 2:5].reshape(-1, 2).tolist() == [
@@ -1141,8 +1141,8 @@ def test_a_share_fills_its_rows_in_place():
     batches = pair_batches(3, 7)
     batches[1] = fail
     out = np.full((3, 7, 2), -9.0)
-    index, exc = analysis._run_share(batches, out, 2, 5)
-    assert index == 7 + 2 and isinstance(exc, ValueError) and str(exc) == "bad run"
+    with pytest.raises(ValueError, match="^bad run$"):
+        analysis._run_share(batches, out, 2, 5)
     assert out[0, 2:5].tolist() == [list(pair(sd)) for sd in range(2, 5)]
     assert (out[0, :2] == -9.0).all() and (out[0, 5:] == -9.0).all() and (out[1:] == -9.0).all()
 
@@ -1229,14 +1229,13 @@ def test_a_trial_sends_back_two_floats(monkeypatch, tmp_path):
     run_share, sent = analysis._run_share, []
 
     def recording(batches, out, lo, hi):
-        failure = run_share(batches, out, lo, hi)
-        sent.append((out, lo, hi, failure))  # the caller's; a worker's stays there
-        return failure
+        run_share(batches, out, lo, hi)
+        sent.append((out, lo, hi))  # the caller's; a worker's stays there
 
     monkeypatch.setattr(analysis, "_run_share", recording)
     result = rate_study(make_class_function(), *RATE_ARGS)
-    ((out, lo, hi, failure),) = sent
-    assert (lo, hi, failure) == (0, 2, None)
+    ((out, lo, hi),) = sent
+    assert (lo, hi) == (0, 2)
     assert out.dtype == np.float64 and out.shape == (3, 4, 2)
     trials = result.trials
     assert trials.dtype == np.float64 and trials.shape == (3, 4, 2)
@@ -1284,11 +1283,9 @@ def test_an_overflowing_trial_is_reported_without_a_warning(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
 def test_first_failing_trial_raises_for_any_worker_count(monkeypatch, workers):
-    # trials 5 and 6, draws 1 and 2 of level 1, fail in every process;
-    # trial 5's run comes first, whichever process scores it first (the
-    # caller for one and two processes, where 6 is in the caller's run or
-    # the worker's; a forked one for three and five, which exits 1, and
-    # the caller again, where another worker runs 6)
+    # trials 5 and 6, draws 1 and 2 of level 1, fail in every process; a
+    # serial call meets trial 5 first, and so does every forked study,
+    # since any failed share makes the caller score the study again serially
     force_workers(monkeypatch, workers)
 
     def fail(seed, caller):
@@ -1304,7 +1301,8 @@ def test_first_failing_trial_raises_for_any_worker_count(monkeypatch, workers):
 def test_a_worker_that_ends_early_is_scored_by_the_caller(monkeypatch, end, code, workers):
     # every forked worker fails at level 1 of its run of ten draws a level,
     # after writing level 0's rows; the caller, which does not fail, scores
-    # each such run again, to the serial trials bit for bit
+    # its own run and then the whole study serially, to the serial trials
+    # bit for bit
     study = (make_class_function(), *RATE_ARGS[:-1], 10)
     force_workers(monkeypatch, 1)
     serial = rate_study(*study).trials
@@ -1320,9 +1318,28 @@ def test_a_worker_that_ends_early_is_scored_by_the_caller(monkeypatch, end, code
 
     fail_draws(monkeypatch, set(range(1997, 2007)), fail)  # level 1's seeds
     force_workers(monkeypatch, workers)
-    statuses = record_statuses(monkeypatch)
+    runs, statuses = record_runs(monkeypatch), record_statuses(monkeypatch)
     assert rate_study(*study).trials.tobytes() == serial.tobytes()
     assert [os.waitstatus_to_exitcode(s) for s in statuses] == [code] * (workers - 1)
+    assert runs == [(0, 10 // workers), (0, 10)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_a_failure_raises_what_a_serial_call_raises(monkeypatch, workers):
+    # a batch draws all its draws before it scores any: a serial call raises
+    # on draw 26 before it scores draw 20, whose run at two processes is the
+    # caller's and holds no draw 26
+    force_workers(monkeypatch, workers)
+
+    def batch(sds, out):
+        if 26 in sds:
+            raise ValueError("draw 26")
+        if 20 in sds:
+            raise ValueError("score 20")
+        pair_batches(1, 50)[0](sds, out)
+
+    with pytest.raises(ValueError, match="^draw 26$"):
+        analysis._forked_map([batch], 50)
 
 
 def test_workers_print_nothing_and_leave_by_os_exit(tmp_path, monkeypatch, capfd):
