@@ -35,6 +35,7 @@ from .truncation import (
     choose_gamma,
     choose_n,
     class_norm,
+    theoretical_slope,
     truncate,
 )
 from .analysis import (
@@ -48,7 +49,6 @@ from .analysis import (
     l2_error,
     make_class_function,
     rate_study,
-    theoretical_slope,
 )
 
 __version__ = "0.1.0"

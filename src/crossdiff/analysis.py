@@ -13,7 +13,7 @@ import math
 import mmap
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,12 +25,14 @@ from .legendre import _LegendreSeries, _usable_cpus, phi_matrix
 from .truncation import (
     CrossSet,
     SmoothnessParams,
+    _along,
     _fit,
     _truncate_block,
     build_cross,
     choose_gamma,
     choose_n,
     class_norm,
+    theoretical_slope,
 )
 
 __all__ = [
@@ -45,7 +47,6 @@ __all__ = [
     "c_error",
     "RateStudyResult",
     "rate_study",
-    "theoretical_slope",
 ]
 
 
@@ -319,12 +320,6 @@ class ErrorEvaluator:
         return float(self._slab_maxima(self._active(approx.data)).max())
 
 
-def _along(sp: SmoothnessParams, axis: str) -> SmoothnessParams:
-    """The class with mu1 the weight of the axis differentiated: mu1 weighs t
-    and mu2 tau, as in class_norm, so along tau the two trade places."""
-    return sp if axis == "t" else replace(sp, mu1=sp.mu2, mu2=sp.mu1)
-
-
 def _plan(sp: SmoothnessParams, deltas, ns, r: int, c: float, gamma, metric, axis: str,
           degree: int) -> list[CrossSet]:
     """The cross of every noise level for the r-th derivative along axis: its
@@ -450,16 +445,6 @@ def c_error(approx: CoeffGrid, exact) -> float:
     """Max-norm distance sampled on a uniform inclusive grid of 513 points
     per axis."""
     return ErrorEvaluator(exact, approx.K, approx.J).c(approx)
-
-
-def theoretical_slope(sp: SmoothnessParams, r: int, metric: str = "L2", axis: str = "t") -> float:
-    """Predicted exponent of the error's power-law decay in delta, for the
-    class along axis (_along)."""
-    if metric not in ("L2", "C"):
-        raise ValueError(f"metric must be 'L2' or 'C', got {metric!r}")
-    sp = _along(sp, axis)
-    num = sp.mu1 - 2 * r + 1.0 / sp.s - (0.5 if metric == "L2" else 1.5)
-    return num / (sp.mu1 - 1.0 / sp.p + 1.0 / sp.s)  # 1/p = 0 at p = inf
 
 
 @dataclass(eq=False)

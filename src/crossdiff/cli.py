@@ -3,13 +3,13 @@ surface data emission.
 
 Every command writes into one directory per run id under a results root
 (--out flag, config [output] dir, the CROSSDIFF_RESULTS environment
-variable, or ./results, in that order of precedence). A run directory
-holds the effective config (config.ini), the results table (table.csv),
-and the reconstructed derivative grid of each table row (row_<i>/deriv.csv
-with sidecar). Output is deterministic for a fixed config and seed except
-for the wall_time column, at a fixed BLAS thread count: OpenBLAS sums in
-an order that depends on its thread count, which can move the last digits.
-All numbers are written with 17 significant digits.
+variable, or ./results, in that order of precedence). A table or rate
+study's directory holds the effective config (config.ini) and table.csv,
+with each row's derivative grid (row_<i>/deriv.csv), or rate.csv; a
+cross-card run's holds card.csv and verdicts.txt only. Output is
+deterministic for a fixed config and seed except for wall_time, at a
+fixed BLAS thread count (OpenBLAS sums in an order that depends on it,
+which can move the last digits); numbers have 17 significant digits.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .analysis import (  # noqa: F401  (l2_error, c_error stay importable from c
     example1_F, example2_F, l2_error, make_class_function, rate_study,
 )
 from .coeffs import CoeffGrid, exact_coeffs, save_grid, load_grid, trapezoid_coeffs
-from .coeffs import FLOAT, INT, STR, _cells, _fmt_float, _trapezoid_steps, _write_csv
+from .coeffs import FLOAT, INT, STR, _MODES, _cells, _fmt_float, _trapezoid_steps, _write_csv
 from .legendre import synthesize
 from .truncation import SmoothnessParams, cardinality_growth
 
@@ -68,20 +68,9 @@ def _fmt_list(xs, fmt=_fmt_float) -> str:
     return ",".join(fmt(x) for x in xs)
 
 
-def float_list(text: str) -> tuple:
-    return tuple(float(x) for x in text.replace(",", " ").split())
-
-
-def int_list(text: str) -> tuple:
-    return tuple(int(x) for x in text.replace(",", " ").split())
-
-
-def _parse_n(text: str) -> tuple:
-    return () if text.strip() == "auto" else int_list(text)
-
-
-def _fmt_n(ns) -> str:
-    return _fmt_list(ns, str) or "auto"
+def _list(parse):
+    """The parse of a list of comma- or space-separated values, each by parse."""
+    return lambda text: tuple(parse(x) for x in text.replace(",", " ").split())
 
 
 def _within(x, interval: str) -> bool:
@@ -92,21 +81,31 @@ def _within(x, interval: str) -> bool:
 
 
 # list kinds beside coeffs' STR, INT and FLOAT
-FLOATS = (float_list, _fmt_list, "a list of floats")
-INTS = (int_list, lambda ns: _fmt_list(ns, str), "a list of integers")
+FLOATS = (_list(float), _fmt_list, "a list of floats")
+INTS = (_list(int), lambda ns: _fmt_list(ns, str), "a list of integers")
+INTS_OR_AUTO = (lambda text: () if text.strip() == "auto" else _list(int)(text),
+                lambda ns: _fmt_list(ns, str) or "auto", "a list of integers or auto")
 
 
 def _key(default, section, kind, flag=None, *, key=None, on=TABLES, also=None,
-         within=None, **arg):
+         within=None, choices=None, **arg):
     """A config attribute: its default and how it appears outside the
     program. That is its INI section and key (default: the attribute name),
     the parse/format/name triple ``kind`` between value and text, and the flag that
     sets it on the commands in ``on``, with extra argparse options ``arg``.
-    ``also`` returns the further changes that setting it implies; ``within``
-    is the interval validate() holds each of its numbers to."""
+    ``also`` returns the further changes that setting it implies; validate()
+    holds its numbers to the interval ``within`` and its text to ``choices``."""
     return field(default=default, metadata=dict(
         section=section, key=key, kind=kind, flag=flag, on=on, arg=arg, also=also,
-        within=within))
+        within=within, choices=choices))
+
+
+# the test function of each [experiment] function id
+_FUNCTIONS = {
+    "example1": lambda cfg: example1_F(),
+    "example2": lambda cfg: example2_F(),
+    "class": lambda cfg: make_class_function(s=cfg.s, mu1=cfg.mu1, mu2=cfg.mu2),
+}
 
 
 @dataclass
@@ -124,14 +123,14 @@ class ExperimentConfig:
     metric.
     """
 
-    function: str = _key("example1", "experiment", STR)
+    function: str = _key("example1", "experiment", STR, choices=tuple(_FUNCTIONS))
     r: int = _key(2, "experiment", INT, within="[1, inf)")
-    axis: str = _key("t", "experiment", STR)
+    axis: str = _key("t", "experiment", STR, choices=("t", "tau"))
     s: float = _key(2.0, "experiment", FLOAT, within="[1, inf)")
     mu1: float = _key(5.6, "experiment", FLOAT, within="(0, inf)")
     mu2: float = _key(5.6, "experiment", FLOAT, within="(0, inf)")
     p: float = _key(2.0, "experiment", FLOAT, within="[1, inf]")
-    noise_mode: str = _key("rescaled", "noise", STR, key="mode")
+    noise_mode: str = _key("rescaled", "noise", STR, key="mode", choices=(*_MODES, "trapezoid"))
     noise_p: float = _key(math.inf, "noise", FLOAT, "--noise-p", key="p", within="[1, inf]",
                           help="norm index for noise rescaling (default inf)")
     delta_list: tuple = _key(
@@ -145,8 +144,8 @@ class ExperimentConfig:
     seeds: int = _key(5, "noise", INT, "--seeds", within=f"[1, {MAX_SEEDS}]",
                       help="noise realizations per row")
     base_seed: int = _key(2025, "noise", INT, "--base-seed", within="[0, inf)")
-    n_list: tuple = _key((), "method", (_parse_n, _fmt_n, "a list of integers or auto"),
-                         "--n", key="n", within=f"[1, {MAX_GRID_DEGREE}]",
+    n_list: tuple = _key((), "method", INTS_OR_AUTO, "--n", key="n",
+                         within=f"[1, {MAX_GRID_DEGREE}]",
                          help="comma-separated truncation levels, or auto for choose_n")
     c: float = _key(0.9, "method", FLOAT, "--c", within="(0, inf)",
                     help="choose_n calibration constant")
@@ -169,29 +168,25 @@ class ExperimentConfig:
             for x in values if isinstance(values, tuple) else (values,):
                 if f.within and x is not None and not _within(x, f.within):
                     raise ValueError(f"[{f.section}] {f.key}={x} must lie in {f.within}")
+                if f.choices and x not in (None, *f.choices):
+                    raise ValueError(f"[{f.section}] {f.key}={x} must be one of "
+                                     + ", ".join(f.choices))
         trials = len(self.delta_list) * self.seeds
         if trials > MAX_TRIALS:
             raise ValueError(f"[noise] {len(self.delta_list)} deltas x {self.seeds} seeds = "
                              f"{trials} trials, over the limit of {MAX_TRIALS}")
-        has_delta = len(self.delta_list) > 0
         has_h = len(self.h_list) > 0
-        if has_delta == has_h:
+        if has_h == (len(self.delta_list) > 0):
             raise ValueError("exactly one of delta list / h list must be set")
-        if has_h and self.noise_mode != "trapezoid":
-            raise ValueError("h list requires noise_mode = trapezoid")
-        if has_delta and self.noise_mode not in ("rescaled", "raw_gaussian"):
-            raise ValueError(f"unknown noise mode {self.noise_mode!r}")
+        if has_h != (self.noise_mode == "trapezoid"):
+            raise ValueError(f"[noise] mode={self.noise_mode} does not go with "
+                             f"{'hs' if has_h else 'deltas'}: trapezoid goes with hs alone")
         values = self.delta_list or self.h_list
         if self.n_list and len(self.n_list) != len(values):
             raise ValueError("n list length must match the delta/h list")
         if not self.n_list and has_h:
             raise ValueError("trapezoid runs need an explicit n list")
-        if self.metric not in (None, "L2", "C"):
-            raise ValueError(f"metric must be 'L2' or 'C', got {self.metric!r}")
-        if self.axis not in ("t", "tau"):
-            raise ValueError(f"[experiment] axis must be 't' or 'tau', got {self.axis!r}")
         _check_run_id(self.run_id)
-        _get_function(self)
 
     def to_ini(self, path) -> None:
         """Write every attribute that is set; None attributes are left out."""
@@ -215,6 +210,13 @@ class ExperimentConfig:
                      for f in FIELDS if cp.has_option(f.section, f.key)]
         except configparser.Error as exc:  # a file it refuses; its messages span lines
             raise ValueError(f"{path}: " + " ".join(str(exc).split())) from None
+        declared = {(f.section, f.key) for f in FIELDS}
+        for section in (cp.default_section, *cp.sections()):
+            for key in cp[section]:  # each section's keys include [DEFAULT]'s, refused first
+                if (section, key) not in declared:
+                    raise ValueError(f"{path}: [{section}] {key} is not a config key")
+            if section not in {s for s, _ in declared} | {cp.default_section}:
+                raise ValueError(f"{path}: [{section}] is not a config section")
         settings = []
         for f, text in texts:
             parse, _, name = f.kind
@@ -299,18 +301,6 @@ class ResultsTable:
         return ResultsTable(rows=tuple(rows))
 
 
-def _get_function(cfg: ExperimentConfig):
-    if cfg.function == "example1":
-        return example1_F()
-    if cfg.function == "example2":
-        return example2_F()
-    if cfg.function == "class":
-        return make_class_function(s=cfg.s, mu1=cfg.mu1, mu2=cfg.mu2)
-    raise ValueError(
-        f"unknown function id {cfg.function!r} (known: example1, example2, class)"
-    )
-
-
 def _resolve_root(explicit: str | None) -> str:
     return explicit or os.environ.get(_ENV_ROOT) or "results"
 
@@ -332,7 +322,7 @@ def cmd_table(cfg: ExperimentConfig) -> ResultsTable:
     errors of its noise-free truncation B and saves B; a noisy row has the medians
     over its seeds, scored as rate-study trials are, and saves seed 0's."""
     cfg.validate()
-    fn = _get_function(cfg)
+    fn = _FUNCTIONS[cfg.function](cfg)
     deg, values = cfg.grid_degree, cfg.delta_list or cfg.h_list
     crosses = _plan(SmoothnessParams(cfg.s, cfg.mu1, cfg.mu2, cfg.p), values, cfg.n_list,
                     cfg.r, cfg.c, cfg.gamma, cfg.metric, cfg.axis, deg)
@@ -412,7 +402,7 @@ def cmd_rate_study(cfg: ExperimentConfig) -> RateStudyResult:
                   run_id=f"rate-{cfg.metric}" if cfg.run_id is None else cfg.run_id)
     cfg.validate()
     result = rate_study(
-        _get_function(cfg), SmoothnessParams(cfg.s, cfg.mu1, cfg.mu2, cfg.p), cfg.r,
+        _FUNCTIONS[cfg.function](cfg), SmoothnessParams(cfg.s, cfg.mu1, cfg.mu2, cfg.p), cfg.r,
         cfg.metric, cfg.delta_list, cfg.seeds,
         c=cfg.c, gamma=cfg.gamma, axis=cfg.axis, noise_mode=cfg.noise_mode,
         base_seed=cfg.base_seed, grid_degree=cfg.grid_degree,
@@ -421,10 +411,8 @@ def cmd_rate_study(cfg: ExperimentConfig) -> RateStudyResult:
     result.save(os.path.join(run_dir, "rate.csv"))
     for delta, err in zip(result.delta_list, result.errors):
         print(f"delta={_fmt_float(delta)} median_{cfg.metric}={_fmt_float(err)}")
-    print(
-        f"fitted_slope={_fmt_float(result.fitted_slope)} "
-        f"theoretical_slope={_fmt_float(result.theoretical_slope)}"
-    )
+    print(f"fitted_slope={_fmt_float(result.fitted_slope)} "
+          f"theoretical_slope={_fmt_float(result.theoretical_slope)}")
     print(f"run written to {run_dir}")
     return result
 
@@ -476,17 +464,17 @@ def cmd_emit_surface(run: str, function: str | None = None, grid_points: int = 1
     run_dir = run if os.path.isdir(run) else os.path.join(_resolve_root(out), run)
     cfg_path = os.path.join(run_dir, "config.ini")
     if not os.path.isfile(cfg_path):
-        raise ValueError(f"run {run!r} not found (no config.ini in {run_dir})")
+        raise ValueError(f"run {run!r} has no config.ini (looked in {run_dir})")
     cfg = ExperimentConfig().apply_ini(cfg_path)
+    cfg.validate()
     if function is not None and function != cfg.function:
-        raise ValueError(
-            f"run {run!r} was produced with function {cfg.function!r}, not {function!r}"
-        )
+        raise ValueError(f"run {run!r} was produced with function {cfg.function!r}, "
+                         f"not {function!r}")
     grid_path = os.path.join(run_dir, f"row_{row}", "deriv.csv")
     if not os.path.isfile(grid_path):
         raise ValueError(f"run {run!r} has no saved row {row}")
     grid = load_grid(grid_path)
-    fn = _get_function(cfg)
+    fn = _FUNCTIONS[cfg.function](cfg)
     exact_d = fn.exact_deriv(cfg.r, cfg.axis)
     t = np.linspace(-1.0, 1.0, grid_points)
     approx = synthesize(grid, t, t)
@@ -540,8 +528,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                 help="INI file overriding the defaults")
     for f in FIELDS:
         for name in f.on if f.flag else ():
-            cmds[name].add_argument(f.flag, dest=f.attr,
-                                    **{"type": _flag_type(f.kind), **f.arg})
+            cmds[name].add_argument(f.flag, dest=f.attr, type=_flag_type(f.kind),
+                                    choices=f.choices, **f.arg)
     cmds["example1"].add_argument("--noise", choices=("random", "trapezoid"), default="random")
 
     cmds["cross-card"].add_argument("--gamma", required=True, help="comma-separated shapes",

@@ -11,13 +11,13 @@ CrossSet holds the set as a boolean mask over its bounding box, and
 truncate differentiates only that box of a grid, since the derivative
 never raises a degree. The truncation level n and shape gamma are chosen
 from the smoothness class and the noise level; the formulas below
-implement that selection together with its admissibility hypotheses.
+implement that selection, its admissibility hypotheses and its error decay.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "truncate",
     "choose_n",
     "choose_gamma",
+    "theoretical_slope",
     "class_norm",
 ]
 
@@ -169,7 +170,7 @@ def choose_n(sp: SmoothnessParams, delta: float, r: int, c: float = 0.9) -> int:
             f"smoothness {sp.mu1:g} of the differentiated axis (mu1 along t, mu2 along "
             f"tau) too small for order r={r}: need more than {2 * r - 1.0 / sp.s + 0.5:g}"
         )
-    level = c * delta ** (-1.0 / (sp.mu1 - 1.0 / sp.p + 1.0 / sp.s))  # 1/p = 0 at p = inf
+    level = c * delta ** (-1.0 / _noise_rate(sp))
     if not math.isfinite(level):
         raise ValueError(f"truncation level for delta={delta} and c={c} is not finite")
     return max(r, int(round(level)))
@@ -183,10 +184,7 @@ def choose_gamma(sp: SmoothnessParams, r: int, metric: str = "L2") -> float:
     """
     if r < 1:
         raise ValueError("derivative order r must be >= 1")
-    if metric not in ("L2", "C"):
-        raise ValueError(f"metric must be 'L2' or 'C', got {metric!r}")
-    shift = 0.5 if metric == "L2" else 1.5
-    den = sp.mu1 - 2 * r + 1.0 / sp.s - shift
+    den, shift = _margin(sp, r, metric)
     if not den > 0:
         raise ValueError(
             f"smoothness {sp.mu1:g} of the differentiated axis (mu1 along t, mu2 along "
@@ -202,6 +200,33 @@ def choose_gamma(sp: SmoothnessParams, r: int, metric: str = "L2") -> float:
             f"admissible gamma interval is empty (gamma_max={gamma_max:g} <= 1)"
         )
     return 0.5 * (1.0 + gamma_max)
+
+
+def theoretical_slope(sp: SmoothnessParams, r: int, metric: str = "L2", axis: str = "t") -> float:
+    """Predicted exponent of the error's power-law decay in delta, for the
+    class along axis (_along): choose_gamma's margin over choose_n's rate."""
+    sp = _along(sp, axis)
+    return _margin(sp, r, metric)[0] / _noise_rate(sp)
+
+
+def _along(sp: SmoothnessParams, axis: str) -> SmoothnessParams:
+    """The class with mu1 the weight of the axis differentiated: mu1 weighs t
+    and mu2 tau, as in class_norm, so along tau the two trade places."""
+    return sp if axis == "t" else replace(sp, mu1=sp.mu2, mu2=sp.mu1)
+
+
+def _margin(sp: SmoothnessParams, r: int, metric: str) -> tuple[float, float]:
+    """(mu1 - 2r + 1/s - shift, shift), shift 1/2 in L2 and 3/2 in C: the
+    smoothness the r-th derivative leaves in the metric, > 0 where it converges."""
+    if metric not in ("L2", "C"):
+        raise ValueError(f"metric must be 'L2' or 'C', got {metric!r}")
+    shift = 0.5 if metric == "L2" else 1.5
+    return sp.mu1 - 2 * r + 1.0 / sp.s - shift, shift
+
+
+def _noise_rate(sp: SmoothnessParams) -> float:
+    """mu1 - 1/p + 1/s, with n(delta) = c * delta**(-1/rate); 1/p = 0 at p = inf."""
+    return sp.mu1 - 1.0 / sp.p + 1.0 / sp.s
 
 
 def class_norm(coeffs, s: float, mu1: float, mu2: float) -> float:

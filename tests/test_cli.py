@@ -199,12 +199,18 @@ def test_a_class_too_rough_along_tau_is_refused_by_its_tau_weight(tmp_path, caps
 
 @pytest.mark.parametrize("command, ini, flags, message", [
     ("example1", None, [], "config file missing.ini not found or unreadable"),
-    ("example1", "[noise]\nmode = foo\n", [], "unknown noise mode 'foo'"),
-    ("rate-study", "[experiment]\nmetric = X\n", [], "metric must be 'L2' or 'C', got 'X'"),
+    ("example1", "[experiment]\nfunction = mystery\n", [],
+     "[experiment] function=mystery must be one of example1, example2, class"),
+    ("example1", "[noise]\nmode = foo\n", [],
+     "[noise] mode=foo must be one of rescaled, raw_gaussian, trapezoid"),
+    ("example1", "[noise]\nmode = trapezoid\n", [],  # the preset's deltas stay
+     "[noise] mode=trapezoid does not go with deltas: trapezoid goes with hs alone"),
+    ("rate-study", "[experiment]\nmetric = X\n", [], "[experiment] metric=X must be one of L2, C"),
     ("rate-study", "[experiment]\nfunction = class\nmu1 = 4.5\nmu2 = 4.5\n", ["--metric", "C"],
      "smoothness 4.5 of the differentiated axis (mu1 along t, mu2 along tau) too small for "
      "order r=2 in C: need more than 5")],
-    ids=["missing-config", "noise-mode", "metric", "class-too-rough-for-c"])
+    ids=["missing-config", "function", "noise-mode", "trapezoid-with-deltas", "metric",
+         "class-too-rough-for-c"])
 def test_a_refused_config_is_one_error_line_and_writes_nothing(tmp_path, capsys, monkeypatch,
                                                                command, ini, flags, message):
     monkeypatch.chdir(tmp_path)
@@ -214,6 +220,70 @@ def test_a_refused_config_is_one_error_line_and_writes_nothing(tmp_path, capsys,
     assert run_cli(command, "--config", name, *flags, "--out", "res") == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert os.listdir(tmp_path) == ([] if ini is None else [name])
+
+
+@pytest.mark.parametrize("ini, where", [
+    ("[noise]\nseed = 7\n", "[noise] seed is not a config key"),
+    ("[method]\nnn = 3\n", "[method] nn is not a config key"),
+    ("[typo]\n", "[typo] is not a config section"),
+    ("[typo]\nseeds = 3\n", "[typo] seeds is not a config key"),
+    ("[DEFAULT]\nseeds = 3\n", "[DEFAULT] seeds is not a config key"),
+    ("[DEFAULT]\nseeds = 3\n[noise]\nseed = 7\n[method]\nnn = 3\n[typo]\n",
+     "[DEFAULT] seeds is not a config key")],
+    ids=["noise-key", "method-key", "empty-section", "section", "default", "all-four"])
+def test_an_undeclared_section_or_key_is_refused(tmp_path, capsys, monkeypatch, ini, where):
+    # each used to be dropped unread, and the run wrote seeds = 5
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rate.ini").write_text("[experiment]\nfunction = class\n" + ini)
+    assert run_cli("rate-study", "--config", "rate.ini", "--out", "res") == 2
+    assert capsys.readouterr() == ("", f"error: rate.ini: {where}\n")
+    assert os.listdir(tmp_path) == ["rate.ini"]
+
+
+ODD_VALUES = ("", "nan", "inf", "-inf", "-1", "0", "1e400", "1e-400", "abc", "1,2", "auto",
+              "10000000000000000000000")
+
+
+@pytest.mark.parametrize("argv, base", [
+    (["example1", "--grid-degree", 16, "--seeds", 1, "--n", "4,5,6"], {}),
+    (["rate-study"], {("experiment", "function"): "class", ("noise", "seeds"): "1"})],
+    ids=["example1", "rate-study"])
+def test_every_key_with_an_odd_value_runs_or_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                                                argv, base):
+    # one INI per declared key and value; a refusal writes no run directory
+    monkeypatch.delenv(cli._ENV_ROOT, raising=False)
+    failures = []
+    for i, (f, value) in enumerate((f, v) for f in FIELDS for v in ODD_VALUES):
+        settings = {**base, (f.section, f.key): value}
+        sections = dict.fromkeys(section for section, _ in settings)
+        case = tmp_path / str(i)
+        case.mkdir()
+        (case / "odd.ini").write_text("".join(
+            f"[{section}]\n" + "".join(f"{k} = {v}\n" for (s, k), v in settings.items()
+                                       if s == section) for section in sections))
+        monkeypatch.chdir(case)
+        code = run_cli(*argv, "--config", "odd.ini")
+        err = capsys.readouterr().err
+        if not (code == 0 and err == "" or code == 2 and err.startswith("error: ")
+                and err.count("\n") == 1 and os.listdir(case) == ["odd.ini"]):
+            failures.append((f"[{f.section}] {f.key} = {value}", code, err))
+    assert failures == []
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("[output]", "[retired]\nkey = 1\n\n[output]", "{ini}: [retired] key is not a config key"),
+    ("function = example1", "function = mystery",
+     "[experiment] function=mystery must be one of example1, example2, class")],
+    ids=["undeclared-key", "unknown-function"])
+def test_emit_surface_checks_the_config_ini_it_reads(tmp_path, capsys, old, new, message):
+    assert run_cli("example1", "--grid-degree", 4, "--n", "2,3,4", "--seeds", 1,
+                   "--out", tmp_path, "--run-id", "e1") == 0
+    capsys.readouterr()
+    ini = tmp_path / "e1" / "config.ini"
+    ini.write_text(ini.read_text().replace(old, new))
+    assert run_cli("emit-surface", "--run", "e1", "--out", tmp_path) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(ini=ini)}\n")
+    assert not (tmp_path / "e1" / "surface.csv").exists()
 
 
 def test_non_finite_class_coefficients_are_reported(tmp_path, capsys, monkeypatch):
@@ -517,6 +587,17 @@ def test_emit_surface_missing_run(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_emit_surface_names_a_run_directory_without_config_ini(tmp_path, capsys):
+    # a cross-card run writes card.csv and verdicts.txt, no config.ini
+    assert run_cli("cross-card", "--gamma", 2, "--n", "8,16", "--out", tmp_path,
+                   "--run-id", "cc") == 0
+    capsys.readouterr()
+    assert run_cli("emit-surface", "--run", "cc", "--out", tmp_path) == 2
+    assert capsys.readouterr() == (
+        "", f"error: run 'cc' has no config.ini (looked in {tmp_path / 'cc'})\n")
+    assert sorted(os.listdir(tmp_path / "cc")) == ["card.csv", "verdicts.txt"]
+
+
 def test_emit_surface_refuses_a_row_the_run_does_not_have(tmp_path, capsys):
     assert run_cli("example1", "--grid-degree", 4, "--n", "2,3,4", "--seeds", 1,
                    "--out", tmp_path, "--run-id", "e1") == 0
@@ -775,11 +856,18 @@ def test_every_schema_flag_is_accepted_by_every_table_command(command, f, monkey
     cfg.validate()  # --delta and --h also switch the noise mode
 
 
-def test_metric_is_a_rate_study_flag_only():
+def test_metric_is_a_rate_study_flag_only(capsys):
     (metric,) = [f for f in FIELDS if f.attr == "metric"]
     assert metric.flag == "--metric" and metric.on == ("rate-study",)
     with pytest.raises(SystemExit):
         run_cli("example1", "--metric", "C")
+    capsys.readouterr()
+    # its choices are the schema's
+    with pytest.raises(SystemExit) as exc:
+        run_cli("rate-study", "--config", "rate.ini", "--metric", "X")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --metric: invalid choice: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag", ["--r", "--run"])
@@ -966,7 +1054,7 @@ def test_an_unknown_axis_is_refused_before_any_grid(tmp_path, capsys, monkeypatc
     cfg = tmp_path / "axis.ini"
     cfg.write_text("[experiment]\nfunction = example1\naxis = x\n")
     assert run_cli(command, "--config", cfg, "--out", tmp_path) == 2
-    assert capsys.readouterr().err == "error: [experiment] axis must be 't' or 'tau', got 'x'\n"
+    assert capsys.readouterr().err == "error: [experiment] axis=x must be one of t, tau\n"
     assert os.listdir(tmp_path) == ["axis.ini"]
 
 

@@ -8,7 +8,7 @@ import pathlib
 import re
 
 import crossdiff
-from crossdiff import analysis
+from crossdiff import analysis, cli
 
 MODULES = ("legendre", "coeffs", "truncation", "analysis", "cli")
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -88,3 +88,15 @@ def test_readme_library_quick_reference_runs(tmp_path, monkeypatch):
     namespace = {}
     exec(compile(code, str(README), "exec"), namespace)
     assert math.isfinite(namespace["err"])
+
+
+def test_readme_config_file_runs(tmp_path, monkeypatch, capsys):
+    # its comments sit on lines of their own: configparser keeps an inline
+    # "; ..." as part of the value
+    text = README.read_text()
+    section = text[text.index("## Configuration files"):]
+    (tmp_path / "readme.ini").write_text(re.search(r"```ini\n(.*?)```", section, re.S).group(1))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["example1", "--config", "readme.ini"]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "results" / "my-run" / "table.csv").is_file()
