@@ -87,17 +87,16 @@ INTS_OR_AUTO = (lambda text: () if text.strip() == "auto" else _list(int)(text),
                 lambda ns: _fmt_list(ns, str) or "auto", "a list of integers or auto")
 
 
-def _key(default, section, kind, flag=None, *, key=None, on=TABLES, also=None,
-         within=None, choices=None, **arg):
+def _key(default, section, kind, flag=None, *, key=None, on=TABLES, within=None,
+         choices=None, **arg):
     """A config attribute: its default and how it appears outside the
     program. That is its INI section and key (default: the attribute name),
     the parse/format/name triple ``kind`` between value and text, and the flag that
-    sets it on the commands in ``on``, with extra argparse options ``arg``.
-    ``also`` returns the further changes that setting it implies; validate()
-    holds its numbers to the interval ``within`` and its text to ``choices``."""
+    sets it on the commands in ``on``, with extra argparse options ``arg``;
+    validate() holds its numbers to the interval ``within``, its text to ``choices``."""
     return field(default=default, metadata=dict(
-        section=section, key=key, kind=kind, flag=flag, on=on, arg=arg, also=also,
-        within=within, choices=choices))
+        section=section, key=key, kind=kind, flag=flag, on=on, arg=arg, within=within,
+        choices=choices))
 
 
 # the test function of each [experiment] function id
@@ -115,9 +114,9 @@ class ExperimentConfig:
     which is the order config files are read and written in.
 
     Exactly one of delta_list (with a random noise_mode) and h_list (with
-    noise_mode "trapezoid") must be set; setting either clears the other
-    and switches to a matching mode. Empty n_list means choose_n with
-    constant c; delta entries of 0 request the noise-free path. None leaves
+    noise_mode "trapezoid") must be set; _with says how a layer that gives
+    one replaces the other. Empty n_list means choose_n with constant c;
+    delta entries of 0 request the noise-free path. None leaves
     a rate study's gamma to the metric and its grid_degree to the function,
     and is its noise_p, which it does not use; only rate studies read
     metric.
@@ -135,12 +134,9 @@ class ExperimentConfig:
                           help="norm index for noise rescaling (default inf)")
     delta_list: tuple = _key(
         (), "noise", FLOATS, "--delta", key="deltas", within="[0, 1)",
-        help="comma-separated noise levels (0 = noise-free)",
-        also=lambda cfg: {"h_list": (), "noise_mode": "rescaled"
-                          if cfg.noise_mode == "trapezoid" else cfg.noise_mode})
+        help="comma-separated noise levels (0 = noise-free)")
     h_list: tuple = _key((), "noise", FLOATS, "--h", key="hs",
-                         help="comma-separated trapezoid steps",
-                         also=lambda cfg: {"delta_list": (), "noise_mode": "trapezoid"})
+                         help="comma-separated trapezoid steps")
     seeds: int = _key(5, "noise", INT, "--seeds", within=f"[1, {MAX_SEEDS}]",
                       help="noise realizations per row")
     base_seed: int = _key(2025, "noise", INT, "--base-seed", within="[0, inf)")
@@ -177,15 +173,14 @@ class ExperimentConfig:
                              f"{trials} trials, over the limit of {MAX_TRIALS}")
         has_h = len(self.h_list) > 0
         if has_h == (len(self.delta_list) > 0):
-            raise ValueError("exactly one of delta list / h list must be set")
+            raise ValueError("[noise] give exactly one of deltas and hs")
         if has_h != (self.noise_mode == "trapezoid"):
             raise ValueError(f"[noise] mode={self.noise_mode} does not go with "
                              f"{'hs' if has_h else 'deltas'}: trapezoid goes with hs alone")
-        values = self.delta_list or self.h_list
-        if self.n_list and len(self.n_list) != len(values):
+        if self.n_list and len(self.n_list) != len(self.delta_list or self.h_list):
             raise ValueError("n list length must match the delta/h list")
-        if not self.n_list and has_h:
-            raise ValueError("trapezoid runs need an explicit n list")
+        if not self.n_list and (has_h or 0.0 in self.delta_list):  # choose_n reads a delta
+            raise ValueError("[method] n=auto needs [noise] deltas, each > 0")
         _check_run_id(self.run_id)
 
     def to_ini(self, path) -> None:
@@ -228,11 +223,16 @@ class ExperimentConfig:
         return self._with(settings)
 
     def _with(self, settings) -> "ExperimentConfig":
-        """This config with each (field, value) of settings set in turn."""
-        cfg = self
-        for f, value in settings:
-            cfg = replace(cfg, **{f.attr: value, **(f.also(cfg) if f.also else {})})
-        return cfg
+        """This config under one layer: the (field, value) settings of an INI file
+        or of one command line. Its deltas or hs first replace the noise below, with
+        mode trapezoid for hs and rescaled for a trapezoid mode under deltas. Then
+        each value is set as given, so validate() refuses a layer that contradicts itself."""
+        given = {f.attr: value for f, value in settings}
+        if "delta_list" in given or "h_list" in given:
+            mode = "trapezoid" if "h_list" in given else (
+                "rescaled" if self.noise_mode == "trapezoid" else self.noise_mode)
+            given = {"delta_list": (), "h_list": (), "noise_mode": mode, **given}
+        return replace(self, **given)
 
 
 FIELDS = tuple(SimpleNamespace(**{**f.metadata, "attr": f.name,

@@ -1,5 +1,6 @@
 """Command-line interface: table runs, configs, run directories, surfaces."""
 
+import configparser
 import math
 import os
 import subprocess
@@ -198,28 +199,62 @@ def test_a_class_too_rough_along_tau_is_refused_by_its_tau_weight(tmp_path, caps
 
 
 @pytest.mark.parametrize("command, ini, flags, message", [
-    ("example1", None, [], "config file missing.ini not found or unreadable"),
+    ("example1", None, ["--config", "missing.ini"],
+     "config file missing.ini not found or unreadable"),
     ("example1", "[experiment]\nfunction = mystery\n", [],
      "[experiment] function=mystery must be one of example1, example2, class"),
     ("example1", "[noise]\nmode = foo\n", [],
      "[noise] mode=foo must be one of rescaled, raw_gaussian, trapezoid"),
     ("example1", "[noise]\nmode = trapezoid\n", [],  # the preset's deltas stay
      "[noise] mode=trapezoid does not go with deltas: trapezoid goes with hs alone"),
+    # a layer that contradicts itself: no setting of it overrides another
+    ("example1", "[noise]\nmode = trapezoid\ndeltas = 1e-7,1e-8,1e-9\n", [],
+     "[noise] mode=trapezoid does not go with deltas: trapezoid goes with hs alone"),
+    ("example1", "[noise]\nmode = raw_gaussian\nhs = 1e-3,1e-3,1e-3\n", [],
+     "[noise] mode=raw_gaussian does not go with hs: trapezoid goes with hs alone"),
+    ("example1", "[noise]\nmode = rescaled\nhs = 1e-3,1e-3,1e-3\n", [],
+     "[noise] mode=rescaled does not go with hs: trapezoid goes with hs alone"),
+    ("example1", "[noise]\ndeltas = 1e-7,1e-8,1e-9\nhs = 1e-3,1e-3,1e-3\n", [],
+     "[noise] give exactly one of deltas and hs"),
+    ("example1", None, ["--delta", "1e-7", "--h", "1e-3", "--n", "6"],
+     "[noise] give exactly one of deltas and hs"),
     ("rate-study", "[experiment]\nmetric = X\n", [], "[experiment] metric=X must be one of L2, C"),
     ("rate-study", "[experiment]\nfunction = class\nmu1 = 4.5\nmu2 = 4.5\n", ["--metric", "C"],
      "smoothness 4.5 of the differentiated axis (mu1 along t, mu2 along tau) too small for "
      "order r=2 in C: need more than 5")],
-    ids=["missing-config", "function", "noise-mode", "trapezoid-with-deltas", "metric",
-         "class-too-rough-for-c"])
+    ids=["missing-config", "function", "noise-mode", "trapezoid-with-deltas",
+         "ini-trapezoid-and-deltas", "ini-raw-gaussian-and-hs", "ini-rescaled-and-hs",
+         "ini-deltas-and-hs", "flags-delta-and-h", "metric", "class-too-rough-for-c"])
 def test_a_refused_config_is_one_error_line_and_writes_nothing(tmp_path, capsys, monkeypatch,
                                                                command, ini, flags, message):
     monkeypatch.chdir(tmp_path)
-    name = "missing.ini" if ini is None else "run.ini"
     if ini is not None:
-        (tmp_path / name).write_text(ini)
-    assert run_cli(command, "--config", name, *flags, "--out", "res") == 2
+        (tmp_path / "run.ini").write_text(ini)
+        flags = ["--config", "run.ini", *flags]
+    assert run_cli(command, *flags, "--out", "res") == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
-    assert os.listdir(tmp_path) == ([] if ini is None else [name])
+    assert os.listdir(tmp_path) == ([] if ini is None else ["run.ini"])
+
+
+@pytest.mark.parametrize("argv, ini, mode, key", [
+    (["example2", "--delta", "1e-7", "--n", "8"], None, "rescaled", "deltas"),
+    (["example1", "--h", "1e-3", "--n", "6"], None, "trapezoid", "hs"),
+    (["example1", "--noise", "trapezoid", "--n", "8"], "[noise]\ndeltas = 1e-7\n",
+     "rescaled", "deltas"),
+    (["example2", "--n", "8"], "[noise]\nmode = raw_gaussian\ndeltas = 1e-7\n",
+     "raw_gaussian", "deltas")],
+    ids=["example2-delta", "example1-h", "ini-deltas-on-trapezoid", "ini-raw-gaussian"])
+def test_deltas_or_hs_from_a_higher_layer_switch_the_noise(tmp_path, argv, ini, mode, key):
+    # the list replaces the noise of the preset below it, mode included
+    if ini is not None:
+        (tmp_path / "run.ini").write_text(ini)
+        argv = argv + ["--config", tmp_path / "run.ini"]
+    assert run_cli(*argv, "--grid-degree", 16, "--seeds", 1, "--out", tmp_path,
+                   "--run-id", "run") == 0
+    noise = configparser.ConfigParser()
+    noise.read(tmp_path / "run" / "config.ini")
+    assert noise["noise"]["mode"] == mode
+    assert {"deltas", "hs"} & set(noise["noise"]) == {key}
 
 
 @pytest.mark.parametrize("ini, where", [
@@ -744,7 +779,9 @@ def _reachable_configs():
             if getattr(cfg, attr) is not None or attr in ("out_dir", "run_id", "metric"):
                 cfg = replace(cfg, **{attr: draw(options[attr])})
         rows = len(cfg.delta_list or cfg.h_list)
-        if cfg.h_list or (cfg.n_list and len(cfg.n_list) != rows) or draw(st.booleans()):
+        # n = auto needs every delta > 0
+        if (cfg.h_list or 0.0 in cfg.delta_list or (cfg.n_list and len(cfg.n_list) != rows)
+                or draw(st.booleans())):
             ns = st.lists(st.integers(1, cli.MAX_GRID_DEGREE), min_size=rows, max_size=rows)
             cfg = replace(cfg, n_list=tuple(draw(ns)))
         elif draw(st.booleans()):
@@ -819,18 +856,23 @@ def test_ini_file_errors_are_one_line_naming_the_file(tmp_path, capsys, text, me
 
 
 def test_experiment_config_validate():
-    with pytest.raises(ValueError):
-        ExperimentConfig().validate()  # neither deltas nor hs
-    with pytest.raises(ValueError):
-        ExperimentConfig(delta_list=(1e-7,), h_list=(1e-4,)).validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(h_list=(1e-4,), noise_mode="trapezoid").validate()  # no n
-    with pytest.raises(ValueError):
-        ExperimentConfig(delta_list=(1e-7,), n_list=(16, 28)).validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(delta_list=(1e-7,), noise_p=0.5).validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(delta_list=(1e-7,), function="mystery").validate()
+    for cfg, message in [
+            (ExperimentConfig(), "[noise] give exactly one of deltas and hs"),
+            (ExperimentConfig(delta_list=(1e-7,), h_list=(1e-4,)),
+             "[noise] give exactly one of deltas and hs"),
+            (ExperimentConfig(h_list=(1e-4,), noise_mode="trapezoid"),
+             "[method] n=auto needs [noise] deltas, each > 0"),
+            (ExperimentConfig(delta_list=(0.0, 1e-7)),
+             "[method] n=auto needs [noise] deltas, each > 0"),
+            (ExperimentConfig(delta_list=(1e-7,), n_list=(16, 28)),
+             "n list length must match the delta/h list"),
+            (ExperimentConfig(delta_list=(1e-7,), noise_p=0.5),
+             "[noise] p=0.5 must lie in [1, inf]"),
+            (ExperimentConfig(delta_list=(1e-7,), function="mystery"),
+             "[experiment] function=mystery must be one of example1, example2, class")]:
+        with pytest.raises(ValueError) as exc:
+            cfg.validate()
+        assert str(exc.value) == message
     ExperimentConfig(delta_list=(1e-7,)).validate()
 
 
@@ -961,8 +1003,19 @@ def test_a_chosen_level_that_is_not_finite_is_reported(tmp_path, capsys):
 def test_n_auto_with_trapezoid_steps_is_refused(tmp_path, capsys):
     # choose_n reads a noise level, and a trapezoid step is none
     assert run_cli("example1", "--h", "1e-4", "--n", "auto", "--out", tmp_path) == 2
-    assert capsys.readouterr().err == "error: trapezoid runs need an explicit n list\n"
+    assert capsys.readouterr().err == "error: [method] n=auto needs [noise] deltas, each > 0\n"
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["example1", "rate-study"])
+def test_n_auto_with_a_zero_delta_is_refused_by_its_keys(tmp_path, capsys, command):
+    # choose_n reads a noise level in (0, 1); a rate study's n is always auto
+    ini = tmp_path / "zero.ini"
+    ini.write_text("[experiment]\nfunction = class\n[noise]\ndeltas = 0,1e-8\n")
+    argv = [command, "--config", ini, "--out", tmp_path]
+    assert run_cli(*argv, *(["--n", "auto"] if command == "example1" else [])) == 2
+    assert capsys.readouterr().err == "error: [method] n=auto needs [noise] deltas, each > 0\n"
+    assert os.listdir(tmp_path) == ["zero.ini"]
 
 
 @pytest.mark.parametrize("gamma", ["1024", "1e308"])

@@ -100,3 +100,16 @@ def test_readme_config_file_runs(tmp_path, monkeypatch, capsys):
     assert cli.main(["example1", "--config", "readme.ini"]) == 0
     assert capsys.readouterr().err == ""
     assert (tmp_path / "results" / "my-run" / "table.csv").is_file()
+
+
+def test_readme_key_table_lists_every_config_key():
+    # one row per key, except that mu1 and mu2 share one; a key added,
+    # dropped or renamed in the schema fails here until the table follows
+    text = README.read_text()
+    section = text[text.index("## Configuration files"):]
+    section = section[:section.index("\n## ", 1)]
+    keys = []
+    for row in re.findall(r"^\| (`\[.*?) \|", section, re.M):
+        section_name, first = re.match(r"`\[(\w+)\] (\w+)`", row).groups()
+        keys += [(section_name, key) for key in [first, *re.findall(r", `(\w+)`", row)]]
+    assert sorted(keys) == sorted((f.section, f.key) for f in cli.FIELDS)
