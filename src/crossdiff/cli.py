@@ -30,7 +30,7 @@ from .analysis import (  # noqa: F401  (l2_error, c_error stay importable from c
     example1_F, example2_F, l2_error, make_class_function, rate_study,
 )
 from .coeffs import CoeffGrid, exact_coeffs, save_grid, load_grid, trapezoid_coeffs
-from .coeffs import FLOAT, INT, STR, _MODES, _cells, _fmt_float, _trapezoid_steps, _write_csv
+from .coeffs import FLOAT, INT, STR, _MODES, _fmt_float, _grid_lines, _trapezoid_steps, _write_csv
 from .legendre import synthesize
 from .truncation import SmoothnessParams, cardinality_growth
 
@@ -59,7 +59,7 @@ MAX_GRID_DEGREE = 1024  # the high-degree regime; gauss_rule's cost grows as m^2
 # at grid degree 64.
 MAX_SEEDS = 10 ** 6
 MAX_TRIALS = 5 * MAX_SEEDS
-MAX_GRID_POINTS = 1025  # emit-surface writes points^2 rows, ~100 MB at the limit
+MAX_GRID_POINTS = 1025  # emit-surface writes points^2 rows: ~73 MB at the limit, ~88 MB at 1000
 TABLES = ("example1", "example2")
 _RUNS = TABLES + ("rate-study", "cross-card")  # the commands that write a run directory
 
@@ -425,6 +425,9 @@ def cmd_cross_card(gammas, r: int, ns, out: str | None = None,
     _check_run_id(run_id)
     if not gammas or not ns:
         raise ValueError(f"--{'n' if gammas else 'gamma'} needs at least one value")
+    for i, g in enumerate(gammas):
+        if g in gammas[:i]:
+            raise ValueError(f"--gamma lists {_fmt_float(g)} more than once")
     for n in ns:
         if not 2 <= n <= MAX_GRID_DEGREE:
             raise ValueError(f"--n level {n} must lie in [2, {MAX_GRID_DEGREE}]")
@@ -480,8 +483,8 @@ def cmd_emit_surface(run: str, function: str | None = None, grid_points: int = 1
     approx = synthesize(grid, t, t)
     exact = np.asarray(exact_d(t[:, None], t[None, :]), dtype=float)
     out_path = os.path.join(run_dir, "surface.csv")
-    ts = t.tolist()
-    _write_csv(out_path, "t,tau,exact,approx", ("ffff", _cells(ts, ts, exact, approx)))
+    labels = [_fmt_float(x) for x in t.tolist()]
+    _write_csv(out_path, "t,tau,exact,approx", ("s", _grid_lines(labels, labels, exact, approx)))
     print(f"surface written to {out_path}")
     return out_path
 

@@ -9,7 +9,6 @@ happens later, at truncation time.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -246,14 +245,6 @@ def _fmt_float(x) -> str:
     return _row_format("f")[:-1] % x
 
 
-def _cells(rows, cols, *grids):
-    """(rows[i], cols[j], grids[0][i, j], ...) for every cell, row by row;
-    cols is iterated once per row."""
-    return itertools.chain.from_iterable(
-        zip(itertools.repeat(r), cols, *(g[i].tolist() for g in grids))
-        for i, r in enumerate(rows))
-
-
 def _write_csv(path, header: str, *blocks) -> None:
     """Write a CSV file: the header line, then for each (kinds, rows) of
     blocks every row, a tuple, in the line format of those kinds."""
@@ -264,18 +255,20 @@ def _write_csv(path, header: str, *blocks) -> None:
             fh.writelines(line % row for row in rows)
 
 
-def _grid_lines(data: np.ndarray):
-    """For each row k of data, its lines k,j,value as _write_csv writes the
-    cells in kinds "ssf", joined, less the last newline: formatted by one
-    call per row, and a row of +0.0 alone with no float formatted."""
-    cells = [f",{j},{_row_format('f')[:-1]}" for j in range(data.shape[1])]
-    zeros = [cell % 0.0 for cell in cells]
+def _grid_lines(rows, cols, *grids):
+    """For each row label of rows, its lines row,col,value,... as _write_csv
+    writes them in kinds "ss" and one "f" per grid, one line a column label
+    of cols, joined, less the last newline: formatted by one call per row,
+    and a row of +0.0 in every grid alone with no float formatted. Labels
+    are the text written, and hold no %."""
+    values = _row_format("f" * len(grids))[:-1]
+    cells = [f",{col},{values}" for col in cols]
+    zeros = [cell % ((0.0,) * len(grids)) for cell in cells]
+    data = np.stack(grids, axis=-1).reshape(len(rows), -1)  # row i: (i, 0) of each grid, ...
     plain_zero = ~(data.any(axis=1) | np.signbit(data).any(axis=1))
-    for k, row in enumerate(data):
-        key = str(k)
+    for key, row, zero in zip(rows, data, plain_zero.tolist()):
         sep = "\n" + key
-        yield (key + sep.join(zeros) if plain_zero[k]
-               else (key + sep.join(cells)) % tuple(row.tolist()),)
+        yield (key + sep.join(zeros) if zero else (key + sep.join(cells)) % tuple(row.tolist()),)
 
 
 def save_grid(grid: CoeffGrid, path) -> None:
@@ -285,7 +278,8 @@ def save_grid(grid: CoeffGrid, path) -> None:
     Values carry 17 significant digits so the round-trip is bit exact.
     """
     path = str(path)
-    _write_csv(path, "k,j,value", ("s", _grid_lines(grid.data)))
+    rows, cols = ([str(i) for i in range(n)] for n in grid.data.shape)
+    _write_csv(path, "k,j,value", ("s", _grid_lines(rows, cols, grid.data)))
     with open(path + ".meta", "w") as fh:
         fh.write(f"provenance={grid.provenance}\nK={grid.K}\nJ={grid.J}\n")
 

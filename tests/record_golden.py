@@ -85,11 +85,15 @@ RUNS = {
     # the table that emit-surface of READERS samples
     "surface": ["example1", "--delta", "1e-7,1e-8", "--n", "8,12", "--seeds", "2",
                 "--grid-degree", "32"],
+    # an example2 row, piecewise and cosine factors, that emit-surface of
+    # READERS samples at 30 points, whose labels take up to 17 digits
+    "surface-example2": ["example2", "--h", "1e-3", "--n", "8", "--grid-degree", "32"],
 }
 # commands that read a run of RUNS, by its name, and write into its directory;
 # they start once every run of RUNS has ended
 READERS = {
     "surface": ["emit-surface", "--run", "surface", "--row", "1", "--grid-points", "17"],
+    "surface-example2": ["emit-surface", "--run", "surface-example2", "--grid-points", "30"],
 }
 # files digested whole, each with its columns kept if it is a CSV file
 WHOLE = ("rate.csv", "card.csv", "verdicts.txt", "surface.csv")

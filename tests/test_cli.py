@@ -1215,6 +1215,7 @@ def test_overflowing_derivative_operator_is_reported(tmp_path, capsys):
     (["--n", "4,8", "--gamma", "nan"], "cross shape gamma=nan must be >= 1"),
     (["--n", ""], "--n needs at least one value"),
     (["--n", "4,8", "--gamma", ""], "--gamma needs at least one value"),
+    (["--n", "4,8", "--gamma", "2,1,2"], "--gamma lists 2 more than once"),
 ])
 def test_cross_card_limits_are_reported(tmp_path, capsys, monkeypatch, argv, message):
     def refuse(*args):

@@ -546,6 +546,31 @@ def test_save_grid_writes_the_bytes_of_the_per_cell_writer(tmp_path, shape):
     assert text == "k,j,value\n" + per_cell_grid_csv(data)
 
 
+@pytest.mark.parametrize("labels, kinds, count", [
+    (range, "ssf", 1),  # deriv.csv: integer labels, one grid
+    (lambda n: np.linspace(-1.0, 1.0, n).tolist(), "ffff", 2),  # surface.csv: exact and approx
+], ids=["int-labels-one-grid", "float-labels-two-grids"])
+def test_grid_lines_write_the_bytes_of_the_per_cell_writer(tmp_path, labels, kinds, count):
+    # row 0 is +0.0 in every grid (the zeros template), row 1 too but for one
+    # -0.0 in the last grid, which keeps its sign; row 2 holds NaN and both
+    # infinities; 7 and 6 float labels take up to 17 digits
+    grids = np.random.default_rng(count).standard_normal((count, 7, 6))
+    grids[:, :2] = 0.0
+    grids[-1, 1, 3] = -0.0
+    grids[0, 2, :3] = math.nan, math.inf, -math.inf
+    rows, cols = list(labels(7)), list(labels(6))
+    text = str if kinds == "ssf" else coeffs_module._fmt_float
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    coeffs_module._write_csv(got, "header", ("s", coeffs_module._grid_lines(
+        [text(r) for r in rows], [text(c) for c in cols], *grids)))
+    coeffs_module._write_csv(want, "header", (kinds, [
+        (r, c, *(g[i, j] for g in grids)) for i, r in enumerate(rows) for j, c in enumerate(cols)]))
+    assert got.read_bytes() == want.read_bytes()
+    lines = got.read_text().splitlines()  # the header, then 6 lines a row
+    assert lines[1 + 6 + 3].endswith(",-0")
+    assert [line.split(",")[2] for line in lines[13:16]] == ["nan", "inf", "-inf"]
+
+
 @settings(max_examples=200, deadline=None)
 @given(x=st.one_of(st.floats(), st.integers(-2 ** 60, 2 ** 60)))
 def test_one_float_format_for_run_files_and_printed_lines(x):
